@@ -436,10 +436,20 @@ class DegenerateError(CalculusError):
 
 @dataclass(frozen=True)
 class SymplecticData:
+    """A closed nondegenerate log 2-form with its Gram data on a frame.
+
+    gram is the pairing matrix A_{kl} = omega(frame_k, frame_l) and det_cert
+    its determinant, a unit (or a nonzero constant for a Saito frame).
+    adjugate is adj(A^T), computed once at assembly from the cofactors of A
+    and checked there against A^T * adj == det * I, so the Poisson tensor
+    pi = omega^-1 acts on a covector b as adj * b / det with no solve.
+    """
+
     omega: LogForm
     frame: Tuple[LogVectorField, ...]
     gram: tuple  # n x n tuple-of-tuples of Poly
     det_cert: Poly
+    adjugate: tuple  # adj(A^T), n x n tuple-of-tuples of Poly
     frame_kind: str
 
     @property
@@ -477,7 +487,8 @@ def assemble_symplectic(
     unit of the arena ring (unit monomial in the torus arena, unit constant in
     the polynomial arena); with an explicit Saito-type frame it must be a
     nonzero constant.  Raises on odd dimension, non-closed or degenerate
-    input.
+    input.  The adjugate of A^T is computed and checked here, once, for every
+    later Hamiltonian field.
     """
     if omega.degree != 2:
         raise CalculusError("symplectic data needs a 2-form")
@@ -490,13 +501,35 @@ def assemble_symplectic(
         frame_kind = FRAME_LOG
     rows = gram_matrix(omega, frame)
     det = det_poly(rows)
-    data = SymplecticData(
+    if not _det_is_unit(det, frame_kind):
+        raise DegenerateError(det)
+    return SymplecticData(
         omega=omega,
         frame=tuple(frame),
         gram=tuple(tuple(r) for r in rows),
         det_cert=det,
+        adjugate=_adjugate_transpose(rows, det),
         frame_kind=frame_kind,
     )
-    if not data.nondegenerate:
-        raise DegenerateError(det)
-    return data
+
+
+def _adjugate_transpose(rows: List[List[Poly]], det: Poly) -> tuple:
+    """adj(A^T) for the Gram matrix A = rows, from its n^2 cofactors, after
+    checking A^T * adj == det * I exactly."""
+    n = len(rows)
+    adj = [[None] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(n):
+            # adj(A^T)_{kl} is the (k, l) cofactor of A
+            minor = [[rows[i][j] for j in range(n) if j != l] for i in range(n) if i != k]
+            c = det_poly(minor)
+            adj[k][l] = -c if (k + l) % 2 else c
+    zero = Poly.zero(det.ctx)
+    for l in range(n):
+        for m in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + rows[k][l] * adj[k][m]
+            if acc != (det if l == m else zero):
+                raise CalculusError("adjugate check A^T * adj == det * I failed")
+    return tuple(tuple(r) for r in adj)

@@ -232,7 +232,7 @@ def cmd_hamiltonian(m, args):
     f = _get_poly(m, args.f)
     try:
         res = hamiltonian(S, f)
-    except (PoissonError, LinAlgError) as e:
+    except PoissonError as e:
         return 1, {"error": str(e)}, ["no hamiltonian field: %s" % e]
     txt = print_canonical(res.delta)
     return 0, {"delta": txt}, ["delta = %s" % txt]

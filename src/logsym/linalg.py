@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .poly import Poly, PolyError, divides, exact_quotient, gcd_mv
-from .scalars import Scalar
+from .poly import Poly, divides, exact_quotient, gcd_mv
 
 
 class LinAlgError(ArithmeticError):
@@ -110,21 +109,17 @@ def _normalize_fraction(num: Poly, den: Poly):
 # -- fraction-free elimination ---------------------------------------------
 
 
-def det_poly(rows: List[List[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by Bareiss elimination.
+def _bareiss(a: List[List[Poly]], n: int) -> Optional[int]:
+    """Fraction-free (Bareiss) forward elimination of the leading n columns of
+    a, in place; rows may carry extra columns, which are eliminated along.
 
-    All divisions along the way are exact (a classical property of the
-    Bareiss scheme over any integral domain), so the result is again a
-    polynomial with no fraction arithmetic.
+    Returns the sign of the row permutation used, or None when some pivot
+    column has no nonzero entry left (the matrix is singular).  All divisions
+    along the way are exact (a classical property of the Bareiss scheme over
+    any integral domain).
     """
-    n = len(rows)
-    if n == 0:
-        raise LinAlgError("empty matrix")
-    ctx = rows[0][0].ctx
-    a = [list(r) for r in rows]
-    for r in a:
-        if len(r) != n:
-            raise LinAlgError("matrix is not square")
+    ctx = a[0][0].ctx
+    width = len(a[0])
     sign = 1
     prev = Poly.one(ctx)
     for k in range(n - 1):
@@ -135,13 +130,29 @@ def det_poly(rows: List[List[Poly]]) -> Poly:
                     sign = -sign
                     break
             else:
-                return Poly.zero(ctx)
+                return None
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 a[i][j] = exact_quotient(t, prev)
             a[i][k] = Poly.zero(ctx)
         prev = a[k][k]
+    return sign
+
+
+def det_poly(rows: List[List[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix by Bareiss elimination, so
+    the result is again a polynomial with no fraction arithmetic."""
+    n = len(rows)
+    if n == 0:
+        raise LinAlgError("empty matrix")
+    a = [list(r) for r in rows]
+    for r in a:
+        if len(r) != n:
+            raise LinAlgError("matrix is not square")
+    sign = _bareiss(a, n)
+    if sign is None:
+        return Poly.zero(a[0][0].ctx)
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
 
@@ -162,22 +173,7 @@ def solve_linear(rows: List[List[Poly]], rhs: List[Poly]) -> List[RationalFuncti
     for r in a:
         if len(r) != n + 1:
             raise LinAlgError("matrix is not square")
-    prev = Poly.one(ctx)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    break
-            else:
-                raise LinAlgError("singular matrix")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_quotient(t, prev)
-            a[i][k] = Poly.zero(ctx)
-        prev = a[k][k]
-    if a[n - 1][n - 1].is_zero():
+    if _bareiss(a, n) is None or a[n - 1][n - 1].is_zero():
         raise LinAlgError("singular matrix")
     # back-substitution in the fraction field
     x: List[RationalFunction] = [RationalFunction.from_poly(Poly.zero(ctx))] * n
@@ -206,7 +202,3 @@ def solve_linear_poly(rows: List[List[Poly]], rhs: List[Poly]) -> Optional[List[
             return None
         out.append(p)
     return out
-
-
-def matrix_of_scalars(rows: List[List[Scalar]], ctx) -> List[List[Poly]]:
-    return [[Poly.constant(ctx, c) for c in r] for r in rows]

@@ -4,18 +4,22 @@ closed log 2-form, plus the machine-checkable identity suite.
 The Hamiltonian field of f solves the Gram system A^T v = b where A is the
 pairing matrix of omega against the chosen frame and b_l = frame_l(f): with
 delta = sum_k v_k frame_k, the coefficient of e^l in i_delta omega is
-(A^T v)_l, and d(f) has coefficient frame_l(f) there.  Every solve is
-re-verified through the stored certificate i_{delta_f} omega - d(f) == 0.
+(A^T v)_l, and d(f) has coefficient frame_l(f) there.  No system is solved
+per call: assembly stored adj(A^T), already checked against A^T * adj ==
+det * I, so v = adj * b / det is a matrix-vector product followed by a
+multiplication by the inverse unit det^-1 (or an exact division for a Saito
+frame whose constant det is not a unit).  Every field is still re-verified
+through the certificate i_{delta_f} omega - d(f) == 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData, d_of_function
 from .context import TORUS
-from .linalg import LinAlgError, RationalFunction, solve_linear
+from .linalg import RationalFunction
 from .poly import Poly, divides
 from .scalars import Scalar
 
@@ -36,25 +40,36 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
     if not S.nondegenerate:
         raise PoissonError("degenerate form has no Hamiltonian fields")
     S.ctx.check_same(f.ctx)
-    n = S.ctx.n
-    at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]  # (A^T)_{lk}
-    b = [S.frame[l].apply(f) for l in range(n)]
-    try:
-        sols = solve_linear(at_rows, b)
-    except LinAlgError as e:
-        raise PoissonError("Hamiltonian solve failed: %s" % e) from None
-    delta = LogVectorField.zero(S.ctx)
-    for k, s in enumerate(sols):
-        p = s.as_poly()
-        if p is None:
-            raise PoissonError(
-                "Hamiltonian component %d leaves the arena ring: %r" % (k, s)
-            )
-        delta = delta + S.frame[k].scale(p)
+    delta = _gram_field(S, [fr.apply(f) for fr in S.frame], "Hamiltonian")
     cert = S.omega.interior(delta) - d_of_function(f)
     if not cert.is_zero():
         raise PoissonError("Hamiltonian certificate failed (internal error)")
     return HamiltonianResult(f=f, delta=delta, certificate=cert)
+
+
+def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
+    """sum_k v_k frame_k with A^T v = b, read off the stored adjugate:
+    v_k = (adj * b)_k / det.  what names the field in the error raised when
+    some v_k is not in the arena ring."""
+    det = S.det_cert
+    inv = det.inverse_unit() if det.is_unit_monomial() else None
+    delta = LogVectorField.zero(S.ctx)
+    for k, row in enumerate(S.adjugate):
+        num = Poly.zero(S.ctx)
+        for a, bl in zip(row, b):
+            if not a.is_zero():
+                num = num + a * bl
+        if inv is not None:
+            v = num * inv
+        else:
+            ok, v = divides(det, num)
+            if not ok:
+                raise PoissonError(
+                    "%s component %d leaves the arena ring: %r / %r"
+                    % (what, k, num, det)
+                )
+        delta = delta + S.frame[k].scale(v)
+    return delta
 
 
 def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
@@ -149,37 +164,11 @@ def tilde_hamiltonian(S: SymplecticData, u: Poly) -> LogVectorField:
         raise PoissonError("tilde fields live in the torus arena")
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
-    sp = None
-    if len(u.terms) == 1:
-        ((e, c),) = u.terms.items()
-        if c.is_unit() and all(
-            x == 0 or S.ctx.is_divisor_index(i) for i, x in enumerate(e)
-        ):
-            sp = e
-    if sp is None:
+    if len(u.terms) != 1 or not u.leading()[1].is_unit():
         raise PoissonError("du/u leaves the arena for u = %r" % u)
-    dlog_u = LogForm(
-        S.ctx,
-        1,
-        {
-            (i,): Poly.constant(S.ctx, Scalar.from_int(x))
-            for i, x in enumerate(sp)
-            if x
-        },
-    )
-    n = S.ctx.n
-    at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]
-    b = [dlog_u.coefficient((l,)) for l in range(n)]
-    try:
-        sols = solve_linear(at_rows, b)
-    except LinAlgError as e:
-        raise PoissonError("tilde solve failed: %s" % e) from None
-    tilde = LogVectorField.zero(S.ctx)
-    for k, s in enumerate(sols):
-        p = s.as_poly()
-        if p is None:
-            raise PoissonError("tilde component %d leaves the arena: %r" % (k, s))
-        tilde = tilde + S.frame[k].scale(p)
+    dlog_u = _dlog_unit(S, u)
+    b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
+    tilde = _gram_field(S, b, "tilde")
     if not (S.omega.interior(tilde) - dlog_u).is_zero():
         raise PoissonError("tilde certificate failed (internal error)")
     if hamiltonian(S, u).delta != tilde.scale(u):
@@ -232,10 +221,10 @@ def verify_identities(
 
     u, v must be divisor-ideal members (tilde fields exist); a, b arbitrary.
     """
-    duv = hamiltonian(S, bracket(S, u, v)).delta
+    buv = bracket(S, u, v)
+    duv = hamiltonian(S, buv).delta
     sing_uv = sing_bracket(S, u, v)
     d_sing = hamiltonian(S, sing_uv).delta
-    buv = bracket(S, u, v)
 
     # (i)  i_{delta_{u,v} - uv*delta_sing} omega = {u,v}(du/u + dv/v)
     x_field = duv - d_sing.scale(u * v)

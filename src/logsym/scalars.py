@@ -17,7 +17,6 @@ by the polynomial gcd machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 
 class ScalarError(ArithmeticError):
@@ -284,10 +283,3 @@ def scalar_gcd(a: Scalar, b: Scalar) -> Scalar:
         _, r = x._divmod_t(y)
         x, y = y, r
     return x / x.unit_part()
-
-
-def scalar_sum(values: Iterable[Scalar]) -> Scalar:
-    acc = Scalar.zero()
-    for v in values:
-        acc = acc + v
-    return acc

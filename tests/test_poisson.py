@@ -6,13 +6,20 @@ log frame: delta_f = (y df/dy) x d/dx - (x df/dx) y d/dy.
 
 Chart B: torus x,y with only y on the divisor, omega = d(x) ^ dlog(y), the
 standard form with one log direction.
+
+Chart C: torus x,y,z,w all on the divisor, omega = e^x ^ e^y + e^z ^ e^w.
+
+The fields are read off the adjugate stored at assembly; the reference they
+are checked against solves the Gram system A^T v = b with solve_linear.
 """
 
 import random
 
 import pytest
 
+from logsym import calculus
 from logsym.calculus import (
+    FRAME_SAITO,
     CalculusError,
     DegenerateError,
     LogForm,
@@ -20,7 +27,7 @@ from logsym.calculus import (
     assemble_symplectic,
 )
 from logsym.context import make_context
-from logsym.linalg import RationalFunction
+from logsym.linalg import RationalFunction, solve_linear
 from logsym.poisson import (
     PoissonError,
     bracket,
@@ -31,6 +38,7 @@ from logsym.poisson import (
     verify_identities,
 )
 from logsym.poly import Poly
+from logsym.scalars import Scalar
 from conftest import rand_poly
 
 
@@ -44,6 +52,40 @@ def _chart_b():
     ctx = make_context(["x", "y"], ["y"], "torus")
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
     return ctx, assemble_symplectic(w)
+
+
+def _chart_c():
+    ctx = make_context(["x", "y", "z", "w"], ["x", "y", "z", "w"], "torus")
+    e = [LogForm.coframe(ctx, nm) for nm in ctx.names]
+    return ctx, assemble_symplectic(e[0].wedge(e[1]) + e[2].wedge(e[3]))
+
+
+def _chart_saito():
+    """Plain frame on the polynomial plane, omega = (1+T) d(x)^d(y): the Gram
+    determinant (1+T)^2 is a nonzero constant but not a unit."""
+    ctx = make_context(["x", "y"], [], "poly")
+    one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+    w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(one_t)
+    frame = [LogVectorField.coordinate(ctx, "x"), LogVectorField.coordinate(ctx, "y")]
+    return ctx, assemble_symplectic(w, frame, FRAME_SAITO)
+
+
+def _reference_field(S, b):
+    """sum_k v_k frame_k with A^T v = b, by a fraction-field solve; None when
+    some v_k is not a polynomial."""
+    n = S.ctx.n
+    at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]
+    out = LogVectorField.zero(S.ctx)
+    for fr, s in zip(S.frame, solve_linear(at_rows, b)):
+        p = s.as_poly()
+        if p is None:
+            return None
+        out = out + fr.scale(p)
+    return out
+
+
+def _reference_hamiltonian(S, f):
+    return _reference_field(S, [fr.apply(f) for fr in S.frame])
 
 
 def test_hamiltonian_fields_chart_a():
@@ -205,3 +247,71 @@ def test_degenerate_error_carries_det():
         assert e.det == x * x
     else:
         pytest.fail("degenerate form was accepted")
+
+
+def test_hamiltonian_matches_gram_solve():
+    for maker, count in ((_chart_a, 30), (_chart_b, 30), (_chart_c, 12)):
+        ctx, S = maker()
+        rng = random.Random(507)
+        for _ in range(count):
+            f = rand_poly(ctx, rng, deg=3, terms=3)
+            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+
+
+def test_tilde_matches_gram_solve():
+    for maker in (_chart_a, _chart_c):
+        ctx, S = maker()
+        rng = random.Random(508)
+        for _ in range(8):
+            e = tuple(rng.randint(-2, 2) for _ in range(ctx.n))
+            if not any(e):
+                continue
+            u = Poly.monomial(ctx, e, Scalar.from_rational(rng.randint(1, 5), 0, 1))
+            b = [Poly.from_int(ctx, x) for x in e]
+            assert tilde_hamiltonian(S, u) == _reference_field(S, b)
+
+
+def test_saito_frame_with_non_unit_constant_det():
+    ctx, S = _chart_saito()
+    x = Poly.variable(ctx, "x")
+    one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+    assert S.det_cert == one_t * one_t
+    assert not S.det_cert.is_unit_monomial()
+    # delta_x = -(d/dy)/(1+T) leaves the ring ...
+    assert _reference_hamiltonian(S, x) is None
+    with pytest.raises(PoissonError, match="component 1 leaves the arena ring"):
+        hamiltonian(S, x)
+    # ... while (1+T)*x has the polynomial field -d/dy
+    f = one_t * x
+    delta = hamiltonian(S, f).delta
+    assert delta == _reference_hamiltonian(S, f)
+    assert delta == LogVectorField(ctx, [Poly.zero(ctx), -Poly.one(ctx)])
+
+
+def test_stored_adjugate_inverts_the_gram_matrix():
+    for maker in (_chart_a, _chart_b, _chart_c, _chart_saito):
+        ctx, S = maker()
+        n = ctx.n
+        zero = Poly.zero(ctx)
+        for l in range(n):
+            for m in range(n):
+                acc = zero
+                for k in range(n):
+                    acc = acc + S.gram[k][l] * S.adjugate[k][m]
+                assert acc == (S.det_cert if l == m else zero)
+
+
+def test_assembly_rejects_a_wrong_adjugate(monkeypatch):
+    # corrupt every cofactor (the 1x1 minors of a 2x2 Gram matrix) but not
+    # the determinant itself: the check at assembly must catch it
+    real = calculus.det_poly
+
+    def skewed(rows):
+        d = real(rows)
+        return d if len(rows) == 2 else d + Poly.one(d.ctx)
+
+    monkeypatch.setattr(calculus, "det_poly", skewed)
+    ctx = make_context(["x", "y"], ["x", "y"], "torus")
+    w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
+    with pytest.raises(CalculusError, match="adjugate"):
+        assemble_symplectic(w)
