@@ -57,16 +57,6 @@ class LogVectorField:
         coeffs[ctx.index(name)] = Poly.one(ctx)
         return LogVectorField(ctx, coeffs)
 
-    @staticmethod
-    def from_log_components(ctx: VarContext, comps: Sequence[Poly]) -> "LogVectorField":
-        coeffs = []
-        for i, c in enumerate(comps):
-            if ctx.is_divisor_index(i):
-                coeffs.append(c.mul_var_power(i, 1))
-            else:
-                coeffs.append(c)
-        return LogVectorField(ctx, coeffs)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -137,13 +127,6 @@ class LogVectorField:
                     )
                 out.append(q)
         return out
-
-    def is_log_along_coords(self) -> bool:
-        try:
-            self.log_components()
-        except (CalculusError, PolyError):
-            return False
-        return True
 
     def __repr__(self):
         return "LogVectorField(%r)" % (self.coeffs,)
@@ -476,6 +459,18 @@ def gram_matrix(omega: LogForm, frame: Sequence[LogVectorField]):
     return rows
 
 
+def gram_determinant(
+    omega: LogForm, frame: Sequence[LogVectorField], frame_kind: str
+) -> Tuple[List[List[Poly]], Poly, bool]:
+    """The Gram matrix of omega on frame, its determinant and whether omega
+    is nondegenerate there: on the log frame the determinant must be a unit
+    of the arena ring (unit monomial in the torus arena, unit constant in the
+    polynomial arena), on a Saito-type frame a nonzero constant."""
+    rows = gram_matrix(omega, frame)
+    det = det_poly(rows)
+    return rows, det, _det_is_unit(det, frame_kind)
+
+
 def assemble_symplectic(
     omega: LogForm,
     frame: Optional[Sequence[LogVectorField]] = None,
@@ -483,10 +478,8 @@ def assemble_symplectic(
 ) -> SymplecticData:
     """Check a closed nondegenerate log 2-form and package its Gram data.
 
-    With the default log frame, nondegeneracy means the Gram determinant is a
-    unit of the arena ring (unit monomial in the torus arena, unit constant in
-    the polynomial arena); with an explicit Saito-type frame it must be a
-    nonzero constant.  Raises on odd dimension, non-closed or degenerate
+    Nondegeneracy is decided by gram_determinant on the given frame (the log
+    frame by default).  Raises on odd dimension, non-closed or degenerate
     input.  The adjugate of A^T is computed and checked here, once, for every
     later Hamiltonian field.
     """
@@ -499,9 +492,8 @@ def assemble_symplectic(
     if frame is None:
         frame = log_frame(omega.ctx)
         frame_kind = FRAME_LOG
-    rows = gram_matrix(omega, frame)
-    det = det_poly(rows)
-    if not _det_is_unit(det, frame_kind):
+    rows, det, nondeg = gram_determinant(omega, frame, frame_kind)
+    if not nondeg:
         raise DegenerateError(det)
     return SymplecticData(
         omega=omega,

@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from .calculus import (
+    FRAME_LOG,
+    FRAME_SAITO,
     CalculusError,
     DegenerateError,
     LogForm,
     LogVectorField,
     assemble_symplectic,
-    gram_matrix,
+    gram_determinant,
     log_frame,
     res_const,
 )
@@ -35,7 +37,7 @@ from .connections import (
     prequantize,
 )
 from .divisors import DivisorError, check_squarefree, is_coordinate_ncd, saito_check, weighted_homogeneous
-from .linalg import LinAlgError, det_poly
+from .linalg import LinAlgError
 from .operators import LogDiffOp1, decompose, dirac_check, from_connection, prequantum_op
 from .poisson import PoissonError, bracket, hamiltonian, jacobi_defect, sing_bracket, verify_identities
 from .poly import Poly, PolyError
@@ -204,15 +206,10 @@ def cmd_check_logsymplectic(m, args):
     closed = w.d().is_zero()
     if args.fields:
         frame = [_get_field(m, nm) for nm in args.fields.split(",") if nm]
-        gram = gram_matrix(w, frame)
-        det = det_poly(gram)
-        nondeg = (not det.is_zero()) and det.is_constant()
-        kind = "saito"
+        kind = FRAME_SAITO
     else:
-        gram = gram_matrix(w, log_frame(m.ctx))
-        det = det_poly(gram)
-        nondeg = det.is_unit_monomial()
-        kind = "log"
+        frame, kind = log_frame(m.ctx), FRAME_LOG
+    _, det, nondeg = gram_determinant(w, frame, kind)
     lines = [
         "closed: %s" % ("yes" if closed else "no"),
         "nondegenerate: %s (det = %s, %s frame)"
@@ -252,7 +249,7 @@ def cmd_singbracket(m, args):
     f = _get_poly(m, args.f)
     g = _get_poly(m, args.g)
     try:
-        val = sing_bracket(S, f, g)
+        val = sing_bracket(S, f, g, h=m.divisor_equation())
     except PoissonError as e:
         raise CliError(2, str(e))
     txt = print_canonical(val)
@@ -620,18 +617,16 @@ def main(argv=None) -> int:
     try:
         m = _load_session(args.session)
         code, payload, lines = handler(m, args)
-    except CliError as e:
+    except (CliError, ScalarError, PolyError, CalculusError, LinAlgError,
+            DivisorError, PoissonError, PrequantError, SessionError) as e:
+        code = e.code if isinstance(e, CliError) else 2
         if args.format == "json":
             doc = {"schema": SCHEMA, "command": args.command,
-                   "error": str(e), "exit": e.code}
+                   "error": str(e), "exit": code}
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             print("error: %s" % e, file=sys.stderr)
-        return e.code
-    except (ScalarError, PolyError, CalculusError, LinAlgError, DivisorError,
-            PoissonError, PrequantError, SessionError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        return code
     if args.format == "json":
         doc = {"schema": SCHEMA, "command": args.command, "exit": code}
         doc.update(payload)

@@ -25,16 +25,16 @@ from math import floor
 from typing import Dict, List, Optional, Tuple
 
 from .calculus import (
+    FRAME_LOG,
     CalculusError,
     LogForm,
     LogVectorField,
-    gram_matrix,
+    gram_determinant,
     log_frame,
     res_const,
 )
 from .context import TORUS, VarContext
 from .divisors import is_coordinate_ncd, weighted_homogeneous
-from .linalg import det_poly
 from .poly import Poly
 from .scalars import Scalar
 
@@ -305,9 +305,7 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
         raise PrequantError("prequantization wants a 2-form")
     closed = omega.d().is_zero()
     even = ctx.n % 2 == 0
-    gram = gram_matrix(omega, log_frame(ctx))
-    det = det_poly(gram)
-    nondeg = det.is_unit_monomial()
+    _, _, nondeg = gram_determinant(omega, log_frame(ctx), FRAME_LOG)
     period_list: List[Tuple[Tuple[int, int], Scalar]] = []
     integral: Optional[bool] = None
     witness = None

@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from .calculus import LogVectorField
+from .context import VarContext
 from .linalg import det_poly
 from .poly import Poly, divides, squarefree_part_check
 from .scalars import Scalar
@@ -39,15 +40,15 @@ class Divisor:
 
 
 def check_squarefree(h: Poly):
-    """Reducedness of {h=0}: gcd(h, dh/dz_i) constant for every i.
+    """Reducedness of {h=0}: the joint gcd of h with all its partials
+    dh/dz_i is constant.
 
-    Returns (True, None) or (False, witness) where the witness is a repeated
-    factor (a nonconstant common divisor of h and one of its partials).
+    Returns (True, None) or (False, witness) where the witness is that joint
+    gcd, a repeated factor of h.
     """
     if h.is_zero():
         raise DivisorError("zero polynomial")
-    ok, g = squarefree_part_check(h)
-    return (True, None) if ok else (False, g)
+    return squarefree_part_check(h)
 
 
 def is_logarithmic(delta: LogVectorField, h: Poly):
@@ -92,6 +93,15 @@ def saito_check(fields: Sequence[LogVectorField], h: Poly) -> SaitoResult:
         if c is not None and not c.is_zero():
             return SaitoResult(True, det, c)
     return SaitoResult(False, det, None)
+
+
+def coordinate_divisor(ctx: VarContext) -> Poly:
+    """The product of the divisor coordinates of ctx (1 when there are none):
+    the defining equation of the coordinate normal crossing."""
+    h = Poly.one(ctx)
+    for i in ctx.divisor:
+        h = h * Poly.variable(ctx, ctx.names[i])
+    return h
 
 
 def is_coordinate_ncd(h: Poly):

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData, d_of_function
 from .context import TORUS
+from .divisors import coordinate_divisor
 from .linalg import RationalFunction
 from .poly import Poly, divides
 from .scalars import Scalar
@@ -81,35 +82,25 @@ def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
     if u.is_zero():
         return False
     if S.ctx.arena == TORUS:
-        if len(u.terms) != 1:
-            return False
-        ((e, c),) = u.terms.items()
-        if not c.is_unit():
-            return False
-        if any(x < 0 for x in e):
-            return False
-        if any(x > 0 and not S.ctx.is_divisor_index(i) for i, x in enumerate(e)):
-            return False
-        return any(x > 0 for x in e)
+        return (
+            u.is_unit_monomial()
+            and not u.is_constant()
+            and min(u.leading()[0]) >= 0
+        )
     if h is None:
-        h = _coordinate_divisor(S)
+        h = coordinate_divisor(S.ctx)
     ok, _ = divides(h, u)
     return ok
 
 
-def _coordinate_divisor(S: SymplecticData) -> Poly:
-    h = Poly.one(S.ctx)
-    for i in S.ctx.divisor:
-        h = h * Poly.variable(S.ctx, S.ctx.names[i])
-    return h
-
-
 def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
-    r = RationalFunction(num, den)
-    p = r.as_poly()
-    if p is None:
-        raise PoissonError("%s does not stay in the arena ring: %r" % (what, r))
-    return p
+    ok, q = divides(den, num)
+    if not ok:
+        raise PoissonError(
+            "%s does not stay in the arena ring: %r"
+            % (what, RationalFunction(num, den))
+        )
+    return q
 
 
 def bracket(S: SymplecticData, f: Poly, g: Poly) -> Poly:

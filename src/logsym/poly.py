@@ -16,9 +16,9 @@ membership for principal ideals by checking that the remainder vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .context import POLY, TORUS, VarContext
+from .context import VarContext
 from .scalars import Scalar, ScalarError, scalar_gcd
 
 Exp = Tuple[int, ...]
@@ -437,13 +437,6 @@ def _coeffs_in(f: Poly, i: int):
         p = out.setdefault(k, Poly.zero(f.ctx))
         out[k] = p + Poly.monomial(f.ctx, tuple(e2), c)
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _from_coeffs(ctx: VarContext, i: int, coeffs: Dict[int, Poly]) -> Poly:
-    acc = Poly.zero(ctx)
-    for k, p in coeffs.items():
-        acc = acc + p.mul_var_power(i, k)
-    return acc
 
 
 def _poly_content_in(f: Poly, i: int) -> Poly:

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .calculus import CalculusError, LogForm, LogVectorField, d_of_function
 from .connections import Connection1
 from .context import POLY, TORUS, ContextError, VarContext, make_context
+from .divisors import coordinate_divisor
 from .poly import Poly, PolyError, _grlex_key
 from .scalars import Scalar, ScalarError
 
@@ -438,12 +439,6 @@ class SessionManifest:
                  "form": self.forms, "conn": self.conns}[kind]
         return table.get(name)
 
-    def all_names(self):
-        out = set()
-        for _, nm in self.order:
-            out.add(nm)
-        return out
-
     def divisor_equation(self) -> Optional[Poly]:
         """The defining polynomial: declared directly, or the product of the
         divisor coordinates."""
@@ -451,10 +446,7 @@ class SessionManifest:
             return self.divisor_poly
         if not self.ctx.divisor:
             return None
-        h = Poly.one(self.ctx)
-        for i in self.ctx.divisor:
-            h = h * Poly.variable(self.ctx, self.ctx.names[i])
-        return h
+        return coordinate_divisor(self.ctx)
 
 
 def parse_session(text: str) -> SessionManifest:

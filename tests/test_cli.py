@@ -105,6 +105,22 @@ def test_check_logsymplectic(capsys, monkeypatch):
     assert code == 1
     assert lines(out) == ["closed: yes", "nondegenerate: no (det = x^2, log frame)"]
 
+    # --fields switches to the Saito rule: a nonzero constant det, unit or not
+    session = ("vars x y\narena poly\nform w : (1+T)*d(x)^d(y)\n"
+               "vfield a : @x\nvfield b : @y\nvfield c : x*@x\n")
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
+                             "--session", "-", "--fields", "a,b")
+    assert code == 0
+    assert lines(out) == [
+        "closed: yes", "nondegenerate: yes (det = T^2 + 2*T + 1, saito frame)",
+    ]
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
+                             "--session", "-", "--fields", "c,b")
+    assert code == 1
+    assert lines(out) == [
+        "closed: yes", "nondegenerate: no (det = (T^2 + 2*T + 1)*x^2, saito frame)",
+    ]
+
 
 def test_hamiltonian_and_brackets(capsys):
     code, out, _ = run(capsys, "hamiltonian", "--session", EXACT, "--f", "x")
@@ -125,6 +141,16 @@ def test_hamiltonian_and_brackets(capsys):
     code, out, _ = run(capsys, "bracket", "--session", TORUS,
                        "--form", "w", "--f", "x", "--g", "y")
     assert (code, lines(out)) == (0, ["{f,g} = -x*y"])
+
+
+def test_singbracket_uses_declared_divisor(capsys, monkeypatch):
+    # neither x nor y+1 lies in (y), so the singular bracket is the plain one;
+    # testing membership against the empty coordinate product 1 instead would
+    # put both in the ideal and divide by their product
+    session = "vars x y\ndivisor poly y\nform w : d(x)^d(y)\n"
+    code, out, err = run_stdin(capsys, monkeypatch, session, "singbracket",
+                               "--session", "-", "--f", "x", "--g", "y+1")
+    assert (code, lines(out), err) == (0, ["{f,g}_sing = -1"], "")
 
 
 def test_jacobi(capsys):
@@ -416,6 +442,7 @@ JSON_SMOKE = [
     ("primitive", ["--session", TORUS, "--form", "wexact"], 0),
     ("prequantize", ["--session", EXACT], 0),
     ("weights", ["--session", SAITO], 1),
+    ("weights", ["--session", SAITO, "--poly", "0"], 2),
 ]
 
 

@@ -1,0 +1,34 @@
+"""Source hygiene checks that need no linter: every name a module in
+src/logsym imports is used in that module (the package __init__ re-exports
+by design and is skipped).  Annotations are plain expressions in the tree,
+so a name used only in one counts as used."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "logsym"
+
+
+def _imported(tree):
+    """(bound name, line) for every import outside `from __future__`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out.append((a.asname or a.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out.append((a.asname or a.name, node.lineno))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in _imported(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -30,6 +30,8 @@ from logsym.context import make_context
 from logsym.linalg import RationalFunction, solve_linear
 from logsym.poisson import (
     PoissonError,
+    _exact_ratio,
+    _ideal_member,
     bracket,
     hamiltonian,
     jacobi_defect,
@@ -163,6 +165,53 @@ def test_sing_bracket_values():
     xb, yb = Poly.variable(ctxb, "x"), Poly.variable(ctxb, "y")
     # {x,y}/y = -1 with only y in the ideal
     assert sing_bracket(Sb, xb, yb) == Poly.from_int(ctxb, -1)
+
+
+def test_ideal_member_torus_table():
+    ctx, S = _chart_a()
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    two = Poly.from_int(ctx, 2)
+    one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+    assert _ideal_member(S, two * x * y)
+    assert _ideal_member(S, x)
+    assert not _ideal_member(S, x.mul_var_power(0, -2))  # x^-1
+    assert not _ideal_member(S, two)  # a unit constant
+    assert not _ideal_member(S, one_t * x)  # 1+T is not a unit
+    assert not _ideal_member(S, x + y)
+    assert not _ideal_member(S, Poly.zero(ctx))
+    # chart B: only y is on the divisor, so a monomial touching x is out
+    ctxb, Sb = _chart_b()
+    xb, yb = Poly.variable(ctxb, "x"), Poly.variable(ctxb, "y")
+    assert _ideal_member(Sb, yb)
+    assert not _ideal_member(Sb, xb)
+    assert not _ideal_member(Sb, xb * yb)
+
+
+def test_exact_ratio_matches_rational_function():
+    rng = random.Random(505)
+    for maker in (_chart_a, _chart_b):
+        ctx, _ = maker()
+        seen = {True: 0, False: 0}
+        for k in range(60):
+            den = Poly.zero(ctx)
+            while den.is_zero():
+                den = rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
+            num = rand_poly(ctx, rng, deg=2, terms=3)
+            if k % 2:
+                num = num * den  # an exact multiple
+            r = RationalFunction(num, den)
+            want = r.as_poly()
+            seen[want is not None] += 1
+            if want is None:
+                with pytest.raises(PoissonError) as exc:
+                    _exact_ratio(num, den, "ratio")
+                # the CLI prints this text, so it must not change
+                assert str(exc.value) == (
+                    "ratio does not stay in the arena ring: %r" % (r,)
+                )
+            else:
+                assert _exact_ratio(num, den, "ratio") == want
+        assert seen[True] and seen[False]
 
 
 def test_sing_bracket_ring_escape_is_an_error():
