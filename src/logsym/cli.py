@@ -590,8 +590,29 @@ _HELP = {
 }
 
 
+class _UsageError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit, so that
+    main can report the error in the requested format.  Subparsers share the
+    class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _json_requested(argv) -> bool:
+    return "--format=json" in argv or any(
+        a == "--format" and b == "json" for a, b in zip(argv, argv[1:])
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="logsym",
         description="logarithmic symplectic calculus on affine charts",
     )
@@ -609,9 +630,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
+    except _UsageError as e:
+        if _json_requested(argv):
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            doc = {"schema": SCHEMA, "command": command,
+                   "error": str(e), "exit": 2}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            # argparse's own report, byte for byte
+            e.parser.print_usage(sys.stderr)
+            print("%s: error: %s" % (e.parser.prog, e), file=sys.stderr)
+        return 2
+    except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 2
     handler, _ = _COMMANDS[args.command]
     try:

@@ -230,9 +230,10 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
 def _t0_real_or_none(r: Scalar) -> Optional[Fraction]:
     if r.is_zero():
         return Fraction(0)
-    if set(r.terms) != {0}:
+    t = r.terms
+    if set(t) != {0}:
         return None
-    a, _ = r.terms[0]
+    a, _ = t[0]
     return a
 
 

@@ -62,7 +62,7 @@ class VarContext:
         return self.arena == TORUS and i in self.divisor
 
     def check_same(self, other: "VarContext"):
-        if self != other:
+        if self is not other and self != other:
             raise ContextError(
                 "mixed contexts: %r vs %r" % (self.describe(), other.describe())
             )

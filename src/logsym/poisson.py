@@ -78,7 +78,8 @@ def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
     needs: in the torus arena a unit times a monomial vanishing on some
     divisor component (nonnegative exponents, at least one positive, support
     inside the divisor coordinates); in the polynomial arena literal
-    divisibility by h."""
+    divisibility by h.  A constant h cuts out no divisor, so its ideal has
+    no members here."""
     if u.is_zero():
         return False
     if S.ctx.arena == TORUS:
@@ -89,6 +90,8 @@ def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
         )
     if h is None:
         h = coordinate_divisor(S.ctx)
+    if h.is_constant():
+        return False
     ok, _ = divides(h, u)
     return ok
 

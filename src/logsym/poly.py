@@ -16,6 +16,7 @@ membership for principal ideals by checking that the remainder vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .context import VarContext
@@ -30,6 +31,19 @@ class PolyError(ArithmeticError):
 
 def _grlex_key(e: Exp):
     return (sum(e), e)
+
+
+_new = object.__new__
+
+
+def _poly(ctx: VarContext, terms: Dict[Exp, Scalar]) -> "Poly":
+    """A Poly over terms already valid in ctx (int exponent tuples of its
+    arity, legal in its arena, nonzero coefficients), skipping the checks of
+    Poly.__init__, which stay for callers from outside."""
+    p = _new(Poly)
+    p.ctx = ctx
+    p.terms = terms
+    return p
 
 
 class Poly:
@@ -60,7 +74,7 @@ class Poly:
 
     @staticmethod
     def zero(ctx: VarContext) -> "Poly":
-        return Poly(ctx)
+        return _poly(ctx, {})
 
     @staticmethod
     def constant(ctx: VarContext, c: Scalar) -> "Poly":
@@ -154,7 +168,7 @@ class Poly:
         if not self.is_unit_monomial():
             raise PolyError("not an invertible monomial in this arena")
         ((e, c),) = self.terms.items()
-        return Poly(self.ctx, {tuple(-x for x in e): c.inverse()})
+        return _poly(self.ctx, {tuple(-x for x in e): c.inverse()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -171,14 +185,10 @@ class Poly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = Poly(self.ctx)
-        out.terms = terms
-        return out
+        return _poly(self.ctx, terms)
 
     def __neg__(self) -> "Poly":
-        out = Poly(self.ctx)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -188,7 +198,7 @@ class Poly:
         terms: Dict[Exp, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 s = c if s is None else s + c
@@ -196,16 +206,12 @@ class Poly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = Poly(self.ctx)
-        out.terms = terms
-        return out
+        return _poly(self.ctx, terms)
 
     def scale(self, c: Scalar) -> "Poly":
         if c.is_zero():
             return Poly.zero(self.ctx)
-        out = Poly(self.ctx)
-        out.terms = {e: cc * c for e, cc in self.terms.items()}
-        return out
+        return _poly(self.ctx, {e: cc * c for e, cc in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -248,9 +254,7 @@ class Poly:
                 terms.pop(e2t, None)
             else:
                 terms[e2t] = s
-        out = Poly(self.ctx)
-        out.terms = terms
-        return out
+        return _poly(self.ctx, terms)
 
     def log_partial(self, i: int) -> "Poly":
         """The logarithmic derivative z_i * d/dz_i (stays in the ring even for Laurent exponents)."""
@@ -264,9 +268,7 @@ class Poly:
             s = add if s is None else s + add
             if not s.is_zero():
                 terms[e] = s
-        out = Poly(self.ctx)
-        out.terms = terms
-        return out
+        return _poly(self.ctx, terms)
 
     def mul_var_power(self, i: int, k: int) -> "Poly":
         """Multiply by z_i^k (k may be negative only where the arena allows)."""
@@ -282,9 +284,7 @@ class Poly:
                     % (self.ctx.names[i], k)
                 )
             out_terms[tuple(e2)] = c
-        out = Poly(self.ctx)
-        out.terms = out_terms
-        return out
+        return _poly(self.ctx, out_terms)
 
     def substitute_zero(self, i: int) -> "Poly":
         """Set z_i = 0; an error if any term has a negative power of z_i."""
@@ -298,9 +298,7 @@ class Poly:
             if e[i] > 0:
                 continue
             terms[e] = c
-        out = Poly(self.ctx)
-        out.terms = terms
-        return out
+        return _poly(self.ctx, terms)
 
     def weighted_degree(self, weights) -> Optional[Fraction]:
         """The common weighted degree of all terms, or None if terms disagree."""
@@ -344,14 +342,14 @@ def divmod_poly(f: Poly, g: Poly):
     r = f0
     while not r.is_zero():
         re, rc = r.leading()
-        diff = tuple(a - b for a, b in zip(re, ge))
+        diff = tuple(map(sub, re, ge))
         if any(d < 0 for d in diff):
             break
         try:
             c = rc.exact_div(gc)
         except ScalarError:
             break
-        t = Poly.monomial(f.ctx, diff, c)
+        t = _poly(f.ctx, {diff: c})
         q = q + t
         r = r - t * g0
         # each step strictly lowers the grlex leading exponent, so this stops
@@ -422,9 +420,7 @@ def _strip_laurent(f: Poly):
     terms = {
         tuple(x - s for x, s in zip(e, shifts)): c for e, c in f.terms.items()
     }
-    out = Poly(f.ctx)
-    out.terms = terms
-    return shifts, out
+    return shifts, _poly(f.ctx, terms)
 
 
 def _coeffs_in(f: Poly, i: int):
@@ -435,7 +431,7 @@ def _coeffs_in(f: Poly, i: int):
         e2 = list(e)
         e2[i] = 0
         p = out.setdefault(k, Poly.zero(f.ctx))
-        out[k] = p + Poly.monomial(f.ctx, tuple(e2), c)
+        out[k] = p + _poly(f.ctx, {tuple(e2): c})
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

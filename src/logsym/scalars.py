@@ -2,10 +2,16 @@
 
 A :class:`Scalar` is a finitely supported map ``{power k -> a + b*I}`` sending
 an integer power of the formal invertible constant ``T`` (which stands for
-2*pi*i) to a Gaussian rational, with ``a``, ``b`` exact :class:`~fractions.Fraction`
-values.  Keeping T formal makes every downstream identity (curvature matching,
-integrality of periods, residue normalisation) an exactly decidable relation:
-nothing is ever rounded.
+2*pi*i) to a Gaussian rational.  Keeping T formal makes every downstream
+identity (curvature matching, integrality of periods, residue normalisation)
+an exactly decidable relation: nothing is ever rounded.
+
+Each Gaussian rational ``(re + im*I) / den`` is stored as the integer triple
+``(re, im, den)`` in canonical form: ``den > 0``, ``gcd(re, im, den) == 1`` and
+never ``re == im == 0`` (zero terms are not stored).  Canonical form makes
+equality plain table equality, and each result costs integer arithmetic and
+at most one ``math.gcd``.  The public ``terms`` view reads
+``{k: (Fraction, Fraction)}``.
 
 The scalars form the Laurent-polynomial ring QQ(i)[T, T^-1].  Units are
 exactly the single-term scalars; the public division operator is restricted to
@@ -17,41 +23,88 @@ by the polynomial gcd machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 
 
 class ScalarError(ArithmeticError):
     """Raised for undefined scalar operations (division by zero or by a non-unit)."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# -- Gaussian rationals as canonical (re, im, den) triples ------------------
+
+
+def _red(re, im, den):
+    """Canonical triple of (re + im*I) / den for den > 0 and (re, im) != (0, 0)."""
+    if den == 1:
+        return (re, im, 1)
+    g = gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
 
 
 def _gadd(u, v):
-    return (u[0] + v[0], u[1] + v[1])
+    """u + v, or None when the sum is zero."""
+    a, b, d = u
+    c, f, e = v
+    if d == e:
+        re, im = a + c, b + f
+    else:
+        re, im, d = a * e + c * d, b * e + f * d, d * e
+    return _red(re, im, d) if re or im else None
 
 
 def _gmul(u, v):
-    # (a+bi)(c+di) with i^2 = -1
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+    # (a+bi)(c+fi) with i^2 = -1; Z[i] has no zero divisors, so never zero
+    a, b, d = u
+    c, f, e = v
+    return _red(a * c - b * f, a * f + b * c, d * e)
 
 
 def _gdiv(u, v):
-    a, b = v
-    n = a * a + b * b
-    if n == 0:
-        raise ScalarError("division by zero")
-    return ((u[0] * a + u[1] * b) / n, (u[1] * a - u[0] * b) / n)
+    # (a+bi)/d / ((c+fi)/e) = (a+bi)(c-fi) e / (d (c^2 + f^2)); v is never zero
+    a, b, d = u
+    c, f, e = v
+    return _red((a * c + b * f) * e, (b * c - a * f) * e, d * (c * c + f * f))
+
+
+def _from_pair(a, b):
+    """Canonical triple of the Gaussian rational a + b*I (a, b Fractions, not both 0)."""
+    da = a.denominator
+    db = b.denominator
+    den = da * db // gcd(da, db)
+    return _red(a.numerator * (den // da), b.numerator * (den // db), den)
+
+
+def _to_pair(t):
+    return (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+
+
+def _qhash(n, d):
+    """hash(Fraction(n, d)), without building the Fraction when d == 1."""
+    return hash(n) if d == 1 else hash(Fraction(n, d))
+
+
+_new = object.__new__
+_ONE_T = {0: (1, 0, 1)}
+
+
+def _scalar(t):
+    """A Scalar over a table of canonical triples, skipping __init__."""
+    s = _new(Scalar)
+    s._t = t
+    return s
 
 
 class Scalar:
     """An exact element of QQ(i)[T, T^-1], T standing for 2*pi*i.
 
-    ``terms`` maps the T-power to a ``(real, imag)`` pair of Fractions; zero
+    ``_t`` maps the T-power to a canonical ``(re, im, den)`` triple; zero
     values are never stored, so equality is plain table equality.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -60,18 +113,23 @@ class Scalar:
                 a = Fraction(a)
                 b = Fraction(b)
                 if a or b:
-                    clean[int(k)] = (a, b)
-        self.terms = clean
+                    clean[int(k)] = _from_pair(a, b)
+        self._t = clean
+
+    @property
+    def terms(self):
+        """Read-only ``{power: (real, imag)}`` view with Fraction values."""
+        return MappingProxyType({k: _to_pair(v) for k, v in self._t.items()})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar()
+        return _scalar({})
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({0: (_ONE, _ZERO)})
+        return _scalar({0: (1, 0, 1)})
 
     @staticmethod
     def from_rational(a, b=0, power: int = 0) -> "Scalar":
@@ -80,96 +138,89 @@ class Scalar:
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
-        return Scalar.from_rational(n)
+        if type(n) is not int:
+            return Scalar.from_rational(n)
+        return _scalar({0: (n, 0, 1)} if n else {})
 
     @staticmethod
     def i_unit() -> "Scalar":
-        return Scalar({0: (_ZERO, _ONE)})
+        return _scalar({0: (0, 1, 1)})
 
     @staticmethod
     def two_pi_i(power: int = 1) -> "Scalar":
         """The formal constant T^power."""
-        return Scalar({power: (_ONE, _ZERO)})
+        return _scalar({int(power): (1, 0, 1)})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        return self.terms == {0: (_ONE, _ZERO)}
+        return self._t == _ONE_T
 
     def is_unit(self) -> bool:
         """Units of QQ(i)[T, T^-1] are the nonzero single-power scalars."""
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def single_power(self):
         """Return (k, (a, b)) when the scalar is c*T^k, else None."""
-        if len(self.terms) != 1:
+        if len(self._t) != 1:
             return None
-        ((k, v),) = self.terms.items()
-        return (k, v)
+        ((k, v),) = self._t.items()
+        return (k, _to_pair(v))
 
     def rational_value(self):
         """Return the plain Fraction value when the scalar is rational at T^0, else None."""
-        if self.is_zero():
+        if not self._t:
             return Fraction(0)
-        sp = self.single_power()
-        if sp is None:
+        v = self._t.get(0)
+        if len(self._t) != 1 or v is None or v[1]:
             return None
-        k, (a, b) = sp
-        if k != 0 or b != 0:
-            return None
-        return a
+        return Fraction(v[0], v[2])
 
     def integer_times_t(self):
         """Return n when the scalar equals n*T with n a rational integer, else None."""
-        if self.is_zero():
+        if not self._t:
             return 0
-        sp = self.single_power()
-        if sp is None:
+        v = self._t.get(1)
+        if len(self._t) != 1 or v is None or v[1] or v[2] != 1:
             return None
-        k, (a, b) = sp
-        if k != 1 or b != 0 or a.denominator != 1:
-            return None
-        return int(a)
+        return v[0]
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = _gadd(terms.get(k, (_ZERO, _ZERO)), v)
-            if w[0] or w[1]:
-                terms[k] = w
+        terms = dict(self._t)
+        for k, v in other._t.items():
+            u = terms.get(k)
+            w = v if u is None else _gadd(u, v)
+            if w is None:
+                del terms[k]
             else:
-                terms.pop(k, None)
-        out = Scalar()
-        out.terms = terms
-        return out
+                terms[k] = w
+        return _scalar(terms)
 
     def __neg__(self) -> "Scalar":
-        out = Scalar()
-        out.terms = {k: (-a, -b) for k, (a, b) in self.terms.items()}
-        return out
+        return _scalar({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         terms = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
+        for k1, v1 in self._t.items():
+            for k2, v2 in other._t.items():
                 k = k1 + k2
                 w = _gmul(v1, v2)
-                w = _gadd(terms.get(k, (_ZERO, _ZERO)), w)
-                if w[0] or w[1]:
-                    terms[k] = w
+                u = terms.get(k)
+                if u is not None:
+                    w = _gadd(u, w)
+                if w is None:
+                    del terms[k]
                 else:
-                    terms.pop(k, None)
-        out = Scalar()
-        out.terms = terms
-        return out
+                    terms[k] = w
+        return _scalar(terms)
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -181,32 +232,32 @@ class Scalar:
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         """Division by a unit (single-power) scalar; anything else is an error."""
-        if other.is_zero():
+        if not other._t:
             raise ScalarError("division by zero")
-        sp = other.single_power()
-        if sp is None:
+        if len(other._t) != 1:
             raise ScalarError(
                 "division by a multi-power scalar (non-invertible in QQ(i)[T, T^-1])"
             )
-        k, v = sp
-        out = Scalar()
-        out.terms = {kk - k: _gdiv(vv, v) for kk, vv in self.terms.items()}
-        return out
+        ((k, v),) = other._t.items()
+        return _scalar({kk - k: _gdiv(vv, v) for kk, vv in self._t.items()})
 
     def inverse(self) -> "Scalar":
         return Scalar.one() / self
 
     def conjugate(self) -> "Scalar":
         """Gaussian conjugation of every coefficient (T itself is left alone)."""
-        out = Scalar()
-        out.terms = {k: (a, -b) for k, (a, b) in self.terms.items()}
-        return out
+        return _scalar({k: (a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self.terms == other.terms
+        return isinstance(other, Scalar) and self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # the hash of the Fraction-pair table: a tuple or frozenset hash
+        # depends only on the hashes of its members, and hash(h) == h for
+        # every value a hash can take
+        return hash(frozenset(
+            (k, (_qhash(a, d), _qhash(b, d))) for k, (a, b, d) in self._t.items()
+        ))
 
     # -- exact division inside the ring -----------------------------------
 
@@ -217,40 +268,42 @@ class Scalar:
         lie in the ring even when the divisor is not a unit.
         """
         q, r = self._divmod_t(other)
-        if not r.is_zero():
+        if r._t:
             raise ScalarError("non-exact scalar division")
         return q
 
     def _divmod_t(self, other: "Scalar"):
-        if other.is_zero():
+        if not other._t:
             raise ScalarError("division by zero")
         # Shift each side independently so both become ordinary polynomials in
         # T with nonzero constant term; T-powers are units, so divisibility is
         # unchanged and the shifts recombine below.
-        ms = min(self.terms, default=0)
-        mo = min(other.terms)
-        num = {k - ms: v for k, v in self.terms.items()}
-        den = {k - mo: v for k, v in other.terms.items()}
+        ms = min(self._t, default=0)
+        mo = min(other._t)
+        num = {k - ms: v for k, v in self._t.items()}
+        den = {k - mo: v for k, v in other._t.items()}
         dden = max(den)
         lden = den[dden]
-        quo: dict = {}
+        quo = {}
         while num:
             dnum = max(num)
             if dnum < dden:
                 break
             c = _gdiv(num[dnum], lden)
             quo[dnum - dden] = c
+            nc = (-c[0], -c[1], c[2])
             for k, v in den.items():
                 kk = k + dnum - dden
-                w = _gadd(num.get(kk, (_ZERO, _ZERO)), _gmul((-c[0], -c[1]), v))
-                if w[0] or w[1]:
-                    num[kk] = w
+                w = _gmul(nc, v)
+                u = num.get(kk)
+                if u is not None:
+                    w = _gadd(u, w)
+                if w is None:
+                    del num[kk]
                 else:
-                    num.pop(kk, None)
-        q = Scalar()
-        q.terms = {k + ms - mo: v for k, v in quo.items() if v[0] or v[1]}
-        r = Scalar()
-        r.terms = {k + ms: v for k, v in num.items()}
+                    num[kk] = w
+        q = _scalar({k + ms - mo: v for k, v in quo.items()})
+        r = _scalar({k + ms: v for k, v in num.items()})
         return q, r
 
     def unit_part(self) -> "Scalar":
@@ -259,15 +312,13 @@ class Scalar:
         Dividing by it normalises a scalar so its top T-term is 1*T^0; for a
         unit scalar the whole value becomes 1.
         """
-        if self.is_zero():
+        if not self._t:
             raise ScalarError("zero scalar has no unit part")
-        k = max(self.terms)
-        out = Scalar()
-        out.terms = {k: self.terms[k]}
-        return out
+        k = max(self._t)
+        return _scalar({k: self._t[k]})
 
     def __repr__(self):
-        return "Scalar(%r)" % (self.terms,)
+        return "Scalar(%r)" % (dict(self.terms),)
 
 
 def scalar_gcd(a: Scalar, b: Scalar) -> Scalar:

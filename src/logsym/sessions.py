@@ -658,7 +658,8 @@ def _scalar_piece(k: int, a: Fraction, b: Fraction):
 def scalar_text(s: Scalar) -> str:
     if s.is_zero():
         return "0"
-    pieces = [_scalar_piece(k, *s.terms[k]) for k in sorted(s.terms, reverse=True)]
+    t = s.terms
+    pieces = [_scalar_piece(k, *t[k]) for k in sorted(t, reverse=True)]
     return _join_signed(pieces)
 
 
@@ -690,8 +691,9 @@ def _poly_pieces(p: Poly):
         c = p.terms[e]
         mono = _mono_text(ctx, e)
         if not mono:
-            for k in sorted(c.terms, reverse=True):
-                pieces.append(_scalar_piece(k, *c.terms[k]))
+            t = c.terms
+            for k in sorted(t, reverse=True):
+                pieces.append(_scalar_piece(k, *t[k]))
             continue
         if c.is_one():
             pieces.append((False, mono))

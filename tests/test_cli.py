@@ -153,6 +153,16 @@ def test_singbracket_uses_declared_divisor(capsys, monkeypatch):
     assert (code, lines(out), err) == (0, ["{f,g}_sing = -1"], "")
 
 
+def test_singbracket_without_divisor(capsys, monkeypatch):
+    # a polynomial-arena session with no divisor line: the coordinate product
+    # is the constant 1, which cuts out nothing, so no function lies in the
+    # ideal and the singular bracket is the plain bracket {y,x} = 1
+    session = "vars x y\narena poly\nform w : d(x)^d(y)\n"
+    code, out, err = run_stdin(capsys, monkeypatch, session, "singbracket",
+                               "--session", "-", "--f", "y", "--g", "x")
+    assert (code, lines(out), err) == (0, ["{f,g}_sing = 1"], "")
+
+
 def test_jacobi(capsys):
     code, out, _ = run(capsys, "jacobi", "--session", EXACT,
                        "--f", "x", "--g", "y", "--h", "x*y")
@@ -443,6 +453,7 @@ JSON_SMOKE = [
     ("prequantize", ["--session", EXACT], 0),
     ("weights", ["--session", SAITO], 1),
     ("weights", ["--session", SAITO, "--poly", "0"], 2),
+    ("weights", [], 2),  # argparse usage error: --session missing
 ]
 
 

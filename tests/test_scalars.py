@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -106,3 +107,157 @@ def test_pow_and_conjugate():
     z = Scalar.from_int(2) + I * Scalar.from_int(3)
     assert z.conjugate().conjugate() == z
     assert (z * z.conjugate()).rational_value() == 13
+
+
+# -- the triple kernel against a Fraction-pair reference ---------------------
+# The reference below is the arithmetic Scalar used before it stored canonical
+# (re, im, den) triples: tables {power: (Fraction, Fraction)} with zero values
+# dropped.  Every operation of the kernel must agree with it exactly, and the
+# Fraction-pair view and the hash must be those of the reference table.
+
+F0 = Fraction(0)
+
+
+def ref_clean(t):
+    return {k: v for k, v in t.items() if v[0] or v[1]}
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for k, (a, b) in y.items():
+        c, d = out.get(k, (F0, F0))
+        out[k] = (a + c, b + d)
+    return ref_clean(out)
+
+
+def ref_neg(x):
+    return {k: (-a, -b) for k, (a, b) in x.items()}
+
+
+def ref_mul(x, y):
+    out = {}
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            e, f = out.get(k1 + k2, (F0, F0))
+            out[k1 + k2] = (e + a * c - b * d, f + a * d + b * c)
+    return ref_clean(out)
+
+
+def ref_gdiv(u, v):
+    a, b = v
+    n = a * a + b * b
+    return ((u[0] * a + u[1] * b) / n, (u[1] * a - u[0] * b) / n)
+
+
+def ref_div_unit(x, y):
+    ((k, v),) = y.items()
+    return {kk - k: ref_gdiv(vv, v) for kk, vv in x.items()}
+
+
+def ref_divmod(x, y):
+    ms, mo = min(x, default=0), min(y)
+    num = {k - ms: v for k, v in x.items()}
+    den = {k - mo: v for k, v in y.items()}
+    dd = max(den)
+    quo = {}
+    while num and max(num) >= dd:
+        dn = max(num)
+        c = ref_gdiv(num[dn], den[dd])
+        quo[dn - dd] = c
+        num = ref_add(num, ref_mul({dn - dd: (-c[0], -c[1])}, den))
+    return ({k + ms - mo: v for k, v in quo.items()},
+            {k + ms: v for k, v in num.items()})
+
+
+def ref_unit_part(x):
+    k = max(x)
+    return {k: x[k]}
+
+
+def ref_gcd(x, y):
+    if not x:
+        return ref_div_unit(y, ref_unit_part(y))
+    while y:
+        _, r = ref_divmod(x, y)
+        x, y = y, r
+    return ref_div_unit(x, ref_unit_part(x))
+
+
+def rand_table(rng, max_terms=4):
+    """A reference table with up to max_terms powers in [-2, 3], denominators
+    up to 12 and imaginary parts on about half the terms; empty 1 time in 20."""
+    if rng.random() < 0.05:
+        return {}
+    t = {}
+    for _ in range(rng.randint(1, max_terms)):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.5 else F0
+        t[rng.randint(-2, 3)] = (re, im)
+    return ref_clean(t)
+
+
+def assert_matches(s, ref):
+    """s equals the reference table, hashes like it, and is canonical."""
+    assert dict(s.terms) == ref
+    assert hash(s) == hash(frozenset(ref.items()))
+    for k, (re, im, den) in s._t.items():
+        assert type(k) is int and type(re) is int and type(im) is int
+        assert den > 0 and (re or im) and gcd(re, im, den) == 1
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(105)
+    for _ in range(600):
+        x, y = rand_table(rng), rand_table(rng)
+        a, b = Scalar(x), Scalar(y)
+        assert_matches(a, x)
+        assert_matches(b, y)
+        assert_matches(a + b, ref_add(x, y))
+        assert_matches(a - b, ref_add(x, ref_neg(y)))
+        assert_matches(-a, ref_neg(x))
+        assert_matches(a * b, ref_mul(x, y))
+        assert (a == b) == (x == y)
+        if len(y) == 1:
+            assert_matches(a / b, ref_div_unit(x, y))
+        if y:
+            q, r = a._divmod_t(b)
+            rq, rr = ref_divmod(x, y)
+            assert_matches(q, rq)
+            assert_matches(r, rr)
+            if rr:
+                with pytest.raises(ScalarError):
+                    a.exact_div(b)
+            else:
+                assert_matches(a.exact_div(b), rq)
+            assert_matches((a * b).exact_div(b), x)
+            assert_matches(b.unit_part(), ref_unit_part(y))
+        if x or y:
+            assert_matches(scalar_gcd(a, b), ref_gcd(x, y))
+
+
+def test_canonical_form_is_equality():
+    half = Scalar({0: (Fraction(2, 4), 0)})
+    assert half == Scalar.from_rational(Fraction(1, 2))
+    assert hash(half) == hash(Scalar.from_rational(Fraction(1, 2)))
+    assert half._t == {0: (1, 0, 2)}
+    # a common factor of all three entries is divided out, and zero is dropped
+    assert Scalar({1: (Fraction(2, 6), Fraction(4, 6)), 2: (0, 0)})._t == {1: (1, 2, 3)}
+    assert Scalar({0: (Fraction(1, 3), Fraction(1, 2))})._t == {0: (2, 3, 6)}
+    assert (half - half)._t == {}
+
+
+def test_terms_view_is_read_only_fractions():
+    s = Scalar({-1: (Fraction(3, 4), 1), 2: (0, Fraction(-5, 2))})
+    view = s.terms
+    assert dict(view) == {-1: (Fraction(3, 4), Fraction(1)), 2: (F0, Fraction(-5, 2))}
+    assert all(type(v) is Fraction for pair in view.values() for v in pair)
+    with pytest.raises(TypeError):
+        view[0] = (Fraction(1), F0)
+    assert s.single_power() is None
+    k, pair = Scalar({3: (Fraction(1, 2), 2)}).single_power()
+    assert (k, pair) == (3, (Fraction(1, 2), Fraction(2)))
+    assert all(type(v) is Fraction for v in pair)
+    assert type(Scalar.from_int(4).rational_value()) is Fraction
+    assert type(Scalar.zero().rational_value()) is Fraction
+    assert type((T * Scalar.from_int(3)).integer_times_t()) is int
+    assert Scalar.from_int(Fraction(3, 2)) == Scalar.from_rational(Fraction(3, 2))
