@@ -27,6 +27,8 @@ from .scalars import Scalar
 
 IndexSet = Tuple[int, ...]
 
+_new = object.__new__
+
 
 class CalculusError(ValueError):
     pass
@@ -47,8 +49,7 @@ class LogVectorField:
 
     @staticmethod
     def zero(ctx: VarContext) -> "LogVectorField":
-        z = Poly.zero(ctx)
-        return LogVectorField(ctx, [z] * ctx.n)
+        return _field(ctx, (Poly.zero(ctx),) * ctx.n)
 
     @staticmethod
     def coordinate(ctx: VarContext, name: str) -> "LogVectorField":
@@ -62,21 +63,19 @@ class LogVectorField:
 
     def __add__(self, other: "LogVectorField") -> "LogVectorField":
         self.ctx.check_same(other.ctx)
-        return LogVectorField(
-            self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return _field(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "LogVectorField":
-        return LogVectorField(self.ctx, [-a for a in self.coeffs])
+        return _field(self.ctx, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "LogVectorField") -> "LogVectorField":
         return self + (-other)
 
     def scale(self, f: Poly) -> "LogVectorField":
-        return LogVectorField(self.ctx, [f * a for a in self.coeffs])
+        return _field(self.ctx, tuple(f * a for a in self.coeffs))
 
     def scale_scalar(self, c: Scalar) -> "LogVectorField":
-        return LogVectorField(self.ctx, [a.scale(c) for a in self.coeffs])
+        return _field(self.ctx, tuple(a.scale(c) for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,9 +99,9 @@ class LogVectorField:
     def bracket(self, other: "LogVectorField") -> "LogVectorField":
         """Commutator of derivations, computed coefficientwise in the plain frame."""
         self.ctx.check_same(other.ctx)
-        return LogVectorField(
+        return _field(
             self.ctx,
-            [self.apply(b) - other.apply(a) for a, b in zip(self.coeffs, other.coeffs)],
+            tuple(self.apply(b) - other.apply(a) for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def log_components(self) -> List[Poly]:
@@ -132,6 +131,15 @@ class LogVectorField:
         return "LogVectorField(%r)" % (self.coeffs,)
 
 
+def _field(ctx: VarContext, coeffs: Tuple[Poly, ...]) -> LogVectorField:
+    """A LogVectorField over ctx.n coefficients already in ctx, skipping the
+    checks of LogVectorField.__init__, which stay for callers from outside."""
+    v = _new(LogVectorField)
+    v.ctx = ctx
+    v.coeffs = coeffs
+    return v
+
+
 def log_frame(ctx: VarContext) -> List[LogVectorField]:
     """The log frame fields: z_i d/dz_i for divisor coordinates, d/dz_j otherwise."""
     frame = []
@@ -140,7 +148,7 @@ def log_frame(ctx: VarContext) -> List[LogVectorField]:
         coeffs[i] = (
             Poly.variable(ctx, name) if ctx.is_divisor_index(i) else Poly.one(ctx)
         )
-        frame.append(LogVectorField(ctx, coeffs))
+        frame.append(_field(ctx, tuple(coeffs)))
     return frame
 
 
@@ -192,7 +200,7 @@ class LogForm:
 
     @staticmethod
     def function(f: Poly) -> "LogForm":
-        return LogForm(f.ctx, 0, {(): f})
+        return _form(f.ctx, 0, {} if f.is_zero() else {(): f})
 
     @staticmethod
     def coframe(ctx: VarContext, name: str) -> "LogForm":
@@ -221,21 +229,23 @@ class LogForm:
                 terms.pop(I, None)
             else:
                 terms[I] = s
-        return LogForm(self.ctx, self.degree, terms)
+        return _form(self.ctx, self.degree, terms)
 
     def __neg__(self) -> "LogForm":
-        return LogForm(self.ctx, self.degree, {I: -c for I, c in self.terms.items()})
+        return _form(self.ctx, self.degree, {I: -c for I, c in self.terms.items()})
 
     def __sub__(self, other: "LogForm") -> "LogForm":
         return self + (-other)
 
     def scale(self, f: Poly) -> "LogForm":
-        return LogForm(self.ctx, self.degree, {I: f * c for I, c in self.terms.items()})
+        if f.is_zero():
+            return _form(self.ctx, self.degree, {})
+        return _form(self.ctx, self.degree, {I: f * c for I, c in self.terms.items()})
 
     def scale_scalar(self, c: Scalar) -> "LogForm":
-        return LogForm(
-            self.ctx, self.degree, {I: p.scale(c) for I, p in self.terms.items()}
-        )
+        if c.is_zero():
+            return _form(self.ctx, self.degree, {})
+        return _form(self.ctx, self.degree, {I: p.scale(c) for I, p in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,7 +264,7 @@ class LogForm:
         self.ctx.check_same(other.ctx)
         deg = self.degree + other.degree
         if deg > self.ctx.n:
-            return LogForm(self.ctx, self.ctx.n)  # identically zero beyond top degree
+            return _form(self.ctx, self.ctx.n, {})  # identically zero beyond top degree
         terms: Dict[IndexSet, Poly] = {}
         for I, c in self.terms.items():
             for J, d in other.terms.items():
@@ -271,13 +281,13 @@ class LogForm:
                     terms.pop(K, None)
                 else:
                     terms[K] = s
-        return LogForm(self.ctx, deg, terms)
+        return _form(self.ctx, deg, terms)
 
     def d(self) -> "LogForm":
         """Exterior derivative.  The coframe is closed, so d(c e^I) = dc wedge e^I,
         with dc = sum_{i in S} (z_i dc/dz_i) e^i + sum_{j not in S} (dc/dz_j) e^j."""
         if self.degree >= self.ctx.n:
-            return LogForm(self.ctx, min(self.degree + 1, self.ctx.n))
+            return _form(self.ctx, min(self.degree + 1, self.ctx.n), {})
         terms: Dict[IndexSet, Poly] = {}
         for I, c in self.terms.items():
             for i in range(self.ctx.n):
@@ -296,7 +306,7 @@ class LogForm:
                     terms.pop(K, None)
                 else:
                     terms[K] = s
-        return LogForm(self.ctx, self.degree + 1, terms)
+        return _form(self.ctx, self.degree + 1, terms)
 
     def interior(self, delta: LogVectorField) -> "LogForm":
         """Contraction i_delta in the log pairing <e^i, xi_j> = delta_ij."""
@@ -320,7 +330,7 @@ class LogForm:
                     terms.pop(K, None)
                 else:
                     terms[K] = s
-        return LogForm(self.ctx, self.degree - 1, terms)
+        return _form(self.ctx, self.degree - 1, terms)
 
     def lie(self, delta: LogVectorField) -> "LogForm":
         """Lie derivative via Cartan: i_delta d + d i_delta."""
@@ -368,10 +378,21 @@ class LogForm:
             if m % 2:
                 r = -r
             terms[I[:m] + I[m + 1 :]] = r
-        return LogForm(self.ctx, self.degree - 1, terms)
+        return _form(self.ctx, self.degree - 1, terms)
 
     def __repr__(self):
         return "LogForm(deg=%d, %d terms)" % (self.degree, len(self.terms))
+
+
+def _form(ctx: VarContext, degree: int, terms: Dict[IndexSet, Poly]) -> LogForm:
+    """A LogForm over terms already valid for ctx and degree (sorted index
+    tuples of that length in range, nonzero coefficients in ctx), skipping
+    the checks of LogForm.__init__, which stay for callers from outside."""
+    w = _new(LogForm)
+    w.ctx = ctx
+    w.degree = degree
+    w.terms = terms
+    return w
 
 
 def d_of_function(f: Poly) -> LogForm:

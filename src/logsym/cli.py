@@ -611,13 +611,18 @@ def _json_requested(argv) -> bool:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser: the full tree, or the top level and only the
+    subparser of command.  The top level's usage, help and invalid-choice
+    message list the commands it holds, so only the full tree prints them."""
     ap = _Parser(
         prog="logsym",
         description="logarithmic symplectic calculus on affine charts",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, opts) in sorted(_COMMANDS.items()):
+    names = sorted(_COMMANDS) if command is None else [command]
+    for name in names:
+        opts = _COMMANDS[name][1]
         p = sub.add_parser(name)
         p.add_argument("--session", required=True, help="session file, - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -631,17 +636,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands every word after the command to its subparser, so a
+    # leading command word is the command whatever follows
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as e:
         if _json_requested(argv):
-            command = argv[0] if argv and argv[0] in _COMMANDS else None
             doc = {"schema": SCHEMA, "command": command,
                    "error": str(e), "exit": 2}
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            # argparse's own report, byte for byte
-            e.parser.print_usage(sys.stderr)
+            # argparse's own report, byte for byte; the top level's usage
+            # lists every command
+            usage = e.parser
+            if usage is parser and command is not None:
+                usage = build_parser()
+            usage.print_usage(sys.stderr)
             print("%s: error: %s" % (e.parser.prog, e), file=sys.stderr)
         return 2
     except SystemExit as e:  # --help

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData
-from .poisson import bracket, hamiltonian
+from .poisson import bracket_of_fields, hamiltonian
 from .poly import Poly
 from .scalars import Scalar
 
@@ -110,8 +110,12 @@ def prequantum_op(
     """Q(f) = nabla_{delta_f} + alpha*f, alpha defaulting to the formal 2*pi*i."""
     if alpha is None:
         alpha = Scalar.two_pi_i()
-    ham = hamiltonian(S, f)
-    op = from_connection(sigma, ham.delta)
+    return _prequantum(f, hamiltonian(S, f).delta, sigma, alpha)
+
+
+def _prequantum(f: Poly, df: LogVectorField, sigma: LogForm, alpha: Scalar) -> LogDiffOp1:
+    """Q(f) from the Hamiltonian field df of f."""
+    op = from_connection(sigma, df)
     return LogDiffOp1(op.delta, op.mult + f.scale(alpha))
 
 
@@ -138,12 +142,12 @@ def dirac_check(
     """
     if alpha is None:
         alpha = Scalar.two_pi_i()
-    qf = prequantum_op(f, S, sigma, alpha)
-    qg = prequantum_op(g, S, sigma, alpha)
-    fg = bracket(S, f, g)
-    defect = qf.commutator(qg) - prequantum_op(fg, S, sigma, alpha)
     df = hamiltonian(S, f).delta
+    qf = _prequantum(f, df, sigma, alpha)
     dg = hamiltonian(S, g).delta
+    qg = _prequantum(g, dg, sigma, alpha)
+    fg = bracket_of_fields(S, df, dg, g)
+    defect = qf.commutator(qg) - prequantum_op(fg, S, sigma, alpha)
     curv = sigma.d()
     predicted = curv.evaluate([df, dg]) - S.omega.evaluate([df, dg]).scale(alpha)
     if not defect.delta.is_zero():
@@ -245,7 +249,7 @@ def verify_E_condition(
     dg = hamiltonian(S, g).delta
     mf = mspec.eval(f, S)
     mg = mspec.eval(g, S)
-    fg = bracket(S, f, g)
+    fg = bracket_of_fields(S, df, dg, g)
     curv_val = sigma.d().evaluate([df, dg])
     return (
         dg.apply(mf)

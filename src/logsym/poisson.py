@@ -109,13 +109,27 @@ def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
 def bracket(S: SymplecticData, f: Poly, g: Poly) -> Poly:
     """{f,g} = -omega(delta_f, delta_g); returned as delta_f(g) after checking
     the two computations agree."""
-    df = hamiltonian(S, f).delta
-    dg = hamiltonian(S, g).delta
+    return bracket_of_fields(S, hamiltonian(S, f).delta, hamiltonian(S, g).delta, g)
+
+
+def bracket_of_fields(
+    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
+) -> Poly:
+    """{f,g} from fields the caller already holds: df and dg must be the
+    Hamiltonian fields of f and g, as hamiltonian returned them."""
     via_omega = -S.omega.evaluate([df, dg])
     via_apply = df.apply(g)
     if via_omega != via_apply:
         raise PoissonError("bracket consistency failed (internal error)")
     return via_apply
+
+
+def _bracket_and_field(
+    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
+) -> Tuple[Poly, LogVectorField]:
+    """{f,g} and its Hamiltonian field."""
+    fg = bracket_of_fields(S, df, dg, g)
+    return fg, hamiltonian(S, fg).delta
 
 
 def sing_bracket(
@@ -140,42 +154,76 @@ def sing_bracket(
                 "declared membership %r contradicts the ideal test (%r, %r)"
                 % (membership, in_a, in_b)
             )
+    return _sing_quotient(a, b, in_a, in_b, bracket(S, a, b))
+
+
+def _sing_quotient(a: Poly, b: Poly, in_a: bool, in_b: bool, ab: Poly) -> Poly:
+    """The singular bracket from the plain one, ab = {a,b}, and the ideal
+    membership of a and b."""
     if in_a and in_b:
-        return _exact_ratio(bracket(S, a, b), a * b, "{u,v}/(uv)")
+        return _exact_ratio(ab, a * b, "{u,v}/(uv)")
     if in_a:
-        return _exact_ratio(bracket(S, a, b), a, "{u,b}/u")
+        return _exact_ratio(ab, a, "{u,b}/u")
     if in_b:
-        return _exact_ratio(bracket(S, a, b), b, "{a,v}/v")
-    return bracket(S, a, b)
+        return _exact_ratio(ab, b, "{a,v}/v")
+    return ab
 
 
-def tilde_hamiltonian(S: SymplecticData, u: Poly) -> LogVectorField:
+def tilde_hamiltonian(
+    S: SymplecticData, u: Poly, delta_u: Optional[LogVectorField] = None
+) -> LogVectorField:
     """The field with i_delta omega = du/u, for u a unit times a monomial in
     the divisor coordinates (the only u whose du/u stays in the arena).
 
-    Also asserts the relation delta_u = u * tilde(delta_u)."""
+    Also asserts the relation delta_u = u * tilde(delta_u); delta_u is the
+    Hamiltonian field of u when the caller already holds it."""
     if S.ctx.arena != TORUS:
         raise PoissonError("tilde fields live in the torus arena")
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
-    if len(u.terms) != 1 or not u.leading()[1].is_unit():
+    if not u.is_unit_monomial():
         raise PoissonError("du/u leaves the arena for u = %r" % u)
     dlog_u = _dlog_unit(S, u)
     b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
     tilde = _gram_field(S, b, "tilde")
     if not (S.omega.interior(tilde) - dlog_u).is_zero():
         raise PoissonError("tilde certificate failed (internal error)")
-    if hamiltonian(S, u).delta != tilde.scale(u):
+    if delta_u is None:
+        delta_u = hamiltonian(S, u).delta
+    if delta_u != tilde.scale(u):
         raise PoissonError("delta_u != u * tilde_u (internal error)")
     return tilde
 
 
 def jacobi_defect(S: SymplecticData, f: Poly, g: Poly, k: Poly) -> Poly:
     """{f,{g,k}} + {g,{k,f}} + {k,{f,g}}."""
+    dg = hamiltonian(S, g).delta
+    dk = hamiltonian(S, k).delta
+    df = hamiltonian(S, f).delta
+    return _jacobi(S, f, g, k, df, dg, dk)
+
+
+def _jacobi(
+    S: SymplecticData,
+    f: Poly,
+    g: Poly,
+    k: Poly,
+    df: LogVectorField,
+    dg: LogVectorField,
+    dk: LogVectorField,
+    inner: Optional[Tuple[Poly, LogVectorField]] = None,
+) -> Poly:
+    """The Jacobi defect from the Hamiltonian fields df, dg, dk of f, g, k;
+    inner is ({g,k}, its field) when the caller already holds them.  Each
+    inner bracket's field is made once, and every bracket is still
+    cross-checked."""
+    gk, dgk = inner or _bracket_and_field(S, dg, dk, k)
+    kf, dkf = _bracket_and_field(S, dk, df, f)
+    fg, dfg = _bracket_and_field(S, df, dg, g)
     return (
-        bracket(S, f, bracket(S, g, k))
-        + bracket(S, g, bracket(S, k, f))
-        + bracket(S, k, bracket(S, f, g))
+        bracket_of_fields(S, df, dgk, gk)
+        + bracket_of_fields(S, dg, dkf, kf)
+        + bracket_of_fields(S, dk, dfg, fg)
     )
 
 
@@ -215,9 +263,10 @@ def verify_identities(
 
     u, v must be divisor-ideal members (tilde fields exist); a, b arbitrary.
     """
-    buv = bracket(S, u, v)
-    duv = hamiltonian(S, buv).delta
-    sing_uv = sing_bracket(S, u, v)
+    du = hamiltonian(S, u).delta
+    dv = hamiltonian(S, v).delta
+    buv, duv = _bracket_and_field(S, du, dv, v)
+    sing_uv = _sing_quotient(u, v, _ideal_member(S, u), _ideal_member(S, v), buv)
     d_sing = hamiltonian(S, sing_uv).delta
 
     # (i)  i_{delta_{u,v} - uv*delta_sing} omega = {u,v}(du/u + dv/v)
@@ -227,23 +276,25 @@ def verify_identities(
     defect_i = lhs_i - dlog_sum.scale(buv)
 
     # (ii)  {u,a}/u + {v,a}/v  vs  {u+v,a}/(u+v)
-    lhs_ii = RationalFunction(bracket(S, u, a), u) + RationalFunction(
-        bracket(S, v, a), v
+    da = hamiltonian(S, a).delta
+    lhs_ii = RationalFunction(bracket_of_fields(S, du, da, a), u) + RationalFunction(
+        bracket_of_fields(S, dv, da, a), v
     )
-    rhs_ii = RationalFunction(bracket(S, u + v, a), u + v)
+    d_sum = hamiltonian(S, u + v).delta
+    rhs_ii = RationalFunction(bracket_of_fields(S, d_sum, da, a), u + v)
     defect_ii = lhs_ii - rhs_ii
 
     # (iii)  {a,b} = delta_a(b)
-    da = hamiltonian(S, a).delta
     db = hamiltonian(S, b).delta
     defect_iii = -S.omega.evaluate([da, db]) - da.apply(b)
 
     # (iv)  [delta_a, delta_b] = delta_{a,b}
-    defect_iv = da.bracket(db) - hamiltonian(S, bracket(S, a, b)).delta
+    bab, dab = _bracket_and_field(S, da, db, b)
+    defect_iv = da.bracket(db) - dab
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)
-    tu = tilde_hamiltonian(S, u)
-    tv = tilde_hamiltonian(S, v)
+    tu = tilde_hamiltonian(S, u, du)
+    tv = tilde_hamiltonian(S, v, dv)
     rhs_v = tu.bracket(tv).scale(u * v) + (tv + tu).scale(buv)
     defect_v = duv - rhs_v
 
@@ -253,12 +304,14 @@ def verify_identities(
         defect_iii=defect_iii,
         defect_iv=defect_iv,
         defect_v=defect_v,
-        jacobi=jacobi_defect(S, u, a, b),
+        jacobi=_jacobi(S, u, a, b, du, da, db, (bab, dab)),
     )
 
 
 def _dlog_unit(S: SymplecticData, u: Poly) -> LogForm:
-    """du/u for a unit-monomial u, as a constant-coefficient log 1-form."""
+    """du/u for a monomial u (any nonzero coefficient, either arena) with
+    support in the divisor coordinates, as a constant-coefficient log
+    1-form."""
     if len(u.terms) != 1:
         raise PoissonError("du/u needs a monomial, got %r" % u)
     ((e, _),) = u.terms.items()

@@ -5,6 +5,7 @@ are the real ones; two subprocess runs at the end pin down byte determinism
 across interpreter instances and hash seeds.
 """
 
+import argparse
 import io
 import json
 import os
@@ -12,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import logsym
 from logsym.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SAITO = str(ROOT / "sessions" / "saito3.lsx")
 EXACT = str(ROOT / "sessions" / "exact.lsx")
 TORUS = str(ROOT / "sessions" / "torus.lsx")
+# the directory the logsym imported here lives in, for spawned interpreters
+PACKAGE_ROOT = str(Path(logsym.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -427,6 +431,60 @@ def test_argparse_paths(capsys):
     assert run(capsys, "nosuchcmd", "--session", EXACT)[0] == 2
 
 
+COMMANDS = ("bracket", "check-divisor", "check-logsymplectic", "check-saito",
+            "class", "curvature", "decompose", "dirac-test", "flat", "gauge",
+            "hamiltonian", "identities", "integrality", "jacobi",
+            "normalize-residues", "periods", "prequantize", "primitive",
+            "residues", "singbracket", "symbol", "weights")
+CHOICES = "{%s}" % ",".join(COMMANDS)
+TOP_USAGE = "usage: logsym [-h]\n              %s\n              ...\n" % CHOICES
+INVALID = ("argument command: invalid choice: 'nosuchcmd' (choose from %s)"
+           % ", ".join("'%s'" % c for c in COMMANDS))
+
+
+def test_one_subparser_per_command_call(capsys, monkeypatch):
+    """A call that names its command builds that command's parser only."""
+    real = argparse._SubParsersAction.add_parser
+    added = []
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x", "--g", "y")
+    assert (code, lines(out)) == (0, ["{f,g} = -y"])
+    assert added == ["bracket"]
+
+
+def test_top_level_usage_bytes(capsys, monkeypatch):
+    """Where the top-level parser reports, its usage lists every command,
+    also when the call named one."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code, out, err = run(capsys, "bracket", "--session", EXACT, "--f", "x",
+                         "--g", "y", "extra")
+    assert (code, out) == (2, "")
+    assert err == TOP_USAGE + "logsym: error: unrecognized arguments: extra\n"
+
+    code, out, err = run(capsys, "nosuchcmd", "--session", EXACT)
+    assert (code, out) == (2, "")
+    assert err == TOP_USAGE + "logsym: error: %s\n" % INVALID
+
+    code, out, err = run(capsys, "nosuchcmd", "--session", EXACT, "--format", "json")
+    assert (code, err) == (2, "")
+    assert out == json.dumps({"command": None, "error": INVALID, "exit": 2,
+                              "schema": "logsym/1"}, indent=2) + "\n"
+
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out == (
+        TOP_USAGE
+        + "\nlogarithmic symplectic calculus on affine charts\n"
+        + "\npositional arguments:\n  %s\n" % CHOICES
+        + "\noptions:\n  -h, --help            show this help message and exit\n"
+    )
+
+
 JSON_SMOKE = [
     ("check-divisor", ["--session", SAITO], 0),
     ("check-saito", ["--session", SAITO, "--fields", "d1,d2,d3"], 0),
@@ -495,7 +553,7 @@ def test_prequantize_json_payload(capsys):
 
 
 def _spawn(argv, seed):
-    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=PACKAGE_ROOT)
     return subprocess.run([sys.executable, "-m", "logsym.cli"] + argv,
                           capture_output=True, env=env)
 

@@ -221,3 +221,41 @@ def test_shape_errors():
         LogForm.function(x).interior(LogVectorField.coordinate(ctx, "x"))
     with pytest.raises(CalculusError):
         LogForm.coframe(ctx, "x").evaluate([])
+
+
+def _revalidated(obj):
+    """obj rebuilt through the validating public constructor."""
+    if isinstance(obj, LogForm):
+        return LogForm(obj.ctx, obj.degree, obj.terms)
+    return LogVectorField(obj.ctx, list(obj.coeffs))
+
+
+def test_internal_results_pass_the_public_checks():
+    """Forms and fields built by the trusted constructors are what the
+    validating constructors would build: the same value, sorted in-range
+    index sets, no zero coefficient, coefficients stored as a tuple."""
+    rng = random.Random(409)
+    for _ in range(150):
+        ctx = rand_ctx(rng)
+        p = rng.randint(1, ctx.n)
+        a, b = rand_form(ctx, rng, p), rand_form(ctx, rng, p)
+        c = rand_form(ctx, rng, rng.randint(0, ctx.n - p))
+        u, v = rand_log_field(ctx, rng), rand_log_field(ctx, rng)
+        f = rand_poly(ctx, rng, deg=2, terms=2)
+        s = rng.choice([Scalar.zero(), Scalar.from_int(rng.randint(-3, 3))])
+        results = [a + b, a - a, -a, a.scale(f), a.scale(Poly.zero(ctx)),
+                   a.scale_scalar(s), a.wedge(c), a.d(), a.interior(u),
+                   a.lie(u), LogForm.function(f), u + v, u - u, -u, u.scale(f),
+                   u.scale_scalar(s), u.bracket(v), LogVectorField.zero(ctx)]
+        results += log_frame(ctx)
+        for i in ctx.divisor:
+            try:
+                results.append(a.residue(i))
+            except CalculusError:  # a pole beyond the log factor
+                pass
+        for r in results:
+            assert r == _revalidated(r)
+            if isinstance(r, LogForm):
+                assert all(not q.is_zero() for q in r.terms.values())
+            else:
+                assert isinstance(r.coeffs, tuple) and len(r.coeffs) == ctx.n

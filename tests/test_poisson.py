@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from logsym import calculus
+from logsym import calculus, poisson
 from logsym.calculus import (
     FRAME_SAITO,
     CalculusError,
@@ -364,3 +364,133 @@ def test_assembly_rejects_a_wrong_adjugate(monkeypatch):
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
     with pytest.raises(CalculusError, match="adjugate"):
         assemble_symplectic(w)
+
+
+# -- fields passed down --------------------------------------------------------
+
+
+def _chart_c_open():
+    """Chart C with omega + x*e^y^e^z: nondegenerate (Pfaffian 1) but not
+    closed, so the Jacobi defect does not vanish; assembled by hand since
+    assemble_symplectic rejects it."""
+    ctx = make_context(["x", "y", "z", "w"], ["x", "y", "z", "w"], "torus")
+    e = [LogForm.coframe(ctx, nm) for nm in ctx.names]
+    w = e[0].wedge(e[1]) + e[2].wedge(e[3]) + e[1].wedge(e[2]).scale(Poly.variable(ctx, "x"))
+    frame = calculus.log_frame(ctx)
+    rows, det, _ = calculus.gram_determinant(w, frame, calculus.FRAME_LOG)
+    S = calculus.SymplecticData(
+        omega=w, frame=tuple(frame), gram=tuple(tuple(r) for r in rows),
+        det_cert=det, adjugate=calculus._adjugate_transpose(rows, det),
+        frame_kind=calculus.FRAME_LOG,
+    )
+    return ctx, S
+
+
+def _dlog(ctx, u):
+    ((e, _),) = u.terms.items()
+    return LogForm(ctx, 1, {(i,): Poly.constant(ctx, Scalar.from_int(x))
+                            for i, x in enumerate(e) if x})
+
+
+def _reference_jacobi(S, f, g, k):
+    return (bracket(S, f, bracket(S, g, k)) + bracket(S, g, bracket(S, k, f))
+            + bracket(S, k, bracket(S, f, g)))
+
+
+def _reference_identities(S, u, v, a, b):
+    """The six defects with every field and bracket recomputed through the
+    public hamiltonian, bracket, sing_bracket and tilde_hamiltonian."""
+    def field(f):
+        return hamiltonian(S, f).delta
+
+    buv = bracket(S, u, v)
+    d_sing = field(sing_bracket(S, u, v))
+    lhs_i = S.omega.interior(field(buv) - d_sing.scale(u * v))
+    defect_i = lhs_i - (_dlog(S.ctx, u) + _dlog(S.ctx, v)).scale(buv)
+    defect_ii = (RationalFunction(bracket(S, u, a), u)
+                 + RationalFunction(bracket(S, v, a), v)
+                 - RationalFunction(bracket(S, u + v, a), u + v))
+    defect_iii = -S.omega.evaluate([field(a), field(b)]) - field(a).apply(b)
+    defect_iv = field(a).bracket(field(b)) - field(bracket(S, a, b))
+    tu, tv = tilde_hamiltonian(S, u), tilde_hamiltonian(S, v)
+    defect_v = field(buv) - (tu.bracket(tv).scale(u * v) + (tv + tu).scale(buv))
+    return (defect_i, defect_ii, defect_iii, defect_iv, defect_v,
+            _reference_jacobi(S, u, a, b))
+
+
+def _counting_hamiltonian(monkeypatch):
+    calls = []
+    real = poisson.hamiltonian
+
+    def counting(S, f):
+        calls.append(f)
+        return real(S, f)
+
+    monkeypatch.setattr(poisson, "hamiltonian", counting)
+    return calls
+
+
+def _ideal_pair(maker, ctx):
+    if maker is _chart_b:
+        y = Poly.variable(ctx, "y")
+        return y, y * y
+    return Poly.variable(ctx, "x"), Poly.variable(ctx, ctx.names[1 if ctx.n == 2 else 2])
+
+
+def test_identities_and_jacobi_pass_fields_down(monkeypatch):
+    """verify_identities and jacobi_defect give the defects the public
+    functions give when every field is recomputed, with one Hamiltonian
+    field per distinct function: 10 and 6 (31 and 12 when every bracket
+    made its own fields)."""
+    rng = random.Random(507)
+    nonzero_jacobi = 0
+    for maker in (_chart_a, _chart_b, _chart_c, _chart_c_open):
+        ctx, S = maker()
+        u, v = _ideal_pair(maker, ctx)
+        triples = [[rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3)]
+                   for _ in range(4)]
+        triples.append([Poly.variable(ctx, nm) for nm in ctx.names[:2] + ctx.names[-1:]])
+        for a, b, k in triples:
+            want = _reference_identities(S, u, v, a, b)
+            want_jac = _reference_jacobi(S, a, b, k)
+            calls = _counting_hamiltonian(monkeypatch)
+            rep = verify_identities(S, u, v, a, b)
+            assert len(calls) == 10
+            del calls[:]
+            jac = jacobi_defect(S, a, b, k)
+            assert len(calls) == 6
+            monkeypatch.undo()
+            got = (rep.defect_i, rep.defect_ii, rep.defect_iii, rep.defect_iv,
+                   rep.defect_v, rep.jacobi)
+            assert got == want
+            assert jac == want_jac
+            nonzero_jacobi += not jac.is_zero()
+    # the open chart puts nonzero Jacobi defects to the test
+    assert nonzero_jacobi > 0
+
+
+def test_every_passed_field_was_certified(monkeypatch):
+    """Corrupting any one Hamiltonian field the identity suite or the Jacobi
+    defect makes is caught by that field's certificate."""
+    ctx, S = _chart_c()
+    u, v = _ideal_pair(_chart_c, ctx)
+    rng = random.Random(508)
+    a, b, k = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3))
+    real = poisson._gram_field
+    for run, count in ((lambda: verify_identities(S, u, v, a, b), 10),
+                       (lambda: jacobi_defect(S, a, b, k), 6)):
+        for bad in range(count):
+            made = []
+
+            def corrupt(S, b, what, bad=bad, made=made):
+                delta = real(S, b, what)
+                if what == "Hamiltonian":
+                    made.append(delta)
+                    if len(made) == bad + 1:
+                        delta = delta + LogVectorField.coordinate(S.ctx, "x")
+                return delta
+
+            monkeypatch.setattr(poisson, "_gram_field", corrupt)
+            with pytest.raises(PoissonError, match="Hamiltonian certificate failed"):
+                run()
+            monkeypatch.undo()
