@@ -46,6 +46,7 @@ from .sessions import (
     SessionError,
     SessionManifest,
     eval_in_session,
+    number_text,
     parse_session,
     print_canonical,
 )
@@ -155,6 +156,10 @@ def _pair_name(ctx, pair) -> str:
     return "T_{%s,%s}" % (ctx.names[pair[0]], ctx.names[pair[1]])
 
 
+def _shifts_text(shifts) -> str:
+    return ", ".join(("+" if s >= 0 else "") + number_text(s) for s in shifts)
+
+
 # -- subcommand handlers ----------------------------------------------------
 # each returns (exit_code, json_payload, text_lines)
 
@@ -248,10 +253,7 @@ def cmd_singbracket(m, args):
     S = _symplectic(m, args.form)
     f = _get_poly(m, args.f)
     g = _get_poly(m, args.g)
-    try:
-        val = sing_bracket(S, f, g, h=m.divisor_equation())
-    except PoissonError as e:
-        raise CliError(2, str(e))
+    val = sing_bracket(S, f, g, h=m.divisor_equation())
     txt = print_canonical(val)
     return 0, {"sing_bracket": txt}, ["{f,g}_sing = %s" % txt]
 
@@ -268,10 +270,7 @@ def cmd_jacobi(m, args):
 def cmd_identities(m, args):
     S = _symplectic(m, args.form)
     u, v, a, b = (_get_poly(m, t) for t in (args.u, args.v, args.a, args.b))
-    try:
-        rep = verify_identities(S, u, v, a, b)
-    except PoissonError as e:
-        raise CliError(2, str(e))
+    rep = verify_identities(S, u, v, a, b)
     items = [
         ("hamiltonian of a product", rep.defect_i.is_zero(), print_canonical(rep.defect_i)),
         ("bracket vs pairing", rep.defect_iii.is_zero(), print_canonical(rep.defect_iii)),
@@ -345,10 +344,7 @@ def cmd_curvature(m, args):
 def cmd_gauge(m, args):
     conn = _get_conn(m, args.conn)
     tau = _get_form(m, args.tau)
-    try:
-        out = gauge_op(conn, tau)
-    except PrequantError as e:
-        raise CliError(2, str(e))
+    out = gauge_op(conn, tau)
     txt = print_canonical(out.sigma)
     return 0, {"sigma": txt}, ["sigma = %s" % txt]
 
@@ -373,10 +369,7 @@ def cmd_residues(m, args):
         w = _get_form(m, args.form)
     if w.degree != 1:
         raise CliError(2, "residues wants a degree-1 form")
-    try:
-        ok, data = res_const(w)
-    except CalculusError as e:
-        raise CliError(2, str(e))
+    ok, data = res_const(w)
     ctx = m.ctx
     if ok:
         lines = [
@@ -398,13 +391,10 @@ def cmd_residues(m, args):
 
 def cmd_normalize_residues(m, args):
     conn = _get_conn(m, args.conn)
-    try:
-        out, shifts = normalize_residues(conn)
-    except PrequantError as e:
-        raise CliError(2, str(e))
+    out, shifts = normalize_residues(conn)
     txt = print_canonical(out.sigma)
     return 0, {"sigma": txt, "shifts": shifts}, [
-        "shifts = (%s)" % ", ".join("%+d" % s for s in shifts),
+        "shifts = (%s)" % _shifts_text(shifts),
         "sigma = %s" % txt,
     ]
 
@@ -435,7 +425,7 @@ def cmd_integrality(m, args):
         return 1, {"error": str(e)}, [str(e)]
     if ok:
         lines = [
-            "integral: period = %d*T over %s" % (n, _pair_name(m.ctx, pair))
+            "integral: period = %s*T over %s" % (number_text(n), _pair_name(m.ctx, pair))
             for pair, n in data
         ] or ["integral: no torus 2-cycles"]
         return 0, {
@@ -503,10 +493,7 @@ def cmd_prequantize(m, args):
     if rep.connection is not None:
         lines.append("connection: sigma = %s" % print_canonical(rep.connection.sigma))
         if rep.normalized_shifts:
-            lines.append(
-                "residue shifts = (%s)"
-                % ", ".join("%+d" % s for s in rep.normalized_shifts)
-            )
+            lines.append("residue shifts = (%s)" % _shifts_text(rep.normalized_shifts))
         for i, r in rep.residues:
             lines.append(
                 "residue along %s = %s" % (ctx.names[i], print_canonical(r))
@@ -576,13 +563,6 @@ _HELP = {
     "poly": "polynomial: a func name or expression (default: session divisor)",
     "fields": "comma-separated vfield names",
     "form": "form name or expression",
-    "f": "function argument",
-    "g": "function argument",
-    "h": "function argument",
-    "u": "function argument",
-    "v": "function argument",
-    "a": "function argument",
-    "b": "function argument",
     "conn": "connection name",
     "vfield": "vector field name",
     "mult": "multiplier function (default 0)",
@@ -630,7 +610,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             required = opt.endswith("!")
             key = opt.rstrip("!")
             p.add_argument("--" + key, required=required, default=None,
-                           help=_HELP.get(key, ""))
+                           help=_HELP.get(key, "function argument"))
     return ap
 
 

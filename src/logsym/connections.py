@@ -203,7 +203,6 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
     if ctx.arena != TORUS:
         raise PrequantError("residue normalization lives in the torus arena")
     shifts = []
-    tau_terms = {}
     for i in ctx.divisor:
         res_form = conn.sigma.residue(i)
         r = res_form.coefficient(()).as_constant()
@@ -217,14 +216,8 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
                 "residue along %s is not a T-power-0 rational in this model"
                 % ctx.names[i]
             )
-        shift = -floor(s)
-        shifts.append(shift)
-        if shift:
-            tau_terms[(i,)] = Poly.constant(ctx, Scalar.from_int(shift))
-    out = Connection1(conn.sigma + LogForm(ctx, 1, tau_terms))
-    if out.curvature != conn.curvature:
-        raise PrequantError("normalization changed the curvature (internal error)")
-    return out, shifts
+        shifts.append(-floor(s))
+    return _shift_residues(conn, shifts)
 
 
 def _t0_real_or_none(r: Scalar) -> Optional[Fraction]:
@@ -243,7 +236,6 @@ def _normalize_residues_soft(conn: Connection1) -> Tuple[Connection1, List[int]]
     so connections with function-valued residues pass through untouched."""
     ctx = conn.sigma.ctx
     shifts = []
-    tau_terms = {}
     for i in ctx.divisor:
         try:
             res_form = conn.sigma.residue(i)
@@ -252,10 +244,18 @@ def _normalize_residues_soft(conn: Connection1) -> Tuple[Connection1, List[int]]
             shifts.append(0)
             continue
         pair = r.terms.get(0)
-        shift = -floor(pair[0]) if pair else 0
-        shifts.append(shift)
-        if shift:
-            tau_terms[(i,)] = Poly.constant(ctx, Scalar.from_int(shift))
+        shifts.append(-floor(pair[0]) if pair else 0)
+    return _shift_residues(conn, shifts)
+
+
+def _shift_residues(conn: Connection1, shifts: List[int]) -> Tuple[Connection1, List[int]]:
+    """conn plus shifts[k]*dlog along the k-th divisor coordinate; the
+    curvature must not change."""
+    ctx = conn.sigma.ctx
+    tau_terms = {
+        (i,): Poly.constant(ctx, Scalar.from_int(s))
+        for i, s in zip(ctx.divisor, shifts) if s
+    }
     out = Connection1(conn.sigma + LogForm(ctx, 1, tau_terms))
     if out.curvature != conn.curvature:
         raise PrequantError("normalization changed the curvature (internal error)")

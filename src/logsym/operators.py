@@ -221,10 +221,14 @@ class CochainSpec:
     theta: LogForm  # degree 1
     c: Scalar
 
-    def eval(self, f: Poly, S: SymplecticData) -> Poly:
+    def eval(self, f: Poly, S: SymplecticData,
+             delta: Optional[LogVectorField] = None) -> Poly:
+        """m(f); delta, when given, is the Hamiltonian field of f."""
         val = f.scale(self.c)
         if not self.theta.is_zero():
-            val = val + pair_form_field(self.theta, hamiltonian(S, f).delta)
+            if delta is None:
+                delta = hamiltonian(S, f).delta
+            val = val + pair_form_field(self.theta, delta)
         return val
 
 
@@ -247,8 +251,8 @@ def verify_E_condition(
         raise OperatorError("alpha must be nonzero")
     df = hamiltonian(S, f).delta
     dg = hamiltonian(S, g).delta
-    mf = mspec.eval(f, S)
-    mg = mspec.eval(g, S)
+    mf = mspec.eval(f, S, df)
+    mg = mspec.eval(g, S, dg)
     fg = bracket_of_fields(S, df, dg, g)
     curv_val = sigma.d().evaluate([df, dg])
     return (

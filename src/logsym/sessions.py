@@ -14,6 +14,8 @@ deterministic text rendering with the guarantee parse(print(x)) == x.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -56,16 +58,12 @@ class KindError(SessionError):
 
 # -- tokenizer --------------------------------------------------------------
 
-_SYMBOLS = "+-*/^():,@"
-
-
-def _is_digit(c):
-    # ASCII only: str.isdigit admits unicode digits that int() rejects
-    return "0" <= c <= "9"
-
-
-def _is_word(c):
-    return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z" or _is_digit(c)
+# digits and letters are ASCII only (str.isdigit admits digits int() rejects);
+# a comment runs to the end of the text, newlines included
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/^():,@])"
+    r"|[ \t]+|(?s:#.*)"
+)
 
 
 def _tokenize(text: str, lineno: int):
@@ -73,31 +71,20 @@ def _tokenize(text: str, lineno: int):
     out = []
     i, n = 0, len(text)
     while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "#":
-            break
-        col = i + 1
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            out.append(("num", (lineno, col), int(text[i:j])))
-            i = j
-        elif _is_word(c) and not _is_digit(c):
-            j = i
-            while j < n and _is_word(text[j]):
-                j += 1
-            out.append(("ident", (lineno, col), text[i:j]))
-            i = j
-        elif c in _SYMBOLS:
-            out.append(("sym", (lineno, col), c))
-            i += 1
-        else:
-            raise ParseError(lineno, col, "a token", repr(c))
-    out.append(("end", (lineno, len(text) + 1), ""))
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(lineno, i + 1, "a token", repr(text[i]))
+        kind, val = m.lastgroup, m.group()
+        if kind == "num":
+            try:
+                val = int(val)
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise ParseError(lineno, i + 1, "a numeral of at most %d digits"
+                                 % sys.get_int_max_str_digits(), "%d digits" % len(val)) from None
+        if kind is not None:
+            out.append((kind, (lineno, i + 1), val))
+        i = m.end()
+    out.append(("end", (lineno, n + 1), ""))
     return out
 
 
@@ -124,27 +111,27 @@ class _ExprParser:
             raise ParseError(pos[0], pos[1], "'%s'" % s, _show(kind, val))
         return pos
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def expect_name(self):
+        kind, pos, val = self.next()
+        if kind != "ident":
+            raise ParseError(pos[0], pos[1], "a variable name", _show(kind, val))
+        return val
+
+    def _chain(self, ops, operand, right):
+        """operand (op right)* for op in ops, associating left."""
+        node = operand()
         while True:
             kind, pos, val = self.peek()
-            if kind == "sym" and val in "+-":
-                self.next()
-                rhs = self.parse_term()
-                node = ("bin", pos, val, node, rhs)
-            else:
+            if kind != "sym" or val not in ops:
                 return node
+            self.next()
+            node = ("bin", pos, val, node, right())
+
+    def parse_expr(self):
+        return self._chain("+-", self.parse_term, self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, pos, val = self.peek()
-            if kind == "sym" and val in "*/":
-                self.next()
-                rhs = self.parse_factor()
-                node = ("bin", pos, val, node, rhs)
-            else:
-                return node
+        return self._chain("*/", self.parse_factor, self.parse_factor)
 
     def parse_factor(self):
         # unary sign binds looser than ^, so -x^2 means -(x^2)
@@ -158,15 +145,7 @@ class _ExprParser:
         return self.parse_power()
 
     def parse_power(self):
-        node = self.parse_atom()
-        while True:
-            kind, pos, val = self.peek()
-            if kind == "sym" and val == "^":
-                self.next()
-                rhs = self.parse_exponent()
-                node = ("bin", pos, "^", node, rhs)
-            else:
-                return node
+        return self._chain("^", self.parse_atom, self.parse_exponent)
 
     def parse_exponent(self):
         # a single (possibly signed) atom: keeps ^ chains left-associative
@@ -185,10 +164,7 @@ class _ExprParser:
             self.expect_sym(")")
             return node
         if kind == "sym" and val == "@":
-            ik, ipos, name = self.next()
-            if ik != "ident":
-                raise ParseError(ipos[0], ipos[1], "a variable name", _show(ik, name))
-            return ("at", pos, name)
+            return ("at", pos, self.expect_name())
         if kind == "ident":
             if val == "d" and self._at_sym("("):
                 self.next()
@@ -197,9 +173,7 @@ class _ExprParser:
                 return ("d", pos, node)
             if val == "dlog":
                 self.expect_sym("(")
-                ik, ipos, name = self.next()
-                if ik != "ident":
-                    raise ParseError(ipos[0], ipos[1], "a variable name", _show(ik, name))
+                name = self.expect_name()
                 self.expect_sym(")")
                 return ("dlog", pos, name)
             return ("ident", pos, val)
@@ -221,8 +195,9 @@ def _show(kind, val):
     return repr(str(val))
 
 
-def parse_expr_text(text: str, lineno: int = 1):
-    p = _ExprParser(_tokenize(text, lineno))
+def _parse_line(tokens):
+    """An expression that must fill the rest of its line."""
+    p = _ExprParser(tokens)
     node = p.parse_expr()
     p.finish()
     return node
@@ -485,9 +460,7 @@ def parse_session(text: str) -> SessionManifest:
                 div_coords = _ident_list(toks[2:], "divisor coordinate")
             elif k2 == "ident" and v2 == "poly":
                 div_kind = "poly"
-                p = _ExprParser(toks[2:])
-                div_expr = (idx, p.parse_expr())
-                p.finish()
+                div_expr = (idx, _parse_line(toks[2:]))
             else:
                 raise ParseError(p2[0], p2[1], "'coords' or 'poly'", _show(k2, v2))
         elif val == "arena":
@@ -497,7 +470,7 @@ def parse_session(text: str) -> SessionManifest:
             if k2 != "ident" or v2 not in (POLY, TORUS):
                 raise ParseError(p2[0], p2[1], "'poly' or 'torus'", _show(k2, v2))
             arena = v2
-            _expect_end(toks[2])
+            _ExprParser(toks[2:]).finish()
         elif val in _DEF_KINDS:
             k2, p2, name = toks[1]
             if k2 != "ident":
@@ -507,10 +480,7 @@ def parse_session(text: str) -> SessionManifest:
             k3, p3, v3 = toks[2]
             if k3 != "sym" or v3 != ":":
                 raise ParseError(p3[0], p3[1], "':'", _show(k3, v3))
-            p = _ExprParser(toks[3:])
-            node = p.parse_expr()
-            p.finish()
-            defs.append((idx, val, name, node))
+            defs.append((idx, val, name, _parse_line(toks[3:])))
         else:
             raise ParseError(
                 pos[0], pos[1],
@@ -605,43 +575,37 @@ def _ident_list(toks, what):
     return out
 
 
-def _expect_end(tok):
-    kind, pos, val = tok
-    if kind != "end":
-        raise ParseError(pos[0], pos[1], "end of line", _show(kind, val))
-
-
 def eval_in_session(m: SessionManifest, text: str) -> Value:
     """Evaluate an expression with the session's names in scope."""
-    names: Dict[str, Value] = {}
-    names.update(m.funcs)
-    names.update(m.vfields)
-    names.update(m.forms)
-    names.update(m.conns)
-    node = parse_expr_text(text)
-    return Evaluator(m.ctx, names).eval(node)
+    names = {**m.funcs, **m.vfields, **m.forms, **m.conns}
+    return Evaluator(m.ctx, names).eval(_parse_line(_tokenize(text, 1)))
 
 
 # -- canonical printer ------------------------------------------------------
 
 
-def _frac(a: Fraction) -> str:
-    return str(a)
+def number_text(a: Union[int, Fraction]) -> str:
+    """str(a), or a ScalarError past the interpreter's int/str digit limit."""
+    try:
+        return str(a)
+    except ValueError:
+        raise ScalarError("a number of more than %d digits is too long to print"
+                          % sys.get_int_max_str_digits()) from None
 
 
 def _scalar_piece(k: int, a: Fraction, b: Fraction):
     """One T-power term as (negative?, positive-form text)."""
     if b == 0:
         neg = a < 0
-        base = _frac(-a if neg else a)
+        base = number_text(-a if neg else a)
     elif a == 0:
         neg = b < 0
         bb = -b if neg else b
-        base = "I" if bb == 1 else _frac(bb) + "*I"
+        base = "I" if bb == 1 else number_text(bb) + "*I"
     else:
         neg = False
-        ib = "I" if abs(b) == 1 else _frac(abs(b)) + "*I"
-        base = "(%s %s %s)" % (_frac(a), "+" if b > 0 else "-", ib)
+        ib = "I" if abs(b) == 1 else number_text(abs(b)) + "*I"
+        base = "(%s %s %s)" % (number_text(a), "+" if b > 0 else "-", ib)
     if k == 0:
         t = ""
     elif k == 1:

@@ -6,8 +6,11 @@ they are logarithmic by construction in either arena.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from logsym.calculus import LogForm, LogVectorField, log_frame
 from logsym.context import POLY, TORUS, make_context
@@ -15,6 +18,16 @@ from logsym.poly import Poly
 from logsym.scalars import Scalar
 
 NAMES = ["x", "y", "z", "w"]
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int/str conversion limit, whatever the environment
+    set, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 def rand_rational(rng, lo=-4, hi=4):

@@ -425,6 +425,62 @@ def test_error_paths(capsys):
     assert code == 2 and "unknown name 'nosuch'" in err
 
 
+# Errors raised inside the library, each reported by main's one handler with
+# exit 2: "error: <message>" on stderr, or a json error document.
+LIBRARY_ERRORS = [
+    (["singbracket", "--session", "-", "--f", "2*y", "--g", "x*y"],
+     "vars x y\ndivisor poly x*y\nform w : d(x)^d(y)\n",
+     "{a,v}/v does not stay in the arena ring: RationalFunction(Poly(vars=(x, y)"
+     " divisor={} arena=poly, 1 terms) / Poly(vars=(x, y) divisor={} arena=poly,"
+     " 1 terms))"),
+    (["identities", "--session", EXACT, "--u", "x+y", "--v", "y",
+      "--a", "x", "--b", "y"], "",
+     "du/u needs a monomial, got Poly(vars=(x, y) divisor={y} arena=torus, 2 terms)"),
+    (["gauge", "--session", EXACT, "--conn", "s", "--tau", "x*dlog(y)"], "",
+     "gauge form must be closed"),
+    (["residues", "--session", TORUS, "--form", "x^-1*dlog(y)"], "",
+     "residue along y meets a pole in x"),
+    (["normalize-residues", "--session", "-", "--conn", "s"],
+     "vars x y\narena poly\ndivisor coords y\nconn s : x*dlog(y)\n",
+     "residue normalization lives in the torus arena"),
+]
+
+
+def _error_bytes(command, message):
+    doc = {"command": command, "error": message, "exit": 2, "schema": "logsym/1"}
+    return "error: %s\n" % message, json.dumps(doc, indent=2) + "\n"
+
+
+def test_library_error_bytes(capsys, monkeypatch):
+    for argv, session, message in LIBRARY_ERRORS:
+        text, doc = _error_bytes(argv[0], message)
+        assert run_stdin(capsys, monkeypatch, session, *argv) == (2, "", text)
+        assert run_stdin(capsys, monkeypatch, session, *argv,
+                         "--format", "json") == (2, doc, "")
+
+
+def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):
+    """A number CPython will not convert to or from text is a typed error with
+    exit 2, from the scanner, the printer or the integer fields."""
+    numeral = "9" * (digit_limit + 700)
+    too_long = "a number of more than %d digits is too long to print" % digit_limit
+    session = "vars x y\ndivisor coords x y\nform w : 9^5000*(1/T)*dlog(x)^dlog(y)\n"
+    cases = [
+        (["bracket", "--session", EXACT, "--f", numeral, "--g", "y"], "",
+         "in %r: line 1, col 1: expected a numeral of at most %d digits, found"
+         " %d digits" % (numeral, digit_limit, len(numeral))),
+        (["bracket", "--session", EXACT, "--f", "9^5000*x", "--g", "y"], "", too_long),
+        (["integrality", "--session", "-"], session, too_long),
+        (["normalize-residues", "--session", TORUS, "--conn", "9^5000*dlog(y)"], "",
+         too_long),
+    ]
+    for argv, stdin, message in cases:
+        text, doc = _error_bytes(argv[0], message)
+        assert run_stdin(capsys, monkeypatch, stdin, *argv) == (2, "", text)
+        assert run_stdin(capsys, monkeypatch, stdin, *argv,
+                         "--format", "json") == (2, doc, "")
+
+
 def test_argparse_paths(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys)[0] == 2

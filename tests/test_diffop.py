@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from logsym import operators
 from logsym.calculus import LogForm, LogVectorField, assemble_symplectic
 from logsym.context import make_context
 from logsym.operators import (
@@ -189,3 +190,28 @@ def test_E_condition():
     assert defect == -bracket(S, x, y)
     with pytest.raises(OperatorError):
         verify_E_condition(bare, x, y, Scalar.zero(), S, sigma)
+
+
+def test_E_condition_makes_each_field_once(monkeypatch):
+    """verify_E_condition hands the fields of f and g to the cochain: one
+    Hamiltonian field for each of f, g and {f,g} (5 when m(f) and m(g) made
+    their own), and the defect of the formula written with the public API."""
+    ctx, S, sigma = _chart()
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    m = CochainSpec(theta=LogForm.coframe(ctx, "y").scale(x), c=Scalar.from_int(3))
+    f, g = x, y * y
+    df, dg = hamiltonian(S, f).delta, hamiltonian(S, g).delta
+    want = (dg.apply(m.eval(f, S)) - df.apply(m.eval(g, S))
+            + m.eval(bracket(S, f, g), S)
+            - sigma.d().evaluate([df, dg]).scale(T.inverse()))
+    assert not want.is_zero()
+    calls = []
+    real = operators.hamiltonian
+
+    def counting(S, h):
+        calls.append(h)
+        return real(S, h)
+
+    monkeypatch.setattr(operators, "hamiltonian", counting)
+    assert verify_E_condition(m, f, g, T, S, sigma) == want
+    assert calls == [f, g, bracket(S, f, g)]

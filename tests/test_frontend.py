@@ -19,6 +19,7 @@ from logsym.sessions import (
     KindError,
     ParseError,
     SessionError,
+    _tokenize,
     eval_in_session,
     parse_session,
     print_canonical,
@@ -254,3 +255,82 @@ def test_parser_totality_dense(text):
         parse_session("vars x y\nfunc q : " + text + "\n")
     except SessionError:
         pass
+
+
+# -- the scanner against its character-loop reference -----------------------
+
+
+def _reference_tokenize(text, lineno):
+    """The scanner as a character loop: ASCII digits and letters, spaces and
+    tabs skipped, and a "#" ending the text, newlines included."""
+
+    def is_digit(c):
+        return "0" <= c <= "9"
+
+    def is_word(c):
+        return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z" or is_digit(c)
+
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if is_digit(c):
+            j = i
+            while j < n and is_digit(text[j]):
+                j += 1
+            out.append(("num", (lineno, col), int(text[i:j])))
+            i = j
+        elif is_word(c) and not is_digit(c):
+            j = i
+            while j < n and is_word(text[j]):
+                j += 1
+            out.append(("ident", (lineno, col), text[i:j]))
+            i = j
+        elif c in "+-*/^():,@":
+            out.append(("sym", (lineno, col), c))
+            i += 1
+        else:
+            raise ParseError(lineno, col, "a token", repr(c))
+    out.append(("end", (lineno, len(text) + 1), ""))
+    return out
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text, 7)
+    except ParseError as e:
+        return ("error", e.line, e.col, e.expected, e.found)
+
+
+# ASCII and non-ASCII digits and letters, every symbol, blanks, comments,
+# line breaks and characters the scanner rejects
+SCANNER_ALPHABET = "09x_Zd+-*/^():,@ \t#\n\r$.\u0663\u00b2\u00e9\uff11"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(alphabet=SCANNER_ALPHABET, max_size=30),
+                 st.text(max_size=30)))
+def test_scanner_matches_reference(text):
+    assert _scan(_tokenize, text) == _scan(_reference_tokenize, text)
+
+
+def test_scanner_edge_cases():
+    for text in ("", "#", "x # c\ny", "a\tb", "x\r", "\u0663", "12ab_3", "9" * 40):
+        assert _scan(_tokenize, text) == _scan(_reference_tokenize, text), text
+    # a comment inside an evaluated expression runs to the end of the text
+    m = parse_session("vars x y\n")
+    assert eval_in_session(m, "x # y\n + y") == Poly.variable(m.ctx, "x")
+
+
+def test_numeral_past_digit_limit_is_a_parse_error(digit_limit):
+    with pytest.raises(ParseError) as e:
+        parse_session("vars x y\nfunc f : x + %s\n" % ("9" * (digit_limit + 1)))
+    assert (e.value.line, e.value.col) == (2, 14)
+    assert e.value.expected == "a numeral of at most %d digits" % digit_limit
+    assert e.value.found == "%d digits" % (digit_limit + 1)
