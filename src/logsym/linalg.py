@@ -51,11 +51,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def as_poly(self) -> Optional[Poly]:
-        """The underlying polynomial when the denominator is invertible, else None."""
-        if self.den.is_one():
-            return self.num
-        if self.den.is_unit_monomial():
-            return self.num * self.den.inverse_unit()
+        """The underlying polynomial when the denominator divides the
+        numerator, else None."""
         ok, q = divides(self.den, self.num)
         return q if ok else None
 
@@ -87,23 +84,19 @@ class RationalFunction:
 
 
 def _normalize_fraction(num: Poly, den: Poly):
-    if num.is_zero():
-        return num, Poly.one(num.ctx)
+    """A denominator that divides the numerator (a unit always does) leaves
+    the quotient over 1.  Otherwise both are divided by their gcd, which
+    leaves a non-unit denominator, scaled so its leading scalar has unit
+    part 1."""
+    ok, q = divides(den, num)
+    if ok:
+        return q, Poly.one(num.ctx)
     g = gcd_mv(num, den)
-    if not g.is_one():
-        num = exact_quotient(num, g)
-        den = exact_quotient(den, g)
-    if den.is_unit_monomial():
-        num = num * den.inverse_unit()
-        den = Poly.one(num.ctx)
-    else:
-        _, lc = den.leading()
-        u = lc.unit_part()
-        if not u.is_one():
-            inv = u.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-    return num, den
+    num = exact_quotient(num, g)
+    den = exact_quotient(den, g)
+    _, lc = den.leading()
+    inv = lc.unit_part().inverse()
+    return num.scale(inv), den.scale(inv)
 
 
 # -- fraction-free elimination ---------------------------------------------

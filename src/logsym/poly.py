@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .context import VarContext
-from .scalars import Scalar, ScalarError, scalar_gcd
+from .scalars import Scalar, ScalarError, _power, scalar_gcd
 
 Exp = Tuple[int, ...]
 
@@ -216,14 +216,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             return self.inverse_unit() ** (-k)
-        acc = Poly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(self, k, Poly.one(self.ctx))
 
     def __eq__(self, other) -> bool:
         return (
@@ -366,9 +359,9 @@ def divides(g: Poly, f: Poly):
     """Decide membership of f in the principal ideal (g).
 
     Returns (True, q) with f == q*g, or (False, r) with a nonzero witness
-    remainder.  In the torus arena unit monomial factors of g are moot (they
-    are invertible), so g is first normalised by its own invertible monomial
-    content to keep the reduction meaningful.
+    remainder.  A unit monomial g (1 among them) divides everything, and the
+    quotient is f * g^-1, the one divmod_poly reaches term by term; any other
+    g is decided by the reduction.
     """
     f.ctx.check_same(g.ctx)
     if g.is_zero():
@@ -377,6 +370,8 @@ def divides(g: Poly, f: Poly):
         return False, f
     if f.is_zero():
         return True, Poly.zero(f.ctx)
+    if g.is_unit_monomial():
+        return True, f * g.inverse_unit()
     q, r = divmod_poly(f, g)
     if r.is_zero():
         return True, q
@@ -391,16 +386,6 @@ def exact_quotient(f: Poly, g: Poly) -> Poly:
 
 
 # -- content / gcd ---------------------------------------------------------
-
-
-def scalar_content(f: Poly) -> Scalar:
-    """gcd of all scalar coefficients (1 for the zero polynomial)."""
-    acc = None
-    for c in f.terms.values():
-        acc = c if acc is None else scalar_gcd(acc, c)
-        if acc.is_one():
-            return acc
-    return Scalar.one() if acc is None else acc
 
 
 def _strip_laurent(f: Poly):
@@ -425,14 +410,10 @@ def _strip_laurent(f: Poly):
 
 def _coeffs_in(f: Poly, i: int):
     """Coefficients of f as a univariate poly in variable i (dict deg -> Poly)."""
-    out: Dict[int, Poly] = {}
+    out: Dict[int, Dict[Exp, Scalar]] = {}
     for e, c in f.terms.items():
-        k = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        p = out.setdefault(k, Poly.zero(f.ctx))
-        out[k] = p + _poly(f.ctx, {tuple(e2): c})
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {k: _poly(f.ctx, t) for k, t in out.items()}
 
 
 def _poly_content_in(f: Poly, i: int) -> Poly:
@@ -448,12 +429,9 @@ def _poly_content_in(f: Poly, i: int) -> Poly:
 
 def _pseudo_rem(f: Poly, g: Poly, i: int) -> Poly:
     """Pseudo-remainder of f by g in the variable i: lc(g)^(df-dg+1) * f mod g."""
-    df = f.degree_in(i)
     dg = g.degree_in(i)
-    gc = _coeffs_in(g, i)
-    lg = gc[dg]
+    lg = _coeffs_in(g, i)[dg]
     r = f
-    dr = df
     while not r.is_zero() and (dr := r.degree_in(i)) >= dg:
         rc = _coeffs_in(r, i)
         lr = rc[dr]
@@ -467,10 +445,11 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
     """gcd of multivariate polynomials over QQ(i)[T, T^-1].
 
     Primitive-PRS on the highest variable actually used, recursing on the
-    coefficient ring; scalar contents go through the Euclidean gcd in T.  The
-    result is normalised so its leading scalar has unit part 1.  Laurent
-    monomial factors (units of the torus arena) are stripped first and do not
-    appear in the answer.
+    coefficient ring.  Each remainder is divided once by its content in that
+    variable; that content bottoms out in the Euclidean gcd in T, so it takes
+    the scalar content along.  The result is normalised so its leading scalar
+    has unit part 1.  Laurent monomial factors (units of the torus arena) are
+    stripped first and do not appear in the answer.
     """
     a.ctx.check_same(b.ctx)
     if a.is_zero() and b.is_zero():
@@ -504,10 +483,7 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
         if r.degree_in(i) == 0:
             pb = Poly.one(a.ctx)
             break
-        r = exact_quotient(r, _poly_content_in(r, i))
-        r = exact_quotient(r, Poly.constant(a.ctx, scalar_content(r)))
-        pa, pb = pb, r
-    pb = exact_quotient(pb, _poly_content_in(pb, i))
+        pa, pb = pb, exact_quotient(r, _poly_content_in(r, i))
     return _normalize_gcd(cont * pb)
 
 

@@ -90,6 +90,20 @@ _new = object.__new__
 _ONE_T = {0: (1, 0, 1)}
 
 
+def _power(x, k, one):
+    """x**k for k >= 0 by square and multiply, one being the ring's 1: a
+    squaring for each bit of k below its top bit and a product for each set
+    bit past the lowest, so at most 2*log2(k) products."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else acc * x
+        k >>= 1
+        if not k:
+            return one if acc is None else acc
+        x = x * x
+
+
 def _scalar(t):
     """A Scalar over a table of canonical triples, skipping __init__."""
     s = _new(Scalar)
@@ -225,10 +239,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Scalar.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, Scalar.one())
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         """Division by a unit (single-power) scalar; anything else is an error."""

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module in
 src/logsym imports is used in that module (the package __init__ re-exports
-by design and is skipped).  Annotations are plain expressions in the tree,
-so a name used only in one counts as used."""
+by design and is skipped), and every module-level function has a caller.
+Annotations are plain expressions in the tree, so a name used only in one
+counts as used."""
 
 import ast
 import importlib.util
@@ -35,16 +36,61 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_tracer_targets_resolve():
-    """Every name the per-layer tracer wraps still exists where it looks:
-    a module function as a module attribute, a method in the class's own
-    __dict__ (the tracer replaces it there).  A rename in the kernels would
-    otherwise only show as a crash of `perfbench/run.py --trace 1`.
-    perfbench is not a package, so tracer.py is loaded by path."""
+def _tracer():
+    """perfbench/tracer.py; perfbench is not a package, so it is loaded by
+    path."""
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _references(tree, skip=None):
+    """Every name the tree refers to (Name ids and Attribute attrs), leaving
+    out the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_unreferenced_functions():
+    """Every module-level function in src/logsym is referenced somewhere in
+    the package outside its own body, exported from the package __init__, or
+    wrapped by the per-layer tracer, so a helper cannot outlive its last
+    caller."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    init = trees.pop("__init__.py")
+    kept = {name for name, _ in _imported(init)}
+    kept |= {attr for _, attr, _, _ in _tracer().TARGETS if "." not in attr}
+    refs = {name: _references(tree) for name, tree in trees.items()}
+    unreferenced = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(r for other, r in refs.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name in kept | elsewhere:
+                continue
+            if node.name not in _references(tree, skip=node):
+                unreferenced.append("%s:%d %s" % (name, node.lineno, node.name))
+    assert not unreferenced, "unreferenced functions: " + ", ".join(unreferenced)
+
+
+def test_tracer_targets_resolve():
+    """Every name the per-layer tracer wraps still exists where it looks:
+    a module function as a module attribute, a method in the class's own
+    __dict__ (the tracer replaces it there).  A rename in the kernels would
+    otherwise only show as a crash of `perfbench/run.py --trace 1`."""
+    tracer = _tracer()
     missing = []
     for modname, attr, _, _ in tracer.TARGETS:
         assert modname in tracer.MODULES, modname

@@ -14,6 +14,7 @@ from logsym.linalg import (
     solve_linear_poly,
 )
 from logsym.poly import Poly
+from logsym.scalars import Scalar
 from conftest import rand_ctx, rand_poly
 
 
@@ -123,6 +124,28 @@ def test_rational_function_normalises():
     assert RationalFunction(x * y, y).as_poly() == x
     zero = RationalFunction(Poly.zero(ctx), x + y)
     assert zero.is_zero() and zero.den.is_one()
+
+
+def test_as_poly_on_unit_and_non_unit_denominators():
+    ctx, x, y = _xy()
+    T = Scalar.two_pi_i()
+    two_i = Poly.constant(ctx, Scalar.from_rational(0, 2))
+    one_t = Poly.constant(ctx, Scalar.one() + T)
+    # unit denominators: a unit scalar here, a Laurent monomial on the torus
+    r = RationalFunction(x + y, two_i)
+    assert r.den.is_one() and r.as_poly() == (x + y).scale(Scalar.from_rational(0, 2).inverse())
+    tctx = make_context(["x", "y"], ["x"], "torus")
+    tx, ty = Poly.variable(tctx, "x"), Poly.variable(tctx, "y")
+    u = tx.scale(T) * tx
+    r = RationalFunction(ty + tx, u)
+    assert r.den.is_one() and r.as_poly() == (ty + tx) * u.inverse_unit()
+    assert RationalFunction(ty + tx, tx * (ty + tx)).as_poly() == tx.inverse_unit()
+    # non-unit denominators: a non-unit scalar, y, and x + y in either arena
+    assert RationalFunction(x, one_t).as_poly() is None
+    assert RationalFunction(x * one_t, one_t).as_poly() == x
+    assert RationalFunction(tx, ty).as_poly() is None
+    assert RationalFunction(x * x, x + y).as_poly() is None
+    assert RationalFunction(tx * tx, tx + ty).as_poly() is None
 
 
 def test_rational_function_arithmetic():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from logsym.context import ContextError, make_context
+from logsym.context import POLY, TORUS, ContextError, make_context
 from logsym.poly import (
     Poly,
     PolyError,
@@ -13,7 +13,7 @@ from logsym.poly import (
     squarefree_part_check,
 )
 from logsym.scalars import Scalar
-from conftest import rand_ctx, rand_poly
+from conftest import rand_ctx, rand_poly, rand_scalar
 
 
 def _xyz(arena="poly", divisor=()):
@@ -105,6 +105,25 @@ def test_divides_laurent_strip():
     assert q * (x + y) == f
 
 
+def test_divides_unit_monomial_matches_reduction():
+    """divides decides a unit-monomial divisor by one product with its
+    inverse; divmod_poly, which reduces term by term, is the reference."""
+    rng = random.Random(209)
+    for arena in (POLY, TORUS):
+        for _ in range(80):
+            ctx = rand_ctx(rng, arena=arena)
+            f = rand_poly(ctx, rng)
+            c = Scalar.zero()
+            while c.is_zero():
+                c = rand_scalar(rng, terms=1)
+            e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
+            u = Poly.monomial(ctx, e, c)
+            assert u.is_unit_monomial()
+            q, r = divmod_poly(f, u)
+            assert r.is_zero()
+            assert divides(u, f) == (True, q)
+
+
 def test_exact_quotient_raises():
     ctx, x, y, z = _xyz()
     assert exact_quotient(x * y + y * y, y) == x + y
@@ -179,3 +198,37 @@ def test_unit_monomials():
     assert (u * u.inverse_unit()).is_one()
     assert not (x + y).is_unit_monomial()
     assert not y.is_unit_monomial()  # y is not invertible in this arena
+
+
+def test_power_is_square_and_multiply(monkeypatch):
+    """k-th powers of Scalars and Polys take one squaring per bit of k below
+    the top bit and one product per set bit past the lowest, and agree with
+    repeated products."""
+    ctx = make_context(["x", "y"], ["x"], "torus")
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    I, T = Scalar.i_unit(), Scalar.two_pi_i()
+    z = Scalar.from_rational(2, 3) + I + T.inverse()
+    for base, one in ((I, Scalar.one()), (T, Scalar.one()), (z, Scalar.one()),
+                      (x, Poly.one(ctx)), (x + y + Poly.one(ctx), Poly.one(ctx))):
+        want = one
+        for k in range(13):
+            assert base ** k == want
+            want = want * base
+    assert x ** -3 == (x * x * x).inverse_unit()
+    assert T ** -2 == T.inverse() * T.inverse()
+
+    counts = {}
+    for cls in (Scalar, Poly):
+        mul = cls.__mul__
+
+        def counted(a, b, mul=mul, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return mul(a, b)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    k = 10 ** 6 + 3
+    want = k.bit_length() - 1 + bin(k).count("1") - 1
+    for base, expect in ((I, I ** (k % 4)), (T, Scalar.two_pi_i(k)),
+                         (x, Poly.monomial(ctx, (k, 0)))):
+        counts.clear()
+        assert base ** k == expect
+        assert counts.get(type(base).__name__) == want

@@ -5,8 +5,12 @@ Scalar is a Laurent polynomial in T over QQ(i) and a Poly is a polynomial in
 x, y over those.  The ring QQ(i)[x, y, T, 1/T] is a localization of a unique
 factorization domain whose units are c*T^k, so a quotient is exact when its
 reduced denominator is such a monomial, and two gcds agree when their ratio
-is one.  Skipped where sympy is not installed; logsym itself stays
-stdlib-only.
+is one.  In the torus arena the divisor coordinates are invertible too, so
+there the units are c*T^k times monomials in those coordinates.  Skipped
+where sympy is not installed; logsym itself stays stdlib-only.
+
+Random factors stay of degree at most 1: products of denser factors can keep
+the primitive remainder sequence of gcd_mv busy for minutes.
 """
 
 import random
@@ -15,12 +19,14 @@ from fractions import Fraction
 import pytest
 
 from logsym.context import make_context
+from logsym.divisors import check_squarefree
 from logsym.poly import Poly, divides, gcd_mv
 from logsym.scalars import Scalar, ScalarError, scalar_gcd
 
 sympy = pytest.importorskip("sympy")
 
-T, X, Y = sympy.symbols("T x y")
+T, X, Y, Z = sympy.symbols("T x y z")
+VARS = (X, Y, Z)
 
 
 def rand_scalar(rng, max_terms=3):
@@ -44,19 +50,46 @@ def sym_scalar(s):
 
 
 def sym_poly(p):
-    return sum((sym_scalar(c) * X ** e[0] * Y ** e[1] for e, c in p.terms.items()),
-               sympy.Integer(0))
+    return sum((sym_scalar(c) * sympy.Mul(*(v ** k for v, k in zip(VARS, e)))
+                for e, c in p.terms.items()), sympy.Integer(0))
 
 
 def is_zero(expr):
     return sympy.expand(expr) == 0
 
 
-def is_unit(expr):
-    """Whether a nonzero expression is c*T^k, a unit of QQ(i)[x, y, T, 1/T]."""
+def is_unit(expr, invertible=()):
+    """Whether a nonzero expression is c*T^k times a monomial in the
+    invertible variables, a unit of QQ(i)[T, 1/T] with those inverted."""
     num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-    return all(sympy.Poly(part, T, X, Y).is_monomial
-               and sympy.Poly(part, X, Y).is_ground for part in (num, den))
+    fixed = [v for v in VARS if v not in invertible]
+    return all(sympy.Poly(part, T, *VARS).is_monomial
+               and sympy.Poly(part, *fixed).is_ground for part in (num, den))
+
+
+def exact_quotient_by_sympy(sf, sg, invertible=()):
+    """Whether sg divides sf in the ring with T and the invertible variables
+    inverted: the reduced denominator of sf/sg is a unit there."""
+    return is_unit(sympy.fraction(sympy.cancel(sf / sg))[1], invertible)
+
+
+def sympy_gcd(*exprs, invertible=()):
+    """sympy's gcd of Laurent expressions, each first divided by its lowest
+    monomial in T and the invertible variables (a unit of the ring)."""
+    gens = (T,) + VARS
+    shift = T ** 8 * sympy.Mul(*(v ** 8 for v in invertible))
+    polys = []
+    for e in exprs:
+        p = sympy.Poly(sympy.expand(e * shift), *gens, domain="QQ_I")
+        low = [min(m[k] for m in p.monoms()) if v == T or v in invertible else 0
+               for k, v in enumerate(gens)]
+        polys.append(sympy.Poly.from_dict(
+            {tuple(a - b for a, b in zip(m, low)): c for m, c in p.terms()},
+            *gens, domain="QQ_I"))
+    g = polys[0]
+    for p in polys[1:]:
+        g = sympy.gcd(g, p)
+    return g.as_expr()
 
 
 def test_scalar_mul_exact_div_gcd_against_sympy():
@@ -102,12 +135,118 @@ def test_gcd_mv_and_divides_against_sympy():
         ok, q = divides(g, f * g)
         assert ok and is_zero(sym_poly(q) - sf)
         ok, q = divides(g, f)
-        exact = is_unit(sympy.fraction(sympy.cancel(sf / sg))[1])
-        assert ok == exact
+        assert ok == exact_quotient_by_sympy(sf, sg)
         if ok:
             assert is_zero(sym_poly(q) * sg - sf)
         # gcd_mv of two multiples of h, up to a unit c*T^k
         got = sym_poly(gcd_mv(f * h, g * h))
-        want = sympy.gcd(sympy.Poly(sympy.expand(sf * sh * T ** 8), X, Y, T, domain="QQ_I"),
-                         sympy.Poly(sympy.expand(sg * sh * T ** 8), X, Y, T, domain="QQ_I"))
-        assert is_unit(got / want.as_expr())
+        assert is_unit(got / sympy_gcd(sf * sh, sg * sh))
+
+
+def rand_linear(ctx, rng, unit_shift=False):
+    """A random factor of degree at most 1 in the context's variables, with
+    nonconstant scalar coefficients now and then; times a random Laurent
+    monomial in the divisor coordinates when unit_shift is set."""
+    while True:
+        p = Poly.zero(ctx)
+        for e in [(0,) * ctx.n] + [tuple(int(i == j) for j in range(ctx.n))
+                                   for i in range(ctx.n)]:
+            if rng.random() < 0.7:
+                c = rand_scalar(rng, max_terms=2 if rng.random() < 0.2 else 1)
+                p = p + Poly.monomial(ctx, e, c)
+        if not p.is_constant():
+            break
+    if unit_shift:
+        for i in ctx.divisor:
+            p = p.mul_var_power(i, rng.randint(-2, 1))
+    return p
+
+
+def test_gcd_mv_and_divides_three_variables_against_sympy():
+    rng = random.Random(303)
+    ctx = make_context(["x", "y", "z"])
+    for _ in range(8):
+        l1, l2, l3 = (rand_linear(ctx, rng) for _ in range(3))
+        f, g = l1 * l2, l1 * l3
+        sf, sg, s3 = sym_poly(f), sym_poly(g), sym_poly(l3)
+        got = sym_poly(gcd_mv(f, g))
+        assert is_unit(got / sympy_gcd(sf, sg))
+        ok, q = divides(l1, f)
+        assert ok and is_zero(sym_poly(q) * sym_poly(l1) - sf)
+        ok, q = divides(l3, f)
+        assert ok == exact_quotient_by_sympy(sf, s3)
+        if ok:
+            assert is_zero(sym_poly(q) * s3 - sf)
+
+
+def test_torus_negative_exponents_against_sympy():
+    """Laurent inputs on the divisor coordinates x, y of a 3-variable torus
+    chart; gcds agree up to units of that ring, monomials in x, y included."""
+    rng = random.Random(304)
+    ctx = make_context(["x", "y", "z"], ["x", "y"], "torus")
+    inv = (X, Y)
+    for _ in range(6):
+        l1, l2, l3 = (rand_linear(ctx, rng, unit_shift=True) for _ in range(3))
+        f, g = l1 * l2, l1 * l3
+        sf, sg = sym_poly(f), sym_poly(g)
+        got = sym_poly(gcd_mv(f, g))
+        assert is_unit(got / sympy_gcd(sf, sg, invertible=inv), inv)
+        for d in (l1, l3, l2 * l3):
+            sd = sym_poly(d)
+            ok, q = divides(d, f)
+            assert ok == exact_quotient_by_sympy(sf, sd, inv)
+            if ok:
+                assert is_zero(sym_poly(q) * sd - sf)
+
+
+def test_gcd_of_t_polynomial_contents_against_sympy():
+    """Contents that are polynomials in T (not units) survive into the gcd."""
+    rng = random.Random(305)
+    ctx = make_context(["x", "y"])
+    for _ in range(15):
+        a, b, c = (Poly.constant(ctx, rand_scalar(rng)) for _ in range(3))
+        l1, l2 = rand_linear(ctx, rng), rand_linear(ctx, rng)
+        f, g = c * a * l1, c * b * l2
+        got = sym_poly(gcd_mv(f, g))
+        assert is_unit(got / sympy_gcd(sym_poly(f), sym_poly(g)))
+        # a constant against a polynomial: the gcd is their scalar gcd
+        got = sym_poly(gcd_mv(c * a, f * l2))
+        assert is_unit(got / sympy_gcd(sym_poly(c * a), sym_poly(f * l2)))
+
+
+def test_check_squarefree_planted_squares_against_sympy():
+    """A planted square is found and nothing else is.  sympy checks that the
+    two factors are not proportional, and that the witness divides h and
+    every partial of h and is the squared factor times a scalar."""
+    rng = random.Random(306)
+    for names in (["x", "y"], ["x", "y", "z"]):
+        ctx = make_context(names)
+        gens = VARS[:len(names)]
+        for it in range(10):
+            l1, l2 = rand_linear(ctx, rng), rand_linear(ctx, rng)
+            s1 = sym_poly(l1)
+            if not any(sympy.cancel(s1 / sym_poly(l2)).has(v) for v in gens):
+                continue  # proportional factors would plant a square
+            squared = it % 2 == 1
+            h = l1 * l1 * l2 if squared else l1 * l2
+            ok, witness = check_squarefree(h)
+            assert ok != squared
+            if squared:
+                sw, sh = sym_poly(witness), sym_poly(h)
+                for e in [sh] + [sympy.diff(sh, v) for v in gens]:
+                    assert exact_quotient_by_sympy(e, sw)
+                assert not sympy.cancel(sw / s1).has(*gens)
+
+
+def test_divides_by_unit_monomials_against_sympy():
+    rng = random.Random(307)
+    for arena, divisor in (("poly", []), ("torus", ["x"]), ("torus", ["x", "y"])):
+        ctx = make_context(["x", "y"], divisor, arena)
+        inv = tuple(VARS[ctx.index(n)] for n in divisor)
+        for _ in range(15):
+            f = rand_linear(ctx, rng, unit_shift=True) * rand_linear(ctx, rng)
+            e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
+            u = Poly.monomial(ctx, e, rand_scalar(rng, max_terms=1))
+            assert u.is_unit_monomial() and is_unit(sym_poly(u), inv)
+            ok, q = divides(u, f)
+            assert ok and is_zero(sym_poly(q) * sym_poly(u) - sym_poly(f))
