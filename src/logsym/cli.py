@@ -41,10 +41,11 @@ from .linalg import LinAlgError
 from .operators import LogDiffOp1, decompose, dirac_check, from_connection, prequantum_op
 from .poisson import PoissonError, bracket, hamiltonian, jacobi_defect, sing_bracket, verify_identities
 from .poly import Poly, PolyError
-from .scalars import Scalar, ScalarError
+from .scalars import ScalarError
 from .sessions import (
     SessionError,
     SessionManifest,
+    _as_poly,
     eval_in_session,
     number_text,
     parse_session,
@@ -85,56 +86,28 @@ def _eval(m: SessionManifest, text: str):
         raise CliError(2, "in %r: %s" % (text, e))
 
 
-def _get_poly(m: SessionManifest, text: str) -> Poly:
-    v = m.funcs.get(text)
-    if v is not None:
-        return v
-    v = _eval(m, text)
-    if isinstance(v, Scalar):
-        return Poly.constant(m.ctx, v)
-    if isinstance(v, Poly):
-        return v
-    raise CliError(2, "%r is not a function" % text)
-
-
-def _get_form(m: SessionManifest, name: Optional[str]) -> LogForm:
-    if name is None:
+def _get(m: SessionManifest, text: Optional[str], kind: str):
+    """The value of text in the session, which must be of kind: a function,
+    a form (the session's one form when text is None), a connection (a
+    1-form) or a vector field."""
+    if text is None:
         if len(m.forms) == 1:
             return next(iter(m.forms.values()))
         raise CliError(2, "give --form (session has %d forms)" % len(m.forms))
-    v = m.forms.get(name)
-    if v is not None:
-        return v
-    v = _eval(m, name)
-    if isinstance(v, LogForm):
-        return v
-    raise CliError(2, "%r is not a form" % name)
-
-
-def _get_conn(m: SessionManifest, name: str) -> Connection1:
-    v = m.conns.get(name)
-    if v is not None:
-        return v
-    v = _eval(m, name)
-    if isinstance(v, Connection1):
-        return v
-    if isinstance(v, LogForm) and v.degree == 1:
-        return Connection1(v)
-    raise CliError(2, "%r is not a connection" % name)
-
-
-def _get_field(m: SessionManifest, name: str) -> LogVectorField:
-    v = m.vfields.get(name)
-    if v is not None:
-        return v
-    v = _eval(m, name)
-    if isinstance(v, LogVectorField):
-        return v
-    raise CliError(2, "%r is not a vector field" % name)
+    v = _eval(m, text)
+    if kind == "function":
+        v = _as_poly(v, m.ctx)
+    elif kind == "connection":
+        v = Connection1(v) if isinstance(v, LogForm) and v.degree == 1 else None
+    elif not isinstance(v, LogForm if kind == "form" else LogVectorField):
+        v = None
+    if v is None:
+        raise CliError(2, "%r is not a %s" % (text, kind))
+    return v
 
 
 def _symplectic(m: SessionManifest, form_name: Optional[str]):
-    w = _get_form(m, form_name)
+    w = _get(m, form_name, "form")
     try:
         return assemble_symplectic(w)
     except DegenerateError as e:
@@ -145,7 +118,7 @@ def _symplectic(m: SessionManifest, form_name: Optional[str]):
 
 def _divisor_poly(m: SessionManifest, arg: Optional[str]) -> Poly:
     if arg is not None:
-        return _get_poly(m, arg)
+        return _get(m, arg, "function")
     h = m.divisor_equation()
     if h is None:
         raise CliError(2, "session declares no divisor")
@@ -184,7 +157,7 @@ def cmd_check_divisor(m, args):
 
 def cmd_check_saito(m, args):
     names = [s for s in args.fields.split(",") if s]
-    fields = [_get_field(m, nm) for nm in names]
+    fields = [_get(m, nm, "vector field") for nm in names]
     h = _divisor_poly(m, args.poly)
     try:
         res = saito_check(fields, h)
@@ -205,12 +178,12 @@ def cmd_check_saito(m, args):
 
 
 def cmd_check_logsymplectic(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     if w.degree != 2:
         raise CliError(2, "--form must be a 2-form")
     closed = w.d().is_zero()
     if args.fields:
-        frame = [_get_field(m, nm) for nm in args.fields.split(",") if nm]
+        frame = [_get(m, nm, "vector field") for nm in args.fields.split(",") if nm]
         kind = FRAME_SAITO
     else:
         frame, kind = log_frame(m.ctx), FRAME_LOG
@@ -231,7 +204,7 @@ def cmd_check_logsymplectic(m, args):
 
 def cmd_hamiltonian(m, args):
     S = _symplectic(m, args.form)
-    f = _get_poly(m, args.f)
+    f = _get(m, args.f, "function")
     try:
         res = hamiltonian(S, f)
     except PoissonError as e:
@@ -242,8 +215,8 @@ def cmd_hamiltonian(m, args):
 
 def cmd_bracket(m, args):
     S = _symplectic(m, args.form)
-    f = _get_poly(m, args.f)
-    g = _get_poly(m, args.g)
+    f = _get(m, args.f, "function")
+    g = _get(m, args.g, "function")
     val = bracket(S, f, g)
     txt = print_canonical(val)
     return 0, {"bracket": txt}, ["{f,g} = %s" % txt]
@@ -251,8 +224,8 @@ def cmd_bracket(m, args):
 
 def cmd_singbracket(m, args):
     S = _symplectic(m, args.form)
-    f = _get_poly(m, args.f)
-    g = _get_poly(m, args.g)
+    f = _get(m, args.f, "function")
+    g = _get(m, args.g, "function")
     val = sing_bracket(S, f, g, h=m.divisor_equation())
     txt = print_canonical(val)
     return 0, {"sing_bracket": txt}, ["{f,g}_sing = %s" % txt]
@@ -260,7 +233,7 @@ def cmd_singbracket(m, args):
 
 def cmd_jacobi(m, args):
     S = _symplectic(m, args.form)
-    f, g, h = (_get_poly(m, t) for t in (args.f, args.g, args.h))
+    f, g, h = (_get(m, t, "function") for t in (args.f, args.g, args.h))
     d = jacobi_defect(S, f, g, h)
     txt = print_canonical(d)
     code = 0 if d.is_zero() else 1
@@ -269,7 +242,7 @@ def cmd_jacobi(m, args):
 
 def cmd_identities(m, args):
     S = _symplectic(m, args.form)
-    u, v, a, b = (_get_poly(m, t) for t in (args.u, args.v, args.a, args.b))
+    u, v, a, b = (_get(m, t, "function") for t in (args.u, args.v, args.a, args.b))
     rep = verify_identities(S, u, v, a, b)
     items = [
         ("hamiltonian of a product", rep.defect_i.is_zero(), print_canonical(rep.defect_i)),
@@ -298,21 +271,21 @@ def cmd_identities(m, args):
 def cmd_symbol(m, args):
     if (args.vfield is None) == (args.f is None):
         raise CliError(2, "give exactly one of --vfield or --f")
-    conn = _get_conn(m, args.conn)
+    conn = _get(m, args.conn, "connection")
     if args.vfield is not None:
-        op = from_connection(conn.sigma, _get_field(m, args.vfield))
+        op = from_connection(conn.sigma, _get(m, args.vfield, "vector field"))
     else:
         S = _symplectic(m, args.form)
-        f = _get_poly(m, args.f)
+        f = _get(m, args.f, "function")
         op = prequantum_op(f, S, conn.sigma)
     txt = print_canonical(op.symbol())
     return 0, {"symbol": txt}, ["symbol = %s" % txt]
 
 
 def cmd_decompose(m, args):
-    conn = _get_conn(m, args.conn)
-    delta = _get_field(m, args.vfield)
-    mult = _get_poly(m, args.mult) if args.mult else Poly.zero(m.ctx)
+    conn = _get(m, args.conn, "connection")
+    delta = _get(m, args.vfield, "vector field")
+    mult = _get(m, args.mult, "function") if args.mult else Poly.zero(m.ctx)
     op = LogDiffOp1(delta, mult)
     sym, mpart = decompose(op, conn.sigma)
     ls, lm = print_canonical(sym), print_canonical(mpart)
@@ -323,9 +296,9 @@ def cmd_decompose(m, args):
 
 def cmd_dirac_test(m, args):
     S = _symplectic(m, args.form)
-    conn = _get_conn(m, args.conn)
-    f = _get_poly(m, args.f)
-    g = _get_poly(m, args.g)
+    conn = _get(m, args.conn, "connection")
+    f = _get(m, args.f, "function")
+    g = _get(m, args.g, "function")
     rep = dirac_check(f, g, S, conn.sigma)
     if rep.holds:
         return 0, {"holds": True}, ["holds"]
@@ -336,21 +309,21 @@ def cmd_dirac_test(m, args):
 
 
 def cmd_curvature(m, args):
-    conn = _get_conn(m, args.conn)
+    conn = _get(m, args.conn, "connection")
     txt = print_canonical(conn.curvature)
     return 0, {"curvature": txt}, ["curvature = %s" % txt]
 
 
 def cmd_gauge(m, args):
-    conn = _get_conn(m, args.conn)
-    tau = _get_form(m, args.tau)
+    conn = _get(m, args.conn, "connection")
+    tau = _get(m, args.tau, "form")
     out = gauge_op(conn, tau)
     txt = print_canonical(out.sigma)
     return 0, {"sigma": txt}, ["sigma = %s" % txt]
 
 
 def cmd_flat(m, args):
-    conn = _get_conn(m, args.conn)
+    conn = _get(m, args.conn, "connection")
     flat, data = is_flat(conn)
     if flat:
         res = ", ".join(print_canonical(r) for r in data)
@@ -364,9 +337,9 @@ def cmd_flat(m, args):
 
 def cmd_residues(m, args):
     if args.conn:
-        w = _get_conn(m, args.conn).sigma
+        w = _get(m, args.conn, "connection").sigma
     else:
-        w = _get_form(m, args.form)
+        w = _get(m, args.form, "form")
     if w.degree != 1:
         raise CliError(2, "residues wants a degree-1 form")
     ok, data = res_const(w)
@@ -390,7 +363,7 @@ def cmd_residues(m, args):
 
 
 def cmd_normalize_residues(m, args):
-    conn = _get_conn(m, args.conn)
+    conn = _get(m, args.conn, "connection")
     out, shifts = normalize_residues(conn)
     txt = print_canonical(out.sigma)
     return 0, {"sigma": txt, "shifts": shifts}, [
@@ -400,7 +373,7 @@ def cmd_normalize_residues(m, args):
 
 
 def cmd_periods(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     try:
         ps = periods(w)
     except PrequantError as e:
@@ -418,7 +391,7 @@ def cmd_periods(m, args):
 
 
 def cmd_integrality(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     try:
         ok, data = integrality_check(w)
     except PrequantError as e:
@@ -445,7 +418,7 @@ def cmd_integrality(m, args):
 
 
 def cmd_class(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     try:
         cls, _ = class_and_primitive(w)
     except PrequantError as e:
@@ -455,7 +428,7 @@ def cmd_class(m, args):
 
 
 def cmd_primitive(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     try:
         _, prim = class_and_primitive(w)
     except PrequantError as e:
@@ -465,7 +438,7 @@ def cmd_primitive(m, args):
 
 
 def cmd_prequantize(m, args):
-    w = _get_form(m, args.form)
+    w = _get(m, args.form, "form")
     if w.degree != 2:
         raise CliError(2, "--form must be a 2-form")
     rep = prequantize(w, m.divisor_poly)

@@ -299,8 +299,6 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     verdict is positive but the chart construction stops at the obstruction
     note; otherwise the first non-integral period is the witness.
     """
-    if not isinstance(omega, LogForm):  # allow assembled symplectic data
-        omega = omega.omega
     ctx = omega.ctx
     if omega.degree != 2:
         raise PrequantError("prequantization wants a 2-form")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .poly import Poly, divides, exact_quotient, gcd_mv
+from .poly import Poly, _strip_laurent, divides, exact_quotient, gcd_mv
 
 
 class LinAlgError(ArithmeticError):
@@ -86,14 +86,17 @@ class RationalFunction:
 def _normalize_fraction(num: Poly, den: Poly):
     """A denominator that divides the numerator (a unit always does) leaves
     the quotient over 1.  Otherwise both are divided by their gcd, which
-    leaves a non-unit denominator, scaled so its leading scalar has unit
-    part 1."""
+    leaves a non-unit denominator; its Laurent-monomial factor (a unit of the
+    torus arena) moves into the numerator, and both are scaled so the
+    denominator's leading scalar has unit part 1."""
     ok, q = divides(den, num)
     if ok:
         return q, Poly.one(num.ctx)
     g = gcd_mv(num, den)
     num = exact_quotient(num, g)
-    den = exact_quotient(den, g)
+    shifts, den = _strip_laurent(exact_quotient(den, g))
+    if any(shifts):
+        num = num * Poly.monomial(num.ctx, [-s for s in shifts])
     _, lc = den.leading()
     inv = lc.unit_part().inverse()
     return num.scale(inv), den.scale(inv)

@@ -132,28 +132,13 @@ def _bracket_and_field(
     return fg, hamiltonian(S, fg).delta
 
 
-def sing_bracket(
-    S: SymplecticData,
-    a: Poly,
-    b: Poly,
-    membership: Optional[Tuple[bool, bool]] = None,
-    h: Optional[Poly] = None,
-) -> Poly:
+def sing_bracket(S: SymplecticData, a: Poly, b: Poly, h: Optional[Poly] = None) -> Poly:
     """The singular bracket: {u,v}/(uv), {u,b}/u, or plain {a,b} according to
-    which arguments lie in the divisor ideal.
-
-    membership may declare (a in I, b in I) explicitly; a declaration that
-    contradicts the membership test is an error.  The asymmetric middle case
-    is extended to (a not in I, b in I) by antisymmetry.
+    which arguments lie in the divisor ideal.  The asymmetric middle case is
+    extended to (a not in I, b in I) by antisymmetry.
     """
     in_a = _ideal_member(S, a, h)
     in_b = _ideal_member(S, b, h)
-    if membership is not None:
-        if membership != (in_a, in_b):
-            raise PoissonError(
-                "declared membership %r contradicts the ideal test (%r, %r)"
-                % (membership, in_a, in_b)
-            )
     return _sing_quotient(a, b, in_a, in_b, bracket(S, a, b))
 
 

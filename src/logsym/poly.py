@@ -232,36 +232,16 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Plain coordinate derivative d/dz_i."""
-        terms: Dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[i] = k - 1
-            e2t = tuple(e2)
-            add = c * Scalar.from_int(k)
-            s = terms.get(e2t)
-            s = add if s is None else s + add
-            if s.is_zero():
-                terms.pop(e2t, None)
-            else:
-                terms[e2t] = s
-        return _poly(self.ctx, terms)
+        return _poly(self.ctx, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * Scalar.from_int(e[i])
+            for e, c in self.terms.items() if e[i]
+        })
 
     def log_partial(self, i: int) -> "Poly":
         """The logarithmic derivative z_i * d/dz_i (stays in the ring even for Laurent exponents)."""
-        terms: Dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            add = c * Scalar.from_int(k)
-            s = terms.get(e)
-            s = add if s is None else s + add
-            if not s.is_zero():
-                terms[e] = s
-        return _poly(self.ctx, terms)
+        return _poly(self.ctx, {
+            e: c * Scalar.from_int(e[i]) for e, c in self.terms.items() if e[i]
+        })
 
     def mul_var_power(self, i: int, k: int) -> "Poly":
         """Multiply by z_i^k (k may be negative only where the arena allows)."""

@@ -289,109 +289,83 @@ class Evaluator:
 
     def _bin(self, pos, op, l, r):
         try:
-            if op in "+-":
-                return self._addsub(pos, op, l, r)
-            if op == "*":
-                return self._mul(pos, l, r)
-            if op == "/":
-                return self._div(pos, l, r)
-            if op == "^":
-                return self._pow(pos, l, r)
+            v = self._combine(op, l, r)
         except (ScalarError, PolyError, CalculusError) as e:
             raise KindError(pos[0], pos[1], str(e)) from None
-        raise AssertionError(op)
+        if v is None:
+            raise KindError(pos[0], pos[1], _refusal(op, l, r))
+        return v
 
-    def _addsub(self, pos, op, l, r):
-        if isinstance(l, Scalar) and isinstance(r, Scalar):
-            return l + r if op == "+" else l - r
-        lp, rp = _as_poly(l, self.ctx), _as_poly(r, self.ctx)
-        if lp is not None and rp is not None:
-            return lp + rp if op == "+" else lp - rp
-        if isinstance(l, LogVectorField) and isinstance(r, LogVectorField):
-            return l + r if op == "+" else l - r
-        if isinstance(l, LogForm) and isinstance(r, LogForm):
-            if l.degree != r.degree:
-                raise KindError(
-                    pos[0], pos[1],
-                    "cannot add forms of degree %d and %d" % (l.degree, r.degree),
-                )
-            return l + r if op == "+" else l - r
-        raise KindError(
-            pos[0], pos[1],
-            "cannot %s %s and %s"
-            % ("add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)),
-        )
+    def _combine(self, op, l, r):
+        """l op r, or None when the kinds of l and r do not combine under op.
 
-    def _mul(self, pos, l, r):
-        if isinstance(l, Scalar) and isinstance(r, Scalar):
-            return l * r
-        # scalar/function factors act on anything; put the plain one on the left
-        if isinstance(r, (Scalar, Poly)) and not isinstance(l, (Scalar, Poly)):
-            l, r = r, l
-        lp = _as_poly(l, self.ctx)
-        if lp is not None:
-            if isinstance(r, Poly):
-                return lp * r
-            if isinstance(r, LogVectorField):
-                return r.scale(lp)
-            if isinstance(r, LogForm):
-                return r.scale(lp)
-        if isinstance(l, LogForm) and isinstance(r, LogForm):
-            raise KindError(pos[0], pos[1], "use ^ to wedge forms")
-        raise KindError(
-            pos[0], pos[1],
-            "cannot multiply %s by %s" % (_kind_name(l), _kind_name(r)),
-        )
-
-    def _div(self, pos, l, r):
-        if isinstance(r, Scalar):
-            if not r.is_unit():
-                raise KindError(pos[0], pos[1], "division by a non-invertible scalar")
-            inv = r.inverse()
+        ^ wedges two forms and otherwise raises a scalar or a function to an
+        integer power.  For the other operators a scalar next to a non-scalar
+        is lifted to the constant function; then + and - take two operands of
+        one kind (forms of one degree), * multiplies two functions or scales a
+        field or form by a function, and / multiplies by the inverse of a
+        unit scalar or a unit monomial.
+        """
+        if op == "^":
+            if isinstance(l, LogForm) and isinstance(r, LogForm):
+                return l.wedge(r)
+            k = _integer(r)
+            if k is None or not isinstance(l, (Scalar, Poly)):
+                return None
+            if k < 0 and isinstance(l, Scalar):
+                return l.inverse() ** -k if l.is_unit() else None
+            return l ** k
+        if op == "/":
+            if isinstance(r, Scalar) and r.is_unit():
+                r = r.inverse()
+            elif isinstance(r, Poly) and r.is_unit_monomial():
+                r = r.inverse_unit()
+            else:
+                return None
+            op = "*"
+        if isinstance(l, Scalar) is not isinstance(r, Scalar):
             if isinstance(l, Scalar):
-                return l * inv
+                l = Poly.constant(self.ctx, l)
+            else:
+                r = Poly.constant(self.ctx, r)
+        if op == "*":
+            if isinstance(r, Poly) and not isinstance(l, Poly):
+                l, r = r, l
             if isinstance(l, Poly):
-                return l.scale(inv)
-            if isinstance(l, LogVectorField):
-                return l.scale(Poly.constant(self.ctx, inv))
-            if isinstance(l, LogForm):
-                return l.scale_scalar(inv)
-        if isinstance(r, Poly):
-            if not r.is_unit_monomial():
-                raise KindError(
-                    pos[0], pos[1], "division by a non-invertible function"
-                )
-            inv = r.inverse_unit()
-            lp = _as_poly(l, self.ctx)
-            if lp is not None:
-                return lp * inv
-            if isinstance(l, LogVectorField):
-                return l.scale(inv)
-            if isinstance(l, LogForm):
-                return l.scale(inv)
-        raise KindError(
-            pos[0], pos[1],
-            "cannot divide %s by %s" % (_kind_name(l), _kind_name(r)),
-        )
+                return l * r if isinstance(r, Poly) else r.scale(l)
+            return l * r if isinstance(l, Scalar) else None
+        if type(l) is not type(r) or (isinstance(l, LogForm) and l.degree != r.degree):
+            return None
+        return l + r if op == "+" else l - r
 
-    def _pow(self, pos, l, r):
-        if isinstance(l, LogForm) and isinstance(r, LogForm):
-            return l.wedge(r)
-        if not isinstance(r, Scalar):
-            raise KindError(pos[0], pos[1], "exponent must be an integer")
-        e = r.rational_value()
-        if e is None or e.denominator != 1:
-            raise KindError(pos[0], pos[1], "exponent must be an integer")
-        k = int(e)
+
+def _integer(v) -> Optional[int]:
+    e = v.rational_value() if isinstance(v, Scalar) else None
+    return int(e) if e is not None and e.denominator == 1 else None
+
+
+def _refusal(op, l, r) -> str:
+    """Why Evaluator._combine turned l op r down, in terms of the kinds."""
+    if op == "^":
+        if _integer(r) is None:
+            return "exponent must be an integer"
         if isinstance(l, Scalar):
-            if k < 0:
-                if not l.is_unit():
-                    raise KindError(pos[0], pos[1], "negative power of a non-unit")
-                return l.inverse() ** (-k)
-            return l ** k
-        if isinstance(l, Poly):
-            return l ** k
-        raise KindError(pos[0], pos[1], "cannot raise a %s to a power" % _kind_name(l))
+            return "negative power of a non-unit"
+        return "cannot raise a %s to a power" % _kind_name(l)
+    if op == "/":
+        if isinstance(r, Scalar):
+            return "division by a non-invertible scalar"
+        if isinstance(r, Poly):
+            return "division by a non-invertible function"
+        return "cannot divide %s by %s" % (_kind_name(l), _kind_name(r))
+    if isinstance(l, LogForm) and isinstance(r, LogForm):
+        if op == "*":
+            return "use ^ to wedge forms"
+        return "cannot add forms of degree %d and %d" % (l.degree, r.degree)
+    if op == "*":
+        return "cannot multiply %s by %s" % (_kind_name(l), _kind_name(r))
+    return "cannot %s %s and %s" % ("add" if op == "+" else "subtract",
+                                    _kind_name(l), _kind_name(r))
 
 
 # -- session manifest -------------------------------------------------------

@@ -147,6 +147,13 @@ def test_hamiltonian_and_brackets(capsys):
     assert (code, lines(out)) == (0, ["{f,g} = -x*y"])
 
 
+def test_scalar_factor_on_either_side(capsys):
+    for f in ("2*x", "x*2"):
+        code, out, err = run(capsys, "bracket", "--session", EXACT,
+                             "--f", f, "--g", "y")
+        assert (code, lines(out), err) == (0, ["{f,g} = -2*y"], "")
+
+
 def test_singbracket_uses_declared_divisor(capsys, monkeypatch):
     # neither x nor y+1 lies in (y), so the singular bracket is the plain one;
     # testing membership against the empty coordinate product 1 instead would
@@ -189,6 +196,12 @@ def test_identities(capsys):
         "jacobi: holds",
     ]
     assert got[5].startswith("additivity over sums (informational): defect = ")
+    # the Laurent unit of a torus denominator sits in the numerator
+    code, out, _ = run(capsys, "identities", "--session", EXACT,
+                       "--u", "y^-1", "--v", "y", "--a", "x", "--b", "y")
+    assert code == 0
+    assert lines(out)[5] == (
+        "additivity over sums (informational): defect = (-y^2 + 1) / (y^2 + 1)")
 
 
 # -- operator commands -------------------------------------------------------

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsym.calculus import LogForm
-from logsym.poly import Poly
-from logsym.scalars import Scalar
+from logsym.calculus import CalculusError, LogForm, LogVectorField
+from logsym.poly import Poly, PolyError
+from logsym.scalars import Scalar, ScalarError
 from logsym.sessions import (
+    Evaluator,
     KindError,
     ParseError,
     SessionError,
+    _as_poly,
+    _kind_name,
     _tokenize,
     eval_in_session,
     parse_session,
@@ -334,3 +337,151 @@ def test_numeral_past_digit_limit_is_a_parse_error(digit_limit):
     assert (e.value.line, e.value.col) == (2, 14)
     assert e.value.expected == "a numeral of at most %d digits" % digit_limit
     assert e.value.found == "%d digits" % (digit_limit + 1)
+
+
+# -- the combine rule against the per-operator reference --------------------
+
+
+class _ReferenceEvaluator(Evaluator):
+    """The evaluator with one dispatch method per operator, each with its own
+    kind ladder; a function times a scalar on the right is refused here."""
+
+    def _bin(self, pos, op, l, r):
+        try:
+            if op in "+-":
+                return self._addsub(pos, op, l, r)
+            if op == "*":
+                return self._mul(pos, l, r)
+            if op == "/":
+                return self._div(pos, l, r)
+            return self._pow(pos, l, r)
+        except (ScalarError, PolyError, CalculusError) as e:
+            raise KindError(pos[0], pos[1], str(e)) from None
+
+    def _addsub(self, pos, op, l, r):
+        if isinstance(l, Scalar) and isinstance(r, Scalar):
+            return l + r if op == "+" else l - r
+        lp, rp = _as_poly(l, self.ctx), _as_poly(r, self.ctx)
+        if lp is not None and rp is not None:
+            return lp + rp if op == "+" else lp - rp
+        if isinstance(l, LogVectorField) and isinstance(r, LogVectorField):
+            return l + r if op == "+" else l - r
+        if isinstance(l, LogForm) and isinstance(r, LogForm):
+            if l.degree != r.degree:
+                raise KindError(pos[0], pos[1], "cannot add forms of degree %d and %d"
+                                % (l.degree, r.degree))
+            return l + r if op == "+" else l - r
+        raise KindError(pos[0], pos[1], "cannot %s %s and %s" % (
+            "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
+
+    def _mul(self, pos, l, r):
+        if isinstance(l, Scalar) and isinstance(r, Scalar):
+            return l * r
+        if isinstance(r, (Scalar, Poly)) and not isinstance(l, (Scalar, Poly)):
+            l, r = r, l
+        lp = _as_poly(l, self.ctx)
+        if lp is not None:
+            if isinstance(r, Poly):
+                return lp * r
+            if isinstance(r, (LogVectorField, LogForm)):
+                return r.scale(lp)
+        if isinstance(l, LogForm) and isinstance(r, LogForm):
+            raise KindError(pos[0], pos[1], "use ^ to wedge forms")
+        raise KindError(pos[0], pos[1], "cannot multiply %s by %s"
+                        % (_kind_name(l), _kind_name(r)))
+
+    def _div(self, pos, l, r):
+        if isinstance(r, Scalar):
+            if not r.is_unit():
+                raise KindError(pos[0], pos[1], "division by a non-invertible scalar")
+            inv = r.inverse()
+            if isinstance(l, Scalar):
+                return l * inv
+            if isinstance(l, Poly):
+                return l.scale(inv)
+            if isinstance(l, LogVectorField):
+                return l.scale(Poly.constant(self.ctx, inv))
+            return l.scale_scalar(inv)
+        if isinstance(r, Poly):
+            if not r.is_unit_monomial():
+                raise KindError(pos[0], pos[1], "division by a non-invertible function")
+            inv = r.inverse_unit()
+            lp = _as_poly(l, self.ctx)
+            return lp * inv if lp is not None else l.scale(inv)
+        raise KindError(pos[0], pos[1], "cannot divide %s by %s"
+                        % (_kind_name(l), _kind_name(r)))
+
+    def _pow(self, pos, l, r):
+        if isinstance(l, LogForm) and isinstance(r, LogForm):
+            return l.wedge(r)
+        e = r.rational_value() if isinstance(r, Scalar) else None
+        if e is None or e.denominator != 1:
+            raise KindError(pos[0], pos[1], "exponent must be an integer")
+        k = int(e)
+        if isinstance(l, Scalar):
+            if k < 0:
+                if not l.is_unit():
+                    raise KindError(pos[0], pos[1], "negative power of a non-unit")
+                return l.inverse() ** (-k)
+            return l ** k
+        if isinstance(l, Poly):
+            return l ** k
+        raise KindError(pos[0], pos[1], "cannot raise a %s to a power" % _kind_name(l))
+
+
+# the torus arena, the polynomial arena and a divisor given by its equation
+COMBINE_SESSIONS = [
+    "vars x y\ndivisor coords x y\nform w : dlog(x)^dlog(y)\nconn s : T*x*dlog(y)\n"
+    "vfield e1 : y*@y\nfunc f1 : x\n",
+    "vars x y\narena poly\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
+    "vfield e1 : y*@y\nfunc f1 : x\n",
+    "vars x y\ndivisor poly x*y*(x + y)\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
+    "vfield e1 : y*@y\nfunc f1 : x\n",
+]
+# every kind: scalars (zero, units, a non-unit), functions (units and not),
+# fields, and forms of degree 1, 2 and 3 (the last one zero)
+COMBINE_ATOMS = ["0", "2", "1/2", "I", "T", "1 + T", "x", "y", "x*y", "x + 1",
+                 "y^-1", "f1", "@x", "x*@y", "e1", "d(x)", "dlog(y)", "x*d(y)",
+                 "d(x)^d(y)", "w", "s", "d(x)^d(y)^d(x)", "0*d(x)", "y*dlog(x)"]
+
+
+def _outcome(ev, op, l, r):
+    try:
+        v = ev._bin((1, 1), op, l, r)
+    except KindError as e:
+        return "error", e.message
+    return type(v).__name__, v
+
+
+@pytest.mark.parametrize("text", COMBINE_SESSIONS, ids=("torus", "poly", "divisor-poly"))
+def test_combine_rule_matches_reference(text):
+    m = parse_session(text)
+    atoms = []
+    for a in COMBINE_ATOMS:
+        try:
+            atoms.append(eval_in_session(m, a))
+        except KindError:  # y^-1 and dlog(y) off the torus arena
+            pass
+    names = {**m.funcs, **m.vfields, **m.forms, **m.conns}
+    ev, ref = Evaluator(m.ctx, names), _ReferenceEvaluator(m.ctx, names)
+    right_scalar = 0
+    for op in "+-*/^":
+        for l in atoms:
+            for r in atoms:
+                got, want = _outcome(ev, op, l, r), _outcome(ref, op, l, r)
+                if want == ("error", "cannot multiply function by scalar"):
+                    # now a product, equal to the scalar-on-the-left one
+                    assert got == _outcome(ev, op, r, l), (op, l, r)
+                    right_scalar += 1
+                else:
+                    assert got == want, (op, l, r)
+    assert right_scalar > 0
+
+
+def test_scalar_on_the_right_of_a_function():
+    m = parse_session(BASE)
+    for right, left in (("x*2", "2*x"), ("x*T", "T*x"), ("(x + 1)*I", "I*(x + 1)"),
+                        ("x^2*T", "T*x^2"), ("f*(1/2)", "(1/2)*f")):
+        assert eval_in_session(m, right) == eval_in_session(m, left), right
+    m = parse_session(BASE + "func g : y*2\n")
+    assert m.funcs["g"] == eval_in_session(m, "2*y")

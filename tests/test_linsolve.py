@@ -148,6 +148,17 @@ def test_as_poly_on_unit_and_non_unit_denominators():
     assert RationalFunction(tx * tx, tx + ty).as_poly() is None
 
 
+def test_torus_denominator_keeps_no_unit():
+    tctx = make_context(["x", "y"], ["y"], "torus")
+    y = Poly.variable(tctx, "y")
+    one = Poly.one(tctx)
+    a = RationalFunction(one, y + y.inverse_unit())
+    b = RationalFunction(y, y * y + one)
+    assert (a.num, a.den) == (b.num, b.den) == (y, y * y + one)
+    c = RationalFunction(one, y * y + y)
+    assert (c.num, c.den) == (y.inverse_unit(), y + one)
+
+
 def test_rational_function_arithmetic():
     ctx, x, y = _xy()
     a = RationalFunction(Poly.one(ctx), x)

@@ -156,10 +156,6 @@ def test_sing_bracket_values():
     a = x + Poly.one(ctx)
     assert sing_bracket(S, x, a).is_zero()
     assert sing_bracket(S, a, x).is_zero()
-    # declared memberships must agree with the test
-    assert sing_bracket(S, x, y, membership=(True, True)) == Poly.from_int(ctx, -1)
-    with pytest.raises(PoissonError):
-        sing_bracket(S, x, y, membership=(True, False))
 
     ctxb, Sb = _chart_b()
     xb, yb = Poly.variable(ctxb, "x"), Poly.variable(ctxb, "y")
