@@ -121,8 +121,8 @@ class LogVectorField:
                 ok, q = divides(Poly.variable(self.ctx, self.ctx.names[i]), a)
                 if not ok:
                     raise CalculusError(
-                        "field is not logarithmic along %s: coefficient %r"
-                        % (self.ctx.names[i], a)
+                        "field is not logarithmic along %s: its @%s coefficient"
+                        " is not divisible by %s" % ((self.ctx.names[i],) * 3)
                     )
                 out.append(q)
         return out
@@ -486,7 +486,10 @@ def gram_determinant(
     """The Gram matrix of omega on frame, its determinant and whether omega
     is nondegenerate there: on the log frame the determinant must be a unit
     of the arena ring (unit monomial in the torus arena, unit constant in the
-    polynomial arena), on a Saito-type frame a nonzero constant."""
+    polynomial arena), on a Saito-type frame a nonzero constant.  A frame
+    has one field per coordinate."""
+    if len(frame) != omega.ctx.n:
+        raise CalculusError("a frame needs %d fields, got %d" % (omega.ctx.n, len(frame)))
     rows = gram_matrix(omega, frame)
     det = det_poly(rows)
     return rows, det, _det_is_unit(det, frame_kind)

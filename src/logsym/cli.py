@@ -18,15 +18,12 @@ from .calculus import (
     FRAME_SAITO,
     CalculusError,
     DegenerateError,
-    LogForm,
-    LogVectorField,
     assemble_symplectic,
     gram_determinant,
     log_frame,
     res_const,
 )
 from .connections import (
-    Connection1,
     PrequantError,
     class_and_primitive,
     gauge as gauge_op,
@@ -45,7 +42,7 @@ from .scalars import ScalarError
 from .sessions import (
     SessionError,
     SessionManifest,
-    _as_poly,
+    _coerce_def,
     eval_in_session,
     number_text,
     parse_session,
@@ -86,23 +83,21 @@ def _eval(m: SessionManifest, text: str):
         raise CliError(2, "in %r: %s" % (text, e))
 
 
-def _get(m: SessionManifest, text: Optional[str], kind: str):
-    """The value of text in the session, which must be of kind: a function,
-    a form (the session's one form when text is None), a connection (a
-    1-form) or a vector field."""
+_KINDS = {"function": "func", "vector field": "vfield", "form": "form",
+          "connection": "conn"}
+
+
+def _get(m: SessionManifest, text: Optional[str], noun: str):
+    """The value of text in the session as a noun (function, vector field,
+    form or connection), by the rule a session definition of that kind
+    follows; the session's one form when a form's text is None."""
     if text is None:
         if len(m.forms) == 1:
             return next(iter(m.forms.values()))
         raise CliError(2, "give --form (session has %d forms)" % len(m.forms))
-    v = _eval(m, text)
-    if kind == "function":
-        v = _as_poly(v, m.ctx)
-    elif kind == "connection":
-        v = Connection1(v) if isinstance(v, LogForm) and v.degree == 1 else None
-    elif not isinstance(v, LogForm if kind == "form" else LogVectorField):
-        v = None
+    v = _coerce_def(_KINDS[noun], _eval(m, text), m.ctx)
     if v is None:
-        raise CliError(2, "%r is not a %s" % (text, kind))
+        raise CliError(2, "%r is not a %s" % (text, noun))
     return v
 
 
@@ -254,8 +249,7 @@ def cmd_identities(m, args):
     lines = []
     for name, ok, txt in items:
         lines.append("%s: %s" % (name, "holds" if ok else "defect = %s" % txt))
-    add = rep.defect_ii
-    add_txt = "(%s) / (%s)" % (print_canonical(add.num), print_canonical(add.den))
+    add_txt = print_canonical(rep.defect_ii)
     lines.append(
         "additivity over sums (informational): defect = %s" % add_txt
     )

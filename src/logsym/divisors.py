@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from .calculus import LogVectorField
 from .context import VarContext
 from .linalg import det_poly
-from .poly import Poly, divides, squarefree_part_check
+from .poly import Poly, divides, gcd_mv
 from .scalars import Scalar
 
 
@@ -41,14 +41,24 @@ class Divisor:
 
 def check_squarefree(h: Poly):
     """Reducedness of {h=0}: the joint gcd of h with all its partials
-    dh/dz_i is constant.
+    dh/dz_i is constant.  (Per-partial gcds are the wrong test in several
+    variables: a factor free of z_i survives into gcd(h, dh/dz_i) without
+    being repeated.)
 
     Returns (True, None) or (False, witness) where the witness is that joint
     gcd, a repeated factor of h.
     """
     if h.is_zero():
         raise DivisorError("zero polynomial")
-    return squarefree_part_check(h)
+    g = h
+    for i in range(h.ctx.n):
+        d = h.partial(i)
+        if d.is_zero():
+            continue
+        g = gcd_mv(g, d)
+        if g.is_constant():
+            return True, None
+    return (True, None) if g.is_constant() else (False, g)
 
 
 def is_logarithmic(delta: LogVectorField, h: Poly):

@@ -23,6 +23,7 @@ from .divisors import coordinate_divisor
 from .linalg import RationalFunction
 from .poly import Poly, divides
 from .scalars import Scalar
+from .sessions import print_canonical
 
 
 class PoissonError(ValueError):
@@ -66,8 +67,8 @@ def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
             ok, v = divides(det, num)
             if not ok:
                 raise PoissonError(
-                    "%s component %d leaves the arena ring: %r / %r"
-                    % (what, k, num, det)
+                    "%s component %d leaves the arena ring: (%s) / (%s)"
+                    % (what, k, print_canonical(num), print_canonical(det))
                 )
         delta = delta + S.frame[k].scale(v)
     return delta
@@ -100,8 +101,8 @@ def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
     ok, q = divides(den, num)
     if not ok:
         raise PoissonError(
-            "%s does not stay in the arena ring: %r"
-            % (what, RationalFunction(num, den))
+            "%s does not stay in the arena ring: %s"
+            % (what, print_canonical(RationalFunction(num, den)))
         )
     return q
 
@@ -167,7 +168,7 @@ def tilde_hamiltonian(
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
     if not u.is_unit_monomial():
-        raise PoissonError("du/u leaves the arena for u = %r" % u)
+        raise PoissonError("du/u leaves the arena for u = %s" % print_canonical(u))
     dlog_u = _dlog_unit(S, u)
     b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
     tilde = _gram_field(S, b, "tilde")
@@ -298,11 +299,11 @@ def _dlog_unit(S: SymplecticData, u: Poly) -> LogForm:
     support in the divisor coordinates, as a constant-coefficient log
     1-form."""
     if len(u.terms) != 1:
-        raise PoissonError("du/u needs a monomial, got %r" % u)
+        raise PoissonError("du/u needs a monomial, got %s" % print_canonical(u))
     ((e, _),) = u.terms.items()
     for i, x in enumerate(e):
         if x and not S.ctx.is_divisor_index(i):
-            raise PoissonError("du/u leaves the arena for u = %r" % u)
+            raise PoissonError("du/u leaves the arena for u = %s" % print_canonical(u))
     return LogForm(
         S.ctx,
         1,

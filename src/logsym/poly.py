@@ -473,21 +473,3 @@ def _normalize_gcd(g: Poly) -> Poly:
     _, g = _strip_laurent(g)
     _, lc = g.leading()
     return g.scale(lc.unit_part().inverse())
-
-
-def squarefree_part_check(h: Poly):
-    """Whether h is squarefree: the joint gcd of h with all its partials is
-    constant.  (Per-partial gcds are the wrong test in several variables: a
-    factor free of z_i survives into gcd(h, dh/dz_i) without being repeated.)
-
-    Returns (True, None) or (False, repeated_factor_witness).
-    """
-    g = h
-    for i in range(h.ctx.n):
-        d = h.partial(i)
-        if d.is_zero():
-            continue
-        g = gcd_mv(g, d)
-        if g.is_constant():
-            return True, None
-    return (True, None) if g.is_constant() else (False, g)

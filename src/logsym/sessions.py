@@ -9,7 +9,9 @@ disjoint, so no ambiguity survives evaluation).  All operator chains,
 including ^, associate left.
 
 Errors carry 1-based line/column positions.  print_canonical emits a
-deterministic text rendering with the guarantee parse(print(x)) == x.
+deterministic text rendering with the guarantee parse(print(x)) == x for
+every value the language builds; it also prints a RationalFunction, which
+the language does not build, as (num) / (den).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .calculus import CalculusError, LogForm, LogVectorField, d_of_function
 from .connections import Connection1
 from .context import POLY, TORUS, ContextError, VarContext, make_context
 from .divisors import coordinate_divisor
+from .linalg import RationalFunction
 from .poly import Poly, PolyError, _grlex_key
 from .scalars import Scalar, ScalarError
 
@@ -370,7 +373,9 @@ def _refusal(op, l, r) -> str:
 
 # -- session manifest -------------------------------------------------------
 
-_DEF_KINDS = ("func", "vfield", "form", "conn")
+# the definition kinds, with what a definition of each must be
+_WANTED = {"func": "function", "vfield": "vector field", "form": "form",
+           "conn": "degree-1 form"}
 
 
 @dataclass
@@ -383,10 +388,10 @@ class SessionManifest:
     conns: Dict[str, Connection1] = field(default_factory=dict)
     order: List[Tuple[str, str]] = field(default_factory=list)
 
-    def named(self, kind: str, name: str):
-        table = {"func": self.funcs, "vfield": self.vfields,
-                 "form": self.forms, "conn": self.conns}[kind]
-        return table.get(name)
+    def table(self, kind: str) -> dict:
+        """The definitions of kind, by name."""
+        return {"func": self.funcs, "vfield": self.vfields,
+                "form": self.forms, "conn": self.conns}[kind]
 
     def divisor_equation(self) -> Optional[Poly]:
         """The defining polynomial: declared directly, or the product of the
@@ -445,7 +450,7 @@ def parse_session(text: str) -> SessionManifest:
                 raise ParseError(p2[0], p2[1], "'poly' or 'torus'", _show(k2, v2))
             arena = v2
             _ExprParser(toks[2:]).finish()
-        elif val in _DEF_KINDS:
+        elif val in _WANTED:
             k2, p2, name = toks[1]
             if k2 != "ident":
                 raise ParseError(p2[0], p2[1], "a name", _show(k2, name))
@@ -489,49 +494,35 @@ def parse_session(text: str) -> SessionManifest:
     for lineno, kind, name, node in defs:
         if name in ctx.names or name in names:
             raise KindError(lineno, 1, "name %r already in use" % name)
-        ev = Evaluator(ctx, names)
-        v = ev.eval(node)
-        v = _coerce_def(lineno, kind, v, ctx)
-        if kind == "func":
-            m.funcs[name] = v
-        elif kind == "vfield":
-            m.vfields[name] = v
-        elif kind == "form":
-            m.forms[name] = v
-        else:
-            m.conns[name] = v
-        names[name] = v
+        v = Evaluator(ctx, names).eval(node)
+        c = _coerce_def(kind, v, ctx)
+        if c is None:
+            raise KindError(lineno, 1, "%s must be a %s, got %s"
+                            % (kind, _WANTED[kind], _kind_name(v)))
+        m.table(kind)[name] = names[name] = c
         m.order.append((kind, name))
     return m
 
 
-def _coerce_def(lineno, kind, v, ctx):
+def _coerce_def(kind: str, v, ctx: VarContext):
+    """v as a value of kind (func, vfield, form or conn), or None when v is
+    not one.  A scalar is a constant function, a function is a 0-form, and a
+    zero function is also the zero field and the zero connection.  Session
+    definitions and CLI arguments both go through this one rule."""
+    p = _as_poly(v, ctx)
     if kind == "func":
-        p = _as_poly(v, ctx)
-        if p is None:
-            raise KindError(lineno, 1, "func must be a function, got %s" % _kind_name(v))
         return p
-    if kind == "vfield":
-        if isinstance(v, LogVectorField):
-            return v
-        p = _as_poly(v, ctx)
-        if p is not None and p.is_zero():
-            return LogVectorField.zero(ctx)
-        raise KindError(lineno, 1, "vfield must be a vector field, got %s" % _kind_name(v))
     if kind == "form":
-        if isinstance(v, LogForm):
-            return v
-        p = _as_poly(v, ctx)
         if p is not None:
             return LogForm.function(p)
-        raise KindError(lineno, 1, "form must be a form, got %s" % _kind_name(v))
-    # conn
-    if isinstance(v, LogForm) and v.degree == 1:
-        return Connection1(v)
-    p = _as_poly(v, ctx)
-    if p is not None and p.is_zero():
-        return Connection1(LogForm.zero(ctx, 1))
-    raise KindError(lineno, 1, "conn must be a degree-1 form, got %s" % _kind_name(v))
+        return v if isinstance(v, LogForm) else None
+    if p is not None:
+        if not p.is_zero():
+            return None
+        v = LogVectorField.zero(ctx) if kind == "vfield" else LogForm.zero(ctx, 1)
+    if kind == "vfield":
+        return v if isinstance(v, LogVectorField) else None
+    return Connection1(v) if isinstance(v, LogForm) and v.degree == 1 else None
 
 
 def _ident_list(toks, what):
@@ -708,6 +699,8 @@ def print_canonical(obj) -> str:
         return scalar_text(obj)
     if isinstance(obj, Poly):
         return poly_text(obj)
+    if isinstance(obj, RationalFunction):
+        return "(%s) / (%s)" % (poly_text(obj.num), poly_text(obj.den))
     if isinstance(obj, LogVectorField):
         return field_text(obj)
     if isinstance(obj, LogForm):
@@ -725,5 +718,5 @@ def print_session(m: SessionManifest) -> str:
         lines.append("divisor coords " + " ".join(m.ctx.names[i] for i in m.ctx.divisor))
     lines.append("arena " + m.ctx.arena)
     for kind, name in m.order:
-        lines.append("%s %s : %s" % (kind, name, print_canonical(m.named(kind, name))))
+        lines.append("%s %s : %s" % (kind, name, print_canonical(m.table(kind)[name])))
     return "\n".join(lines) + "\n"

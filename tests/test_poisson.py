@@ -41,6 +41,7 @@ from logsym.poisson import (
 )
 from logsym.poly import Poly
 from logsym.scalars import Scalar
+from logsym.sessions import print_canonical
 from conftest import rand_poly
 
 
@@ -201,9 +202,9 @@ def test_exact_ratio_matches_rational_function():
             if want is None:
                 with pytest.raises(PoissonError) as exc:
                     _exact_ratio(num, den, "ratio")
-                # the CLI prints this text, so it must not change
+                # the CLI prints this text: the fraction in canonical notation
                 assert str(exc.value) == (
-                    "ratio does not stay in the arena ring: %r" % (r,)
+                    "ratio does not stay in the arena ring: %s" % print_canonical(r)
                 )
             else:
                 assert _exact_ratio(num, den, "ratio") == want

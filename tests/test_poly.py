@@ -3,6 +3,7 @@ import random
 import pytest
 
 from logsym.context import POLY, TORUS, ContextError, make_context
+from logsym.divisors import check_squarefree
 from logsym.poly import (
     Poly,
     PolyError,
@@ -10,7 +11,6 @@ from logsym.poly import (
     divmod_poly,
     exact_quotient,
     gcd_mv,
-    squarefree_part_check,
 )
 from logsym.scalars import Scalar
 from conftest import rand_ctx, rand_poly, rand_scalar
@@ -167,9 +167,9 @@ def test_squarefree_joint_criterion():
     ctx, x, y, z = _xyz()
     two = Poly.from_int(ctx, 2)
     h = x * y * (x + y) * ((z - two) * x + y)
-    ok, w = squarefree_part_check(h)
+    ok, w = check_squarefree(h)
     assert ok and w is None
-    ok2, w2 = squarefree_part_check(x * x * y)
+    ok2, w2 = check_squarefree(x * x * y)
     assert not ok2
     assert divides(w2, x * x * y)[0]
 
