@@ -101,8 +101,15 @@ def _get(m: SessionManifest, text: Optional[str], noun: str):
     return v
 
 
+def _two_form(m: SessionManifest, text: Optional[str]):
+    w = _get(m, text, "form")
+    if w.degree != 2:
+        raise CliError(2, "--form must be a 2-form")
+    return w
+
+
 def _symplectic(m: SessionManifest, form_name: Optional[str]):
-    w = _get(m, form_name, "form")
+    w = _two_form(m, form_name)
     try:
         return assemble_symplectic(w)
     except DegenerateError as e:
@@ -154,6 +161,8 @@ def cmd_check_saito(m, args):
     names = [s for s in args.fields.split(",") if s]
     fields = [_get(m, nm, "vector field") for nm in names]
     h = _divisor_poly(m, args.poly)
+    if len(fields) != m.ctx.n:
+        raise CliError(2, "a frame needs %d fields, got %d" % (m.ctx.n, len(fields)))
     try:
         res = saito_check(fields, h)
     except DivisorError as e:
@@ -173,9 +182,7 @@ def cmd_check_saito(m, args):
 
 
 def cmd_check_logsymplectic(m, args):
-    w = _get(m, args.form, "form")
-    if w.degree != 2:
-        raise CliError(2, "--form must be a 2-form")
+    w = _two_form(m, args.form)
     closed = w.d().is_zero()
     if args.fields:
         frame = [_get(m, nm, "vector field") for nm in args.fields.split(",") if nm]
@@ -367,7 +374,7 @@ def cmd_normalize_residues(m, args):
 
 
 def cmd_periods(m, args):
-    w = _get(m, args.form, "form")
+    w = _two_form(m, args.form)
     try:
         ps = periods(w)
     except PrequantError as e:
@@ -385,7 +392,7 @@ def cmd_periods(m, args):
 
 
 def cmd_integrality(m, args):
-    w = _get(m, args.form, "form")
+    w = _two_form(m, args.form)
     try:
         ok, data = integrality_check(w)
     except PrequantError as e:
@@ -432,9 +439,7 @@ def cmd_primitive(m, args):
 
 
 def cmd_prequantize(m, args):
-    w = _get(m, args.form, "form")
-    if w.degree != 2:
-        raise CliError(2, "--form must be a 2-form")
+    w = _two_form(m, args.form)
     rep = prequantize(w, m.divisor_poly)
     ctx = m.ctx
     lines = [

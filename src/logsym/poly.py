@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Optional, Tuple
 
-from .context import VarContext
+from .context import TORUS, VarContext
 from .scalars import Scalar, ScalarError, _power, scalar_gcd
 
 Exp = Tuple[int, ...]
@@ -369,18 +369,16 @@ def exact_quotient(f: Poly, g: Poly) -> Poly:
 
 
 def _strip_laurent(f: Poly):
-    """Factor f = z^m * f0 with f0 normalised in every invertible coordinate.
-
-    On Laurent-legal coordinates the full minimum degree is stripped (the
-    monomial is a unit either way); elsewhere only negative minima, which a
-    well-formed polynomial cannot have.  Returns (m, f0).
+    """Factor f = z^m * f0 with f0 of minimum degree 0 in every divisor
+    coordinate of a torus arena, where z^m is a unit.  No other coordinate
+    carries a negative exponent, and nothing else is stripped: in the poly
+    arena f0 is f.  Returns (m, f0).
     """
     shifts = [0] * f.ctx.n
-    for i in range(f.ctx.n):
-        m = f.min_degree_in(i)
-        if m < 0 or (m > 0 and f.ctx.laurent_ok(i)):
-            shifts[i] = m
-    if all(s == 0 for s in shifts):
+    if f.ctx.arena == TORUS:
+        for i in f.ctx.divisor:
+            shifts[i] = f.min_degree_in(i)
+    if not any(shifts):
         return shifts, f
     terms = {
         tuple(x - s for x, s in zip(e, shifts)): c for e, c in f.terms.items()
@@ -397,14 +395,24 @@ def _coeffs_in(f: Poly, i: int):
 
 
 def _poly_content_in(f: Poly, i: int) -> Poly:
-    """gcd of the coefficients of f viewed in the variable i."""
+    """gcd of the coefficients of f viewed in the variable i; 1, with no gcd
+    taken, when one of them is a unit."""
     cs = list(_coeffs_in(f, i).values())
+    if any(c.is_unit_monomial() for c in cs):
+        return Poly.one(f.ctx)
     acc = cs[0]
     for c in cs[1:]:
         acc = gcd_mv(acc, c)
         if acc.is_one():
             break
     return acc
+
+
+def _primitive_in(f: Poly, i: int):
+    """(content, primitive part) of f in the variable i; a content of 1
+    divides nothing."""
+    c = _poly_content_in(f, i)
+    return c, (f if c.is_one() else exact_quotient(f, c))
 
 
 def _pseudo_rem(f: Poly, g: Poly, i: int) -> Poly:
@@ -449,11 +457,9 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
         # one side is free of z_i, so the gcd divides the other's content in z_i
         f, g = (a, b) if b.degree_in(i) > 0 else (b, a)
         return gcd_mv(f, _poly_content_in(g, i))
-    ca = _poly_content_in(a, i)
-    cb = _poly_content_in(b, i)
+    ca, pa = _primitive_in(a, i)
+    cb, pb = _primitive_in(b, i)
     cont = gcd_mv(ca, cb)
-    pa = exact_quotient(a, ca)
-    pb = exact_quotient(b, cb)
     if pa.degree_in(i) < pb.degree_in(i):
         pa, pb = pb, pa
     while True:
@@ -463,7 +469,7 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
         if r.degree_in(i) == 0:
             pb = Poly.one(a.ctx)
             break
-        pa, pb = pb, exact_quotient(r, _poly_content_in(r, i))
+        pa, pb = pb, _primitive_in(r, i)[1]
     return _normalize_gcd(cont * pb)
 
 

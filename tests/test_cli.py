@@ -69,10 +69,10 @@ def test_check_saito_free(capsys):
 
 
 def test_check_saito_failures(capsys):
-    code, out, _ = run(capsys, "check-saito", "--session", SAITO,
-                       "--fields", "d1,d2")
-    assert code == 1
-    assert "not free: need exactly 3 fields, got 2" in out
+    # a frame has one field per coordinate; any other count is an error
+    for fields, got in (("d1,d2", 2), ("d1", 1), ("d1,d2,d3,d1", 4)):
+        assert run(capsys, "check-saito", "--session", SAITO, "--fields", fields) == (
+            2, "", "error: a frame needs 3 fields, got %d\n" % got)
 
     # repeating a field makes the determinant vanish
     code, out, _ = run(capsys, "check-saito", "--session", SAITO,
@@ -514,6 +514,46 @@ def test_library_error_bytes(capsys, monkeypatch):
         assert run_stdin(capsys, monkeypatch, session, *argv) == (2, "", text)
         assert run_stdin(capsys, monkeypatch, session, *argv,
                          "--format", "json") == (2, doc, "")
+
+
+# Malformed input found by the CLI before any check runs: a field list of
+# the wrong size, and a form of the wrong degree where a 2-form is wanted.
+MALFORMED = [
+    (["check-saito", "--session", SAITO, "--fields", "d1,d2"],
+     "a frame needs 3 fields, got 2"),
+    (["periods", "--session", TORUS, "--form", "u"], "--form must be a 2-form"),
+    (["integrality", "--session", TORUS, "--form", "x"], "--form must be a 2-form"),
+    (["hamiltonian", "--session", EXACT, "--form", "x", "--f", "x"],
+     "--form must be a 2-form"),
+    (["bracket", "--session", EXACT, "--form", "dlog(y)", "--f", "x", "--g", "y"],
+     "--form must be a 2-form"),
+    (["singbracket", "--session", EXACT, "--form", "x", "--f", "x", "--g", "y"],
+     "--form must be a 2-form"),
+    (["jacobi", "--session", EXACT, "--form", "x", "--f", "x", "--g", "y",
+      "--h", "x*y"], "--form must be a 2-form"),
+    (["identities", "--session", EXACT, "--form", "x", "--u", "y", "--v", "y",
+      "--a", "x", "--b", "y"], "--form must be a 2-form"),
+    (["symbol", "--session", EXACT, "--form", "x", "--conn", "s", "--f", "x"],
+     "--form must be a 2-form"),
+    (["dirac-test", "--session", EXACT, "--form", "x", "--conn", "s", "--f", "x",
+      "--g", "y"], "--form must be a 2-form"),
+]
+
+
+def test_malformed_input_exits_2(capsys):
+    for argv, message in MALFORMED:
+        text, doc = _error_bytes(argv[0], message)
+        assert run(capsys, *argv) == (2, "", text)
+        assert run(capsys, *argv, "--format", "json") == (2, doc, "")
+
+
+def test_wrong_forms_that_stay_verdicts(capsys):
+    """A 2-form that is not closed, or a chart of odd dimension, is a
+    verdict on the data, not malformed input."""
+    code, out, _ = run(capsys, "periods", "--session", SAITO, "--form", "z*d(x)^d(y)")
+    assert (code, out) == (1, "periods of a non-closed form are undefined\n")
+    assert run(capsys, "hamiltonian", "--session", SAITO, "--form", "d(x)^d(y)",
+               "--f", "x") == (1, "", "error: chart dimension 3 is odd\n")
 
 
 def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):

@@ -2,17 +2,21 @@ import random
 
 import pytest
 
+from logsym import divisors, poly
 from logsym.context import POLY, TORUS, ContextError, make_context
 from logsym.divisors import check_squarefree
 from logsym.poly import (
     Poly,
     PolyError,
+    _coeffs_in,
+    _poly,
+    _pseudo_rem,
     divides,
     divmod_poly,
     exact_quotient,
     gcd_mv,
 )
-from logsym.scalars import Scalar
+from logsym.scalars import Scalar, scalar_gcd
 from conftest import rand_ctx, rand_poly, rand_scalar
 
 
@@ -161,6 +165,138 @@ def test_gcd_known_values():
     dz = h.partial(2)
     g2 = gcd_mv(h, dz)
     assert g2 == x * y * (x + y)
+
+
+# -- the gcd against the content-in-every-case reference ---------------------
+
+
+def _reference_strip(f):
+    shifts = [0] * f.ctx.n
+    for i in range(f.ctx.n):
+        m = f.min_degree_in(i)
+        if m < 0 or (m > 0 and f.ctx.laurent_ok(i)):
+            shifts[i] = m
+    if all(s == 0 for s in shifts):
+        return f
+    return _poly(f.ctx, {
+        tuple(x - s for x, s in zip(e, shifts)): c for e, c in f.terms.items()
+    })
+
+
+def _reference_content(f, i):
+    cs = list(_coeffs_in(f, i).values())
+    acc = cs[0]
+    for c in cs[1:]:
+        acc = _reference_gcd(acc, c)
+        if acc.is_one():
+            break
+    return acc
+
+
+def _reference_normalize(g):
+    if g.is_zero():
+        return g
+    g = _reference_strip(g)
+    _, lc = g.leading()
+    return g.scale(lc.unit_part().inverse())
+
+
+def _reference_gcd(a, b):
+    """gcd_mv as a primitive PRS that computes every content by gcds, divides
+    by it even when it is 1, and strips every coordinate."""
+    if a.is_zero() and b.is_zero():
+        return a
+    if a.is_zero():
+        return _reference_normalize(b)
+    if b.is_zero():
+        return _reference_normalize(a)
+    a, b = _reference_strip(a), _reference_strip(b)
+    used = a.variables_used() | b.variables_used()
+    if not used:
+        c = scalar_gcd(a.constant_coefficient(), b.constant_coefficient())
+        return Poly.constant(a.ctx, c)
+    i = max(used)
+    if a.degree_in(i) == 0 or b.degree_in(i) == 0:
+        f, g = (a, b) if b.degree_in(i) > 0 else (b, a)
+        return _reference_gcd(f, _reference_content(g, i))
+    ca, cb = _reference_content(a, i), _reference_content(b, i)
+    cont = _reference_gcd(ca, cb)
+    pa, pb = exact_quotient(a, ca), exact_quotient(b, cb)
+    if pa.degree_in(i) < pb.degree_in(i):
+        pa, pb = pb, pa
+    while True:
+        r = _pseudo_rem(pa, pb, i)
+        if r.is_zero():
+            break
+        if r.degree_in(i) == 0:
+            pb = Poly.one(a.ctx)
+            break
+        pa, pb = pb, exact_quotient(r, _reference_content(r, i))
+    return _reference_normalize(cont * pb)
+
+
+def _factors(deg, terms):
+    """Seeded nonzero factors (c, g, a, b) in 2 and 3 variables, in the poly
+    arena and in torus arenas with negative exponents on one or every divisor
+    coordinate.  The constant c is a polynomial in T more often than a unit,
+    so contents that are not units reach the gcds."""
+    rng = random.Random(213)
+    for names in (["x", "y"], ["x", "y", "z"]):
+        for arena, divisor in ((POLY, []), (TORUS, names[:1]), (TORUS, names)):
+            ctx = make_context(names, divisor, arena)
+            k = 0
+            while k < 10:
+                c = Poly.constant(ctx, rand_scalar(rng, tmin=0, tmax=1, terms=3))
+                fs = [c] + [rand_poly(ctx, rng, deg, terms, allow_zero=False)
+                            for _ in range(3)]
+                if not any(f.is_zero() for f in fs):
+                    k += 1
+                    yield fs
+
+
+def test_gcd_matches_reference(monkeypatch):
+    beside_unit = []
+    content = poly._poly_content_in
+
+    def recorded(f, i):
+        cs = _coeffs_in(f, i).values()
+        beside_unit.append(any(c.is_unit_monomial() for c in cs))
+        return content(f, i)
+    monkeypatch.setattr(poly, "_poly_content_in", recorded)
+    n = 0
+    for c, g, a, b in _factors(deg=3, terms=2):
+        f1, f2 = c * g * a, g * b
+        assert gcd_mv(f1, f2) == _reference_gcd(f1, f2)
+        assert gcd_mv(f2, f1) == _reference_gcd(f2, f1)
+        n += 1
+    assert n == 60
+    # both branches of the unit rule ran
+    assert any(beside_unit) and not all(beside_unit)
+
+
+def test_squarefree_matches_reference(monkeypatch):
+    hs = [c * a * b * (a if k % 2 else Poly.one(a.ctx))
+          for k, (c, _, a, b) in enumerate(_factors(deg=2, terms=2))]
+    got = [check_squarefree(h) for h in hs]
+    monkeypatch.setattr(divisors, "gcd_mv", _reference_gcd)
+    assert got == [check_squarefree(h) for h in hs]
+    assert any(ok for ok, _ in got) and not all(ok for ok, _ in got)
+
+
+def test_content_beside_a_unit_takes_no_gcd(monkeypatch):
+    ctx, x, y, z = _xyz()
+    calls = []
+    gcd = poly.gcd_mv
+    monkeypatch.setattr(poly, "gcd_mv", lambda a, b: calls.append(1) or gcd(a, b))
+    one = Poly.one(ctx)
+    # x^2 has coefficient 1 in (x + y) * (x + 2y + 1)
+    assert poly._poly_content_in((x + y) * (x + y + y + one), 0).is_one()
+    assert calls == []
+    # no coefficient of (1 + T) * (x + y) * y in x is a unit: the gcds run
+    t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+    ok, u = divides(poly._poly_content_in(t * (x + y) * y, 0), t * y)
+    assert ok and u.is_unit_monomial()
+    assert calls
 
 
 def test_squarefree_joint_criterion():
