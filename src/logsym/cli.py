@@ -418,8 +418,15 @@ def cmd_integrality(m, args):
     }, [line]
 
 
+def _homotopy_form(m: SessionManifest, text: Optional[str]):
+    w = _get(m, text, "form")
+    if w.degree < 1:
+        raise CliError(2, "--form must have degree >= 1")
+    return w
+
+
 def cmd_class(m, args):
-    w = _get(m, args.form, "form")
+    w = _homotopy_form(m, args.form)
     try:
         cls, _ = class_and_primitive(w)
     except PrequantError as e:
@@ -429,7 +436,7 @@ def cmd_class(m, args):
 
 
 def cmd_primitive(m, args):
-    w = _get(m, args.form, "form")
+    w = _homotopy_form(m, args.form)
     try:
         _, prim = class_and_primitive(w)
     except PrequantError as e:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .calculus import LogForm, LogVectorField, SymplecticData, d_of_function
+from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
 from .context import TORUS
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
@@ -51,13 +51,15 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
 
 def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
     """sum_k v_k frame_k with A^T v = b, read off the stored adjugate:
-    v_k = (adj * b)_k / det.  what names the field in the error raised when
-    some v_k is not in the arena ring."""
+    v_k = (adj * b)_k / det, added into the field's coefficients only where
+    frame_k has a nonzero one.  what names the field in the error raised
+    when some v_k is not in the arena ring."""
     det = S.det_cert
     inv = det.inverse_unit() if det.is_unit_monomial() else None
-    delta = LogVectorField.zero(S.ctx)
+    zero = Poly.zero(S.ctx)
+    coeffs = [zero] * S.ctx.n
     for k, row in enumerate(S.adjugate):
-        num = Poly.zero(S.ctx)
+        num = zero
         for a, bl in zip(row, b):
             if not a.is_zero():
                 num = num + a * bl
@@ -70,8 +72,10 @@ def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
                     "%s component %d leaves the arena ring: (%s) / (%s)"
                     % (what, k, print_canonical(num), print_canonical(det))
                 )
-        delta = delta + S.frame[k].scale(v)
-    return delta
+        for i, c in enumerate(S.frame[k].coeffs):
+            if not c.is_zero():
+                coeffs[i] = coeffs[i] + v * c
+    return _field(S.ctx, tuple(coeffs))
 
 
 def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:

@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .context import TORUS, VarContext
-from .scalars import Scalar, ScalarError, _power, scalar_gcd
+from .scalars import Scalar, ScalarError, _power, _times_int, scalar_gcd
 
 Exp = Tuple[int, ...]
 
@@ -47,7 +47,12 @@ def _poly(ctx: VarContext, terms: Dict[Exp, Scalar]) -> "Poly":
 
 
 class Poly:
-    """Sparse polynomial over Scalar coefficients in a fixed VarContext."""
+    """Sparse polynomial over Scalar coefficients in a fixed VarContext.
+
+    ``terms`` is never changed after it is built, so results may share a
+    table or a coefficient with their operands: ``p + 0`` is ``p`` and
+    ``1 * p`` is a Poly over ``p.terms`` itself.
+    """
 
     __slots__ = ("ctx", "terms")
 
@@ -177,6 +182,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._binop_ctx(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
@@ -195,9 +204,23 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._binop_ctx(other)
+        x, y = self.terms, other.terms
+        if len(y) == 1:
+            x, y = y, x
+        if len(x) == 1:
+            # c*z^e times y: the shift is injective and the coefficient ring
+            # is a domain, so no two terms meet and none vanishes
+            ((e1, c1),) = x.items()
+            if any(e1):
+                return _poly(self.ctx, {
+                    tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in y.items()
+                })
+            if c1.is_one():
+                return _poly(self.ctx, y)
+            return _poly(self.ctx, {e2: c1 * c2 for e2, c2 in y.items()})
         terms: Dict[Exp, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
                 e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
@@ -233,14 +256,14 @@ class Poly:
     def partial(self, i: int) -> "Poly":
         """Plain coordinate derivative d/dz_i."""
         return _poly(self.ctx, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * Scalar.from_int(e[i])
+            e[:i] + (e[i] - 1,) + e[i + 1:]: _times_int(c, e[i])
             for e, c in self.terms.items() if e[i]
         })
 
     def log_partial(self, i: int) -> "Poly":
         """The logarithmic derivative z_i * d/dz_i (stays in the ring even for Laurent exponents)."""
         return _poly(self.ctx, {
-            e: c * Scalar.from_int(e[i]) for e, c in self.terms.items() if e[i]
+            e: _times_int(c, e[i]) for e, c in self.terms.items() if e[i]
         })
 
     def mul_var_power(self, i: int, k: int) -> "Poly":

@@ -111,11 +111,21 @@ def _scalar(t):
     return s
 
 
+def _times_int(s, n):
+    """n * s for a nonzero int n, with no product of tables; s itself when n
+    is 1."""
+    if n == 1:
+        return s
+    return _scalar({k: _red(a * n, b * n, d) for k, (a, b, d) in s._t.items()})
+
+
 class Scalar:
     """An exact element of QQ(i)[T, T^-1], T standing for 2*pi*i.
 
     ``_t`` maps the T-power to a canonical ``(re, im, den)`` triple; zero
-    values are never stored, so equality is plain table equality.
+    values are never stored, so equality is plain table equality.  A table
+    is never changed after it is built, so results may share one: ``1 * s``
+    is a Scalar over ``s._t`` itself.
     """
 
     __slots__ = ("_t",)
@@ -222,9 +232,19 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        x, y = self._t, other._t
+        if len(y) == 1:
+            x, y = y, x
+        if len(x) == 1:
+            # c*T^k times y: the shift is injective and Q(i) has no zero
+            # divisors, so no two terms meet and none vanishes
+            ((k, v),) = x.items()
+            if k == 0 and v == (1, 0, 1):
+                return _scalar(y)
+            return _scalar({k + k2: _gmul(v, v2) for k2, v2 in y.items()})
         terms = {}
-        for k1, v1 in self._t.items():
-            for k2, v2 in other._t.items():
+        for k1, v1 in x.items():
+            for k2, v2 in y.items():
                 k = k1 + k2
                 w = _gmul(v1, v2)
                 u = terms.get(k)

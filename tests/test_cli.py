@@ -517,7 +517,8 @@ def test_library_error_bytes(capsys, monkeypatch):
 
 
 # Malformed input found by the CLI before any check runs: a field list of
-# the wrong size, and a form of the wrong degree where a 2-form is wanted.
+# the wrong size, a form of the wrong degree where a 2-form is wanted, and a
+# 0-form where the homotopy operator wants degree >= 1.
 MALFORMED = [
     (["check-saito", "--session", SAITO, "--fields", "d1,d2"],
      "a frame needs 3 fields, got 2"),
@@ -537,6 +538,9 @@ MALFORMED = [
      "--form must be a 2-form"),
     (["dirac-test", "--session", EXACT, "--form", "x", "--conn", "s", "--f", "x",
       "--g", "y"], "--form must be a 2-form"),
+    (["class", "--session", TORUS, "--form", "x"], "--form must have degree >= 1"),
+    (["primitive", "--session", EXACT, "--form", "x*y"],
+     "--form must have degree >= 1"),
 ]
 
 
@@ -554,6 +558,10 @@ def test_wrong_forms_that_stay_verdicts(capsys):
     assert (code, out) == (1, "periods of a non-closed form are undefined\n")
     assert run(capsys, "hamiltonian", "--session", SAITO, "--form", "d(x)^d(y)",
                "--f", "x") == (1, "", "error: chart dimension 3 is odd\n")
+    for cmd in ("class", "primitive"):
+        for form in ("x*d(y)", "z*d(x)^d(y)"):
+            assert run(capsys, cmd, "--session", SAITO, "--form", form) == (
+                1, "form is not closed\n", "")
 
 
 def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):

@@ -103,3 +103,48 @@ def test_tracer_targets_resolve():
         elif not callable(getattr(mod, attr, None)):
             missing.append("%s.%s" % (modname, attr))
     assert not missing, "tracer targets missing: " + ", ".join(missing)
+
+
+_TABLES = {"terms", "_t"}
+_MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
+
+
+def _is_table(node):
+    return isinstance(node, ast.Attribute) and node.attr in _TABLES
+
+
+def _table_mutations(tree):
+    """(line, what) for every in-place change of a `.terms` or `._t` table:
+    an item assigned or deleted, an augmented assignment to the table, or a
+    call of a mutating dict method on it.  A local alias of a table is not
+    followed; every kernel builds a fresh dict and wraps it instead."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for t in targets:
+                if isinstance(t, ast.Subscript) and _is_table(t.value):
+                    out.append((node.lineno, "item of ." + t.value.attr))
+                elif isinstance(node, ast.AugAssign) and _is_table(t):
+                    out.append((node.lineno, "augmented ." + t.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS and _is_table(node.func.value)):
+            out.append((node.lineno, "." + node.func.value.attr + "." + node.func.attr))
+    return out
+
+
+def test_tables_are_never_changed_in_place():
+    """A Poly.terms or Scalar._t table is never changed after it is built,
+    which is what lets one-term products and sums with zero hand an operand's
+    table (or the operand) back as the result."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d %s" % (path.name, line, what)
+                  for line, what in _table_mutations(tree)]
+    assert not found, "tables changed in place: " + ", ".join(found)
+    # the walk sees each form of change and nothing else
+    sample = ("p.terms[e] = c\ndel s._t[k]\np.terms |= q\np.terms.pop(e)\n"
+              "s._t.update(t)\np.terms.setdefault(e, c)\ns._t.clear()\n"
+              "x: int = 0\nterms[e] = c\np.terms = {}\nq = p.terms.get(e)\n")
+    assert [line for line, _ in _table_mutations(ast.parse(sample))] == list(range(1, 8))

@@ -334,6 +334,58 @@ def test_saito_frame_with_non_unit_constant_det():
     assert delta == LogVectorField(ctx, [Poly.zero(ctx), -Poly.one(ctx)])
 
 
+def _chart_cross(fields):
+    """omega = (1+T) d(x)^d(y) on the polynomial plane with the Saito frame
+    whose coefficient rows fields(x, y, one, zero) returns, of determinant
+    1: the Gram determinant (1+T)^2 is a constant but not a unit."""
+    ctx = make_context(["x", "y"], [], "poly")
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    one = Poly.one(ctx)
+    one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+    w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(one_t)
+    frame = [LogVectorField(ctx, c) for c in fields(x, y, one, Poly.zero(ctx))]
+    return ctx, assemble_symplectic(w, frame, FRAME_SAITO)
+
+
+def test_gram_field_meets_cross_terms():
+    """Frames whose fields have several nonzero coefficients, so that the
+    coefficients of the Hamiltonian field gather terms from more than one
+    frame field: every field equals the fraction-field solve, on these Saito
+    frames through the divides branch and on charts A, B and C."""
+    charts = [
+        _chart_cross(lambda x, y, one, zero: [[one, zero], [x, one]]),  # @x, x*@x + @y
+        _chart_cross(lambda x, y, one, zero: [[one, one], [x, one + x]]),
+    ]
+    for ctx, S in charts:
+        one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+        assert S.det_cert == one_t * one_t
+        assert sum(not c.is_zero() for c in S.frame[1].coeffs) == 2
+        rng = random.Random(515)
+        for _ in range(20):
+            f = rand_poly(ctx, rng, deg=3, terms=3)
+            ref = _reference_hamiltonian(S, one_t * f)
+            assert ref is not None and hamiltonian(S, one_t * f).delta == ref
+            ref = _reference_hamiltonian(S, f)
+            if ref is None:
+                with pytest.raises(PoissonError, match="leaves the arena ring"):
+                    hamiltonian(S, f)
+            else:
+                assert hamiltonian(S, f).delta == ref
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        rng = random.Random(516)
+        for _ in range(6):
+            f = rand_poly(ctx, rng, deg=3, terms=3)
+            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+            e = tuple(rng.randint(-2, 2) if ctx.is_divisor_index(i) else 0
+                      for i in range(ctx.n))
+            if not any(e):
+                continue
+            u = Poly.monomial(ctx, e, Scalar.from_rational(rng.randint(1, 5), 0, 1))
+            b = [Poly.from_int(ctx, x) for x in e]
+            assert tilde_hamiltonian(S, u) == _reference_field(S, b)
+
+
 def test_stored_adjugate_inverts_the_gram_matrix():
     for maker in (_chart_a, _chart_b, _chart_c, _chart_saito):
         ctx, S = maker()

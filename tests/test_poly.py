@@ -368,3 +368,86 @@ def test_power_is_square_and_multiply(monkeypatch):
         counts.clear()
         assert base ** k == expect
         assert counts.get(type(base).__name__) == want
+
+
+# -- one-term products against the general double loop ---------------------
+
+
+def _reference_mul(p, q):
+    """Poly.__mul__ as the general double loop with accumulation and a zero
+    test on every term: the reference for its one-term paths."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            s = terms.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return _poly(p.ctx, terms)
+
+
+def _reference_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        s = terms.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return _poly(p.ctx, terms)
+
+
+def _reference_partial(p, i, log):
+    """z_i d/dz_i (log) or d/dz_i, each coefficient times Scalar.from_int of
+    the exponent."""
+    return _poly(p.ctx, {
+        (e if log else e[:i] + (e[i] - 1,) + e[i + 1:]): c * Scalar.from_int(e[i])
+        for e, c in p.terms.items() if e[i]
+    })
+
+
+def _one_term_operands(ctx, rng):
+    """Zero, 1 and -1; other constants (3, i, T-powers, 1 + T); monomials
+    with unit and non-unit coefficients, at negative exponents where the
+    arena allows; and seeded multi-term polys."""
+    one, t = Scalar.one(), Scalar.two_pi_i()
+    consts = [Scalar.zero(), one, -one, Scalar.from_int(3), Scalar.i_unit(),
+              Scalar.two_pi_i(2), Scalar.two_pi_i(-1), one + t,
+              Scalar.from_rational(1, -3, 0) + Scalar.two_pi_i(-2)]
+    out = [Poly.constant(ctx, c) for c in consts]
+    exps = [(1, 0), (2, 1), (0, 3)]
+    if ctx.arena == TORUS:
+        exps += [(-1, 0), (-2, 3), (1, -1)]
+    for e in exps:
+        for c in (one, -t, one + t, Scalar.from_rational(2, 5)):
+            out.append(Poly.monomial(ctx, e, c))
+    out += [rand_poly(ctx, rng, deg=3, terms=4, allow_zero=False) for _ in range(8)]
+    return out
+
+
+def test_products_and_derivatives_match_the_double_loop():
+    rng = random.Random(214)
+    for arena, divisor in ((POLY, []), (TORUS, ["x", "y"])):
+        ctx = make_context(["x", "y"], divisor, arena)
+        zero = Poly.zero(ctx)
+        ops = _one_term_operands(ctx, rng)
+        for p in ops:
+            for q in ops:
+                pq = p * q
+                assert pq.terms == _reference_mul(p, q).terms
+                assert all(not c.is_zero() for c in pq.terms.values())
+            assert (p + zero).terms == _reference_add(p, zero).terms
+            assert (zero + p).terms == _reference_add(zero, p).terms
+            if not p.is_zero():
+                assert (p + zero) is p and (zero + p) is p
+            for i in range(ctx.n):
+                assert p.partial(i).terms == _reference_partial(p, i, False).terms
+                assert p.log_partial(i).terms == _reference_partial(p, i, True).terms
+        # 1 * p shares the table of p, which is never changed after it is built
+        one = Poly.one(ctx)
+        assert (one * ops[-1]).terms is ops[-1].terms is (ops[-1] * one).terms

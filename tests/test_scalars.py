@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from logsym.scalars import Scalar, ScalarError, scalar_gcd
+from logsym.scalars import Scalar, ScalarError, _gadd, _gmul, _scalar, scalar_gcd
 from conftest import rand_scalar
 
 T = Scalar.two_pi_i()
@@ -261,3 +261,50 @@ def test_terms_view_is_read_only_fractions():
     assert type(Scalar.zero().rational_value()) is Fraction
     assert type((T * Scalar.from_int(3)).integer_times_t()) is int
     assert Scalar.from_int(Fraction(3, 2)) == Scalar.from_rational(Fraction(3, 2))
+
+
+def _reference_mul(a, b):
+    """Scalar.__mul__ as the general double loop over both tables, with
+    accumulation and a zero test on every term: the reference for its
+    one-term paths."""
+    terms = {}
+    for k1, v1 in a._t.items():
+        for k2, v2 in b._t.items():
+            k = k1 + k2
+            w = _gmul(v1, v2)
+            u = terms.get(k)
+            if u is not None:
+                w = _gadd(u, w)
+            if w is None:
+                del terms[k]
+            else:
+                terms[k] = w
+    return _scalar(terms)
+
+
+def _mul_operands():
+    """Zero, 1 and -1; other constants at T^0 (3, i, 1/2 - 3i/4), T-powers,
+    -2T and 1 + T; single terms at negative powers of T; and seeded
+    multi-term scalars."""
+    one, t = Scalar.one(), Scalar.two_pi_i()
+    out = [Scalar.zero(), one, -one, Scalar.from_int(3), Scalar.i_unit(),
+           Scalar.from_rational(Fraction(1, 2), Fraction(-3, 4)),
+           t, Scalar.two_pi_i(3), Scalar.from_rational(-2, 0, 1), one + t,
+           Scalar.two_pi_i(-1), Scalar.from_rational(Fraction(5, 6), 1, -2)]
+    rng = random.Random(114)
+    out += [Scalar(rand_table(rng)) for _ in range(12)]
+    return out
+
+
+def test_products_match_the_double_loop():
+    ops = _mul_operands()
+    single = 0
+    for a in ops:
+        for b in ops:
+            p = a * b
+            assert_matches(p, dict(_reference_mul(a, b).terms))
+            single += len(a._t) == 1 or len(b._t) == 1
+    assert single and single < len(ops) ** 2
+    # 1 * s shares the table of s, which is never changed after it is built
+    s = ops[-1]
+    assert (Scalar.one() * s)._t is s._t and (s * Scalar.one())._t is s._t
