@@ -56,7 +56,7 @@ class LogVectorField:
         """The plain coordinate field d/d(name)."""
         coeffs = [Poly.zero(ctx)] * ctx.n
         coeffs[ctx.index(name)] = Poly.one(ctx)
-        return LogVectorField(ctx, coeffs)
+        return _field(ctx, tuple(coeffs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -205,7 +205,7 @@ class LogForm:
     @staticmethod
     def coframe(ctx: VarContext, name: str) -> "LogForm":
         """The basis 1-form for a coordinate: dz/z on divisor coordinates, dz off."""
-        return LogForm(ctx, 1, {(ctx.index(name),): Poly.one(ctx)})
+        return _form(ctx, 1, {(ctx.index(name),): Poly.one(ctx)})
 
     # -- structure ---------------------------------------------------------
 

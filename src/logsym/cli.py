@@ -68,7 +68,7 @@ def _load_session(path: str) -> SessionManifest:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(2, "cannot read session: %s" % e)
     try:
         return parse_session(text)
@@ -550,7 +550,7 @@ _HELP = {
 
 
 class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
+    def __init__(self, parser: Optional[argparse.ArgumentParser], message: str):
         super().__init__(message)
         self.parser = parser
 
@@ -564,32 +564,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _json_requested(argv) -> bool:
-    return "--format=json" in argv or any(
-        a == "--format" and b == "json" for a, b in zip(argv, argv[1:])
-    )
+def _long_options(command: str):
+    """The long option names of command's parser, as _add_options adds them."""
+    return ("--help", "--session", "--format") + tuple(
+        "--" + opt.rstrip("!") for opt in _COMMANDS[command][1])
+
+
+def _json_requested(argv, command: Optional[str]) -> bool:
+    """Whether argv asks for --format json, read without parsing it: some
+    --word names --format, with json as its =value or as the next word.  For
+    a named command a word names the option argparse resolves it to, the
+    exact name, else the one name it is a prefix of; with no command only
+    --format itself counts."""
+    names = () if command is None else _long_options(command)
+    for word, after in zip(argv, argv[1:] + [None]):
+        name, eq, value = word.partition("=")
+        if not name.startswith("--") or (value if eq else after) != "json":
+            continue
+        hits = [n for n in names if n.startswith(name)]
+        if name == "--format" or name not in names and hits == ["--format"]:
+            return True
+    return False
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """Add command's options to p, its own parser or its subparser."""
+    p.add_argument("--session", required=True, help="session file, - for stdin")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    for opt in _COMMANDS[command][1]:
+        key = opt.rstrip("!")
+        p.add_argument("--" + key, required=opt.endswith("!"), default=None,
+                       help=_HELP.get(key, "function argument"))
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser: the full tree, or the top level and only the
-    subparser of command.  The top level's usage, help and invalid-choice
-    message list the commands it holds, so only the full tree prints them."""
+    """The argument parser of command alone, or the full tree with every
+    command's subparser when command is None.  The one-command parser reads
+    the words after the command as the tree's subparser does, with the same
+    prog; only the tree's usage, help and invalid-choice message list the
+    commands."""
+    if command is not None:
+        p = _Parser(prog="logsym " + command)
+        p.set_defaults(command=command)
+        _add_options(p, command)
+        return p
     ap = _Parser(
         prog="logsym",
         description="logarithmic symplectic calculus on affine charts",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    names = sorted(_COMMANDS) if command is None else [command]
-    for name in names:
-        opts = _COMMANDS[name][1]
-        p = sub.add_parser(name)
-        p.add_argument("--session", required=True, help="session file, - for stdin")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        for opt in opts:
-            required = opt.endswith("!")
-            key = opt.rstrip("!")
-            p.add_argument("--" + key, required=required, default=None,
-                           help=_HELP.get(key, "function argument"))
+    for name in sorted(_COMMANDS):
+        _add_options(sub.add_parser(name), name)
     return ap
 
 
@@ -600,20 +625,24 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # the tree's subparser leaves unknown words to the top level,
+            # which reports them as its own error (parser None: the tree)
+            args, extra = parser.parse_known_args(argv[1:])
+            if extra:
+                raise _UsageError(None, "unrecognized arguments: %s" % " ".join(extra))
     except _UsageError as e:
-        if _json_requested(argv):
+        if _json_requested(argv, command):
             doc = {"schema": SCHEMA, "command": command,
                    "error": str(e), "exit": 2}
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            # argparse's own report, byte for byte; the top level's usage
-            # lists every command
-            usage = e.parser
-            if usage is parser and command is not None:
-                usage = build_parser()
+            # argparse's own report, byte for byte
+            usage = e.parser or build_parser()
             usage.print_usage(sys.stderr)
-            print("%s: error: %s" % (e.parser.prog, e), file=sys.stderr)
+            print("%s: error: %s" % (usage.prog, e), file=sys.stderr)
         return 2
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 2

@@ -83,7 +83,7 @@ class Poly:
 
     @staticmethod
     def constant(ctx: VarContext, c: Scalar) -> "Poly":
-        return Poly(ctx, {(0,) * ctx.n: c})
+        return _poly(ctx, {} if c.is_zero() else {(0,) * ctx.n: c})
 
     @staticmethod
     def one(ctx: VarContext) -> "Poly":
@@ -97,7 +97,7 @@ class Poly:
     def variable(ctx: VarContext, name: str) -> "Poly":
         e = [0] * ctx.n
         e[ctx.index(name)] = 1
-        return Poly(ctx, {tuple(e): Scalar.one()})
+        return _poly(ctx, {tuple(e): Scalar.one()})
 
     @staticmethod
     def monomial(ctx: VarContext, exps: Exp, c: Optional[Scalar] = None) -> "Poly":

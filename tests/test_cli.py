@@ -11,9 +11,11 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import logsym
+from logsym import cli
 from logsym.cli import CliError, _get, main
 from logsym.sessions import SessionError, parse_session
 
@@ -603,19 +605,123 @@ INVALID = ("argument command: invalid choice: 'nosuchcmd' (choose from %s)"
            % ", ".join("'%s'" % c for c in COMMANDS))
 
 
-def test_one_subparser_per_command_call(capsys, monkeypatch):
-    """A call that names its command builds that command's parser only."""
-    real = argparse._SubParsersAction.add_parser
-    added = []
+def test_one_parser_per_command_call(capsys, monkeypatch):
+    """A call that names its command builds one _Parser, that command's, and
+    no subparsers action; a call that names none builds the full tree."""
+    built, trees = [], []
+    real_init = cli._Parser.__init__
+    real_add_subparsers = argparse.ArgumentParser.add_subparsers
 
-    def counting(self, name, **kwargs):
-        added.append(name)
-        return real(self, name, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    def counting_add_subparsers(self, **kwargs):
+        trees.append(self.prog)
+        return real_add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        counting_add_subparsers)
     code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x", "--g", "y")
     assert (code, lines(out)) == (0, ["{f,g} = -y"])
-    assert added == ["bracket"]
+    assert (built, trees) == (["logsym bracket"], [])
+
+    built.clear()
+    code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x", "--g", "y",
+                       "extra", "--format", "json")
+    assert (code, json.loads(out)["error"]) == (2, "unrecognized arguments: extra")
+    assert (built, trees) == (["logsym bracket"], [])
+
+    built.clear()
+    assert run(capsys, "nosuchcmd")[0] == 2
+    assert len(built) == 1 + len(COMMANDS) and trees == ["logsym"]
+
+
+def _tree_bytes(argv):
+    """What the full tree prints for argv, a help request or a usage error,
+    through the subparser of argv[0]: (exit code, stdout, stderr) in text,
+    or the error message when argv asks for json."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as e:
+            return e.code or 0, out.getvalue(), err.getvalue()
+        except cli._UsageError as e:
+            if "json" in argv:
+                return str(e)
+            e.parser.print_usage(sys.stderr)
+            print("%s: error: %s" % (e.parser.prog, e), file=sys.stderr)
+            return 2, out.getvalue(), err.getvalue()
+    raise AssertionError("no usage error: %r" % argv)
+
+
+def _usage_cases(cmd):
+    required = []
+    for opt in cli._COMMANDS[cmd][1]:
+        if opt.endswith("!"):
+            required += ["--" + opt.rstrip("!"), "x"]
+    ok = ["--session", EXACT] + required
+    return [["-h"], [], required, ok + ["--format", "xml"], ok + ["extra"],
+            ok + ["--bogus", "1"]]
+
+
+def test_one_parser_prints_the_tree_bytes(capsys, monkeypatch):
+    """Help and usage errors of every command, in text and json, are the
+    bytes the full tree's subparser prints (leftover words: the tree's
+    usage and the top level's error)."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    for cmd in COMMANDS:
+        for words in _usage_cases(cmd):
+            argv = [cmd] + words
+            want = _tree_bytes(argv)
+            assert run(capsys, *argv) == want, argv
+            argv = [cmd, "--format", "json"] + words
+            want = _tree_bytes(argv)
+            got = run(capsys, *argv)
+            if words == ["-h"]:
+                assert got == want, argv
+            else:
+                doc = {"command": cmd, "error": want, "exit": 2, "schema": "logsym/1"}
+                assert got == (2, json.dumps(doc, indent=2) + "\n", ""), argv
+
+
+def test_abbreviated_format_on_usage_errors(capsys):
+    """--format is found in a usage error as argparse finds it: by the exact
+    name, else by the one option of the command that the word begins."""
+    missing = json.dumps({"command": "check-divisor",
+                          "error": "the following arguments are required: --session",
+                          "exit": 2, "schema": "logsym/1"}, indent=2) + "\n"
+    for words in (["--fo", "json"], ["--forma=json"], ["--format", "json"]):
+        assert run(capsys, "check-divisor", *words) == (2, missing, "")
+    code, out, _ = run(capsys, "check-divisor", "--session", SAITO, "--fo", "json")
+    assert (code, json.loads(out)["reduced"]) == (0, True)
+    # --f is an option of bracket itself, and --fo begins both --format and
+    # --form in symbol: neither asks for json
+    code, out, err = run(capsys, "bracket", "--f", "json")
+    assert (code, out) == (2, "")
+    assert err.endswith("logsym bracket: error: the following arguments are "
+                        "required: --session, --g\n")
+    code, out, err = run(capsys, "symbol", "--session", EXACT, "--conn", "s",
+                         "--fo", "json")
+    assert (code, out) == (2, "")
+    assert err.endswith("logsym symbol: error: ambiguous option: --fo could match"
+                        " --format, --form\n")
+    # with no command only --format itself counts
+    code, out, err = run(capsys, "nosuchcmd", "--fo", "json")
+    assert (code, out) == (2, "") and "invalid choice" in err
+
+
+def test_session_not_utf8(capsys, tmp_path):
+    path = tmp_path / "s.lsx"
+    path.write_bytes(b"vars x y\n# caf\xe9\n")
+    message = ("cannot read session: 'utf-8' codec can't decode byte 0xe9 in"
+               " position 14: invalid continuation byte")
+    text, doc = _error_bytes("check-divisor", message)
+    assert run(capsys, "check-divisor", "--session", path) == (2, "", text)
+    assert run(capsys, "check-divisor", "--session", path,
+               "--format", "json") == (2, doc, "")
 
 
 def test_top_level_usage_bytes(capsys, monkeypatch):

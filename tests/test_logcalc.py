@@ -259,3 +259,23 @@ def test_internal_results_pass_the_public_checks():
                 assert all(not q.is_zero() for q in r.terms.values())
             else:
                 assert isinstance(r.coeffs, tuple) and len(r.coeffs) == ctx.n
+
+
+def test_atom_constructors_match_the_checked_ones():
+    """Poly.constant, Poly.variable, LogForm.coframe and
+    LogVectorField.coordinate skip the checks of the public constructors;
+    each builds the value its checked constructor builds, in both arenas, on
+    a divisor coordinate (y) and off it (x)."""
+    one, T = Scalar.one(), Scalar.two_pi_i()
+    for arena in ("poly", "torus"):
+        ctx = make_context(["x", "y"], ["y"], arena)
+        e0 = (0, 0)
+        for c in (Scalar.zero(), one, T, one + T):
+            assert Poly.constant(ctx, c) == Poly(ctx, {e0: c})
+        for name, e in (("x", (1, 0)), ("y", (0, 1))):
+            i = ctx.index(name)
+            assert Poly.variable(ctx, name) == Poly(ctx, {e: one})
+            assert LogForm.coframe(ctx, name) == LogForm(ctx, 1, {(i,): Poly(ctx, {e0: one})})
+            coeffs = [Poly(ctx)] * ctx.n
+            coeffs[i] = Poly(ctx, {e0: one})
+            assert LogVectorField.coordinate(ctx, name) == LogVectorField(ctx, coeffs)
