@@ -33,7 +33,6 @@ from .connections import (
 )
 from .context import POLY, TORUS, VarContext, make_context
 from .divisors import (
-    Divisor,
     SaitoResult,
     check_squarefree,
     is_coordinate_ncd,
@@ -83,7 +82,7 @@ __all__ = [
     "RationalFunction", "det_poly", "solve_linear", "solve_linear_poly",
     "LogForm", "LogVectorField", "SymplecticData", "DegenerateError",
     "assemble_symplectic", "d_of_function", "log_frame", "res_const",
-    "Divisor", "SaitoResult", "check_squarefree", "is_coordinate_ncd",
+    "SaitoResult", "check_squarefree", "is_coordinate_ncd",
     "is_logarithmic", "saito_check", "weighted_homogeneous",
     "HamiltonianResult", "IdentityReport", "bracket", "hamiltonian",
     "jacobi_defect", "sing_bracket", "tilde_hamiltonian", "verify_identities",

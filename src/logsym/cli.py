@@ -61,14 +61,26 @@ class CliError(Exception):
 # -- resolution helpers -----------------------------------------------------
 
 
+def _session_text(path: str) -> str:
+    """The session text of a file or of stdin (path "-"), by one rule: the
+    bytes decoded as strict UTF-8, with universal newlines.  A text stdin
+    with no byte buffer (an in-process StringIO) is taken back to the bytes
+    it stands for, so undecodable bytes it carries as surrogate escapes fail
+    as they would in a file."""
+    if path != "-":
+        with open(path, "rb") as fh:
+            data = fh.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:
+        data = sys.stdin.read().encode("utf-8", "surrogateescape")
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_session(path: str) -> SessionManifest:
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        text = _session_text(path)
+    except (OSError, UnicodeError) as e:
         raise CliError(2, "cannot read session: %s" % e)
     try:
         return parse_session(text)

@@ -144,45 +144,41 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
     """Split a closed form as omega = class + d(primitive), with the class
     carrying only constant coefficients on pure log cells.
 
-    Terms are grouped by (log exponent vector, plain weight); each group with
-    a nonzero log exponent alpha_i is contracted through (1/alpha_i) i_{xi_i},
-    each group with zero log exponents but positive plain weight N through
-    (1/N) i_{Euler}, and the (0, 0) groups are exactly the class part.  The
-    identity d(primitive) + class == omega is verified before returning.
+    Each monomial cell c*z^e e^I is contracted on its own: through
+    (1/e_i) i_{xi_i} for the first divisor coordinate i with e_i != 0, else
+    through (1/N) i_{Euler} when its plain degree plus its number of plain
+    coframe factors N is positive; the remaining cells are exactly the class
+    part.  Contraction is linear and the cells of one eigencomponent share
+    its pivot and eigenvalue, so this is the homotopy of the module
+    docstring.  The identity d(primitive) + class == omega is verified
+    before returning.
     """
     ctx = omega.ctx
     if omega.degree < 1:
         raise PrequantError("homotopy wants degree >= 1")
     if not omega.d().is_zero():
         raise PrequantError("form is not closed")
-    div = ctx.divisor
-    sset = set(div)
-    groups: Dict[tuple, Dict[tuple, Poly]] = {}
-    for I, c in omega.terms.items():
-        jp = sum(1 for i in I if i not in sset)
-        for e, coeff in c.terms.items():
-            alog = tuple(e[i] for i in div)
-            nplain = sum(e[i] for i in range(ctx.n) if i not in sset)
-            sig = (alog, nplain + jp)
-            tgt = groups.setdefault(sig, {})
-            mono = Poly.monomial(ctx, e, coeff)
-            prev = tgt.get(I)
-            tgt[I] = mono if prev is None else prev + mono
+    plain = [i for i in range(ctx.n) if not ctx.is_divisor_index(i)]
     frame = log_frame(ctx)
     euler = _euler_plain(ctx)
-    cls = LogForm.zero(ctx, omega.degree)
+    cls_terms: Dict[tuple, Poly] = {}
     prim = LogForm.zero(ctx, omega.degree - 1)
-    for (alog, nw), terms in groups.items():
-        part = LogForm(ctx, omega.degree, terms)
-        pivot = next((k for k, a in enumerate(alog) if a != 0), None)
-        if pivot is not None:
-            inv = Scalar.from_rational(Fraction(1, alog[pivot]))
-            prim = prim + part.interior(frame[div[pivot]]).scale_scalar(inv)
-        elif nw > 0:
-            inv = Scalar.from_rational(Fraction(1, nw))
-            prim = prim + part.interior(euler).scale_scalar(inv)
-        else:
-            cls = cls + part
+    for I, c in omega.terms.items():
+        for e, coeff in c.terms.items():
+            mono = Poly.monomial(ctx, e, coeff)
+            pivot = next((i for i in ctx.divisor if e[i]), None)
+            if pivot is not None:
+                field, weight = frame[pivot], e[pivot]
+            else:
+                field = euler
+                weight = sum(e[i] for i in plain) + sum(1 for i in I if i in plain)
+            if weight:
+                cell = LogForm(ctx, omega.degree, {I: mono})
+                inv = Scalar.from_rational(Fraction(1, weight))
+                prim = prim + cell.interior(field).scale_scalar(inv)
+            else:
+                cls_terms[I] = mono  # e = 0: one constant per pure log cell
+    cls = LogForm(ctx, omega.degree, cls_terms)
     if prim.d() + cls != omega:
         raise PrequantError("homotopy verification failed (internal error)")
     return cls, prim
@@ -202,38 +198,24 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
     ctx = conn.sigma.ctx
     if ctx.arena != TORUS:
         raise PrequantError("residue normalization lives in the torus arena")
-    shifts = []
     for i in ctx.divisor:
-        res_form = conn.sigma.residue(i)
-        r = res_form.coefficient(()).as_constant()
+        r = conn.sigma.residue(i).coefficient(()).as_constant()
         if r is None:
             raise PrequantError(
                 "nonconstant residue along %s cannot be normalized" % ctx.names[i]
             )
-        s = _t0_real_or_none(r)
-        if s is None:
+        if set(r.terms) - {0}:
             raise PrequantError(
                 "residue along %s is not a T-power-0 rational in this model"
                 % ctx.names[i]
             )
-        shifts.append(-floor(s))
-    return _shift_residues(conn, shifts)
-
-
-def _t0_real_or_none(r: Scalar) -> Optional[Fraction]:
-    if r.is_zero():
-        return Fraction(0)
-    t = r.terms
-    if set(t) != {0}:
-        return None
-    a, _ = t[0]
-    return a
+    return _normalize_residues_soft(conn)
 
 
 def _normalize_residues_soft(conn: Connection1) -> Tuple[Connection1, List[int]]:
-    """Pipeline variant: shift only the normalizable part of each residue
-    (the T^0 real component of its constant term) and leave the rest alone,
-    so connections with function-valued residues pass through untouched."""
+    """The one shift rule: each residue moves by -floor of the real part of
+    the T^0 term of its constant term, and by 0 where it has a pole, so
+    connections with function-valued residues pass through untouched."""
     ctx = conn.sigma.ctx
     shifts = []
     for i in ctx.divisor:

@@ -26,19 +26,6 @@ class DivisorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Divisor:
-    h: Poly
-
-    def __post_init__(self):
-        if self.h.is_zero():
-            raise DivisorError("defining polynomial is zero")
-
-    @property
-    def ctx(self):
-        return self.h.ctx
-
-
 def check_squarefree(h: Poly):
     """Reducedness of {h=0}: the joint gcd of h with all its partials
     dh/dz_i is constant.  (Per-partial gcds are the wrong test in several

@@ -15,7 +15,6 @@ membership for principal ideals by checking that the remainder vanishes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Optional, Tuple
 
@@ -130,11 +129,6 @@ class Poly:
             raise PolyError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise PolyError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, i: int) -> int:
         """Degree in variable i (-inf is reported as -1 on the zero poly)."""
@@ -295,17 +289,6 @@ class Poly:
                 continue
             terms[e] = c
         return _poly(self.ctx, terms)
-
-    def weighted_degree(self, weights) -> Optional[Fraction]:
-        """The common weighted degree of all terms, or None if terms disagree."""
-        deg = None
-        for e in self.terms:
-            d = sum(Fraction(w) * x for w, x in zip(weights, e))
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg
 
     def __repr__(self):
         return "Poly(%s, %d terms)" % (self.ctx.describe(), len(self.terms))

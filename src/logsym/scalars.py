@@ -275,10 +275,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         return Scalar.one() / self
 
-    def conjugate(self) -> "Scalar":
-        """Gaussian conjugation of every coefficient (T itself is left alone)."""
-        return _scalar({k: (a, -b, d) for k, (a, b, d) in self._t.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Scalar) and self._t == other._t
 

@@ -95,10 +95,16 @@ def _tokenize(text: str, lineno: int):
 # AST nodes are tuples (tag, pos, ...); pos = (line, col).
 
 
+# nesting deeper than this many parentheses and unary signs is a ParseError;
+# each level costs the parser at most six interpreter frames
+MAX_NESTING = 100
+
+
 class _ExprParser:
     def __init__(self, tokens):
         self.toks = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -120,60 +126,82 @@ class _ExprParser:
             raise ParseError(pos[0], pos[1], "a variable name", _show(kind, val))
         return val
 
-    def _chain(self, ops, operand, right):
-        """operand (op right)* for op in ops, associating left."""
-        node = operand()
-        while True:
-            kind, pos, val = self.peek()
-            if kind != "sym" or val not in ops:
-                return node
-            self.next()
-            node = ("bin", pos, val, node, right())
+    def _op(self, ops):
+        """The next token's (position, symbol), consumed, when it is one of
+        ops; else None."""
+        kind, pos, val = self.peek()
+        if kind != "sym" or val not in ops:
+            return None
+        self.k += 1
+        return pos, val
 
+    def _descend(self, pos):
+        """Enter one more level of nesting, opened at pos; the caller leaves
+        it by decrementing depth."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(pos[0], pos[1], "at most %d levels of parentheses"
+                             " and signs" % MAX_NESTING, "deeper nesting")
+        self.depth += 1
+
+    # operator chains associate left and loop rather than recurse, so that a
+    # level of nesting costs a fixed number of frames
     def parse_expr(self):
-        return self._chain("+-", self.parse_term, self.parse_term)
+        node = self.parse_term()
+        while (op := self._op("+-")) is not None:
+            node = ("bin", op[0], op[1], node, self.parse_term())
+        return node
 
     def parse_term(self):
-        return self._chain("*/", self.parse_factor, self.parse_factor)
+        node = self.parse_factor()
+        while (op := self._op("*/")) is not None:
+            node = ("bin", op[0], op[1], node, self.parse_factor())
+        return node
 
     def parse_factor(self):
         # unary sign binds looser than ^, so -x^2 means -(x^2)
-        kind, pos, val = self.peek()
-        if kind == "sym" and val == "-":
-            self.next()
-            return ("neg", pos, self.parse_factor())
-        if kind == "sym" and val == "+":
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
+        op = self._op("+-")
+        if op is None:
+            return self.parse_power()
+        self._descend(op[0])
+        node = self.parse_factor()
+        self.depth -= 1
+        return ("neg", op[0], node) if op[1] == "-" else node
 
     def parse_power(self):
-        return self._chain("^", self.parse_atom, self.parse_exponent)
+        node = self.parse_atom()
+        while (op := self._op("^")) is not None:
+            node = ("bin", op[0], op[1], node, self.parse_exponent())
+        return node
 
     def parse_exponent(self):
         # a single (possibly signed) atom: keeps ^ chains left-associative
-        kind, pos, val = self.peek()
-        if kind == "sym" and val == "-":
-            self.next()
-            return ("neg", pos, self.parse_exponent())
-        return self.parse_atom()
+        op = self._op("-")
+        if op is None:
+            return self.parse_atom()
+        self._descend(op[0])
+        node = self.parse_exponent()
+        self.depth -= 1
+        return ("neg", op[0], node)
+
+    def _group(self, pos):
+        """The expression inside parentheses opened at pos, and the ')'."""
+        self._descend(pos)
+        node = self.parse_expr()
+        self.depth -= 1
+        self.expect_sym(")")
+        return node
 
     def parse_atom(self):
         kind, pos, val = self.next()
         if kind == "num":
             return ("num", pos, val)
         if kind == "sym" and val == "(":
-            node = self.parse_expr()
-            self.expect_sym(")")
-            return node
+            return self._group(pos)
         if kind == "sym" and val == "@":
             return ("at", pos, self.expect_name())
         if kind == "ident":
-            if val == "d" and self._at_sym("("):
-                self.next()
-                node = self.parse_expr()
-                self.expect_sym(")")
-                return ("d", pos, node)
+            if val == "d" and (paren := self._op("(")) is not None:
+                return ("d", pos, self._group(paren[0]))
             if val == "dlog":
                 self.expect_sym("(")
                 name = self.expect_name()
@@ -181,10 +209,6 @@ class _ExprParser:
                 return ("dlog", pos, name)
             return ("ident", pos, val)
         raise ParseError(pos[0], pos[1], "an expression", _show(kind, val))
-
-    def _at_sym(self, s):
-        kind, _, val = self.peek()
-        return kind == "sym" and val == s
 
     def finish(self):
         kind, pos, val = self.peek()
@@ -262,10 +286,16 @@ class Evaluator:
                 )
             return LogForm.coframe(self.ctx, name)
         if tag == "bin":
-            op = node[2]
-            l = self.eval(node[3])
-            r = self.eval(node[4])
-            return self._bin(pos, op, l, r)
+            # a left-associated chain of any length: down its left spine,
+            # then fold left to right
+            chain = []
+            while node[0] == "bin":
+                chain.append(node)
+                node = node[3]
+            v = self.eval(node)
+            for _, pos, op, _, right in reversed(chain):
+                v = self._bin(pos, op, v, self.eval(right))
+            return v
         raise AssertionError(tag)
 
     def _lookup(self, pos, name):

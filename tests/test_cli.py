@@ -14,6 +14,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import logsym
 from logsym import cli
 from logsym.cli import CliError, _get, main
@@ -724,6 +728,45 @@ def test_session_not_utf8(capsys, tmp_path):
                "--format", "json") == (2, doc, "")
 
 
+def _byte_stdin(data):
+    """A stdin as the interpreter sets one up with no locale: text over a
+    byte buffer, undecodable bytes escaped as lone surrogates."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
+
+
+@pytest.mark.parametrize("data, position", [
+    (b"vars x y\n# caf\xe9\n", 14),
+    (b"vars x y\nform w : d(x)\xe9\n", 22),
+])
+def test_session_bytes_decode_alike(capsys, monkeypatch, tmp_path, data, position):
+    """The same bytes give the same result from a file and from stdin, read
+    through its byte buffer or handed in as escaped text."""
+    path = tmp_path / "s.lsx"
+    path.write_bytes(data)
+    message = ("cannot read session: 'utf-8' codec can't decode byte 0xe9 in"
+               " position %d: invalid continuation byte" % position)
+    text, doc = _error_bytes("check-divisor", message)
+    stdins = (_byte_stdin(data), io.StringIO(data.decode("utf-8", "surrogateescape")))
+    for fmt, want in (("text", (2, "", text)), ("json", (2, doc, ""))):
+        argv = ("check-divisor", "--poly", "x", "--format", fmt)
+        assert run(capsys, *argv, "--session", path) == want
+        for stdin in stdins:
+            stdin.seek(0)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert run(capsys, *argv, "--session", "-") == want
+
+
+def test_session_newlines_decode_alike(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "s.lsx"
+    data = b"vars x y\r\ndivisor coords x\rfunc f : x*y\r\n"
+    path.write_bytes(data)
+    want = (0, "reduced\nnormal crossing: x*y\n", "")
+    assert run(capsys, "check-divisor", "--session", path, "--poly", "f") == want
+    monkeypatch.setattr("sys.stdin", _byte_stdin(data))
+    assert run(capsys, "check-divisor", "--session", "-", "--poly", "f") == want
+
+
 def test_top_level_usage_bytes(capsys, monkeypatch):
     """Where the top-level parser reports, its usage lists every command,
     also when the call named one."""
@@ -840,3 +883,63 @@ def test_byte_determinism():
     b = _spawn(argv, "4")
     assert a.returncode == b.returncode == 0, (a.stderr + b.stderr).decode()
     assert a.stdout == b.stdout
+
+
+# -- the CLI contract over generated argv -------------------------------------
+# Whatever the words, main returns 0, 1 or 2 and lets no exception escape;
+# in json mode it prints one JSON document whose exit is the return code.
+
+_ATOMS = ["x", "y", "z", "x*y", "x+y", "2*T*x", "T", "I", "1/2", "0", "",
+          "(", "x y", "1/0", "x^-1", "x^(1/2)", "foo", "w", "u", "w2", "wexact",
+          "s", "f", "e1", "d1", "d1,d2,d3", "d2,d1", "@x", "y*@y", "x^2*@x",
+          "d(x)", "dlog(x)", "dlog(y)", "d(x*y)", "d(x)^dlog(y)", "x*dlog(y)",
+          "dlog(x)^dlog(y)", "+".join(["x"] * 1000), "(" * 150 + "x" + ")" * 150,
+          "-" * 3000 + "x"]
+_DEFS = {"form": ["d(x)^dlog(y)", "dlog(x)^dlog(y)", "x*d(x)^d(y)", "d(x*dlog(y))",
+                  "(3/2)*T^-1*dlog(x)^dlog(y)", "x*dlog(y)", "0"],
+         "conn": ["T*x*dlog(y)", "(7/3)*dlog(x) + d(x*y)", "x^-1*dlog(y)", "0"],
+         "func": ["x^2 + y", "x*y*(x+y)", "T*x - I"],
+         "vfield": ["y*@y", "x*@x + y*@y", "@x"]}
+
+
+@st.composite
+def _stdin_session(draw):
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    div = draw(st.lists(st.sampled_from(names), unique=True))
+    lines = ["vars " + " ".join(names)]
+    if div:
+        lines.append("divisor coords " + " ".join(sorted(div)))
+    lines.append("arena " + draw(st.sampled_from(["poly", "torus"])))
+    for kind, name in (("form", "w"), ("conn", "s"), ("func", "f"), ("vfield", "e1")):
+        if draw(st.booleans()):
+            lines.append("%s %s : %s" % (kind, name, draw(st.sampled_from(_DEFS[kind]))))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _invocation(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    stdin = draw(st.one_of(st.none(), _stdin_session()))
+    session = draw(st.sampled_from([EXACT, SAITO, TORUS])) if stdin is None else "-"
+    argv = [command, "--session", session]
+    for opt in cli._COMMANDS[command][1]:
+        if draw(st.booleans()):
+            argv.append("--%s=%s" % (opt.rstrip("!"), draw(st.sampled_from(_ATOMS))))
+    fmt = draw(st.sampled_from(["text", "json"]))
+    return argv + ["--format", fmt], stdin, fmt
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_invocation())
+def test_cli_contract(invocation):
+    argv, stdin, fmt = invocation
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    if fmt == "json":
+        assert json.loads(out.getvalue())["exit"] == code

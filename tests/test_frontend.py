@@ -6,6 +6,8 @@ error) and the precedence rules that were easy to get wrong by hand:
 ^ binds tighter than unary minus, associates left, and wedges forms.
 """
 
+import io
+import json
 import random
 
 import pytest
@@ -13,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsym.calculus import CalculusError, LogForm, LogVectorField
+from logsym.cli import main
 from logsym.poly import Poly, PolyError
 from logsym.scalars import Scalar, ScalarError
 from logsym.sessions import (
+    MAX_NESTING,
     Evaluator,
     KindError,
     ParseError,
@@ -485,3 +489,89 @@ def test_scalar_on_the_right_of_a_function():
         assert eval_in_session(m, right) == eval_in_session(m, left), right
     m = parse_session(BASE + "func g : y*2\n")
     assert m.funcs["g"] == eval_in_session(m, "2*y")
+
+
+# -- deep and long expressions ------------------------------------------------
+# A chain of any length evaluates; nesting past MAX_NESTING levels of
+# parentheses and unary signs is a positioned ParseError, never a
+# RecursionError escaping the CLI.
+
+LONG_SUM = "+".join(["x"] * 1000)
+DEEP_PARENS = "(" * 150 + "x" + ")" * 150
+DEEP_SIGNS = "-" * 3000 + "x"
+# (1+x)*(1+x^2)*...*(1+x^1024) = 1 + x + ... + x^2047
+DOUBLINGS = "*".join("(1+x^%d)" % 2 ** k for k in range(11))
+NESTING = ("expected at most %d levels of parentheses and signs, found deeper"
+           " nesting" % MAX_NESTING)
+
+
+def _cli(capsys, monkeypatch, session, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    code = main(list(argv))
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_nesting_bound():
+    m = parse_session("vars x y\n")
+    for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
+        for text in ("(" * depth + "x" + ")" * depth, "-" * depth + "x",
+                     "d(" * depth + "x" + ")" * depth, "x^" + "-" * depth + "1",
+                     "-(" * ((depth + 1) // 2) + "x" + ")" * ((depth + 1) // 2)):
+            if ok:
+                eval_in_session(m, text)
+                continue
+            with pytest.raises(ParseError) as e:
+                eval_in_session(m, text)
+            assert str(e.value).endswith(NESTING), text
+    with pytest.raises(ParseError) as e:
+        eval_in_session(m, "x + (" * 150 + "y" + ")" * 150)
+    assert (e.value.line, e.value.col) == (1, 5 * MAX_NESTING + 5)
+    assert eval_in_session(m, "-" * MAX_NESTING + "x") == Poly.variable(m.ctx, "x")
+
+
+def test_long_sum_evaluates(capsys, monkeypatch):
+    session = "vars x y\ndivisor coords x\nfunc f : %s\n" % LONG_SUM
+    m = parse_session(session)
+    assert m.funcs["f"] == Poly.variable(m.ctx, "x").scale(Scalar.from_int(1000))
+    argv = ("check-divisor", "--session", "-", "--poly", "f")
+    assert _cli(capsys, monkeypatch, session, *argv) == (
+        0, "reduced\nnormal crossing: x\n", "")
+    code, out, err = _cli(capsys, monkeypatch, session, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exit"] == 0
+
+
+def test_long_printed_session_parses_back(capsys, monkeypatch):
+    m = parse_session("vars x y\nfunc f : %s\n" % DOUBLINGS)
+    assert len(m.funcs["f"].terms) == 2048
+    text = print_session(m)
+    assert parse_session(text) == m
+    argv = ("weights", "--session", "-", "--poly", "f")
+    assert _cli(capsys, monkeypatch, text, *argv) == (1, "none\n", "")
+    code, out, err = _cli(capsys, monkeypatch, text, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["exit"] == 1
+
+
+@pytest.mark.parametrize("deep", [DEEP_PARENS, DEEP_SIGNS])
+def test_deep_nesting_exits_2(capsys, monkeypatch, deep):
+    at = "col %d: %s" % (MAX_NESTING + 1, NESTING)
+    # as an argument: the error names the argument and the position in it
+    argv = ("check-divisor", "--session", "-", "--poly=" + deep)
+    code, out, err = _cli(capsys, monkeypatch, "vars x y\n", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: in '") and err.endswith("line 1, " + at + "\n")
+    code, out, err = _cli(capsys, monkeypatch, "vars x y\n", *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["exit"]) == (2, "", 2)
+    assert doc["error"].endswith("line 1, " + at)
+    # as a session line: col counts from the start of the line
+    session = "vars x y\nfunc f : %s\n" % deep
+    message = "session: line 2, col %d: %s" % (MAX_NESTING + 10, NESTING)
+    argv = ("check-divisor", "--session", "-", "--poly", "x")
+    assert _cli(capsys, monkeypatch, session, *argv) == (2, "", "error: %s\n" % message)
+    code, out, err = _cli(capsys, monkeypatch, session, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"command": "check-divisor", "error": message,
+                               "exit": 2, "schema": "logsym/1"}

@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every name a module in
 src/logsym imports is used in that module (the package __init__ re-exports
-by design and is skipped), and every module-level function has a caller.
-Annotations are plain expressions in the tree, so a name used only in one
-counts as used."""
+by design and is skipped), and every module-level function and method has a
+caller.  Annotations are plain expressions in the tree, so a name used only
+in one counts as used."""
 
 import ast
 import importlib.util
@@ -63,25 +63,45 @@ def _references(tree, skip=None):
     return out
 
 
+def _overrides(module, cls_name, meth):
+    """Whether the method meth of the class cls_name in module overrides one
+    of a base class."""
+    cls = getattr(importlib.import_module("logsym." + module), cls_name)
+    return any(hasattr(base, meth) for base in cls.__mro__[1:])
+
+
 def test_no_unreferenced_functions():
-    """Every module-level function in src/logsym is referenced somewhere in
-    the package outside its own body, exported from the package __init__, or
-    wrapped by the per-layer tracer, so a helper cannot outlive its last
-    caller."""
+    """Every module-level function and every method in src/logsym is
+    referenced somewhere in the package outside its own body, exported from
+    the package __init__, or wrapped by the per-layer tracer, so a helper
+    cannot outlive its last caller.  Dunders and overrides of a base-class
+    method are called by the language or the base class, and are exempt."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     init = trees.pop("__init__.py")
+    targets = [attr for _, attr, _, _ in _tracer().TARGETS]
     kept = {name for name, _ in _imported(init)}
-    kept |= {attr for _, attr, _, _ in _tracer().TARGETS if "." not in attr}
+    kept |= {attr for attr in targets if "." not in attr}
     refs = {name: _references(tree) for name, tree in trees.items()}
     unreferenced = []
     for name, tree in trees.items():
         elsewhere = set().union(*(r for other, r in refs.items() if other != name))
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name in kept | elsewhere:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node, node.name, node.name in kept)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f, "%s.%s" % (node.name, f.name),
+                         "%s.%s" % (node.name, f.name) in targets
+                         or f.name.startswith("__") and f.name.endswith("__")
+                         or _overrides(name[:-3], node.name, f.name))
+                        for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
                 continue
-            if node.name not in _references(tree, skip=node):
-                unreferenced.append("%s:%d %s" % (name, node.lineno, node.name))
+            for f, label, exempt in defs:
+                if exempt or f.name in elsewhere:
+                    continue
+                if f.name not in _references(tree, skip=f):
+                    unreferenced.append("%s:%d %s" % (name, f.lineno, label))
     assert not unreferenced, "unreferenced functions: " + ", ".join(unreferenced)
 
 

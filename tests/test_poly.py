@@ -320,13 +320,6 @@ def test_log_partial_and_substitution():
         q.substitute_zero(2)
 
 
-def test_weighted_degree():
-    ctx, x, y, z = _xyz()
-    p = x * x * y
-    assert p.weighted_degree((1, 1, 1)) == 3
-    assert p.weighted_degree((2, 3, 1)) == 7
-
-
 def test_unit_monomials():
     ctx, x, y, z = _xyz("torus", divisor=("x",))
     u = x.scale(Scalar.two_pi_i())
