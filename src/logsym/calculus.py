@@ -313,7 +313,11 @@ class LogForm:
         self.ctx.check_same(delta.ctx)
         if self.degree == 0:
             raise CalculusError("cannot contract a degree-0 form")
-        v = delta.log_components()
+        return self.contract(delta.log_components())
+
+    def contract(self, v: Sequence[Poly]) -> "LogForm":
+        """i_delta of this form of degree >= 1 for the field delta whose log
+        components are v, for a caller that contracts many forms with it."""
         terms: Dict[IndexSet, Poly] = {}
         for I, c in self.terms.items():
             for m, idx in enumerate(I):

@@ -88,11 +88,22 @@ def _load_session(path: str) -> SessionManifest:
         raise CliError(2, "session: %s" % e)
 
 
+_QUOTE_MAX = 100
+
+
+def _quote(text: str) -> str:
+    """text as an error message quotes it: its repr, or past _QUOTE_MAX
+    characters the repr of that many, "..." and the length."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:_QUOTE_MAX], len(text))
+
+
 def _eval(m: SessionManifest, text: str):
     try:
         return eval_in_session(m, text)
     except SessionError as e:
-        raise CliError(2, "in %r: %s" % (text, e))
+        raise CliError(2, "in %s: %s" % (_quote(text), e))
 
 
 _KINDS = {"function": "func", "vector field": "vfield", "form": "form",
@@ -109,7 +120,7 @@ def _get(m: SessionManifest, text: Optional[str], noun: str):
         raise CliError(2, "give --form (session has %d forms)" % len(m.forms))
     v = _coerce_def(_KINDS[noun], _eval(m, text), m.ctx)
     if v is None:
-        raise CliError(2, "%r is not a %s" % (text, noun))
+        raise CliError(2, "%s is not a %s" % (_quote(text), noun))
     return v
 
 
@@ -630,19 +641,46 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return ap
 
 
+def _read_direct(command: str, words) -> Optional[argparse.Namespace]:
+    """The namespace build_parser(command) reads from words, when words are
+    pairs of an exact long option of command, given once, and a value that
+    does not start with "-" ("-" alone is a value), with every required
+    option given and --format text or json; else None, and argparse reads
+    and reports the words."""
+    values = dict.fromkeys(_long_options(command)[1:])
+    if len(words) % 2:
+        return None
+    for name, value in zip(words[::2], words[1::2]):
+        if (name not in values or values[name] is not None
+                or value[:1] == "-" and value != "-"):
+            return None
+        values[name] = value
+    required = ["--session"] + ["--" + opt[:-1] for opt in _COMMANDS[command][1]
+                                if opt.endswith("!")]
+    if any(values[name] is None for name in required):
+        return None
+    if values["--format"] is None:
+        values["--format"] = "text"
+    elif values["--format"] not in ("text", "json"):
+        return None
+    return argparse.Namespace(command=command,
+                              **{name[2:]: value for name, value in values.items()})
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse hands every word after the command to its subparser, so a
     # leading command word is the command whatever follows
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
     try:
         if command is None:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         else:
+            args = _read_direct(command, argv[1:])
+        if args is None:
             # the tree's subparser leaves unknown words to the top level,
             # which reports them as its own error (parser None: the tree)
-            args, extra = parser.parse_known_args(argv[1:])
+            args, extra = build_parser(command).parse_known_args(argv[1:])
             if extra:
                 raise _UsageError(None, "unrecognized arguments: %s" % " ".join(extra))
     except _UsageError as e:

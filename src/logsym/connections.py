@@ -161,6 +161,8 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
     plain = [i for i in range(ctx.n) if not ctx.is_divisor_index(i)]
     frame = log_frame(ctx)
     euler = _euler_plain(ctx)
+    # the log components of each pivot's field (None: the Euler field)
+    components: Dict[Optional[int], List[Poly]] = {}
     cls_terms: Dict[tuple, Poly] = {}
     prim = LogForm.zero(ctx, omega.degree - 1)
     for I, c in omega.terms.items():
@@ -173,9 +175,11 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
                 field = euler
                 weight = sum(e[i] for i in plain) + sum(1 for i in I if i in plain)
             if weight:
+                if pivot not in components:
+                    components[pivot] = field.log_components()
                 cell = LogForm(ctx, omega.degree, {I: mono})
                 inv = Scalar.from_rational(Fraction(1, weight))
-                prim = prim + cell.interior(field).scale_scalar(inv)
+                prim = prim + cell.contract(components[pivot]).scale_scalar(inv)
             else:
                 cls_terms[I] = mono  # e = 0: one constant per pure log cell
     cls = LogForm(ctx, omega.degree, cls_terms)

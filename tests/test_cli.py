@@ -453,6 +453,33 @@ def test_error_paths(capsys):
     assert code == 2 and "unknown name 'nosuch'" in err
 
 
+def test_long_arguments_are_quoted_in_part(capsys, monkeypatch):
+    """An error quotes an argument of up to 100 characters whole, and a
+    longer one by its first 100, "..." and its length; the positioned
+    message after the quote stays whole."""
+    signs, sum_q = "-" * 3000 + "x", "x+" * 2000 + "q"
+    edge, form_sum = "x+" * 49 + "qq", "+".join(["x"] * 1000)
+    cases = [
+        (["check-divisor", "--poly=" + signs],
+         "in %r... (3001 characters): line 1, col 101: expected at most 100"
+         " levels of parentheses and signs, found deeper nesting" % signs[:100]),
+        (["check-divisor", "--poly", sum_q],
+         "in %r... (4001 characters): line 1, col 4001: unknown name 'q'"
+         % sum_q[:100]),
+        (["check-divisor", "--poly", edge],
+         "in %r: line 1, col 99: unknown name 'qq'" % edge),
+        (["curvature", "--conn", form_sum],
+         "%r... (1999 characters) is not a connection" % form_sum[:100]),
+        (["curvature", "--conn", form_sum[:99]], "%r is not a connection" % form_sum[:99]),
+    ]
+    for argv, message in cases:
+        text, doc = _error_bytes(argv[0], message)
+        argv += ["--session", "-"]
+        assert run_stdin(capsys, monkeypatch, "vars x y\n", *argv) == (2, "", text)
+        assert run_stdin(capsys, monkeypatch, "vars x y\n", *argv,
+                         "--format", "json") == (2, doc, "")
+
+
 # -- one value vocabulary: a text means the same value in a file and as an
 # argument
 
@@ -578,8 +605,9 @@ def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):
     session = "vars x y\ndivisor coords x y\nform w : 9^5000*(1/T)*dlog(x)^dlog(y)\n"
     cases = [
         (["bracket", "--session", EXACT, "--f", numeral, "--g", "y"], "",
-         "in %r: line 1, col 1: expected a numeral of at most %d digits, found"
-         " %d digits" % (numeral, digit_limit, len(numeral))),
+         "in %r... (%d characters): line 1, col 1: expected a numeral of at most"
+         " %d digits, found %d digits"
+         % (numeral[:100], len(numeral), digit_limit, len(numeral))),
         (["bracket", "--session", EXACT, "--f", "9^5000*x", "--g", "y"], "", too_long),
         (["integrality", "--session", "-"], session, too_long),
         (["normalize-residues", "--session", TORUS, "--conn", "9^5000*dlog(y)"], "",
@@ -610,8 +638,9 @@ INVALID = ("argument command: invalid choice: 'nosuchcmd' (choose from %s)"
 
 
 def test_one_parser_per_command_call(capsys, monkeypatch):
-    """A call that names its command builds one _Parser, that command's, and
-    no subparsers action; a call that names none builds the full tree."""
+    """A well-formed call of any command, from a file or from stdin, in text
+    or json, builds no parser; a leftover word or an abbreviated option
+    builds that command's parser alone, and an unknown command the tree."""
     built, trees = [], []
     real_init = cli._Parser.__init__
     real_add_subparsers = argparse.ArgumentParser.add_subparsers
@@ -627,19 +656,90 @@ def test_one_parser_per_command_call(capsys, monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
                         counting_add_subparsers)
-    code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x", "--g", "y")
-    assert (code, lines(out)) == (0, ["{f,g} = -y"])
-    assert (built, trees) == (["logsym bracket"], [])
+    calls = {}
+    for cmd, extra, code in JSON_SMOKE:
+        calls.setdefault(cmd, (extra, code))
+    assert sorted(calls) == list(COMMANDS)
+    for cmd, ((_, path, *words), want) in calls.items():
+        for fmt in ("text", "json"):
+            argv = [cmd, "--session", path] + words + ["--format", fmt]
+            assert run(capsys, *argv)[0] == want, argv
+            stdin = Path(path).read_text(encoding="utf-8")
+            argv[2] = "-"
+            assert run_stdin(capsys, monkeypatch, stdin, *argv)[0] == want, argv
+    assert (built, trees) == ([], [])
 
-    built.clear()
-    code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x", "--g", "y",
-                       "extra", "--format", "json")
-    assert (code, json.loads(out)["error"]) == (2, "unrecognized arguments: extra")
-    assert (built, trees) == (["logsym bracket"], [])
+    for words in (["extra", "--format", "json"], ["--forma", "json"]):
+        code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x",
+                           "--g", "y", *words)
+        assert (built, trees) == (["logsym bracket"], [])
+        built.clear()
+    assert (code, json.loads(out)["bracket"]) == (0, "-y")
 
-    built.clear()
     assert run(capsys, "nosuchcmd")[0] == 2
     assert len(built) == 1 + len(COMMANDS) and trees == ["logsym"]
+
+
+# -- the direct read of a well-formed command line --------------------------
+# main reads pairs of exact option names and plain values itself; every other
+# shape goes to argparse.  Both must give the same namespace and bytes.
+
+_WORD_VALUES = ["-", "-1", "", "-x", "a b", "x=1", "json", "xml", "text", "x",
+                "-x + y", "s", EXACT]
+_EXTRA_WORDS = ["-h", "--help", "--", "extra", "--bogus", "-"]
+
+
+@st.composite
+def _command_words(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    names = cli._long_options(command)[1:]
+    name, value = st.sampled_from(names), st.sampled_from(_WORD_VALUES)
+    pairs = [["--session", draw(value)]]
+    for opt in cli._COMMANDS[command][1]:
+        if draw(st.integers(0, 9)) < (9 if opt.endswith("!") else 3):
+            pairs.append(["--" + opt.rstrip("!"), draw(value)])
+    odd = st.one_of(
+        st.tuples(name, value).map(list),  # maybe a repeat
+        st.builds(lambda n, k, v: [n[:k], v], name, st.integers(3, 8), value),
+        st.builds(lambda n, v: ["%s=%s" % (n, v)], name, value),
+        st.sampled_from(_EXTRA_WORDS).map(lambda w: [w]),
+        value.map(lambda v: [v]))
+    pairs += draw(st.lists(odd, max_size=2))
+    pairs = draw(st.permutations(pairs))
+    return command, [w for pair in pairs for w in pair]
+
+
+def _main_bytes(argv):
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(Path(EXACT).read_text(encoding="utf-8"))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_command_words())
+def test_direct_read_matches_argparse(command_words):
+    """Where the direct read returns a namespace, argparse reads an equal one
+    and leaves no word over; where argparse reports a usage error, prints
+    help or leaves words over, the direct read declines; and main prints the
+    same bytes either way."""
+    command, words = command_words
+    direct = cli._read_direct(command, words)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed, extra = cli.build_parser(command).parse_known_args(words)
+    except (cli._UsageError, SystemExit):
+        parsed, extra = None, None
+    assert direct is None or (direct == parsed and extra == []), words
+    argv = [command] + words
+    want = _main_bytes(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_direct", lambda command, words: None)
+        assert _main_bytes(argv) == want, argv
 
 
 def _tree_bytes(argv):
