@@ -448,9 +448,17 @@ class SymplecticData:
 
     gram is the pairing matrix A_{kl} = omega(frame_k, frame_l) and det_cert
     its determinant, a unit (or a nonzero constant for a Saito frame).
-    adjugate is adj(A^T), computed once at assembly from the cofactors of A
-    and checked there against A^T * adj == det * I, so the Poisson tensor
-    pi = omega^-1 acts on a covector b as adj * b / det with no solve.
+    Assembly computes, once per structure:
+
+    - adjugate, adj(A^T) from the cofactors of A, checked against
+      A^T * adj == det * I;
+    - poisson, the frame Poisson tensor pi = omega^-1 = adj * det^-1, checked
+      against A^T * pi == I, when det is a unit monomial; None for a Saito
+      frame whose constant det is not a unit, where a field divides adj * b
+      by det exactly instead;
+    - frame_log, the log components of each frame field, row k for frame_k.
+
+    A Hamiltonian field then costs one d(f) and matrix-vector products.
     """
 
     omega: LogForm
@@ -458,6 +466,8 @@ class SymplecticData:
     gram: tuple  # n x n tuple-of-tuples of Poly
     det_cert: Poly
     adjugate: tuple  # adj(A^T), n x n tuple-of-tuples of Poly
+    poisson: Optional[tuple]  # adj * det^-1, or None when det is not a unit
+    frame_log: tuple  # log components of frame_k, n x n tuple-of-tuples of Poly
     frame_kind: str
 
     @property
@@ -477,10 +487,29 @@ def _det_is_unit(det: Poly, frame_kind: str) -> bool:
 
 
 def gram_matrix(omega: LogForm, frame: Sequence[LogVectorField]):
-    rows = []
-    for fk in frame:
-        row_form = omega.interior(fk)
-        rows.append([row_form.interior(fl).coefficient(()) for fl in frame])
+    return _gram_rows(omega, _frame_log(omega, frame))
+
+
+def _frame_log(omega: LogForm, frame: Sequence[LogVectorField]) -> tuple:
+    """The log components of each frame field, row k for frame_k."""
+    for fr in frame:
+        omega.ctx.check_same(fr.ctx)
+    return tuple(tuple(fr.log_components()) for fr in frame)
+
+
+def _gram_rows(omega: LogForm, logs: tuple) -> List[List[Poly]]:
+    """A_{kl} = omega(frame_k, frame_l) from the frame's log components,
+    evaluated above the diagonal: a 2-form gives A_{lk} = -A_{kl} and a zero
+    diagonal exactly."""
+    if omega.degree < 2:
+        raise CalculusError("cannot contract a degree-0 form")
+    n = len(logs)
+    rows = [[Poly.zero(omega.ctx)] * n for _ in range(n)]
+    for k in range(n - 1):
+        row_form = omega.contract(logs[k])
+        for l in range(k + 1, n):
+            a = row_form.contract(logs[l]).coefficient(())
+            rows[k][l], rows[l][k] = a, -a
     return rows
 
 
@@ -492,11 +521,18 @@ def gram_determinant(
     of the arena ring (unit monomial in the torus arena, unit constant in the
     polynomial arena), on a Saito-type frame a nonzero constant.  A frame
     has one field per coordinate."""
+    return _gram(omega, frame, frame_kind)[1:]
+
+
+def _gram(omega: LogForm, frame: Sequence[LogVectorField], frame_kind: str):
+    """gram_determinant's results after the frame's log components, which
+    the Gram matrix is computed from."""
     if len(frame) != omega.ctx.n:
         raise CalculusError("a frame needs %d fields, got %d" % (omega.ctx.n, len(frame)))
-    rows = gram_matrix(omega, frame)
+    logs = _frame_log(omega, frame)
+    rows = _gram_rows(omega, logs)
     det = det_poly(rows)
-    return rows, det, _det_is_unit(det, frame_kind)
+    return logs, rows, det, _det_is_unit(det, frame_kind)
 
 
 def assemble_symplectic(
@@ -508,8 +544,9 @@ def assemble_symplectic(
 
     Nondegeneracy is decided by gram_determinant on the given frame (the log
     frame by default).  Raises on odd dimension, non-closed or degenerate
-    input.  The adjugate of A^T is computed and checked here, once, for every
-    later Hamiltonian field.
+    input.  The adjugate of A^T, the Poisson tensor and the frame's log
+    components are computed and checked here, once, for every later
+    Hamiltonian field.
     """
     if omega.degree != 2:
         raise CalculusError("symplectic data needs a 2-form")
@@ -520,15 +557,21 @@ def assemble_symplectic(
     if frame is None:
         frame = log_frame(omega.ctx)
         frame_kind = FRAME_LOG
-    rows, det, nondeg = gram_determinant(omega, frame, frame_kind)
+    logs, rows, det, nondeg = _gram(omega, frame, frame_kind)
     if not nondeg:
         raise DegenerateError(det)
+    adj = _adjugate_transpose(rows, det)
+    pi = _poisson_tensor(adj, det)
+    if pi is not None and not _inverts(rows, pi, Poly.one(det.ctx)):
+        raise CalculusError("Poisson tensor check A^T * pi == I failed")
     return SymplecticData(
         omega=omega,
         frame=tuple(frame),
         gram=tuple(tuple(r) for r in rows),
         det_cert=det,
-        adjugate=_adjugate_transpose(rows, det),
+        adjugate=adj,
+        poisson=pi,
+        frame_log=logs,
         frame_kind=frame_kind,
     )
 
@@ -544,12 +587,30 @@ def _adjugate_transpose(rows: List[List[Poly]], det: Poly) -> tuple:
             minor = [[rows[i][j] for j in range(n) if j != l] for i in range(n) if i != k]
             c = det_poly(minor)
             adj[k][l] = -c if (k + l) % 2 else c
-    zero = Poly.zero(det.ctx)
+    if not _inverts(rows, adj, det):
+        raise CalculusError("adjugate check A^T * adj == det * I failed")
+    return tuple(tuple(r) for r in adj)
+
+
+def _poisson_tensor(adj: tuple, det: Poly) -> Optional[tuple]:
+    """pi = adj * det^-1 when det is a unit monomial, else None."""
+    if not det.is_unit_monomial():
+        return None
+    inv = det.inverse_unit()
+    return tuple(tuple(a * inv for a in row) for row in adj)
+
+
+def _inverts(rows: List[List[Poly]], m, diag: Poly) -> bool:
+    """Whether A^T * m == diag * I exactly, for the Gram matrix A = rows."""
+    n = len(rows)
+    zero = Poly.zero(diag.ctx)
     for l in range(n):
-        for m in range(n):
+        for j in range(n):
             acc = zero
             for k in range(n):
-                acc = acc + rows[k][l] * adj[k][m]
-            if acc != (det if l == m else zero):
-                raise CalculusError("adjugate check A^T * adj == det * I failed")
-    return tuple(tuple(r) for r in adj)
+                a, b = rows[k][l], m[k][j]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            if acc != (diag if l == j else zero):
+                return False
+    return True

@@ -683,6 +683,12 @@ def main(argv=None) -> int:
             args, extra = build_parser(command).parse_known_args(argv[1:])
             if extra:
                 raise _UsageError(None, "unrecognized arguments: %s" % " ".join(extra))
+        for name in _long_options(args.command)[1:]:
+            # argparse strips "--" from an explicit --opt=-- and stores []
+            value = getattr(args, name[2:])
+            if value is not None and not isinstance(value, str):
+                raise _UsageError(build_parser(args.command),
+                                  "argument %s: expected one argument" % name)
     except _UsageError as e:
         if _json_requested(argv, command):
             doc = {"schema": SCHEMA, "command": command,

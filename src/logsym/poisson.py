@@ -5,11 +5,13 @@ The Hamiltonian field of f solves the Gram system A^T v = b where A is the
 pairing matrix of omega against the chosen frame and b_l = frame_l(f): with
 delta = sum_k v_k frame_k, the coefficient of e^l in i_delta omega is
 (A^T v)_l, and d(f) has coefficient frame_l(f) there.  No system is solved
-per call: assembly stored adj(A^T), already checked against A^T * adj ==
-det * I, so v = adj * b / det is a matrix-vector product followed by a
-multiplication by the inverse unit det^-1 (or an exact division for a Saito
-frame whose constant det is not a unit).  Every field is still re-verified
-through the certificate i_{delta_f} omega - d(f) == 0.
+per call.  Assembly stored the Poisson tensor pi = adj(A^T) * det^-1,
+checked against A^T * pi == I, and the log components F_l of each frame
+field.  Per call, a field computes d(f) once, forms b_l = sum_i F_li d(f)_i
+over the nonzero F_li, and sets v = pi * b; for a Saito frame whose constant
+det is not a unit there is no pi, and v = adj * b is divided by det exactly.
+Every field is still re-verified through the certificate
+i_{delta_f} omega - d(f) == 0, on that same d(f).
 """
 
 from __future__ import annotations
@@ -42,36 +44,45 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
     if not S.nondegenerate:
         raise PoissonError("degenerate form has no Hamiltonian fields")
     S.ctx.check_same(f.ctx)
-    delta = _gram_field(S, [fr.apply(f) for fr in S.frame], "Hamiltonian")
-    cert = S.omega.interior(delta) - d_of_function(f)
+    df = d_of_function(f)
+    zero = Poly.zero(S.ctx)
+    b = []
+    for row in S.frame_log:
+        # frame_l(f) is the pairing of d(f) with frame_l's log components
+        bl = zero
+        for (i,), di in df.terms.items():
+            if not row[i].is_zero():
+                bl = bl + row[i] * di
+        b.append(bl)
+    delta = _gram_field(S, b, "Hamiltonian")
+    cert = S.omega.interior(delta) - df
     if not cert.is_zero():
         raise PoissonError("Hamiltonian certificate failed (internal error)")
     return HamiltonianResult(f=f, delta=delta, certificate=cert)
 
 
 def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
-    """sum_k v_k frame_k with A^T v = b, read off the stored adjugate:
-    v_k = (adj * b)_k / det, added into the field's coefficients only where
+    """sum_k v_k frame_k with A^T v = b: v = pi * b from the Poisson tensor
+    stored at assembly, or v_k = (adj * b)_k / det by exact division when
+    det is not a unit, added into the field's coefficients only where
     frame_k has a nonzero one.  what names the field in the error raised
     when some v_k is not in the arena ring."""
-    det = S.det_cert
-    inv = det.inverse_unit() if det.is_unit_monomial() else None
+    pi = S.poisson
     zero = Poly.zero(S.ctx)
     coeffs = [zero] * S.ctx.n
-    for k, row in enumerate(S.adjugate):
-        num = zero
+    for k, row in enumerate(S.adjugate if pi is None else pi):
+        v = zero
         for a, bl in zip(row, b):
-            if not a.is_zero():
-                num = num + a * bl
-        if inv is not None:
-            v = num * inv
-        else:
-            ok, v = divides(det, num)
+            if not (a.is_zero() or bl.is_zero()):
+                v = v + a * bl
+        if pi is None:
+            ok, q = divides(S.det_cert, v)
             if not ok:
                 raise PoissonError(
                     "%s component %d leaves the arena ring: (%s) / (%s)"
-                    % (what, k, print_canonical(num), print_canonical(det))
+                    % (what, k, print_canonical(v), print_canonical(S.det_cert))
                 )
+            v = q
         for i, c in enumerate(S.frame[k].coeffs):
             if not c.is_zero():
                 coeffs[i] = coeffs[i] + v * c

@@ -205,11 +205,16 @@ class Poly:
             # c*z^e times y: the shift is injective and the coefficient ring
             # is a domain, so no two terms meet and none vanishes
             ((e1, c1),) = x.items()
+            one = c1.is_one()
             if any(e1):
+                if one:
+                    return _poly(self.ctx, {
+                        tuple(map(add, e1, e2)): c2 for e2, c2 in y.items()
+                    })
                 return _poly(self.ctx, {
                     tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in y.items()
                 })
-            if c1.is_one():
+            if one:
                 return _poly(self.ctx, y)
             return _poly(self.ctx, {e2: c1 * c2 for e2, c2 in y.items()})
         terms: Dict[Exp, Scalar] = {}

@@ -685,7 +685,7 @@ def test_one_parser_per_command_call(capsys, monkeypatch):
 # shape goes to argparse.  Both must give the same namespace and bytes.
 
 _WORD_VALUES = ["-", "-1", "", "-x", "a b", "x=1", "json", "xml", "text", "x",
-                "-x + y", "s", EXACT]
+                "-x + y", "s", "--", EXACT]
 _EXTRA_WORDS = ["-h", "--help", "--", "extra", "--bogus", "-"]
 
 
@@ -702,6 +702,7 @@ def _command_words(draw):
         st.tuples(name, value).map(list),  # maybe a repeat
         st.builds(lambda n, k, v: [n[:k], v], name, st.integers(3, 8), value),
         st.builds(lambda n, v: ["%s=%s" % (n, v)], name, value),
+        name.map(lambda n: [n + "=--"]),  # argparse stores [], not "--"
         st.sampled_from(_EXTRA_WORDS).map(lambda w: [w]),
         value.map(lambda v: [v]))
     pairs += draw(st.lists(odd, max_size=2))
@@ -815,6 +816,29 @@ def test_abbreviated_format_on_usage_errors(capsys):
     # with no command only --format itself counts
     code, out, err = run(capsys, "nosuchcmd", "--fo", "json")
     assert (code, out) == (2, "") and "invalid choice" in err
+
+
+def test_double_dash_values_are_usage_errors(capsys, monkeypatch):
+    """argparse stores an explicit --opt=-- as [], not a string: main reports
+    it as argparse reports --opt -- with no value, exit 2 in text and json."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for cmd, words, opt in (
+        ("integrality", [], "--session"),
+        ("check-divisor", ["--session", EXACT], "--poly"),
+        ("check-divisor", ["--session", EXACT], "--format"),
+    ):
+        error = "argument %s: expected one argument" % opt
+        code, out, err = run(capsys, cmd, *words, opt + "=--")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: logsym %s [-h]" % cmd)
+        assert err.endswith("logsym %s: error: %s\n" % (cmd, error))
+        assert run(capsys, cmd, *words, opt, "--") == (code, out, err)
+        if opt == "--format":
+            continue
+        doc = {"command": cmd, "error": error, "exit": 2, "schema": "logsym/1"}
+        want = (2, json.dumps(doc, indent=2) + "\n", "")
+        assert run(capsys, cmd, *words, opt + "=--", "--format", "json") == want
+        assert run(capsys, cmd, "--format=json", *words, opt + "=--") == want
 
 
 def test_session_not_utf8(capsys, tmp_path):

@@ -9,8 +9,9 @@ standard form with one log direction.
 
 Chart C: torus x,y,z,w all on the divisor, omega = e^x ^ e^y + e^z ^ e^w.
 
-The fields are read off the adjugate stored at assembly; the reference they
-are checked against solves the Gram system A^T v = b with solve_linear.
+The fields are read off the Poisson tensor (or, for a Saito frame whose
+constant det is not a unit, the adjugate) stored at assembly; the reference
+they are checked against solves the Gram system A^T v = b with solve_linear.
 """
 
 import random
@@ -347,16 +348,20 @@ def _chart_cross(fields):
     return ctx, assemble_symplectic(w, frame, FRAME_SAITO)
 
 
+def _cross_charts():
+    """The two Saito frames whose second field has two nonzero coefficients."""
+    return [
+        _chart_cross(lambda x, y, one, zero: [[one, zero], [x, one]]),  # @x, x*@x + @y
+        _chart_cross(lambda x, y, one, zero: [[one, one], [x, one + x]]),
+    ]
+
+
 def test_gram_field_meets_cross_terms():
     """Frames whose fields have several nonzero coefficients, so that the
     coefficients of the Hamiltonian field gather terms from more than one
     frame field: every field equals the fraction-field solve, on these Saito
     frames through the divides branch and on charts A, B and C."""
-    charts = [
-        _chart_cross(lambda x, y, one, zero: [[one, zero], [x, one]]),  # @x, x*@x + @y
-        _chart_cross(lambda x, y, one, zero: [[one, one], [x, one + x]]),
-    ]
-    for ctx, S in charts:
+    for ctx, S in _cross_charts():
         one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
         assert S.det_cert == one_t * one_t
         assert sum(not c.is_zero() for c in S.frame[1].coeffs) == 2
@@ -415,6 +420,102 @@ def test_assembly_rejects_a_wrong_adjugate(monkeypatch):
         assemble_symplectic(w)
 
 
+def _gram_product(S, m):
+    """A^T * m for the stored Gram matrix A."""
+    n = S.ctx.n
+    zero = Poly.zero(S.ctx)
+    out = []
+    for l in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + S.gram[k][l] * m[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_assembly_stores_the_poisson_tensor_and_frame_log(monkeypatch):
+    """Where det is a unit, assembly stores pi with A^T * pi == I and the
+    fields use it; where it is not (the Saito frames, det (1+T)^2), there is
+    no pi and every field divides by det.  The stored frame log components
+    are the frame fields' own."""
+    divisions = []
+    real_divides = poisson.divides
+
+    def counting(g, f):
+        divisions.append(g)
+        return real_divides(g, f)
+
+    monkeypatch.setattr(poisson, "divides", counting)
+    charts = [(maker(), True) for maker in (_chart_a, _chart_b, _chart_c)]
+    charts += [(chart, False) for chart in _cross_charts()]
+    rng = random.Random(517)
+    for (ctx, S), unit in charts:
+        n = ctx.n
+        assert S.frame_log == tuple(tuple(fr.log_components()) for fr in S.frame)
+        assert S.det_cert.is_unit_monomial() is unit
+        if unit:
+            identity = [[Poly.one(ctx) if l == j else Poly.zero(ctx) for j in range(n)]
+                        for l in range(n)]
+            assert _gram_product(S, S.poisson) == identity
+        else:
+            assert S.poisson is None
+        del divisions[:]
+        f = rand_poly(ctx, rng, deg=3, terms=3)
+        f = f if unit else S.det_cert * f
+        assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+        assert divisions == ([] if unit else [S.det_cert] * n)
+
+
+def test_assembly_rejects_a_wrong_poisson_tensor(monkeypatch):
+    # skew one entry of pi, leaving the adjugate and det as they are
+    real = calculus._poisson_tensor
+
+    def skewed(adj, det):
+        pi = [list(row) for row in real(adj, det)]
+        pi[0][-1] = pi[0][-1] + Poly.one(det.ctx)
+        return tuple(tuple(row) for row in pi)
+
+    monkeypatch.setattr(calculus, "_poisson_tensor", skewed)
+    for maker in (_chart_a, _chart_b, _chart_c):
+        with pytest.raises(CalculusError, match="Poisson tensor check"):
+            maker()
+
+
+def test_one_derivative_per_hamiltonian_field(monkeypatch):
+    """A Hamiltonian field takes d(f) once, for its covector and its
+    certificate, and applies no frame field to f; the fields still equal the
+    fraction-field solve, on log frames and on a Saito frame."""
+    counts = {"d": 0, "apply": 0}
+    real_d, real_apply = poisson.d_of_function, LogVectorField.apply
+
+    def counting_d(f):
+        counts["d"] += 1
+        return real_d(f)
+
+    def counting_apply(self, f):
+        counts["apply"] += 1
+        return real_apply(self, f)
+
+    rng = random.Random(518)
+    charts = [_chart_a(), _chart_b(), _chart_c(), _cross_charts()[1]]
+    for ctx, S in charts:
+        for _ in range(6):
+            f = rand_poly(ctx, rng, deg=3, terms=3)
+            if S.poisson is None:
+                f = S.det_cert * f
+            want = _reference_hamiltonian(S, f)
+            with monkeypatch.context() as mp:
+                mp.setattr(poisson, "d_of_function", counting_d)
+                mp.setattr(LogVectorField, "apply", counting_apply)
+                counts.update(d=0, apply=0)
+                got = hamiltonian(S, f).delta
+                assert counts == {"d": 1, "apply": 0}
+            assert got == want
+
+
 # -- fields passed down --------------------------------------------------------
 
 
@@ -427,9 +528,11 @@ def _chart_c_open():
     w = e[0].wedge(e[1]) + e[2].wedge(e[3]) + e[1].wedge(e[2]).scale(Poly.variable(ctx, "x"))
     frame = calculus.log_frame(ctx)
     rows, det, _ = calculus.gram_determinant(w, frame, calculus.FRAME_LOG)
+    adj = calculus._adjugate_transpose(rows, det)
     S = calculus.SymplecticData(
         omega=w, frame=tuple(frame), gram=tuple(tuple(r) for r in rows),
-        det_cert=det, adjugate=calculus._adjugate_transpose(rows, det),
+        det_cert=det, adjugate=adj, poisson=calculus._poisson_tensor(adj, det),
+        frame_log=tuple(tuple(fr.log_components()) for fr in frame),
         frame_kind=calculus.FRAME_LOG,
     )
     return ctx, S

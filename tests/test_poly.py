@@ -444,3 +444,18 @@ def test_products_and_derivatives_match_the_double_loop():
         # 1 * p shares the table of p, which is never changed after it is built
         one = Poly.one(ctx)
         assert (one * ops[-1]).terms is ops[-1].terms is (ops[-1] * one).terms
+        # z^e * q (coefficient exactly 1, e nonzero, q of several terms)
+        # shifts q's exponents and shares q's coefficient objects
+        exps = [(1, 0), (2, 1), (0, 3)]
+        if ctx.arena == TORUS:
+            exps += [(-1, 0), (-2, 3), (1, -1)]
+        several = [q for q in ops[-8:] if len(q.terms) > 1]
+        assert len(several) >= 6
+        for e in exps:
+            m = Poly.monomial(ctx, e)
+            for q in several:
+                for mq in (m * q, q * m):
+                    assert mq.terms == _reference_mul(m, q).terms
+                    shifted = {tuple(a + b for a, b in zip(e, eq)): c
+                               for eq, c in q.terms.items()}
+                    assert all(mq.terms[k] is c for k, c in shifted.items())
