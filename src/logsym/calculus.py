@@ -17,7 +17,6 @@ coordinate divisor".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .context import TORUS, VarContext
@@ -215,12 +214,15 @@ class LogForm:
     def coefficient(self, I) -> Poly:
         return self.terms.get(tuple(I), Poly.zero(self.ctx))
 
-    def __add__(self, other: "LogForm") -> "LogForm":
+    def _check_like(self, other: "LogForm"):
         self.ctx.check_same(other.ctx)
         if self.degree != other.degree:
             raise CalculusError(
                 "degree mismatch %d vs %d" % (self.degree, other.degree)
             )
+
+    def __add__(self, other: "LogForm") -> "LogForm":
+        self._check_like(other)
         terms = dict(self.terms)
         for I, c in other.terms.items():
             s = terms.get(I)
@@ -235,7 +237,19 @@ class LogForm:
         return _form(self.ctx, self.degree, {I: -c for I, c in self.terms.items()})
 
     def __sub__(self, other: "LogForm") -> "LogForm":
-        return self + (-other)
+        self._check_like(other)
+        terms = dict(self.terms)
+        for I, c in other.terms.items():
+            s = terms.get(I)
+            if s is None:
+                terms[I] = -c
+                continue
+            s = s - c
+            if s.is_zero():
+                del terms[I]
+            else:
+                terms[I] = s
+        return _form(self.ctx, self.degree, terms)
 
     def scale(self, f: Poly) -> "LogForm":
         if f.is_zero():
@@ -442,7 +456,6 @@ class DegenerateError(CalculusError):
         self.det = det
 
 
-@dataclass(frozen=True)
 class SymplecticData:
     """A closed nondegenerate log 2-form with its Gram data on a frame.
 
@@ -458,25 +471,38 @@ class SymplecticData:
       by det exactly instead;
     - frame_log, the log components of each frame field, row k for frame_k.
 
-    A Hamiltonian field then costs one d(f) and matrix-vector products.
+    nondegenerate, whether det_cert passes the unit test of frame_kind, is
+    decided when the data is built, hand-built data included.  A Hamiltonian
+    field then costs one d(f) and matrix-vector products.
     """
 
-    omega: LogForm
-    frame: Tuple[LogVectorField, ...]
-    gram: tuple  # n x n tuple-of-tuples of Poly
-    det_cert: Poly
-    adjugate: tuple  # adj(A^T), n x n tuple-of-tuples of Poly
-    poisson: Optional[tuple]  # adj * det^-1, or None when det is not a unit
-    frame_log: tuple  # log components of frame_k, n x n tuple-of-tuples of Poly
-    frame_kind: str
+    __slots__ = ("omega", "frame", "gram", "det_cert", "adjugate", "poisson",
+                 "frame_log", "frame_kind", "nondegenerate")
+
+    def __init__(
+        self,
+        omega: LogForm,
+        frame: Tuple[LogVectorField, ...],
+        gram: tuple,  # n x n tuple-of-tuples of Poly
+        det_cert: Poly,
+        adjugate: tuple,  # adj(A^T), n x n tuple-of-tuples of Poly
+        poisson: Optional[tuple],  # adj * det^-1, or None when det is not a unit
+        frame_log: tuple,  # log components of frame_k, n x n tuple-of-tuples
+        frame_kind: str,
+    ):
+        self.omega = omega
+        self.frame = frame
+        self.gram = gram
+        self.det_cert = det_cert
+        self.adjugate = adjugate
+        self.poisson = poisson
+        self.frame_log = frame_log
+        self.frame_kind = frame_kind
+        self.nondegenerate = _det_is_unit(det_cert, frame_kind)
 
     @property
     def ctx(self) -> VarContext:
         return self.omega.ctx
-
-    @property
-    def nondegenerate(self) -> bool:
-        return _det_is_unit(self.det_cert, self.frame_kind)
 
 
 def _det_is_unit(det: Poly, frame_kind: str) -> bool:

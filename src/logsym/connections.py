@@ -18,11 +18,10 @@ contract every nonzero eigenvalue piece of a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import floor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .calculus import (
     FRAME_LOG,
@@ -43,15 +42,23 @@ class PrequantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Connection1:
-    sigma: LogForm
-    curvature: LogForm = field(init=False)
+    """The connection d + sigma for a log 1-form sigma, with its curvature
+    d(sigma) computed when it is built; equal and hashed by sigma."""
 
-    def __post_init__(self):
-        if self.sigma.degree != 1:
+    __slots__ = ("sigma", "curvature")
+
+    def __init__(self, sigma: LogForm):
+        if sigma.degree != 1:
             raise PrequantError("connection form must have degree 1")
-        object.__setattr__(self, "curvature", self.sigma.d())
+        self.sigma = sigma
+        self.curvature = sigma.d()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Connection1) and self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.sigma)
 
 
 def gauge(conn: Connection1, tau: LogForm) -> Connection1:
@@ -251,8 +258,7 @@ def _shift_residues(conn: Connection1, shifts: List[int]) -> Tuple[Connection1, 
 # -- the pipeline -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrequantReport:
+class PrequantReport(NamedTuple):
     closed: bool
     nondegenerate: bool
     even_dim: bool

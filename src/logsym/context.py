@@ -11,7 +11,6 @@ eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 POLY = "poly"
@@ -22,27 +21,43 @@ class ContextError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class VarContext:
-    names: Tuple[str, ...]
-    divisor: Tuple[int, ...] = ()  # sorted indices of divisor coordinates
-    arena: str = POLY
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    """Coordinate names, the sorted indices of the divisor coordinates and
+    the arena; equal and hashed by those three, and never changed after it
+    is built."""
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ContextError("duplicate variable names: %r" % (self.names,))
-        for name in self.names:
+    __slots__ = ("names", "divisor", "arena", "_index")
+
+    def __init__(self, names: Tuple[str, ...], divisor: Tuple[int, ...] = (),
+                 arena: str = POLY):
+        if len(set(names)) != len(names):
+            raise ContextError("duplicate variable names: %r" % (names,))
+        for name in names:
             if not name.isidentifier():
                 raise ContextError("bad variable name %r" % name)
-        if self.arena not in (POLY, TORUS):
-            raise ContextError("unknown arena %r" % self.arena)
-        div = tuple(sorted(set(self.divisor)))
+        if arena not in (POLY, TORUS):
+            raise ContextError("unknown arena %r" % arena)
+        div = tuple(sorted(set(divisor)))
         for i in div:
-            if not 0 <= i < len(self.names):
+            if not 0 <= i < len(names):
                 raise ContextError("divisor index %d out of range" % i)
-        object.__setattr__(self, "divisor", div)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        self.names = names
+        self.divisor = div
+        self.arena = arena
+        self._index = {n: i for i, n in enumerate(names)}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VarContext) and (
+            (self.names, self.divisor, self.arena)
+            == (other.names, other.divisor, other.arena)
+        )
+
+    def __hash__(self):
+        return hash((self.names, self.divisor, self.arena))
+
+    def __repr__(self):
+        return "VarContext(names=%r, divisor=%r, arena=%r)" % (
+            self.names, self.divisor, self.arena)
 
     @property
     def n(self) -> int:

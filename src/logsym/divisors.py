@@ -10,10 +10,9 @@ and logarithmicity is the membership delta(h) in (h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .calculus import LogVectorField
 from .context import VarContext
@@ -60,8 +59,7 @@ def is_logarithmic(delta: LogVectorField, h: Poly):
     return divides(h, val)
 
 
-@dataclass(frozen=True)
-class SaitoResult:
+class SaitoResult(NamedTuple):
     free: bool
     det: Poly
     certificate: Optional[Scalar]  # det = certificate * h when free

@@ -12,8 +12,7 @@ all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData
 from .poisson import bracket_of_fields, hamiltonian
@@ -119,8 +118,7 @@ def _prequantum(f: Poly, df: LogVectorField, sigma: LogForm, alpha: Scalar) -> L
     return LogDiffOp1(op.delta, op.mult + f.scale(alpha))
 
 
-@dataclass(frozen=True)
-class DiracReport:
+class DiracReport(NamedTuple):
     holds: bool
     defect: LogDiffOp1  # [Q(f),Q(g)] - Q({f,g})
     predicted_mult: Poly  # K(delta_f, delta_g) - alpha*omega(delta_f, delta_g)
@@ -172,8 +170,7 @@ def atiyah_check(phi: LogDiffOp1, l: LogVectorField):
     return False, None  # unreachable: unequal fields differ in some coefficient
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     identity_defects: List[LogDiffOp1]  # i(lambda(phi)) + chi(pi(phi)) - phi
     composite_defects: List[Poly]  # lambda(chi(delta))
     holds: bool
@@ -214,8 +211,7 @@ def cochain_eval(eta: LogForm, fs: Sequence[Poly], S: SymplecticData) -> Poly:
     return eta.evaluate(deltas)
 
 
-@dataclass(frozen=True)
-class CochainSpec:
+class CochainSpec(NamedTuple):
     """The representable 1-cochains m(f) = theta(delta_f) + c*f."""
 
     theta: LogForm  # degree 1

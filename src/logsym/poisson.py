@@ -16,8 +16,7 @@ i_{delta_f} omega - d(f) == 0, on that same d(f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
 from .context import TORUS
@@ -32,8 +31,7 @@ class PoissonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HamiltonianResult:
+class HamiltonianResult(NamedTuple):
     f: Poly
     delta: LogVectorField
     certificate: LogForm  # i_delta omega - d(f), identically zero
@@ -228,8 +226,7 @@ def _jacobi(
     )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Exact defects of the five bracket identities plus Jacobi.
 
     Identity (ii) compares the product expansion {u,a}/u + {v,a}/v with the

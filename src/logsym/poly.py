@@ -15,11 +15,12 @@ membership for principal ideals by checking that the remainder vanishes.
 
 from __future__ import annotations
 
+from math import gcd, isqrt, lcm
 from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .context import TORUS, VarContext
-from .scalars import Scalar, ScalarError, _power, _times_int, scalar_gcd
+from .scalars import Scalar, ScalarError, _power, _scalar, _times_int, scalar_gcd
 
 Exp = Tuple[int, ...]
 
@@ -194,7 +195,21 @@ class Poly:
         return _poly(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._binop_ctx(other)
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            if s is None:
+                terms[e] = -c
+                continue
+            s = s - c
+            if s.is_zero():
+                del terms[e]
+            else:
+                terms[e] = s
+        return _poly(self.ctx, terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._binop_ctx(other)
@@ -443,14 +458,34 @@ def _pseudo_rem(f: Poly, g: Poly, i: int) -> Poly:
 def gcd_mv(a: Poly, b: Poly) -> Poly:
     """gcd of multivariate polynomials over QQ(i)[T, T^-1].
 
-    Primitive-PRS on the highest variable actually used, recursing on the
-    coefficient ring.  Each remainder is divided once by its content in that
-    variable; that content bottoms out in the Euclidean gcd in T, so it takes
-    the scalar content along.  The result is normalised so its leading scalar
-    has unit part 1.  Laurent monomial factors (units of the torus arena) are
-    stripped first and do not appear in the answer.
+    The heuristic gcd (GCDHEU, Char, Geddes and Gonnet 1989) runs first, on
+    integer images in Z[i][z, T] (see _heuristic_gcd): each level evaluates
+    one variable at xi >= 2*min(|f|, |g|) + 29 and rebuilds the gcd by the
+    balanced xi-adic expansion of the gcd of the images.  A candidate is kept
+    only when exact division shows that it divides both inputs of its level;
+    with that bound on xi this certificate proves it is the gcd.  When six
+    growing values of xi give no certified candidate, the primitive PRS
+    (_prs_gcd) decides.  The gcd is unique up to a unit c*T^k (times a
+    Laurent monomial in the torus arena), and both paths return it
+    normalised by _normalize_gcd, so they agree byte for byte.
     """
     a.ctx.check_same(b.ctx)
+    if not (a.is_zero() or b.is_zero()):
+        g = _heuristic_gcd(a, b)
+        if g is not None:
+            return g
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd_mv by a primitive PRS on the highest variable actually used,
+    recursing on the coefficient ring through gcd_mv.  Each remainder is
+    divided once by its content in that variable; that content bottoms out
+    in the Euclidean gcd in T, so it takes the scalar content along.  The
+    result is normalised so its leading scalar has unit part 1.  Laurent
+    monomial factors (units of the torus arena) are stripped first and do
+    not appear in the answer.
+    """
     if a.is_zero() and b.is_zero():
         return Poly.zero(a.ctx)
     if a.is_zero():
@@ -490,3 +525,246 @@ def _normalize_gcd(g: Poly) -> Poly:
     _, g = _strip_laurent(g)
     _, lc = g.leading()
     return g.scale(lc.unit_part().inverse())
+
+
+# -- the heuristic gcd on integer images ---------------------------------------
+#
+# An image is a dict from exponent tuples (z_1, ..., z_n, t) to nonzero
+# Gaussian integers (re, im), every exponent >= 0; the last place is the
+# power of T.
+
+
+def _heuristic_gcd(a: Poly, b: Poly) -> Optional[Poly]:
+    """gcd_mv of nonzero a and b by GCDHEU on their images in Z[i][z, T], or
+    None when it gives up.  Each input is mapped to its image by stripping
+    its Laurent monomial (torus divisor coordinates), clearing denominators
+    by their lcm and shifting its T-powers to >= 0, all units of the ring.
+    The ring is Z[i][z, T] with the nonzero Gaussian integers, T and (in the
+    torus arena) the divisor coordinates inverted, so the gcd of the images
+    is the gcd of a and b up to a unit."""
+    h = _heu(_image(a), _image(b), range(a.ctx.n + 1))
+    if h is None:
+        return None
+    terms: Dict[Exp, Dict[int, tuple]] = {}
+    for e, (re, im) in h.items():
+        terms.setdefault(e[:-1], {})[e[-1]] = (re, im, 1)
+    return _normalize_gcd(_poly(a.ctx, {e: _scalar(t) for e, t in terms.items()}))
+
+
+def _image(f: Poly) -> dict:
+    _, f = _strip_laurent(f)
+    low = min(min(c._t) for c in f.terms.values())
+    den = 1
+    for c in f.terms.values():
+        for _, _, d in c._t.values():
+            den = lcm(den, d)
+    return {
+        e + (k - low,): (re * (den // d), im * (den // d))
+        for e, c in f.terms.items() for k, (re, im, d) in c._t.items()
+    }
+
+
+def _heu(f: dict, g: dict, places) -> Optional[dict]:
+    """A gcd of the nonzero images f and g, whose exponents are 0 outside
+    places, or None after six values of xi.
+
+    The gcd is the gcd of the contents times that of the primitive parts.
+    A place neither side uses is skipped.  At the first place used, the
+    primitive parts are evaluated at xi, the gcd of the evaluations is taken
+    by recursion (_ggcd at the bottom), and the candidate is the
+    primitive part of its balanced xi-adic expansion.  It is returned only
+    when it divides both primitive parts exactly; since xi >= 2*min(|f|, |g|)
+    + 2, with |re| + |im| as the size of a coefficient, it is then their gcd
+    (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).  xi grows as in
+    sympy's heuristicgcd.py between tries.
+    """
+    used = [j for j in places
+            if any(e[j] for e in f) or any(e[j] for e in g)]
+    cf, f = _primitive(f)
+    cg, g = _primitive(g)
+    c = _ggcd(cf, cg)
+    zero = (0,) * len(next(iter(f)))
+    if not used or len(f) == 1 and zero in f or len(g) == 1 and zero in g:
+        return {zero: c}
+    j, rest = used[0], used[1:]
+    xi = 2 * min(_norm(f), _norm(g)) + 29
+    for _ in range(6):
+        fx, gx = _evaluate(f, j, xi), _evaluate(g, j, xi)
+        if fx and gx:
+            hx = _heu(fx, gx, rest)
+            if hx is None:
+                return None
+            _, h = _primitive(_expand(hx, j, xi))
+            if _divides_image(h, f) and _divides_image(h, g):
+                if c == (1, 0):
+                    return h
+                return {e: _gmul_int(c, v) for e, v in h.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _ggcd(u, v):
+    """A gcd of the Gaussian integers u and v, not both zero.
+
+    Euclid in Z[i] takes a step per bit, each on numbers of full size, so
+    rational integer gcds do the work instead: with u = c*p, c = gcd(re, im)
+    and p primitive, gcd(u, v) = g*h*gcd(w', c/h) for g = gcd(p, v),
+    w = v/g = d*w' (d = gcd of its parts, w' primitive) and h = gcd(c, d),
+    which holds prime by prime."""
+    a, b = u
+    c, d = v
+    if not (b or d):
+        return gcd(a, c), 0
+    if not (a or b):
+        return v
+    if not (c or d):
+        return u
+    cu = gcd(a, b)
+    g = _gcd_primitive(a // cu, b // cu, v)
+    w0, w1 = _gquo(v, g)
+    cw = gcd(w0, w1)
+    h = gcd(cu, cw)
+    x, y = _gmul_int(g, _gcd_primitive(w0 // cw, w1 // cw, (cu // h, 0)))
+    return h * x, h * y
+
+
+def _gcd_primitive(p, q, w):
+    """gcd(p + q*i, w) for p + q*i primitive (gcd(p, q) = 1).
+
+    Z[i] / (p + q*i) is Z/n for n = p^2 + q^2, with i mapped to r = -p/q
+    mod n; the ideal (p + q*i, w) is then {x + y*i : x + y*r = 0 mod k} for
+    k = gcd(n, image of w), and k is the norm of its generator.  The norm of
+    the gcd divides m = gcd(n, N(w)), so r is taken mod m.  Cornacchia's
+    algorithm finds the generator."""
+    n = p * p + q * q
+    m = gcd(n, w[0] * w[0] + w[1] * w[1])
+    if m == 1:
+        return 1, 0
+    r = -p * pow(q, -1, m) % m
+    return _norm_root(gcd(m, w[0] + w[1] * r), r)
+
+
+def _norm_root(k, r):
+    """x + y*i with x^2 + y^2 = k and x + y*r = 0 mod k, for r^2 = -1 mod k:
+    the generator of the ideal of norm k that r picks, by Cornacchia's
+    algorithm (the Euclidean remainders of k and r down to sqrt(k))."""
+    if k == 1:
+        return 1, 0
+    r %= k
+    s = isqrt(k)
+    x, y = k, r
+    while y > s:
+        x, y = y, x % y
+    z = isqrt(k - y * y)
+    return (y, z) if (y + z * r) % k == 0 else (y, -z)
+
+
+def _gquo(u, v):
+    """u / v in Z[i], or None when v does not divide u."""
+    a, b = u
+    c, d = v
+    if not d:
+        if a % c or b % c:
+            return None
+        return a // c, b // c
+    n = c * c + d * d
+    x, y = a * c + b * d, b * c - a * d
+    if x % n or y % n:
+        return None
+    return x // n, y // n
+
+
+def _gmul_int(u, v):
+    """u * v in Z[i]."""
+    a, b = u
+    c, d = v
+    return a * c - b * d, a * d + b * c
+
+
+def _primitive(f: dict):
+    """(content, primitive part) of an image over Z[i]."""
+    c = (0, 0)
+    for v in f.values():
+        c = _ggcd(c, v)
+        if abs(c[0]) + abs(c[1]) == 1:
+            break
+    if c == (1, 0):
+        return c, f
+    return c, {e: _gquo(v, c) for e, v in f.items()}
+
+
+def _norm(f: dict) -> int:
+    return max(abs(re) + abs(im) for re, im in f.values())
+
+
+def _evaluate(f: dict, j: int, xi: int) -> dict:
+    """f at z_j = xi; the j-th exponent of every key becomes 0."""
+    out: dict = {}
+    for e, (re, im) in f.items():
+        k = e[j]
+        if k:
+            p = xi ** k
+            re, im = re * p, im * p
+            e = e[:j] + (0,) + e[j + 1:]
+        s = out.get(e)
+        if s is not None:
+            re, im = re + s[0], im + s[1]
+            if not (re or im):
+                del out[e]
+                continue
+        out[e] = re, im
+    return out
+
+
+def _expand(h: dict, j: int, xi: int) -> dict:
+    """The balanced xi-adic expansion in z_j of h (free of z_j), real and
+    imaginary parts of each coefficient apart: digits in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = {}
+    for e, (re, im) in h.items():
+        k = 0
+        while re or im:
+            dr, di = re % xi, im % xi
+            if dr > half:
+                dr -= xi
+            if di > half:
+                di -= xi
+            if dr or di:
+                out[e[:j] + (k,) + e[j + 1:]] = dr, di
+            re, im = (re - dr) // xi, (im - di) // xi
+            k += 1
+    return out
+
+
+def _divides_image(h: dict, f: dict) -> bool:
+    """Whether h divides f in Z[i][z, t], by exact division under lex order.
+    A primitive h of one term has a unit coefficient, so only its exponent
+    needs dividing."""
+    if len(h) == 1:
+        (lead,) = h
+        return all(min(map(sub, e, lead)) >= 0 for e in f)
+    lead = max(h)
+    lc = h[lead]
+    tail = [(e, v) for e, v in h.items() if e != lead]
+    r = dict(f)
+    while r:
+        e = max(r)
+        d = tuple(map(sub, e, lead))
+        if min(d) < 0:
+            return False
+        q = _gquo(r.pop(e), lc)
+        if q is None:
+            return False
+        for m, w in tail:
+            t = tuple(map(add, d, m))
+            p = _gmul_int(q, w)
+            s = r.get(t)
+            if s is None:
+                r[t] = -p[0], -p[1]
+            else:
+                p = s[0] - p[0], s[1] - p[1]
+                if p[0] or p[1]:
+                    r[t] = p
+                else:
+                    del r[t]
+    return True

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -408,15 +407,22 @@ _WANTED = {"func": "function", "vfield": "vector field", "form": "form",
            "conn": "degree-1 form"}
 
 
-@dataclass
 class SessionManifest:
-    ctx: VarContext
-    divisor_poly: Optional[Poly]
-    funcs: Dict[str, Poly] = field(default_factory=dict)
-    vfields: Dict[str, LogVectorField] = field(default_factory=dict)
-    forms: Dict[str, LogForm] = field(default_factory=dict)
-    conns: Dict[str, Connection1] = field(default_factory=dict)
-    order: List[Tuple[str, str]] = field(default_factory=list)
+    """A parsed session: its context, its declared divisor equation (or
+    None) and its definitions by kind and name, with (kind, name) in the
+    order they were defined."""
+
+    def __init__(self, ctx: VarContext, divisor_poly: Optional[Poly]):
+        self.ctx = ctx
+        self.divisor_poly = divisor_poly
+        self.funcs: Dict[str, Poly] = {}
+        self.vfields: Dict[str, LogVectorField] = {}
+        self.forms: Dict[str, LogForm] = {}
+        self.conns: Dict[str, Connection1] = {}
+        self.order: List[Tuple[str, str]] = []
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SessionManifest) and vars(self) == vars(other)
 
     def table(self, kind: str) -> dict:
         """The definitions of kind, by name."""

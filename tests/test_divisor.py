@@ -5,7 +5,9 @@ The running example is the arrangement xy(x+y)((z-2)x+y) with its known free
 basis; every expected value below was computed by hand before being frozen.
 """
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -19,8 +21,10 @@ from logsym.divisors import (
     saito_check,
     weighted_homogeneous,
 )
-from logsym.poly import Poly
+from logsym.poly import Poly, divides
 from logsym.scalars import Scalar
+from logsym.sessions import eval_in_session, parse_session, print_canonical
+from conftest import rand_scalar
 
 
 def _arrangement():
@@ -141,3 +145,59 @@ def test_weighted_homogeneity_properties():
         assert {sum(wi * k for wi, k in zip(w, e)) for e in p.terms} == {deg}
         found += 1
     assert found >= 20
+
+
+def _same_up_to_unit(p, q):
+    return divides(p, q)[0] and divides(q, p)[0]
+
+
+def test_squarefree_torus_product_in_budget():
+    """The 2-variable torus product whose gcds swelled past 30 s under the
+    PRS: h*g is reduced, and h*h*g has h, up to a unit, as its witness.
+    Each check gets 2 s."""
+    m = parse_session("vars x y\ndivisor coords x y\narena torus\n")
+    h = eval_in_session(m, "(1 - 2/3*I)*T*x^-1*y + T*x^-2*y^-2")
+    g = eval_in_session(m, "x + 2/3*x^-1*y - 4/3*T*y^-2")
+    t0 = time.perf_counter()
+    assert check_squarefree(h * g) == (True, None)
+    t1 = time.perf_counter()
+    ok, witness = check_squarefree(h * h * g)
+    t2 = time.perf_counter()
+    assert not ok
+    assert print_canonical(witness) == "x*y^3 + (9/13 + 6/13*I)"
+    assert _same_up_to_unit(witness, h)
+    assert t1 - t0 < 2.0 and t2 - t1 < 2.0
+
+
+def _dense(ctx, rng, deg):
+    """Every monomial of total degree <= deg with a seeded coefficient in
+    Q(i)[T]: Gaussian in about a third of them, a T-power in about half."""
+    terms = {}
+    for e in itertools.product(range(deg + 1), repeat=ctx.n):
+        if sum(e) <= deg:
+            terms[e] = rand_scalar(rng, tmin=0, tmax=1, terms=1)
+    return Poly(ctx, terms)
+
+
+def test_squarefree_dense_products_in_budget():
+    """The harder tier, in 3 variables: products of 3 dense quadratic and of
+    5 dense linear factors, in the polynomial arena and on the torus, each
+    once as drawn (reduced) and once with its first factor squared (the
+    witness is that factor up to a unit).  The verdicts are checked against
+    the planted factors with divides; all 8 checks share a 10 s budget."""
+    rng = random.Random(312)
+    spent = 0.0
+    for arena, divisor in (("poly", []), ("torus", ["x", "y", "z"])):
+        ctx = make_context(["x", "y", "z"], divisor, arena)
+        for deg, k in ((2, 3), (1, 5)):
+            fs = [_dense(ctx, rng, deg) for _ in range(k)]
+            h = Poly.one(ctx)
+            for f in fs:
+                h = h * f
+            t0 = time.perf_counter()
+            reduced = check_squarefree(h)
+            ok, witness = check_squarefree(h * fs[0])
+            spent += time.perf_counter() - t0
+            assert reduced == (True, None)
+            assert not ok and _same_up_to_unit(witness, fs[0])
+    assert spent < 10.0

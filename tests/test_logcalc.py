@@ -218,6 +218,8 @@ def test_shape_errors():
     with pytest.raises(CalculusError):
         LogForm.coframe(ctx, "x") + LogForm.function(x)
     with pytest.raises(CalculusError):
+        LogForm.coframe(ctx, "x") - LogForm.function(x)
+    with pytest.raises(CalculusError):
         LogForm.function(x).interior(LogVectorField.coordinate(ctx, "x"))
     with pytest.raises(CalculusError):
         LogForm.coframe(ctx, "x").evaluate([])
@@ -279,3 +281,20 @@ def test_atom_constructors_match_the_checked_ones():
             coeffs = [Poly(ctx)] * ctx.n
             coeffs[i] = Poly(ctx, {e0: one})
             assert LogVectorField.coordinate(ctx, name) == LogVectorField(ctx, coeffs)
+
+
+def test_form_subtraction_is_adding_the_negation():
+    """omega - eta walks eta once; it equals omega + (-eta) for forms of
+    degree 0 to 2 in both arenas, and leaves both tables as they were."""
+    rng = random.Random(217)
+    for arena in ("poly", "torus"):
+        for _ in range(60):
+            ctx = rand_ctx(rng, nmax=3, arena=arena)
+            for degree in range(min(ctx.n, 2) + 1):
+                w = rand_form(ctx, rng, degree)
+                eta = rng.choice([rand_form(ctx, rng, degree), w, -w,
+                                  w + rand_form(ctx, rng, degree, cells=1)])
+                tw, te = dict(w.terms), dict(eta.terms)
+                assert (w - eta).terms == (w + (-eta)).terms
+                assert w.terms == tw and eta.terms == te
+                assert (w - w).is_zero()

@@ -296,6 +296,39 @@ def test_degenerate_error_carries_det():
         pytest.fail("degenerate form was accepted")
 
 
+def test_nondegeneracy_is_decided_once(monkeypatch):
+    """SymplecticData decides nondegeneracy when it is built, so Hamiltonian
+    fields run no unit test of det; a hand-built degenerate structure is
+    judged all the same and has no Hamiltonian fields."""
+    calls = []
+    unit = calculus._det_is_unit
+    monkeypatch.setattr(calculus, "_det_is_unit",
+                        lambda det, kind: calls.append(kind) or unit(det, kind))
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        assert S.nondegenerate
+        calls.clear()
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        for f in (x, y, x * y + Poly.one(ctx)):
+            hamiltonian(S, f)
+        assert calls == []
+    ctx = make_context(["x", "y"], [], "poly")
+    x = Poly.variable(ctx, "x")
+    w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(x)
+    frame = calculus.log_frame(ctx)
+    rows, det, _ = calculus.gram_determinant(w, frame, calculus.FRAME_LOG)
+    calls.clear()
+    S = calculus.SymplecticData(
+        omega=w, frame=tuple(frame), gram=tuple(tuple(r) for r in rows),
+        det_cert=det, adjugate=calculus._adjugate_transpose(rows, det),
+        poisson=None, frame_log=tuple(tuple(fr.log_components()) for fr in frame),
+        frame_kind=calculus.FRAME_LOG,
+    )
+    assert calls == [calculus.FRAME_LOG] and not S.nondegenerate
+    with pytest.raises(PoissonError, match="degenerate form has no Hamiltonian fields"):
+        hamiltonian(S, x)
+
+
 def test_hamiltonian_matches_gram_solve():
     for maker, count in ((_chart_a, 30), (_chart_b, 30), (_chart_c, 12)):
         ctx, S = maker()

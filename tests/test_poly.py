@@ -17,6 +17,7 @@ from logsym.poly import (
     gcd_mv,
 )
 from logsym.scalars import Scalar, scalar_gcd
+from logsym.sessions import print_canonical
 from conftest import rand_ctx, rand_poly, rand_scalar
 
 
@@ -255,6 +256,8 @@ def _factors(deg, terms):
 
 
 def test_gcd_matches_reference(monkeypatch):
+    """The heuristic gcd, the PRS fallback called directly and the reference
+    agree on every pair, and gcd_mv returns the heuristic's answer."""
     beside_unit = []
     content = poly._poly_content_in
 
@@ -266,12 +269,96 @@ def test_gcd_matches_reference(monkeypatch):
     n = 0
     for c, g, a, b in _factors(deg=3, terms=2):
         f1, f2 = c * g * a, g * b
-        assert gcd_mv(f1, f2) == _reference_gcd(f1, f2)
-        assert gcd_mv(f2, f1) == _reference_gcd(f2, f1)
+        for p, q in ((f1, f2), (f2, f1)):
+            want = _reference_gcd(p, q)
+            assert poly._heuristic_gcd(p, q) == want
+            assert poly._prs_gcd(p, q) == want
+            assert gcd_mv(p, q) == want
         n += 1
     assert n == 60
-    # both branches of the unit rule ran
+    # both branches of the PRS's unit rule ran
     assert any(beside_unit) and not all(beside_unit)
+
+
+@pytest.mark.parametrize("give_up", ["no candidate", "no certificate"])
+def test_gcd_falls_back_to_the_prs(monkeypatch, give_up):
+    """When the heuristic gives up, gcd_mv returns the PRS's bytes: once
+    with no candidate at all, once with every candidate refused by the
+    division certificate, so that all six values of xi are tried."""
+    pairs = [(c * g * a, g * b) for c, g, a, b in _factors(deg=2, terms=2)]
+    want = [gcd_mv(p, q) for p, q in pairs]
+    if give_up == "no candidate":
+        monkeypatch.setattr(poly, "_heu", lambda f, g, places: None)
+    else:
+        monkeypatch.setattr(poly, "_divides_image", lambda h, f: False)
+    gave_up = 0
+    for (p, q), w in zip(pairs, want):
+        gave_up += poly._heuristic_gcd(p, q) is None
+        got = gcd_mv(p, q)
+        assert got.terms == w.terms
+        assert print_canonical(got) == print_canonical(w)
+    # a side whose primitive image is a constant needs no candidate: 11 of
+    # the 60 pairs have one after the Laurent monomial is stripped
+    assert gave_up == 60 if give_up == "no candidate" else gave_up >= 45
+
+
+def test_every_level_is_certified(monkeypatch):
+    """The heuristic checks its candidate by exact division at every level
+    of the evaluation, not only at the top: for a gcd in x, y, z and T the
+    certificate sees inputs that use 4, 3, 2 and 1 of those places, and the
+    answer is the planted factor."""
+    ctx, x, y, z = _xyz()
+    one, t = Poly.one(ctx), Poly.constant(ctx, Scalar.two_pi_i())
+    g = x * y + t * z + one
+    a, b = x + y * z + one + one, x * z + y + t
+    used = []
+    certify = poly._divides_image
+    monkeypatch.setattr(poly, "_divides_image", lambda h, f: used.append(
+        sum(any(e[j] for e in f) for j in range(4))) or certify(h, f))
+    assert gcd_mv(a * g, b * g) == g
+    assert set(used) == {1, 2, 3, 4}
+
+
+def test_gaussian_gcd_matches_euclid():
+    """_ggcd, which works through rational integer gcds, against Euclid in
+    Z[i] up to a unit: seeded pairs with common factors that are rational,
+    divisible by 1 + i, squares, or of several hundred bits, with zero and
+    rational operands among them."""
+    def euclid(u, v):
+        a, b = u
+        c, d = v
+        while c or d:
+            n = c * c + d * d
+            x, y = a * c + b * d, b * c - a * d
+            qx, qy = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+            a, b, c, d = c, d, a - qx * c + qy * d, b - qx * d - qy * c
+        return a, b
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    rng = random.Random(215)
+
+    def draw(bits):
+        return rng.randint(-2 ** bits, 2 ** bits), rng.randint(-2 ** bits, 2 ** bits)
+
+    for _ in range(3000):
+        common = draw(rng.choice([0, 1, 3, 8, 300]))
+        if common == (0, 0):
+            common = (1, 1)
+        for factor in ((1, 1), (rng.randint(2, 30), 0), common):
+            if rng.random() < 0.2:
+                common = mul(common, factor)
+        bits = rng.choice([1, 3, 10, 100])
+        u, v = mul(common, draw(bits)), mul(common, draw(bits))
+        if rng.random() < 0.1:
+            u = (u[0], 0)
+        if rng.random() < 0.05:
+            v = (0, 0)
+        if u == v == (0, 0):
+            continue
+        a, b = euclid(u, v)
+        assert poly._ggcd(u, v) in ((a, b), (-a, -b), (-b, a), (b, -a))
 
 
 def test_squarefree_matches_reference(monkeypatch):
@@ -459,3 +546,19 @@ def test_products_and_derivatives_match_the_double_loop():
                     shifted = {tuple(a + b for a, b in zip(e, eq)): c
                                for eq, c in q.terms.items()}
                     assert all(mq.terms[k] is c for k, c in shifted.items())
+
+
+def test_subtraction_is_adding_the_negation():
+    """a - b walks b once; it equals a + (-b) in both arenas, for zero and
+    equal operands too, and leaves both operands' tables as they were."""
+    rng = random.Random(216)
+    for arena in (POLY, TORUS):
+        for _ in range(150):
+            ctx = rand_ctx(rng, nmax=3, arena=arena)
+            a = rand_poly(ctx, rng, deg=3, terms=4)
+            b = rng.choice([rand_poly(ctx, rng, deg=3, terms=4), a, -a,
+                            a + rand_poly(ctx, rng, deg=3, terms=1)])
+            ta, tb = dict(a.terms), dict(b.terms)
+            assert (a - b).terms == (a + (-b)).terms
+            assert a.terms == ta and b.terms == tb
+        assert (a - a).is_zero() and (a - Poly.zero(ctx)) is a
