@@ -63,7 +63,7 @@ from .poisson import (
     tilde_hamiltonian,
     verify_identities,
 )
-from .poly import Poly, divides, divmod_poly, gcd_mv
+from .poly import Poly, divides, gcd_mv
 from .scalars import Scalar, scalar_gcd
 from .sessions import (
     ParseError,
@@ -77,7 +77,7 @@ from .sessions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "scalar_gcd", "Poly", "divides", "divmod_poly", "gcd_mv",
+    "Scalar", "scalar_gcd", "Poly", "divides", "gcd_mv",
     "VarContext", "make_context", "POLY", "TORUS",
     "RationalFunction", "det_poly", "solve_linear", "solve_linear_poly",
     "LogForm", "LogVectorField", "SymplecticData", "DegenerateError",

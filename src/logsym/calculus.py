@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .context import TORUS, VarContext
+from .context import VarContext
 from .linalg import det_poly
-from .poly import Poly, PolyError, divides
+from .poly import Poly, PolyError
 from .scalars import Scalar
 
 IndexSet = Tuple[int, ...]
@@ -114,16 +114,14 @@ class LogVectorField:
         for i, a in enumerate(self.coeffs):
             if not self.ctx.is_divisor_index(i):
                 out.append(a)
-            elif self.ctx.arena == TORUS:
+                continue
+            try:
                 out.append(a.mul_var_power(i, -1))
-            else:
-                ok, q = divides(Poly.variable(self.ctx, self.ctx.names[i]), a)
-                if not ok:
-                    raise CalculusError(
-                        "field is not logarithmic along %s: its @%s coefficient"
-                        " is not divisible by %s" % ((self.ctx.names[i],) * 3)
-                    )
-                out.append(q)
+            except PolyError:
+                raise CalculusError(
+                    "field is not logarithmic along %s: its @%s coefficient"
+                    " is not divisible by %s" % ((self.ctx.names[i],) * 3)
+                ) from None
         return out
 
     def __repr__(self):

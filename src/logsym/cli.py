@@ -207,7 +207,7 @@ def cmd_check_saito(m, args):
 def cmd_check_logsymplectic(m, args):
     w = _two_form(m, args.form)
     closed = w.d().is_zero()
-    if args.fields:
+    if args.fields is not None:
         frame = [_get(m, nm, "vector field") for nm in args.fields.split(",") if nm]
         kind = FRAME_SAITO
     else:
@@ -309,7 +309,7 @@ def cmd_symbol(m, args):
 def cmd_decompose(m, args):
     conn = _get(m, args.conn, "connection")
     delta = _get(m, args.vfield, "vector field")
-    mult = _get(m, args.mult, "function") if args.mult else Poly.zero(m.ctx)
+    mult = Poly.zero(m.ctx) if args.mult is None else _get(m, args.mult, "function")
     op = LogDiffOp1(delta, mult)
     sym, mpart = decompose(op, conn.sigma)
     ls, lm = print_canonical(sym), print_canonical(mpart)
@@ -360,7 +360,7 @@ def cmd_flat(m, args):
 
 
 def cmd_residues(m, args):
-    if args.conn:
+    if args.conn is not None:
         w = _get(m, args.conn, "connection").sigma
     else:
         w = _get(m, args.form, "form")

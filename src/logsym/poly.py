@@ -6,11 +6,13 @@ exponents are >= 0; in the ``torus`` arena the divisor coordinates may carry
 negative exponents, which is what makes Hamiltonian vector fields of torus
 symplectic forms land back in the same ring.
 
-Monomial order is graded lexicographic throughout.  Division never leaves the
-ring silently: :func:`divmod_poly` reduces only while leading terms divide
-exactly (the coefficient ring QQ(i)[T, T^-1] is not a field, so leading-scalar
-divisibility is part of the test), and :func:`divides` answers ideal
-membership for principal ideals by checking that the remainder vanishes.
+The leading term, and so the normalisation of a gcd, is taken in graded
+lexicographic order.  Division never leaves the ring silently: :func:`divides`
+answers membership in a principal ideal by one exact division on integer
+images in Z[i][z, T] (the coefficient ring QQ(i)[T, T^-1] is not a field,
+so coefficient divisibility is part of the test), the same division that
+certifies the heuristic gcd, and returns the quotient or a nonzero remainder
+witness.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .context import TORUS, VarContext
-from .scalars import Scalar, ScalarError, _power, _scalar, _times_int, scalar_gcd
+from .scalars import Scalar, _gmul, _power, _red, _scalar, _times_int, scalar_gcd
 
 Exp = Tuple[int, ...]
 
@@ -317,57 +319,17 @@ class Poly:
 # -- division and membership ----------------------------------------------
 
 
-def divmod_poly(f: Poly, g: Poly):
-    """Single-divisor reduction of f by g under graded lex.
-
-    Returns (q, r) with f == q*g + r.  Both sides are first stripped of their
-    invertible Laurent-monomial parts (reducing a Laurent quotient against a
-    mixed-power divisor head-on would expand an infinite series); on the
-    stripped polynomials reduction proceeds while the leading monomial *and*
-    leading scalar of the remainder are exactly divisible.  Over our non-field
-    scalars this is not a complete normal form, but when g is a true factor
-    of f every intermediate remainder is still a multiple of g, so the
-    reduction runs to r == 0 (leading terms are multiplicative).
-    """
-    f.ctx.check_same(g.ctx)
-    if g.is_zero():
-        raise PolyError("division by zero polynomial")
-    if f.is_zero():
-        return Poly.zero(f.ctx), Poly.zero(f.ctx)
-    fs, f0 = _strip_laurent(f)
-    gs, g0 = _strip_laurent(g)
-    ge, gc = g0.leading()
-    q = Poly.zero(f.ctx)
-    r = f0
-    while not r.is_zero():
-        re, rc = r.leading()
-        diff = tuple(map(sub, re, ge))
-        if any(d < 0 for d in diff):
-            break
-        try:
-            c = rc.exact_div(gc)
-        except ScalarError:
-            break
-        t = _poly(f.ctx, {diff: c})
-        q = q + t
-        r = r - t * g0
-        # each step strictly lowers the grlex leading exponent, so this stops
-    # undo the monomial shifts: f = z^fs * f0, g = z^gs * g0
-    for i, (sf, sg) in enumerate(zip(fs, gs)):
-        if sf - sg:
-            q = q.mul_var_power(i, sf - sg)
-        if sf:
-            r = r.mul_var_power(i, sf)
-    return q, r
-
-
 def divides(g: Poly, f: Poly):
     """Decide membership of f in the principal ideal (g).
 
-    Returns (True, q) with f == q*g, or (False, r) with a nonzero witness
-    remainder.  A unit monomial g (1 among them) divides everything, and the
-    quotient is f * g^-1, the one divmod_poly reaches term by term; any other
-    g is decided by the reduction.
+    Returns (True, q) with f == q*g, or (False, r) with r != 0 and g | f - r.
+    A unit monomial g (1 among them) divides everything, and the quotient is
+    f * g^-1.  Any other g is decided on images in Z[i][z, T] (see _image):
+    the ring is Z[i][z, T] with the nonzero Gaussian integers, T and (in the
+    torus arena) the divisor coordinates inverted, and the primitive part of
+    g's image has none of these as a factor, so by Gauss's lemma it divides
+    f's image in Z[i][z, T] exactly when g divides f.  A refusal returns the
+    remainder where the division of the images stopped, times f's unit.
     """
     f.ctx.check_same(g.ctx)
     if g.is_zero():
@@ -378,10 +340,15 @@ def divides(g: Poly, f: Poly):
         return True, Poly.zero(f.ctx)
     if g.is_unit_monomial():
         return True, f * g.inverse_unit()
-    q, r = divmod_poly(f, g)
-    if r.is_zero():
-        return True, q
-    return False, r
+    fi, fs, fk, fd = _image(f)
+    gi, gs, gk, gd = _image(g)
+    (a, b), gi = _primitive(gi)
+    q, r = _divide_image(gi, fi)
+    if r:
+        return False, _from_image(f.ctx, r, fs, fk, (1, 0, fd))
+    # f = z^fs * T^fk * F / fd and g = z^gs * T^gk * (a + b*i) * G / gd
+    unit = _red(gd * a, -gd * b, fd * (a * a + b * b))
+    return True, _from_image(f.ctx, q, tuple(map(sub, fs, gs)), fk - gk, unit)
 
 
 def exact_quotient(f: Poly, g: Poly) -> Poly:
@@ -542,17 +509,15 @@ def _heuristic_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     The ring is Z[i][z, T] with the nonzero Gaussian integers, T and (in the
     torus arena) the divisor coordinates inverted, so the gcd of the images
     is the gcd of a and b up to a unit."""
-    h = _heu(_image(a), _image(b), range(a.ctx.n + 1))
-    if h is None:
-        return None
-    terms: Dict[Exp, Dict[int, tuple]] = {}
-    for e, (re, im) in h.items():
-        terms.setdefault(e[:-1], {})[e[-1]] = (re, im, 1)
-    return _normalize_gcd(_poly(a.ctx, {e: _scalar(t) for e, t in terms.items()}))
+    h = _heu(_image(a)[0], _image(b)[0], range(a.ctx.n + 1))
+    return None if h is None else _normalize_gcd(_from_image(a.ctx, h))
 
 
-def _image(f: Poly) -> dict:
-    _, f = _strip_laurent(f)
+def _image(f: Poly):
+    """(image, m, k, den) for a nonzero f = z^m * T^k * image / den: m is the
+    Laurent shift of _strip_laurent, k the lowest T-power and den the lcm of
+    the denominators, so the image lies in Z[i][z, T] and has no T factor."""
+    shifts, f = _strip_laurent(f)
     low = min(min(c._t) for c in f.terms.values())
     den = 1
     for c in f.terms.values():
@@ -561,7 +526,20 @@ def _image(f: Poly) -> dict:
     return {
         e + (k - low,): (re * (den // d), im * (den // d))
         for e, c in f.terms.items() for k, (re, im, d) in c._t.items()
-    }
+    }, shifts, low, den
+
+
+def _from_image(ctx: VarContext, h: dict, shifts=(), low=0, unit=(1, 0, 1)) -> Poly:
+    """The Poly z^shifts * T^low * unit * h of an image h, unit being a
+    Gaussian rational (re, im, den) in canonical form."""
+    one = unit == (1, 0, 1)
+    terms: Dict[Exp, Dict[int, tuple]] = {}
+    for e, v in h.items():
+        terms.setdefault(e[:-1], {})[e[-1] + low] = (
+            (v[0], v[1], 1) if one else _gmul((v[0], v[1], 1), unit))
+    if any(shifts):
+        return _poly(ctx, {tuple(map(add, e, shifts)): _scalar(t) for e, t in terms.items()})
+    return _poly(ctx, {e: _scalar(t) for e, t in terms.items()})
 
 
 def _heu(f: dict, g: dict, places) -> Optional[dict]:
@@ -595,7 +573,7 @@ def _heu(f: dict, g: dict, places) -> Optional[dict]:
             if hx is None:
                 return None
             _, h = _primitive(_expand(hx, j, xi))
-            if _divides_image(h, f) and _divides_image(h, g):
+            if not _divide_image(h, f)[1] and not _divide_image(h, g)[1]:
                 if c == (1, 0):
                     return h
                 return {e: _gmul_int(c, v) for e, v in h.items()}
@@ -736,28 +714,40 @@ def _expand(h: dict, j: int, xi: int) -> dict:
     return out
 
 
-def _divides_image(h: dict, f: dict) -> bool:
-    """Whether h divides f in Z[i][z, t], by exact division under lex order.
-    A primitive h of one term has a unit coefficient, so only its exponent
-    needs dividing."""
+def _divide_image(h: dict, f: dict):
+    """(q, r) with f = q*h + r in Z[i][z, t], for a primitive h, by exact
+    division under lex order: r is empty when h divides f, else what is left
+    where division stopped, at a leading term that h's leading term does not
+    divide, so h divides f - r.  A primitive h of one term has a unit
+    coefficient, so only its exponent needs dividing, and r is the terms of f
+    it does not divide."""
     if len(h) == 1:
-        (lead,) = h
-        return all(min(map(sub, e, lead)) >= 0 for e in f)
+        ((lead, lc),) = h.items()
+        q, r = {}, {}
+        for e, v in f.items():
+            d = tuple(map(sub, e, lead))
+            if min(d) < 0:
+                r[e] = v
+            else:
+                q[d] = v if lc == (1, 0) else _gquo(v, lc)
+        return q, r
     lead = max(h)
     lc = h[lead]
     tail = [(e, v) for e, v in h.items() if e != lead]
-    r = dict(f)
+    q, r = {}, dict(f)
     while r:
         e = max(r)
         d = tuple(map(sub, e, lead))
         if min(d) < 0:
-            return False
-        q = _gquo(r.pop(e), lc)
-        if q is None:
-            return False
+            break
+        c = _gquo(r[e], lc)
+        if c is None:
+            break
+        del r[e]
+        q[d] = c
         for m, w in tail:
             t = tuple(map(add, d, m))
-            p = _gmul_int(q, w)
+            p = _gmul_int(c, w)
             s = r.get(t)
             if s is None:
                 r[t] = -p[0], -p[1]
@@ -767,4 +757,4 @@ def _divides_image(h: dict, f: dict) -> bool:
                     r[t] = p
                 else:
                     del r[t]
-    return True
+    return q, r

@@ -16,8 +16,9 @@ at most one ``math.gcd``.  The public ``terms`` view reads
 The scalars form the Laurent-polynomial ring QQ(i)[T, T^-1].  Units are
 exactly the single-term scalars; the public division operator is restricted to
 those (dividing by a multi-power scalar like ``1 + T`` would leave the ring).
-An internal exact-division helper covers the remaining exact quotients needed
-by the polynomial gcd machinery.
+``exact_div`` gives the other exact quotients, and the Euclidean remainder it
+is built on decides ``scalar_gcd``.  Polynomial division does not come here:
+``poly.divides`` divides integer images, one Gaussian integer per power of T.
 """
 
 from __future__ import annotations
@@ -291,8 +292,8 @@ class Scalar:
     def exact_div(self, other: "Scalar") -> "Scalar":
         """Exact quotient in QQ(i)[T, T^-1]; raises if the division is not exact.
 
-        Used internally by the subresultant gcd, where quotients are known to
-        lie in the ring even when the divisor is not a unit.
+        Public API for quotients known to lie in the ring even when the
+        divisor is not a unit; nothing in the package calls it.
         """
         q, r = self._divmod_t(other)
         if r._t:

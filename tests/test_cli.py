@@ -584,6 +584,23 @@ def test_malformed_input_exits_2(capsys):
         assert run(capsys, *argv, "--format", "json") == (2, doc, "")
 
 
+def test_empty_values_are_given(capsys):
+    """An option given as "" is given: it is read like any other value, not
+    replaced by the option's default (the session's form, the log frame,
+    multiplier 0)."""
+    empty = "in '': line 1, col 1: expected an expression, found end of line"
+    for argv, message in (
+        (["residues", "--session", EXACT, "--conn", ""], empty),
+        (["check-logsymplectic", "--session", EXACT, "--fields", ""],
+         "a frame needs 2 fields, got 0"),
+        (["decompose", "--session", EXACT, "--conn", "s", "--vfield", "e1",
+          "--mult", ""], empty),
+    ):
+        text, doc = _error_bytes(argv[0], message)
+        assert run(capsys, *argv) == (2, "", text)
+        assert run(capsys, *argv, "--format", "json") == (2, doc, "")
+
+
 def test_wrong_forms_that_stay_verdicts(capsys):
     """A 2-form that is not closed, or a chart of odd dimension, is a
     verdict on the data, not malformed input."""

@@ -105,6 +105,16 @@ def test_no_unreferenced_functions():
     assert not unreferenced, "unreferenced functions: " + ", ".join(unreferenced)
 
 
+def test_exports_are_bound():
+    """Every name in logsym.__all__ is bound in the package, so a name left
+    in the list after its import is gone fails here and not at a user's
+    `from logsym import *`; and no name is listed twice."""
+    logsym = importlib.import_module("logsym")
+    missing = [name for name in logsym.__all__ if not hasattr(logsym, name)]
+    assert not missing, "exported but not bound: " + ", ".join(missing)
+    assert len(set(logsym.__all__)) == len(logsym.__all__)
+
+
 def test_tracer_targets_resolve():
     """Every name the per-layer tracer wraps still exists where it looks:
     a module function as a module attribute, a method in the class's own

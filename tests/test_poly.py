@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsym import divisors, poly
 from logsym.context import POLY, TORUS, ContextError, make_context
@@ -11,12 +15,12 @@ from logsym.poly import (
     _coeffs_in,
     _poly,
     _pseudo_rem,
+    _strip_laurent,
     divides,
-    divmod_poly,
     exact_quotient,
     gcd_mv,
 )
-from logsym.scalars import Scalar, scalar_gcd
+from logsym.scalars import Scalar, ScalarError, scalar_gcd
 from logsym.sessions import print_canonical
 from conftest import rand_ctx, rand_poly, rand_scalar
 
@@ -66,19 +70,70 @@ def test_grlex_leading():
     assert c.is_one()
 
 
-def test_divmod_euclidean_property():
-    rng = random.Random(202)
-    for _ in range(120):
-        ctx = rand_ctx(rng)
-        f = rand_poly(ctx, rng)
-        g = rand_poly(ctx, rng, allow_zero=False)
-        if g.is_zero():
-            continue
+def _reference_divmod(f, g):
+    """The single-divisor reduction divides used before it divided integer
+    images: (q, r) with f == q*g + r, reducing the Laurent-stripped sides
+    under graded lex while the leading monomial and the leading scalar of
+    the remainder divide exactly.  When g divides f every remainder stays a
+    multiple of g and the reduction ends at r == 0."""
+    fs, f0 = _strip_laurent(f)
+    gs, g0 = _strip_laurent(g)
+    ge, gc = g0.leading()
+    q, r = Poly.zero(f.ctx), f0
+    while not r.is_zero():
+        re, rc = r.leading()
+        diff = tuple(map(sub, re, ge))
+        if any(d < 0 for d in diff):
+            break
         try:
-            q, r = divmod_poly(f, g)
-        except PolyError:
-            continue  # leading-scalar non-divisibility is a legal "no"
-        assert q * g + r == f
+            c = rc.exact_div(gc)
+        except ScalarError:
+            break
+        t = _poly(f.ctx, {diff: c})
+        q, r = q + t, r - t * g0
+    for i, (sf, sg) in enumerate(zip(fs, gs)):
+        q = q.mul_var_power(i, sf - sg)
+        r = r.mul_var_power(i, sf)
+    return q, r
+
+
+_CHARTS = [make_context(["x", "y"], [], POLY),
+           make_context(["x", "y", "z"], ["x"], POLY),
+           make_context(["x", "y"], ["x", "y"], TORUS),
+           make_context(["x", "y", "z"], ["y"], TORUS)]
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+_SCALARS = st.dictionaries(
+    st.integers(-1, 2), st.tuples(_RATIONALS, _RATIONALS), min_size=1, max_size=2,
+).map(Scalar).filter(lambda c: not c.is_zero())
+
+
+def _polys(ctx, min_size=0):
+    exps = st.tuples(*(st.integers(-1 if ctx.laurent_ok(i) else 0, 2) for i in range(ctx.n)))
+    return st.dictionaries(exps, _SCALARS, min_size=min_size, max_size=3).map(
+        lambda t: Poly(ctx, t))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_divides_contract(data):
+    """On both arenas: a planted product g*q gives back q; any f gives
+    (True, q) with q*g == f or (False, r) with r != 0 and g | f - r; and
+    the verdict and quotient are those of the reference reduction."""
+    ctx = data.draw(st.sampled_from(_CHARTS))
+    g = data.draw(_polys(ctx, min_size=1))
+    q = data.draw(_polys(ctx))
+    assert divides(g, g * q) == (True, q)
+    for f in (g * q, data.draw(_polys(ctx))):
+        ok, x = divides(g, f)
+        if ok:
+            assert x * g == f
+        else:
+            assert not x.is_zero()
+            assert divides(g, f - x)[0]
+        ref_q, ref_r = _reference_divmod(f, g)
+        assert ok == ref_r.is_zero()
+        if ok:
+            assert x == ref_q
 
 
 def test_divides_multiples_random():
@@ -112,7 +167,7 @@ def test_divides_laurent_strip():
 
 def test_divides_unit_monomial_matches_reduction():
     """divides decides a unit-monomial divisor by one product with its
-    inverse; divmod_poly, which reduces term by term, is the reference."""
+    inverse; the reference reduction, term by term, agrees."""
     rng = random.Random(209)
     for arena in (POLY, TORUS):
         for _ in range(80):
@@ -124,7 +179,7 @@ def test_divides_unit_monomial_matches_reduction():
             e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
             u = Poly.monomial(ctx, e, c)
             assert u.is_unit_monomial()
-            q, r = divmod_poly(f, u)
+            q, r = _reference_divmod(f, u)
             assert r.is_zero()
             assert divides(u, f) == (True, q)
 
@@ -283,14 +338,17 @@ def test_gcd_matches_reference(monkeypatch):
 @pytest.mark.parametrize("give_up", ["no candidate", "no certificate"])
 def test_gcd_falls_back_to_the_prs(monkeypatch, give_up):
     """When the heuristic gives up, gcd_mv returns the PRS's bytes: once
-    with no candidate at all, once with every candidate refused by the
-    division certificate, so that all six values of xi are tried."""
+    with no candidate at all, once with every candidate spoiled so that the
+    division certificate refuses it and all six values of xi are tried."""
     pairs = [(c * g * a, g * b) for c, g, a, b in _factors(deg=2, terms=2)]
     want = [gcd_mv(p, q) for p, q in pairs]
     if give_up == "no candidate":
         monkeypatch.setattr(poly, "_heu", lambda f, g, places: None)
     else:
-        monkeypatch.setattr(poly, "_divides_image", lambda h, f: False)
+        # a term of degree 99 in the evaluated place spoils every candidate
+        expand = poly._expand
+        monkeypatch.setattr(poly, "_expand", lambda h, j, xi: {
+            **expand(h, j, xi), tuple(99 * (k == j) for k in range(len(next(iter(h))))): (1, 0)})
     gave_up = 0
     for (p, q), w in zip(pairs, want):
         gave_up += poly._heuristic_gcd(p, q) is None
@@ -312,8 +370,8 @@ def test_every_level_is_certified(monkeypatch):
     g = x * y + t * z + one
     a, b = x + y * z + one + one, x * z + y + t
     used = []
-    certify = poly._divides_image
-    monkeypatch.setattr(poly, "_divides_image", lambda h, f: used.append(
+    certify = poly._divide_image
+    monkeypatch.setattr(poly, "_divide_image", lambda h, f: used.append(
         sum(any(e[j] for e in f) for j in range(4))) or certify(h, f))
     assert gcd_mv(a * g, b * g) == g
     assert set(used) == {1, 2, 3, 4}

@@ -20,6 +20,7 @@ import pytest
 
 from logsym.context import make_context
 from logsym.divisors import check_squarefree
+from logsym.linalg import det_poly
 from logsym.poly import Poly, divides, gcd_mv
 from logsym.scalars import Scalar, ScalarError, scalar_gcd
 
@@ -27,6 +28,7 @@ sympy = pytest.importorskip("sympy")
 
 T, X, Y, Z = sympy.symbols("T x y z")
 VARS = (X, Y, Z)
+RING = sympy.QQ_I[T, X, Y, Z]
 
 
 def rand_scalar(rng, max_terms=3):
@@ -250,3 +252,53 @@ def test_divides_by_unit_monomials_against_sympy():
             assert u.is_unit_monomial() and is_unit(sym_poly(u), inv)
             ok, q = divides(u, f)
             assert ok and is_zero(sym_poly(q) * sym_poly(u) - sym_poly(f))
+
+
+def rand_entry(ctx, rng, laurent=()):
+    """A polynomial of one or two terms of degree at most 1 in each variable,
+    -1 allowed on the indices in laurent; 0 about a tenth of the time."""
+    p = Poly.zero(ctx)
+    if rng.random() < 0.1:
+        return p
+    for _ in range(rng.randint(1, 2)):
+        e = tuple(rng.randint(-1 if i in laurent else 0, 1) for i in range(ctx.n))
+        p = p + Poly.monomial(ctx, e, rand_scalar(rng, max_terms=2))
+    return p
+
+
+def ring_poly(p, s):
+    """p times (T*x*y*z)^s as an element of RING, built term by term; s
+    clears the negative powers of T and of the torus coordinates."""
+    out = {}
+    for e, c in p.terms.items():
+        for k, (a, b) in c.terms.items():
+            m = (k + s,) + tuple(x + s for x in e) + (s,) * (len(VARS) - len(e))
+            out[m] = RING.domain.from_sympy(sym_scalar(Scalar({0: (a, b)})))
+    return RING.ring.from_dict(out)
+
+
+def test_det_poly_against_sympy():
+    """det_poly, whose Bareiss steps are exact divisions, against sympy's
+    determinant over QQ_I[T, x, y, z]: 3x3 and 4x4 matrices of small
+    polynomials in both arenas, with Laurent entries on a torus chart, a
+    zero first pivot and a singular matrix among them.  Each entry is scaled
+    by T*x*y*z, so the determinants differ by (T*x*y*z)^n."""
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(308)
+    charts = ((make_context(["x", "y"]), ()),
+              (make_context(["x", "y", "z"], ["x"]), ()),
+              (make_context(["x", "y"], ["x", "y"], "torus"), (0, 1)))
+    for ctx, laurent in charts:
+        for k, n in enumerate((3, 3, 4, 4)):
+            rows = [[rand_entry(ctx, rng, laurent) for _ in range(n)] for _ in range(n)]
+            if k == 1:
+                rows[0][0] = Poly.zero(ctx)
+            if k == 3:
+                c = rand_entry(ctx, rng, laurent)
+                rows[-1] = [p * c + q for p, q in zip(rows[0], rows[1])]
+            want = DomainMatrix([[ring_poly(p, 1) for p in r] for r in rows],
+                                (n, n), RING).det()
+            got = det_poly(rows)
+            assert ring_poly(got, n) == want
+            assert got.is_zero() == (k == 3)
