@@ -34,9 +34,14 @@ class CalculusError(ValueError):
 
 
 class LogVectorField:
-    """Derivation sum_i coeffs[i] * d/dz_i over a shared context."""
+    """Derivation sum_i coeffs[i] * d/dz_i over a shared context.
 
-    __slots__ = ("ctx", "coeffs")
+    A field never changes after it is built, so the first log_components()
+    call keeps its log components in _log (None until then) and every later
+    contraction with the field reuses them.
+    """
+
+    __slots__ = ("ctx", "coeffs", "_log")
 
     def __init__(self, ctx: VarContext, coeffs: Sequence[Poly]):
         if len(coeffs) != ctx.n:
@@ -45,6 +50,7 @@ class LogVectorField:
             ctx.check_same(c.ctx)
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
+        self._log = None
 
     @staticmethod
     def zero(ctx: VarContext) -> "LogVectorField":
@@ -108,21 +114,24 @@ class LogVectorField:
 
         Raises CalculusError when a divisor-coordinate coefficient is not
         divisible by its z_i, i.e. the field is not logarithmic along the
-        coordinate divisor.
+        coordinate divisor.  The components are computed once per field;
+        each call returns a new list of them.
         """
-        out = []
-        for i, a in enumerate(self.coeffs):
-            if not self.ctx.is_divisor_index(i):
-                out.append(a)
-                continue
-            try:
-                out.append(a.mul_var_power(i, -1))
-            except PolyError:
-                raise CalculusError(
-                    "field is not logarithmic along %s: its @%s coefficient"
-                    " is not divisible by %s" % ((self.ctx.names[i],) * 3)
-                ) from None
-        return out
+        if self._log is None:
+            out = []
+            for i, a in enumerate(self.coeffs):
+                if not self.ctx.is_divisor_index(i):
+                    out.append(a)
+                    continue
+                try:
+                    out.append(a.mul_var_power(i, -1))
+                except PolyError:
+                    raise CalculusError(
+                        "field is not logarithmic along %s: its @%s coefficient"
+                        " is not divisible by %s" % ((self.ctx.names[i],) * 3)
+                    ) from None
+            self._log = tuple(out)
+        return list(self._log)
 
     def __repr__(self):
         return "LogVectorField(%r)" % (self.coeffs,)
@@ -134,6 +143,7 @@ def _field(ctx: VarContext, coeffs: Tuple[Poly, ...]) -> LogVectorField:
     v = _new(LogVectorField)
     v.ctx = ctx
     v.coeffs = coeffs
+    v._log = None
     return v
 
 
@@ -337,11 +347,12 @@ class LogForm:
                 if comp.is_zero():
                     continue
                 add = c * comp
-                if m % 2:
-                    add = -add
                 K = I[:m] + I[m + 1 :]
                 s = terms.get(K)
-                s = add if s is None else s + add
+                if m % 2:
+                    s = -add if s is None else s - add
+                else:
+                    s = add if s is None else s + add
                 if s.is_zero():
                     terms.pop(K, None)
                 else:
@@ -412,7 +423,15 @@ def _form(ctx: VarContext, degree: int, terms: Dict[IndexSet, Poly]) -> LogForm:
 
 
 def d_of_function(f: Poly) -> LogForm:
-    return LogForm.function(f).d()
+    """d(f) = sum_{i in S} (z_i df/dz_i) e^i + sum_{j not in S} (df/dz_j) e^j,
+    the value of LogForm.function(f).d(), built directly."""
+    ctx = f.ctx
+    terms: Dict[IndexSet, Poly] = {}
+    for i in range(ctx.n):
+        dc = f.log_partial(i) if ctx.is_divisor_index(i) else f.partial(i)
+        if dc.terms:
+            terms[(i,)] = dc
+    return _form(ctx, min(1, ctx.n), terms)
 
 
 def res_const(eta: LogForm):

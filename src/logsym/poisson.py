@@ -11,14 +11,18 @@ field.  Per call, a field computes d(f) once, forms b_l = sum_i F_li d(f)_i
 over the nonzero F_li, and sets v = pi * b; for a Saito frame whose constant
 det is not a unit there is no pi, and v = adj * b is divided by det exactly.
 Every field is still re-verified through the certificate
-i_{delta_f} omega - d(f) == 0, on that same d(f).
+i_{delta_f} omega == d(f), on that same d(f), and every tilde field through
+i_tilde omega == du/u.  Forms, polynomials and scalars are stored in
+canonical form (no zero coefficient is kept, each scalar is reduced), so
+equality decides the same statement as the difference being zero without
+building that difference.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
+from .calculus import LogForm, LogVectorField, SymplecticData, _field, _form, d_of_function
 from .context import TORUS
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
@@ -34,7 +38,7 @@ class PoissonError(ValueError):
 class HamiltonianResult(NamedTuple):
     f: Poly
     delta: LogVectorField
-    certificate: LogForm  # i_delta omega - d(f), identically zero
+    certificate: LogForm  # the zero 1-form: i_delta omega == d(f) was checked
 
 
 def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
@@ -53,10 +57,9 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
                 bl = bl + row[i] * di
         b.append(bl)
     delta = _gram_field(S, b, "Hamiltonian")
-    cert = S.omega.interior(delta) - df
-    if not cert.is_zero():
+    if S.omega.interior(delta) != df:
         raise PoissonError("Hamiltonian certificate failed (internal error)")
-    return HamiltonianResult(f=f, delta=delta, certificate=cert)
+    return HamiltonianResult(f=f, delta=delta, certificate=_form(S.ctx, 1, {}))
 
 
 def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
@@ -131,7 +134,8 @@ def bracket_of_fields(
 ) -> Poly:
     """{f,g} from fields the caller already holds: df and dg must be the
     Hamiltonian fields of f and g, as hamiltonian returned them."""
-    via_omega = -S.omega.evaluate([df, dg])
+    # -omega(df, dg), read as omega(dg, df) by antisymmetry
+    via_omega = S.omega.evaluate([dg, df])
     via_apply = df.apply(g)
     if via_omega != via_apply:
         raise PoissonError("bracket consistency failed (internal error)")
@@ -185,7 +189,7 @@ def tilde_hamiltonian(
     dlog_u = _dlog_unit(S, u)
     b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
     tilde = _gram_field(S, b, "tilde")
-    if not (S.omega.interior(tilde) - dlog_u).is_zero():
+    if S.omega.interior(tilde) != dlog_u:
         raise PoissonError("tilde certificate failed (internal error)")
     if delta_u is None:
         delta_u = hamiltonian(S, u).delta

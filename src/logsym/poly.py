@@ -52,8 +52,8 @@ class Poly:
     """Sparse polynomial over Scalar coefficients in a fixed VarContext.
 
     ``terms`` is never changed after it is built, so results may share a
-    table or a coefficient with their operands: ``p + 0`` is ``p`` and
-    ``1 * p`` is a Poly over ``p.terms`` itself.
+    table or a coefficient with their operands: ``p + 0`` and ``1 * p`` are
+    ``p`` itself.
     """
 
     __slots__ = ("ctx", "terms")
@@ -174,11 +174,9 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _binop_ctx(self, other: "Poly"):
-        self.ctx.check_same(other.ctx)
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._binop_ctx(other)
+        if other.ctx is not self.ctx:
+            self.ctx.check_same(other.ctx)
         if not self.terms:
             return other
         if not other.terms:
@@ -186,9 +184,12 @@ class Poly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
-            s = c if s is None else s + c
+            if s is None:
+                terms[e] = c
+                continue
+            s = s + c
             if s.is_zero():
-                terms.pop(e, None)
+                del terms[e]
             else:
                 terms[e] = s
         return _poly(self.ctx, terms)
@@ -197,7 +198,8 @@ class Poly:
         return _poly(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._binop_ctx(other)
+        if other.ctx is not self.ctx:
+            self.ctx.check_same(other.ctx)
         if not other.terms:
             return self
         terms = dict(self.terms)
@@ -214,35 +216,43 @@ class Poly:
         return _poly(self.ctx, terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._binop_ctx(other)
-        x, y = self.terms, other.terms
-        if len(y) == 1:
-            x, y = y, x
+        if other.ctx is not self.ctx:
+            self.ctx.check_same(other.ctx)
+        a, b = (other, self) if len(other.terms) == 1 else (self, other)
+        x, y = a.terms, b.terms
         if len(x) == 1:
             # c*z^e times y: the shift is injective and the coefficient ring
-            # is a domain, so no two terms meet and none vanishes
+            # is a domain, so no two terms meet and none vanishes; a factor
+            # exactly 1 gives the other operand back
             ((e1, c1),) = x.items()
             one = c1.is_one()
-            if any(e1):
-                if one:
-                    return _poly(self.ctx, {
-                        tuple(map(add, e1, e2)): c2 for e2, c2 in y.items()
-                    })
-                return _poly(self.ctx, {
-                    tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in y.items()
-                })
+            if one and not any(e1):
+                return b
+            if len(y) == 1:
+                ((e2, c2),) = y.items()
+                if not any(e2) and c2.is_one():
+                    return a
             if one:
-                return _poly(self.ctx, y)
-            return _poly(self.ctx, {e2: c1 * c2 for e2, c2 in y.items()})
+                return _poly(self.ctx, {
+                    tuple(map(add, e1, e2)): c2 for e2, c2 in y.items()
+                })
+            if not any(e1):
+                return _poly(self.ctx, {e2: c1 * c2 for e2, c2 in y.items()})
+            return _poly(self.ctx, {
+                tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in y.items()
+            })
         terms: Dict[Exp, Scalar] = {}
         for e1, c1 in x.items():
             for e2, c2 in y.items():
                 e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
-                s = c if s is None else s + c
+                if s is None:
+                    terms[e] = c
+                    continue
+                s = s + c
                 if s.is_zero():
-                    terms.pop(e, None)
+                    del terms[e]
                 else:
                     terms[e] = s
         return _poly(self.ctx, terms)

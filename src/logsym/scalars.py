@@ -56,6 +56,17 @@ def _gadd(u, v):
     return _red(re, im, d) if re or im else None
 
 
+def _gsub(u, v):
+    """u - v, or None when the difference is zero."""
+    a, b, d = u
+    c, f, e = v
+    if d == e:
+        re, im = a - c, b - f
+    else:
+        re, im, d = a * e - c * d, b * e - f * d, d * e
+    return _red(re, im, d) if re or im else None
+
+
 def _gmul(u, v):
     # (a+bi)(c+fi) with i^2 = -1; Z[i] has no zero divisors, so never zero
     a, b, d = u
@@ -88,7 +99,8 @@ def _qhash(n, d):
 
 
 _new = object.__new__
-_ONE_T = {0: (1, 0, 1)}
+_ONE = (1, 0, 1)
+_ONE_T = {0: _ONE}
 
 
 def _power(x, k, one):
@@ -126,7 +138,7 @@ class Scalar:
     ``_t`` maps the T-power to a canonical ``(re, im, den)`` triple; zero
     values are never stored, so equality is plain table equality.  A table
     is never changed after it is built, so results may share one: ``1 * s``
-    is a Scalar over ``s._t`` itself.
+    is ``s`` itself.
     """
 
     __slots__ = ("_t",)
@@ -227,22 +239,42 @@ class Scalar:
         return _scalar(terms)
 
     def __neg__(self) -> "Scalar":
-        return _scalar({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
+        t = self._t
+        if len(t) == 1:
+            ((k, (a, b, d)),) = t.items()
+            return _scalar({k: (-a, -b, d)})
+        return _scalar({k: (-a, -b, d) for k, (a, b, d) in t.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        terms = dict(self._t)
+        for k, v in other._t.items():
+            u = terms.get(k)
+            if u is None:
+                terms[k] = (-v[0], -v[1], v[2])
+                continue
+            w = _gsub(u, v)
+            if w is None:
+                del terms[k]
+            else:
+                terms[k] = w
+        return _scalar(terms)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        x, y = self._t, other._t
-        if len(y) == 1:
-            x, y = y, x
+        a, b = (other, self) if len(other._t) == 1 else (self, other)
+        x, y = a._t, b._t
         if len(x) == 1:
             # c*T^k times y: the shift is injective and Q(i) has no zero
-            # divisors, so no two terms meet and none vanishes
+            # divisors, so no two terms meet and none vanishes; a factor 1
+            # gives the other operand back
             ((k, v),) = x.items()
-            if k == 0 and v == (1, 0, 1):
-                return _scalar(y)
-            return _scalar({k + k2: _gmul(v, v2) for k2, v2 in y.items()})
+            if v == _ONE and not k:
+                return b
+            if len(y) != 1:
+                return _scalar({k + k2: _gmul(v, v2) for k2, v2 in y.items()})
+            ((k2, v2),) = y.items()
+            if v2 == _ONE and not k2:
+                return a
+            return _scalar({k + k2: _gmul(v, v2)})
         terms = {}
         for k1, v1 in x.items():
             for k2, v2 in y.items():

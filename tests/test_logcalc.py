@@ -14,7 +14,7 @@ from logsym.calculus import (
     log_frame,
     res_const,
 )
-from logsym.context import make_context
+from logsym.context import POLY, TORUS, make_context
 from logsym.poly import Poly
 from logsym.scalars import Scalar
 from conftest import rand_ctx, rand_form, rand_log_field, rand_poly
@@ -298,3 +298,43 @@ def test_form_subtraction_is_adding_the_negation():
                 assert (w - eta).terms == (w + (-eta)).terms
                 assert w.terms == tw and eta.terms == te
                 assert (w - w).is_zero()
+
+
+def test_d_of_function_is_d_of_the_0_form():
+    """d_of_function builds d(f) directly; it is LogForm.function(f).d() on
+    seeded polynomials in both arenas, with Laurent exponents on divisor
+    coordinates and with coordinates off the divisor, and on a chart with
+    no coordinates."""
+    rng = random.Random(131)
+    laurent = off_divisor = 0
+    for arena in (POLY, TORUS):
+        for _ in range(150):
+            ctx = rand_ctx(rng, nmax=4, arena=arena)
+            f = rand_poly(ctx, rng, deg=4, terms=4)
+            assert d_of_function(f) == LogForm.function(f).d()
+            laurent += any(x < 0 for e in f.terms for x in e)
+            off_divisor += len(ctx.divisor) < ctx.n and not f.is_zero()
+    assert laurent > 20 and off_divisor > 100
+    empty = make_context([], [])
+    for c in (Scalar.zero(), Scalar.from_int(3)):
+        f = Poly.constant(empty, c)
+        assert d_of_function(f) == LogForm.function(f).d()
+
+
+def test_log_components_are_kept_and_handed_out_fresh():
+    """A field converts to log components once; each call returns a new list,
+    so changing one does not change the next, and a field that is not
+    logarithmic raises on every call."""
+    ctx = make_context(["x", "y"], ["y"], "poly")
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    v = LogVectorField(ctx, [x, x * y])
+    first = v.log_components()
+    assert first == [x, x]
+    first[0] = y
+    first.append(y)
+    second = v.log_components()
+    assert second == [x, x] and second is not first
+    bad = LogVectorField(ctx, [x, x])
+    for _ in range(2):
+        with pytest.raises(CalculusError, match="not logarithmic along y"):
+            bad.log_components()

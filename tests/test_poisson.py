@@ -32,9 +32,11 @@ from logsym.linalg import RationalFunction, solve_linear
 from logsym.poisson import (
     PoissonError,
     _exact_ratio,
+    _jacobi,
     _ideal_member,
     bracket,
     hamiltonian,
+    bracket_of_fields,
     jacobi_defect,
     sing_bracket,
     tilde_hamiltonian,
@@ -679,3 +681,76 @@ def test_every_passed_field_was_certified(monkeypatch):
             with pytest.raises(PoissonError, match="Hamiltonian certificate failed"):
                 run()
             monkeypatch.undo()
+
+
+def test_a_spoiled_tilde_field_is_caught(monkeypatch):
+    """Corrupting the tilde field of u is caught by its own certificate
+    i_tilde omega == du/u, called alone or from the identity suite."""
+    real = poisson._gram_field
+
+    def corrupt(S, b, what):
+        delta = real(S, b, what)
+        if what == "tilde":
+            delta = delta + LogVectorField.coordinate(S.ctx, S.ctx.names[0])
+        return delta
+
+    monkeypatch.setattr(poisson, "_gram_field", corrupt)
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        u, v = _ideal_pair(maker, ctx)
+        with pytest.raises(PoissonError, match="tilde certificate failed"):
+            tilde_hamiltonian(S, u)
+        a = Poly.variable(ctx, "x")
+        with pytest.raises(PoissonError, match="tilde certificate failed"):
+            verify_identities(S, u, v, a, a * a)
+
+
+def test_certificates_are_decided_by_equality(monkeypatch):
+    """hamiltonian and tilde_hamiltonian decide their certificates by
+    comparing i_delta omega with d(f) and du/u: no LogForm difference is
+    built.  The certificate a Hamiltonian field carries is the zero
+    1-form."""
+    subtractions = []
+    real = LogForm.__sub__
+
+    def counting(self, other):
+        subtractions.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LogForm, "__sub__", counting)
+    rng = random.Random(519)
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        u, _ = _ideal_pair(maker, ctx)
+        for _ in range(4):
+            res = hamiltonian(S, rand_poly(ctx, rng, deg=3, terms=3))
+            assert res.certificate.is_zero() and res.certificate.degree == 1
+        tilde_hamiltonian(S, u)
+    assert subtractions == []
+
+
+def test_a_field_converts_to_log_components_once(monkeypatch):
+    """A Hamiltonian field is converted to log components by its certificate
+    and never again: repeated brackets of held fields convert nothing, and a
+    Jacobi defect converts only the three fields it makes, once each."""
+    conversions = []
+    real = Poly.mul_var_power
+
+    def counting(self, i, k):
+        conversions.append(i)
+        return real(self, i, k)
+
+    rng = random.Random(520)
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        f, g, k = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3))
+        df, dg, dk = (hamiltonian(S, p).delta for p in (f, g, k))
+        monkeypatch.setattr(Poly, "mul_var_power", counting)
+        del conversions[:]
+        for _ in range(3):
+            bracket_of_fields(S, df, dg, g)
+            bracket_of_fields(S, dg, dk, k)
+        assert conversions == []
+        _jacobi(S, f, g, k, df, dg, dk)
+        assert len(conversions) == 3 * len(ctx.divisor)
+        monkeypatch.undo()

@@ -309,3 +309,33 @@ def test_products_match_the_double_loop():
     # 1 * s shares the table of s, which is never changed after it is built
     s = ops[-1]
     assert (Scalar.one() * s)._t is s._t and (s * Scalar.one())._t is s._t
+
+
+def test_one_term_kernels_match_the_reference():
+    """A product of two one-term scalars (one product of Gaussian rationals),
+    one-term negation and subtraction (no negated copy of the right operand)
+    give the double loop's and the Fraction reference's values in canonical
+    form, and leave both operands' tables as they were; a one-term factor
+    exactly 1 gives the other operand itself."""
+    rng = random.Random(117)
+    one, t = Scalar.one(), Scalar.two_pi_i()
+    singles = [one, -one, t, Scalar.two_pi_i(-2), Scalar.i_unit(),
+               Scalar.from_rational(Fraction(-4, 6), Fraction(2, 3), 1)]
+    singles += [Scalar(rand_table(rng, max_terms=1)) for _ in range(30)]
+    ops = singles + [Scalar.zero(), one + t] + [Scalar(rand_table(rng)) for _ in range(10)]
+    both_single = 0
+    for a in ops:
+        x = dict(a.terms)
+        assert_matches(-a, ref_neg(x))
+        for b in ops:
+            y = dict(b.terms)
+            ta, tb = dict(a._t), dict(b._t)
+            if len(a._t) == 1 and len(b._t) == 1:
+                both_single += 1
+                assert_matches(a * b, dict(_reference_mul(a, b).terms))
+                assert_matches(a * b, ref_mul(x, y))
+            assert_matches(a - b, ref_add(x, ref_neg(y)))
+            assert a._t == ta and b._t == tb
+        assert one * a is a and a * one is a
+    assert both_single > 500
+    assert (-one)._t == {0: (-1, 0, 1)} and (one - one)._t == {}
