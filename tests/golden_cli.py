@@ -2,7 +2,8 @@
 SHA-256 digest per (command, session, format) group.
 
 A group's digest covers, call by call, the argv, the exit code, stdout and
-stderr.  The calls use all 22 commands on the three shipped sessions (by
+stderr; the calls run from the repository root, where the argv's session
+paths point.  The calls use all 22 commands on the three shipped sessions (by
 path), on fixed sessions read from stdin (the two sessions of ROADMAP item 1,
 a ``divisor poly`` session with Saito fields, a 4-variable torus chart and
 one malformed session per error class) and on a missing file, with seeded
@@ -298,9 +299,6 @@ def run_call(argv, stdin: bytes):
     escapes main is recorded in place of the exit code."""
     from logsym.cli import main
 
-    argv = [str(ROOT / a) if a in SHIPPED else a for a in argv]
-    argv = [("--sess=" + str(ROOT / a[7:])) if a.startswith("--sess=") else a
-            for a in argv]
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8",
                                  errors="surrogateescape")
@@ -333,12 +331,16 @@ def group_key(group) -> str:
 
 
 def digests(groups):
-    """{group key: digest}, with COLUMNS=80 for argparse's usage text."""
-    saved = os.environ.get("COLUMNS")
+    """{group key: digest}, run from the repository root (the argv names
+    session files relative to it, and some errors echo the name) with
+    COLUMNS=80 for argparse's usage text."""
+    saved, cwd = os.environ.get("COLUMNS"), os.getcwd()
     os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     try:
         return {group_key(g): digest(g) for g in groups}
     finally:
+        os.chdir(cwd)
         if saved is None:
             del os.environ["COLUMNS"]
         else:
