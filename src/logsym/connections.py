@@ -287,9 +287,10 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     arena), even chart dimension, periods and their integrality, then splits
     T*omega into class + d(primitive).  When the class part vanishes the
     primitive is an actual connection form with curvature T*omega and is
-    returned (residues normalized); when it is nonzero but integral, the
-    verdict is positive but the chart construction stops at the obstruction
-    note; otherwise the first non-integral period is the witness.
+    returned as it is (its residues have no constant term, so every shift
+    is 0); when it is nonzero but integral, the verdict is positive but the
+    chart construction stops at the obstruction note; otherwise the first
+    non-integral period is the witness.
     """
     ctx = omega.ctx
     if omega.degree != 2:
@@ -317,7 +318,11 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
             conn = Connection1(prim)
             if conn.curvature != t_omega:
                 raise PrequantError("pipeline curvature mismatch (internal error)")
-            connection, shifts = _normalize_residues_soft(conn)
+            # every monomial of the homotopy primitive has a nonzero
+            # exponent, so each residue's constant term is 0 and the one
+            # shift rule would move nothing
+            connection = conn
+            shifts = [0] * len(ctx.divisor)
             for i in ctx.divisor:
                 try:
                     residues.append(

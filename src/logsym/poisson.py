@@ -16,6 +16,12 @@ i_tilde omega == du/u.  Forms, polynomials and scalars are stored in
 canonical form (no zero coefficient is kept, each scalar is reduced), so
 equality decides the same statement as the difference being zero without
 building that difference.
+
+The identity suite computes each bracket, Hamiltonian field and fraction
+once per call.  {a,b} is computed on both sides once: their difference is
+identity (iii), and (iv) and the Jacobi defect take delta_a(b) as {a,b}
+after the cross-check every bracket gets.  The {u,a} of identity (ii) is
+handed to the Jacobi defect, and (ii) is one fraction over uv(u+v).
 """
 
 from __future__ import annotations
@@ -134,9 +140,19 @@ def bracket_of_fields(
 ) -> Poly:
     """{f,g} from fields the caller already holds: df and dg must be the
     Hamiltonian fields of f and g, as hamiltonian returned them."""
-    # -omega(df, dg), read as omega(dg, df) by antisymmetry
-    via_omega = S.omega.evaluate([dg, df])
-    via_apply = df.apply(g)
+    return _agreed(*_bracket_sides(S, df, dg, g))
+
+
+def _bracket_sides(
+    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
+) -> Tuple[Poly, Poly]:
+    """The two computations of {f,g}: -omega(df, dg), read as omega(dg, df)
+    by antisymmetry, and df(g)."""
+    return S.omega.evaluate([dg, df]), df.apply(g)
+
+
+def _agreed(via_omega: Poly, via_apply: Poly) -> Poly:
+    """{f,g} as df(g), once the two computations are seen to agree."""
     if via_omega != via_apply:
         raise PoissonError("bracket consistency failed (internal error)")
     return via_apply
@@ -215,14 +231,18 @@ def _jacobi(
     dg: LogVectorField,
     dk: LogVectorField,
     inner: Optional[Tuple[Poly, LogVectorField]] = None,
+    fg: Optional[Poly] = None,
 ) -> Poly:
     """The Jacobi defect from the Hamiltonian fields df, dg, dk of f, g, k;
-    inner is ({g,k}, its field) when the caller already holds them.  Each
-    inner bracket's field is made once, and every bracket is still
-    cross-checked."""
+    inner is ({g,k}, its field) when the caller already holds them, and fg
+    is {f,g} when the caller has already cross-checked it (its field is
+    still made here, in the same order).  Each inner bracket's field is made
+    once, and every bracket is cross-checked once."""
     gk, dgk = inner or _bracket_and_field(S, dg, dk, k)
     kf, dkf = _bracket_and_field(S, dk, df, f)
-    fg, dfg = _bracket_and_field(S, df, dg, g)
+    if fg is None:
+        fg = bracket_of_fields(S, df, dg, g)
+    dfg = hamiltonian(S, fg).delta
     return (
         bracket_of_fields(S, df, dgk, gk)
         + bracket_of_fields(S, dg, dkf, kf)
@@ -235,8 +255,10 @@ class IdentityReport(NamedTuple):
 
     Identity (ii) compares the product expansion {u,a}/u + {v,a}/v with the
     formal {u+v,a}/(u+v); the quotient generally leaves the ring, so that
-    defect is a RationalFunction and is reported as data rather than asserted
-    to vanish.
+    defect is a RationalFunction, normalised once over uv(u+v), and is
+    reported as data rather than asserted to vanish.  Identity (iii) is the
+    difference of the two computations of {a,b}, which the bracket's
+    cross-check requires to agree, so a report always has it zero.
     """
 
     defect_i: LogForm  # 1-form
@@ -263,41 +285,49 @@ def verify_identities(
 ) -> IdentityReport:
     """Compute both sides of the five structural identities exactly.
 
-    u, v must be divisor-ideal members (tilde fields exist); a, b arbitrary.
+    u, v must be divisor-ideal members (tilde fields exist) with u + v != 0
+    (a PoissonError at identity (ii) otherwise); a, b arbitrary.  Ten
+    Hamiltonian fields are made and certified, and nine brackets
+    cross-checked, each once: {a,b} serves (iii), (iv) and the Jacobi
+    defect, and {u,a} serves (ii) and the Jacobi defect.
     """
     du = hamiltonian(S, u).delta
     dv = hamiltonian(S, v).delta
     buv, duv = _bracket_and_field(S, du, dv, v)
     sing_uv = _sing_quotient(u, v, _ideal_member(S, u), _ideal_member(S, v), buv)
     d_sing = hamiltonian(S, sing_uv).delta
+    uv = u * v
 
     # (i)  i_{delta_{u,v} - uv*delta_sing} omega = {u,v}(du/u + dv/v)
-    x_field = duv - d_sing.scale(u * v)
+    x_field = duv - d_sing.scale(uv)
     lhs_i = S.omega.interior(x_field)
     dlog_sum = _dlog_unit(S, u) + _dlog_unit(S, v)
     defect_i = lhs_i - dlog_sum.scale(buv)
 
-    # (ii)  {u,a}/u + {v,a}/v  vs  {u+v,a}/(u+v)
+    # (ii)  {u,a}/u + {v,a}/v - {u+v,a}/(u+v), as one fraction over
+    # uv(u+v); u and v are nonzero monomials once (i) has passed
     da = hamiltonian(S, a).delta
-    lhs_ii = RationalFunction(bracket_of_fields(S, du, da, a), u) + RationalFunction(
-        bracket_of_fields(S, dv, da, a), v
-    )
-    d_sum = hamiltonian(S, u + v).delta
-    rhs_ii = RationalFunction(bracket_of_fields(S, d_sum, da, a), u + v)
-    defect_ii = lhs_ii - rhs_ii
+    bua = bracket_of_fields(S, du, da, a)
+    bva = bracket_of_fields(S, dv, da, a)
+    s = u + v
+    bsa = bracket_of_fields(S, hamiltonian(S, s).delta, da, a)
+    if s.is_zero():
+        raise PoissonError("u + v = 0: identity (ii) divides by u + v")
+    defect_ii = RationalFunction((bua * v + bva * u) * s - bsa * uv, uv * s)
 
-    # (iii)  {a,b} = delta_a(b)
+    # (iii)  {a,b} = delta_a(b); the two sides serve (iv) and Jacobi too
     db = hamiltonian(S, b).delta
-    defect_iii = -S.omega.evaluate([da, db]) - da.apply(b)
+    ab_omega, bab = _bracket_sides(S, da, db, b)
+    defect_iii = ab_omega - bab
 
-    # (iv)  [delta_a, delta_b] = delta_{a,b}
-    bab, dab = _bracket_and_field(S, da, db, b)
+    # (iv)  [delta_a, delta_b] = delta_{a,b}, with {a,b} cross-checked
+    dab = hamiltonian(S, _agreed(ab_omega, bab)).delta
     defect_iv = da.bracket(db) - dab
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)
     tu = tilde_hamiltonian(S, u, du)
     tv = tilde_hamiltonian(S, v, dv)
-    rhs_v = tu.bracket(tv).scale(u * v) + (tv + tu).scale(buv)
+    rhs_v = tu.bracket(tv).scale(uv) + (tv + tu).scale(buv)
     defect_v = duv - rhs_v
 
     return IdentityReport(
@@ -306,7 +336,7 @@ def verify_identities(
         defect_iii=defect_iii,
         defect_iv=defect_iv,
         defect_v=defect_v,
-        jacobi=_jacobi(S, u, a, b, du, da, db, (bab, dab)),
+        jacobi=_jacobi(S, u, a, b, du, da, db, (bab, dab), bua),
     )
 
 

@@ -7,7 +7,8 @@ paths point.  The calls use all 22 commands on the three shipped sessions (by
 path), on fixed sessions read from stdin (the two sessions of ROADMAP item 1,
 a ``divisor poly`` session with Saito fields, a 4-variable torus chart and
 one malformed session per error class) and on a missing file, with seeded
-random arguments in text and json, plus a few usage errors per command.
+random arguments in text and json, plus a few usage errors per command and
+fixed regression calls (``REGRESSIONS``) that once let an exception escape.
 The argv list itself is kept in the file, so the corpus does not depend on
 this generator once it is written.
 
@@ -262,6 +263,17 @@ def _usage_calls(command, fmt, options):
     return calls
 
 
+# fixed calls that once let an exception escape main, one group each, text
+# and json together
+REGRESSIONS = [
+    # u + v = 0: identity (ii)'s {u+v,a}/(u+v) has a zero denominator
+    {"command": "identities", "session": "sessions/torus.lsx", "format": "text+json",
+     "calls": [["identities", "--session", "sessions/torus.lsx", "--form", "w",
+                "--u", "x", "--v=-x", "--a", "y", "--b", "x*y"] + tail
+               for tail in ([], ["--format", "json"])]},
+]
+
+
 def build_groups():
     """The corpus's groups, each {command, session, format, calls}, in a
     fixed order; each group's arguments come from its own seeded stream."""
@@ -287,6 +299,7 @@ def build_groups():
     top = [[], ["--format", "json"], ["nosuch", "--session", SHIPPED[0]],
            ["--help"], ["--session", SHIPPED[0]]]
     groups.append({"command": "", "session": "", "format": "", "calls": top})
+    groups += REGRESSIONS
     return groups
 
 

@@ -218,6 +218,20 @@ def test_identities(capsys):
         "additivity over sums (informational): defect = (-y^2 + 1) / (y^2 + 1)")
 
 
+def test_identities_u_plus_v_zero_exits_2(capsys):
+    """u + v = 0 leaves {u+v,a}/(u+v) undefined: one error and exit 2 in
+    text, one json error document in json."""
+    argv = ["identities", "--session", TORUS, "--form", "w", "--u", "x",
+            "--v=-x", "--a", "y", "--b", "x*y"]
+    message = "u + v = 0: identity (ii) divides by u + v"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"schema": cli.SCHEMA, "command": "identities",
+                               "error": message, "exit": 2}
+
+
 # -- operator commands -------------------------------------------------------
 
 

@@ -17,6 +17,8 @@ they are checked against solves the Gram system A^T v = b with solve_linear.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsym import calculus, poisson
 from logsym.calculus import (
@@ -45,7 +47,7 @@ from logsym.poisson import (
 from logsym.poly import Poly
 from logsym.scalars import Scalar
 from logsym.sessions import print_canonical
-from conftest import rand_poly
+from conftest import rand_poly, rand_scalar
 
 
 def _chart_a():
@@ -754,3 +756,127 @@ def test_a_field_converts_to_log_components_once(monkeypatch):
         _jacobi(S, f, g, k, df, dg, dk)
         assert len(conversions) == 3 * len(ctx.divisor)
         monkeypatch.undo()
+
+
+# -- the identity suite before its brackets were shared ----------------------
+
+
+def _reference_jacobi_of_fields(S, f, g, k, df, dg, dk, inner=None):
+    """_jacobi as it was before it took {f,g} from its caller: each of the
+    three inner brackets is cross-checked and given its field here."""
+    gk, dgk = inner or poisson._bracket_and_field(S, dg, dk, k)
+    kf, dkf = poisson._bracket_and_field(S, dk, df, f)
+    fg, dfg = poisson._bracket_and_field(S, df, dg, g)
+    return (
+        bracket_of_fields(S, df, dgk, gk)
+        + bracket_of_fields(S, dg, dkf, kf)
+        + bracket_of_fields(S, dk, dfg, fg)
+    )
+
+
+def _reference_verify_identities(S, u, v, a, b):
+    """verify_identities as it was before (iii), (iv) and the Jacobi defect
+    shared {a,b} and {u,a} and (ii) became one fraction: the same steps in
+    the same order, so the same exception where one is raised."""
+    du = hamiltonian(S, u).delta
+    dv = hamiltonian(S, v).delta
+    buv, duv = poisson._bracket_and_field(S, du, dv, v)
+    sing_uv = poisson._sing_quotient(u, v, _ideal_member(S, u), _ideal_member(S, v), buv)
+    d_sing = hamiltonian(S, sing_uv).delta
+    x_field = duv - d_sing.scale(u * v)
+    lhs_i = S.omega.interior(x_field)
+    dlog_sum = poisson._dlog_unit(S, u) + poisson._dlog_unit(S, v)
+    defect_i = lhs_i - dlog_sum.scale(buv)
+    da = hamiltonian(S, a).delta
+    lhs_ii = RationalFunction(bracket_of_fields(S, du, da, a), u) + RationalFunction(
+        bracket_of_fields(S, dv, da, a), v
+    )
+    d_sum = hamiltonian(S, u + v).delta
+    rhs_ii = RationalFunction(bracket_of_fields(S, d_sum, da, a), u + v)
+    defect_ii = lhs_ii - rhs_ii
+    db = hamiltonian(S, b).delta
+    defect_iii = -S.omega.evaluate([da, db]) - da.apply(b)
+    bab, dab = poisson._bracket_and_field(S, da, db, b)
+    defect_iv = da.bracket(db) - dab
+    tu = tilde_hamiltonian(S, u, du)
+    tv = tilde_hamiltonian(S, v, dv)
+    rhs_v = tu.bracket(tv).scale(u * v) + (tv + tu).scale(buv)
+    defect_v = duv - rhs_v
+    return (defect_i, defect_ii, defect_iii, defect_iv, defect_v,
+            _reference_jacobi_of_fields(S, u, a, b, du, da, db, (bab, dab)))
+
+
+_SUM_ZERO = "u + v = 0: identity (ii) divides by u + v"
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as e:  # compared by type and message
+        return None, e
+
+
+def _divisor_monomial(ctx, rng, exps):
+    """A scalar from the conftest generator (zero sometimes) times a Laurent
+    monomial on the divisor coordinates; nonnegative exponents, not all 0,
+    make a divisor-ideal member."""
+    e = [0] * ctx.n
+    for i, x in zip(ctx.divisor, exps):
+        e[i] = x
+    return Poly.monomial(ctx, e, rand_scalar(rng, tmin=0, tmax=1, terms=1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((_chart_a, _chart_b, _chart_c)),
+    st.lists(st.integers(-1, 2), min_size=4, max_size=4),
+    st.lists(st.integers(-1, 2), min_size=4, max_size=4),
+    st.sampled_from(("free", "free", "free", "-u", "u")),
+    st.integers(0, 2**32 - 1),
+)
+def test_shared_brackets_match_the_reference(maker, eu, ev, tie, seed):
+    """verify_identities with its brackets and fraction shared gives the
+    reference's six defects, (ii) with the same printed bytes, and wherever
+    the reference raises it raises the same exception with the same message;
+    the one exception is u + v = 0, where the reference's ZeroDivisionError
+    is a PoissonError naming the condition."""
+    ctx, S = maker()
+    rng = random.Random(seed)
+    u = _divisor_monomial(ctx, rng, eu)
+    v = -u if tie == "-u" else u if tie == "u" else _divisor_monomial(ctx, rng, ev)
+    a, b = (rand_poly(ctx, rng, deg=3, terms=3) for _ in range(2))
+    want, want_err = _outcome(lambda: _reference_verify_identities(S, u, v, a, b))
+    got, got_err = _outcome(lambda: verify_identities(S, u, v, a, b))
+    if want_err is None:
+        assert got_err is None
+        assert got == want
+        assert print_canonical(got.defect_ii) == print_canonical(want[1])
+    elif isinstance(want_err, ZeroDivisionError):
+        assert (u + v).is_zero()
+        assert (type(got_err), str(got_err)) == (PoissonError, _SUM_ZERO)
+    else:
+        assert (type(got_err), str(got_err)) == (type(want_err), str(want_err))
+
+
+def test_u_plus_v_zero_is_named_where_ii_is_built(monkeypatch):
+    """u + v = 0 raises a PoissonError at identity (ii), after its three
+    brackets, and no earlier: an input that fails in (i) keeps (i)'s error."""
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        u, _ = _ideal_pair(maker, ctx)
+        a, b = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        with pytest.raises(ZeroDivisionError):
+            _reference_verify_identities(S, u, -u, a, b)
+        calls = _counting_hamiltonian(monkeypatch)
+        with pytest.raises(PoissonError) as exc:
+            verify_identities(S, u, -u, a, b)
+        assert str(exc.value) == _SUM_ZERO
+        # u, v, {u,v}, its singular quotient, a and u + v: b is never reached
+        assert calls[-2:] == [a, Poly.zero(ctx)]
+        monkeypatch.undo()
+    # on the half chart x is off the divisor, so du/u fails in (i) first
+    ctx, S = _chart_b()
+    x = Poly.variable(ctx, "x")
+    for run in (_reference_verify_identities, verify_identities):
+        with pytest.raises(PoissonError, match="du/u leaves the arena for u = x"):
+            run(S, x, -x, x, x)

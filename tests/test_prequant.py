@@ -11,6 +11,7 @@ from logsym.calculus import LogForm, assemble_symplectic, d_of_function
 from logsym.connections import (
     Connection1,
     PrequantError,
+    _normalize_residues_soft,
     class_and_primitive,
     gauge,
     integrality_check,
@@ -279,6 +280,32 @@ def test_prequantize_standard_chart():
     # the constructed connection satisfies the bracket condition
     S = assemble_symplectic(w)
     assert dirac_check(x, y, S, rep.connection.sigma).holds
+
+
+def test_prequantize_connection_needs_no_residue_shift():
+    """The pipeline returns the homotopy primitive itself with shifts all 0:
+    the one shift rule moves none of its residues, since each monomial of
+    the primitive has a nonzero exponent and no residue has a constant
+    term."""
+    rng = random.Random(709)
+    built = 0
+    for _ in range(120):
+        names = ["x", "y", "z", "w"][: rng.choice((2, 4))]
+        ctx = make_context(names, rng.sample(names, rng.randint(0, len(names))),
+                           rng.choice(("poly", "torus")))
+        e = [LogForm.coframe(ctx, nm) for nm in names]
+        w = e[0].wedge(e[1])
+        if ctx.n == 4:
+            w = w + e[2].wedge(e[3])
+        rep = prequantize(w + rand_form(ctx, rng, 1).d())
+        if rep.connection is None:
+            continue
+        built += 1
+        assert rep.connection.sigma == rep.primitive
+        assert rep.normalized_shifts == [0] * len(ctx.divisor)
+        shifted, shifts = _normalize_residues_soft(rep.connection)
+        assert (shifted.sigma, shifts) == (rep.primitive, rep.normalized_shifts)
+    assert built > 10
 
 
 def test_prequantize_integral_class():
