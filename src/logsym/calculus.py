@@ -435,25 +435,15 @@ def d_of_function(f: Poly) -> LogForm:
 
 
 def res_const(eta: LogForm):
-    """Residues of a 1-form along every divisor coordinate, taken iteratively
-    in index order (each residue is evaluated with all earlier divisor
-    coordinates already set to zero).  Returns (True, [Scalar...]) when every
-    residue is constant, else (False, (index, offending Poly))."""
+    """Residues of a 1-form along every divisor coordinate, each read through
+    LogForm.residue.  Returns (True, [Scalar...]) when every residue is
+    constant, else (False, (index, offending Poly)) for the first that is
+    not."""
     if eta.degree != 1:
         raise CalculusError("res_const wants a 1-form")
     consts = []
     for i in eta.ctx.divisor:
-        c = eta.coefficient((i,))
-        for j in eta.ctx.divisor:
-            if j > i:
-                break
-            try:
-                c = c.substitute_zero(j)
-            except PolyError:
-                raise CalculusError(
-                    "residue along %s meets a pole in %s"
-                    % (eta.ctx.names[i], eta.ctx.names[j])
-                ) from None
+        c = eta.residue(i).coefficient(())
         s = c.as_constant()
         if s is None:
             return False, (i, c)

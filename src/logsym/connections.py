@@ -80,7 +80,9 @@ def is_flat(conn: Connection1):
     When flat, the connection form is decomposed as (constant residues on the
     log coframe) + d(primitive) through the homotopy, and the residue list is
     returned: (True, [Scalar per divisor coordinate]).  Otherwise (False,
-    curvature).
+    curvature).  The class part's constants are cross-checked against
+    res_const, the residues of the form itself, unless some z_i's own
+    coefficient has a pole in z_i and that residue does not exist.
     """
     if not conn.curvature.is_zero():
         return False, conn.curvature
@@ -89,13 +91,11 @@ def is_flat(conn: Connection1):
     try:
         ok, direct = res_const(conn.sigma)
     except CalculusError:
-        ok, direct = True, None  # Laurent coefficients: evaluation model inapplicable
-    if ok and direct is not None and direct != residues:
-        raise PrequantError("residue decomposition mismatch (internal error)")
-    if not ok:
-        raise PrequantError(
-            "closed 1-form with nonconstant residue %r (model violation)" % (direct,)
-        )
+        pass  # a pole in some z_i's own coefficient: no residue to compare
+    else:
+        # a closed log 1-form has constant residues, the class part's
+        if not ok or direct != residues:
+            raise PrequantError("residue decomposition mismatch (internal error)")
     return True, residues
 
 

@@ -19,9 +19,9 @@ building that difference.
 
 The identity suite computes each bracket, Hamiltonian field and fraction
 once per call.  {a,b} is computed on both sides once: their difference is
-identity (iii), and (iv) and the Jacobi defect take delta_a(b) as {a,b}
-after the cross-check every bracket gets.  The {u,a} of identity (ii) is
-handed to the Jacobi defect, and (ii) is one fraction over uv(u+v).
+identity (iii), reported as a defect, and (iv) and the Jacobi defect take
+delta_a(b) as {a,b}.  The {u,a} of identity (ii) is handed to the Jacobi
+defect, and (ii) is one fraction over uv(u+v).
 """
 
 from __future__ import annotations
@@ -140,7 +140,10 @@ def bracket_of_fields(
 ) -> Poly:
     """{f,g} from fields the caller already holds: df and dg must be the
     Hamiltonian fields of f and g, as hamiltonian returned them."""
-    return _agreed(*_bracket_sides(S, df, dg, g))
+    via_omega, via_apply = _bracket_sides(S, df, dg, g)
+    if via_omega != via_apply:
+        raise PoissonError("bracket consistency failed (internal error)")
+    return via_apply
 
 
 def _bracket_sides(
@@ -149,13 +152,6 @@ def _bracket_sides(
     """The two computations of {f,g}: -omega(df, dg), read as omega(dg, df)
     by antisymmetry, and df(g)."""
     return S.omega.evaluate([dg, df]), df.apply(g)
-
-
-def _agreed(via_omega: Poly, via_apply: Poly) -> Poly:
-    """{f,g} as df(g), once the two computations are seen to agree."""
-    if via_omega != via_apply:
-        raise PoissonError("bracket consistency failed (internal error)")
-    return via_apply
 
 
 def _bracket_and_field(
@@ -257,8 +253,9 @@ class IdentityReport(NamedTuple):
     formal {u+v,a}/(u+v); the quotient generally leaves the ring, so that
     defect is a RationalFunction, normalised once over uv(u+v), and is
     reported as data rather than asserted to vanish.  Identity (iii) is the
-    difference of the two computations of {a,b}, which the bracket's
-    cross-check requires to agree, so a report always has it zero.
+    difference of the two computations of {a,b}, omega(delta_b, delta_a)
+    and delta_a(b), decided here rather than by the cross-check other
+    brackets get.
     """
 
     defect_i: LogForm  # 1-form
@@ -287,9 +284,10 @@ def verify_identities(
 
     u, v must be divisor-ideal members (tilde fields exist) with u + v != 0
     (a PoissonError at identity (ii) otherwise); a, b arbitrary.  Ten
-    Hamiltonian fields are made and certified, and nine brackets
-    cross-checked, each once: {a,b} serves (iii), (iv) and the Jacobi
-    defect, and {u,a} serves (ii) and the Jacobi defect.
+    Hamiltonian fields are made and certified, and eight brackets
+    cross-checked, each once; {a,b}'s two sides are compared by (iii), and
+    delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves (ii) and the
+    Jacobi defect.
     """
     du = hamiltonian(S, u).delta
     dv = hamiltonian(S, v).delta
@@ -320,8 +318,8 @@ def verify_identities(
     ab_omega, bab = _bracket_sides(S, da, db, b)
     defect_iii = ab_omega - bab
 
-    # (iv)  [delta_a, delta_b] = delta_{a,b}, with {a,b} cross-checked
-    dab = hamiltonian(S, _agreed(ab_omega, bab)).delta
+    # (iv)  [delta_a, delta_b] = delta_{a,b}, {a,b} taken as delta_a(b)
+    dab = hamiltonian(S, bab).delta
     defect_iv = da.bracket(db) - dab
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)

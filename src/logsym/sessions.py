@@ -321,83 +321,81 @@ class Evaluator:
 
     def _bin(self, pos, op, l, r):
         try:
-            v = self._combine(op, l, r)
+            return self._combine(pos, op, l, r)
         except (ScalarError, PolyError, CalculusError) as e:
             raise KindError(pos[0], pos[1], str(e)) from None
-        if v is None:
-            raise KindError(pos[0], pos[1], _refusal(op, l, r))
-        return v
 
-    def _combine(self, op, l, r):
-        """l op r, or None when the kinds of l and r do not combine under op.
+    def _combine(self, pos, op, l, r):
+        """l op r, or a KindError at pos naming the kinds of l and r when
+        they do not combine under op.
 
         ^ wedges two forms and otherwise raises a scalar or a function to an
-        integer power.  For the other operators a scalar next to a non-scalar
-        is lifted to the constant function; then + and - take two operands of
-        one kind (forms of one degree), * multiplies two functions or scales a
-        field or form by a function, and / multiplies by the inverse of a
-        unit scalar or a unit monomial.
+        integer power.  / multiplies by the inverse of a unit scalar or a
+        unit monomial.  A scalar is lifted to the constant function next to
+        a non-scalar for *, and next to a function for + and -; then *
+        multiplies two functions or scales a field or form by a function,
+        and + and - take two operands of one kind (forms of one degree).
         """
         if op == "^":
             if isinstance(l, LogForm) and isinstance(r, LogForm):
                 return l.wedge(r)
             k = _integer(r)
-            if k is None or not isinstance(l, (Scalar, Poly)):
-                return None
+            if k is None:
+                raise KindError(*pos, "exponent must be an integer")
+            if not isinstance(l, (Scalar, Poly)):
+                raise KindError(*pos, "cannot raise a %s to a power" % _kind_name(l))
             if k < 0 and isinstance(l, Scalar):
-                return l.inverse() ** -k if l.is_unit() else None
+                if not l.is_unit():
+                    raise KindError(*pos, "negative power of a non-unit")
+                return l.inverse() ** -k
             return l ** k
         if op == "/":
-            if isinstance(r, Scalar) and r.is_unit():
+            if isinstance(r, Scalar):
+                if not r.is_unit():
+                    raise KindError(*pos, "division by a non-invertible scalar")
                 r = r.inverse()
-            elif isinstance(r, Poly) and r.is_unit_monomial():
+            elif isinstance(r, Poly):
+                if not r.is_unit_monomial():
+                    raise KindError(*pos, "division by a non-invertible function")
                 r = r.inverse_unit()
             else:
-                return None
+                raise KindError(*pos, "cannot divide %s by %s"
+                                % (_kind_name(l), _kind_name(r)))
             op = "*"
-        if isinstance(l, Scalar) is not isinstance(r, Scalar):
-            if isinstance(l, Scalar):
-                l = Poly.constant(self.ctx, l)
-            else:
-                r = Poly.constant(self.ctx, r)
         if op == "*":
+            if isinstance(l, Scalar) is not isinstance(r, Scalar):
+                if isinstance(l, Scalar):
+                    l = Poly.constant(self.ctx, l)
+                else:
+                    r = Poly.constant(self.ctx, r)
             if isinstance(r, Poly) and not isinstance(l, Poly):
                 l, r = r, l
             if isinstance(l, Poly):
                 return l * r if isinstance(r, Poly) else r.scale(l)
-            return l * r if isinstance(l, Scalar) else None
-        if type(l) is not type(r) or (isinstance(l, LogForm) and l.degree != r.degree):
-            return None
+            if isinstance(l, Scalar):
+                return l * r
+            # fields and forms only: nothing was lifted or swapped
+            if isinstance(l, LogForm) and isinstance(r, LogForm):
+                raise KindError(*pos, "use ^ to wedge forms")
+            raise KindError(*pos, "cannot multiply %s by %s"
+                            % (_kind_name(l), _kind_name(r)))
+        if type(l) is not type(r):
+            if isinstance(l, Scalar) and isinstance(r, Poly):
+                l = Poly.constant(self.ctx, l)
+            elif isinstance(l, Poly) and isinstance(r, Scalar):
+                r = Poly.constant(self.ctx, r)
+            else:
+                raise KindError(*pos, "cannot %s %s and %s" % (
+                    "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
+        elif isinstance(l, LogForm) and l.degree != r.degree:
+            raise KindError(*pos, "cannot add forms of degree %d and %d"
+                            % (l.degree, r.degree))
         return l + r if op == "+" else l - r
 
 
 def _integer(v) -> Optional[int]:
     e = v.rational_value() if isinstance(v, Scalar) else None
     return int(e) if e is not None and e.denominator == 1 else None
-
-
-def _refusal(op, l, r) -> str:
-    """Why Evaluator._combine turned l op r down, in terms of the kinds."""
-    if op == "^":
-        if _integer(r) is None:
-            return "exponent must be an integer"
-        if isinstance(l, Scalar):
-            return "negative power of a non-unit"
-        return "cannot raise a %s to a power" % _kind_name(l)
-    if op == "/":
-        if isinstance(r, Scalar):
-            return "division by a non-invertible scalar"
-        if isinstance(r, Poly):
-            return "division by a non-invertible function"
-        return "cannot divide %s by %s" % (_kind_name(l), _kind_name(r))
-    if isinstance(l, LogForm) and isinstance(r, LogForm):
-        if op == "*":
-            return "use ^ to wedge forms"
-        return "cannot add forms of degree %d and %d" % (l.degree, r.degree)
-    if op == "*":
-        return "cannot multiply %s by %s" % (_kind_name(l), _kind_name(r))
-    return "cannot %s %s and %s" % ("add" if op == "+" else "subtract",
-                                    _kind_name(l), _kind_name(r))
 
 
 # -- session manifest -------------------------------------------------------

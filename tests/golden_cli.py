@@ -30,6 +30,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -346,7 +347,12 @@ def group_key(group) -> str:
 def digests(groups):
     """{group key: digest}, run from the repository root (the argv names
     session files relative to it, and some errors echo the name) with
-    COLUMNS=80 for argparse's usage text."""
+    COLUMNS=80 for argparse's usage text.  Two groups with one key are
+    refused before any call runs: one digest could not stand for both."""
+    counts = Counter(group_key(g) for g in groups)
+    twice = sorted(k for k, n in counts.items() if n > 1)
+    if twice:
+        raise ValueError("duplicate group key: " + "; ".join(twice))
     saved, cwd = os.environ.get("COLUMNS"), os.getcwd()
     os.environ["COLUMNS"] = "80"
     os.chdir(ROOT)

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logsym
-from logsym import cli
+from logsym import cli, poisson
 from logsym.cli import CliError, _get, main
-from logsym.sessions import SessionError, parse_session
+from logsym.poly import Poly
+from logsym.sessions import SessionError, parse_session, print_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 SAITO = str(ROOT / "sessions" / "saito3.lsx")
@@ -218,6 +219,35 @@ def test_identities(capsys):
         "additivity over sums (informational): defect = (-y^2 + 1) / (y^2 + 1)")
 
 
+def test_identities_bracket_vs_pairing_defect_exits_1(capsys, monkeypatch):
+    """A nonzero identity (iii) is a verdict: spoiling only the omega side of
+    {a,b} prints its defect and exits 1, in text and json."""
+    real = poisson._bracket_sides
+
+    def spoiled(S, df, dg, g):
+        via_omega, via_apply = real(S, df, dg, g)
+        if print_canonical(g) == "x + y":
+            via_omega = via_omega + Poly.one(S.ctx)
+        return via_omega, via_apply
+
+    monkeypatch.setattr(poisson, "_bracket_sides", spoiled)
+    argv = ["identities", "--session", EXACT, "--u", "y", "--v", "y^2",
+            "--a", "x*y", "--b", "x+y"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert lines(out)[:5] == [
+        "hamiltonian of a product: holds",
+        "bracket vs pairing: defect = 1",
+        "bracket of hamiltonian fields: holds",
+        "tilde field recombination: holds",
+        "jacobi: holds",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["exit"], doc["all_hold"]) == (1, 1, False)
+    assert [k for k, ok in doc["identities"].items() if not ok] == ["bracket vs pairing"]
+
+
 def test_identities_u_plus_v_zero_exits_2(capsys):
     """u + v = 0 leaves {u+v,a}/(u+v) undefined: one error and exit 2 in
     text, one json error document in json."""
@@ -311,9 +341,26 @@ def test_flat(capsys, monkeypatch):
 
 
 def test_residues(capsys, monkeypatch):
-    # residues are taken at the origin stratum, so x*dlog(y) contributes 0
+    # the residue along y is the dlog(y) coefficient restricted to y = 0, so
+    # x*dlog(y) has the nonconstant residue x there, whatever the order of
+    # the variables
     code, out, _ = run(capsys, "residues", "--session", TORUS, "--form", "u")
-    assert (code, lines(out)) == (0, ["residue along x = 0",
+    assert (code, lines(out)) == (1, ["nonconstant residue along y: x"])
+    session = "vars y x\ndivisor coords x y\nform u : x*dlog(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, session,
+                             "residues", "--session", "-", "--form", "u")
+    assert (code, lines(out)) == (1, ["nonconstant residue along y: x"])
+
+    # x^-1 has no pole on y = 0: it is the residue along y
+    code, out, _ = run(capsys, "residues", "--session", TORUS,
+                       "--form", "x^-1*dlog(y)")
+    assert (code, lines(out)) == (1, ["nonconstant residue along y: x^-1"])
+
+    # x*y vanishes on x = 0 and on y = 0: constant residues
+    session = "vars x y\ndivisor coords x y\nform u : (5/2 + x*y)*dlog(x) + x*y*dlog(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, session,
+                             "residues", "--session", "-", "--form", "u")
+    assert (code, lines(out)) == (0, ["residue along x = 5/2",
                                       "residue along y = 0"])
 
     code, out, _ = run(capsys, "residues", "--session", EXACT, "--conn", "s")
@@ -324,6 +371,19 @@ def test_residues(capsys, monkeypatch):
     code, out, _ = run_stdin(capsys, monkeypatch, session,
                              "residues", "--session", "-", "--conn", "c")
     assert (code, lines(out)) == (0, ["no divisor coordinates"])
+
+
+def test_residues_and_normalize_residues_agree(capsys, monkeypatch):
+    # one residue rule: the residue along y is x, so residues reports it
+    # nonconstant and normalize-residues refuses to shift it
+    session = "vars x y\ndivisor coords x y\nconn c : (5/2)*dlog(x) + x*dlog(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, session,
+                             "residues", "--session", "-", "--conn", "c")
+    assert (code, lines(out)) == (1, ["nonconstant residue along y: x"])
+    code, out, err = run_stdin(capsys, monkeypatch, session,
+                               "normalize-residues", "--session", "-", "--conn", "c")
+    assert (code, out, err) == (
+        2, "", "error: nonconstant residue along y cannot be normalized\n")
 
 
 def test_normalize_residues(capsys, monkeypatch):
@@ -542,8 +602,8 @@ LIBRARY_ERRORS = [
      "field is not logarithmic along y: its @y coefficient is not divisible by y"),
     (["gauge", "--session", EXACT, "--conn", "s", "--tau", "x*dlog(y)"], "",
      "gauge form must be closed"),
-    (["residues", "--session", TORUS, "--form", "x^-1*dlog(y)"], "",
-     "residue along y meets a pole in x"),
+    (["residues", "--session", TORUS, "--form", "y^-1*dlog(y)"], "",
+     "coefficient of e^{y} cell has a pole in y beyond the log factor"),
     (["normalize-residues", "--session", "-", "--conn", "s"],
      "vars x y\narena poly\ndivisor coords y\nconn s : x*dlog(y)\n",
      "residue normalization lives in the torus arena"),
@@ -967,7 +1027,7 @@ JSON_SMOKE = [
     ("curvature", ["--session", EXACT, "--conn", "s"], 0),
     ("gauge", ["--session", EXACT, "--conn", "s", "--tau", "d(x*y)"], 0),
     ("flat", ["--session", EXACT, "--conn", "s"], 1),
-    ("residues", ["--session", TORUS, "--form", "u"], 0),
+    ("residues", ["--session", TORUS, "--form", "u"], 1),
     ("normalize-residues", ["--session", EXACT, "--conn", "s"], 2),
     ("periods", ["--session", TORUS, "--form", "w"], 0),
     ("integrality", ["--session", TORUS, "--form", "w2"], 0),

@@ -7,6 +7,8 @@ that moves bytes on purpose."""
 
 import sys
 
+import pytest
+
 import golden_cli
 from logsym.cli import _COMMANDS
 
@@ -41,3 +43,17 @@ def test_a_changed_group_is_named():
     spoiled = dict(keep[1], sha256="0" * 64)
     named = golden_cli.changed_groups({"groups": [keep[0], spoiled]})
     assert named == [golden_cli.group_key(spoiled)]
+
+
+def test_duplicate_group_keys_are_refused(tmp_path, monkeypatch):
+    corpus = golden_cli.load()
+    full = next(g for g in corpus["groups"] if g["command"] == "curvature"
+                and g["session"] == golden_cli.SHIPPED[0] and g["format"] == "text")
+    cut = dict(full, calls=full["calls"][:1])
+    twice = {"groups": [full, cut]}
+    with pytest.raises(ValueError, match="duplicate group key: curvature"):
+        golden_cli.changed_groups(twice)
+    monkeypatch.setattr(golden_cli, "CORPUS", tmp_path / "golden_cli.json")
+    with pytest.raises(ValueError, match="duplicate group key"):
+        golden_cli.write(twice["groups"])
+    assert not golden_cli.CORPUS.exists()

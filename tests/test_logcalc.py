@@ -208,6 +208,25 @@ def test_res_const_examples():
         res_const(LogForm.coframe(ctx2, "x").wedge(LogForm.coframe(ctx2, "x")))
 
 
+def test_res_const_reads_each_residue_through_residue():
+    # x*dlog(y): the residue along y is x in either order of the variables
+    for names in (["x", "y"], ["y", "x"]):
+        ctx = make_context(names, ["x", "y"], "torus")
+        x = Poly.variable(ctx, "x")
+        eta = LogForm.coframe(ctx, "y").scale(x)
+        assert res_const(eta) == (False, (ctx.index("y"), x)), names
+        assert eta.residue(ctx.index("y")).coefficient(()) == x
+
+    ctx = make_context(["x", "y"], ["x", "y"], "torus")
+    x_inv = Poly.one(ctx).mul_var_power(0, -1)
+    # a pole in another coordinate is part of the residue
+    assert res_const(LogForm.coframe(ctx, "y").scale(x_inv)) == (False, (1, x_inv))
+    # a pole in the coordinate's own coefficient is residue's error
+    y_inv = Poly.one(ctx).mul_var_power(1, -1)
+    with pytest.raises(CalculusError, match="pole in y beyond the log factor"):
+        res_const(LogForm.coframe(ctx, "y").scale(y_inv))
+
+
 def test_shape_errors():
     ctx = make_context(["x", "y"], [], "poly")
     x = Poly.variable(ctx, "x")

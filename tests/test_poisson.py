@@ -758,6 +758,27 @@ def test_a_field_converts_to_log_components_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_bracket_vs_pairing_defect_is_reported(monkeypatch):
+    """Identity (iii) is decided, not raised: with only the omega side of
+    {a,b} spoiled, the report carries the difference as (iii)'s defect and
+    every other defect is unchanged."""
+    ctx, S = _chart_a()
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    a, b = x * y + x, x + y
+    want = verify_identities(S, x, y, a, b)
+    real = poisson._bracket_sides
+
+    def spoiled(S, df, dg, g):
+        via_omega, via_apply = real(S, df, dg, g)
+        return (via_omega + Poly.one(S.ctx) if g is b else via_omega), via_apply
+
+    monkeypatch.setattr(poisson, "_bracket_sides", spoiled)
+    rep = verify_identities(S, x, y, a, b)
+    assert rep.defect_iii == Poly.one(ctx)
+    assert not rep.core_identities_hold
+    assert rep._replace(defect_iii=want.defect_iii) == want
+
+
 # -- the identity suite before its brackets were shared ----------------------
 
 

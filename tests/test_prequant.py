@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from logsym import connections
 from logsym.calculus import LogForm, assemble_symplectic, d_of_function
 from logsym.connections import (
     Connection1,
@@ -95,6 +96,16 @@ def test_flatness_examples():
     flat, res = is_flat(Connection1(LogForm(ctx, 1, {(0,): -inv})))
     assert flat
     assert res == [Scalar.zero(), Scalar.zero()]
+
+
+def test_flat_residues_are_cross_checked(monkeypatch):
+    ctx = _full_torus()
+    sigma = _const_form(ctx, {0: Scalar.from_rational(Fraction(5, 2))})
+    for spoiled in ((True, [Scalar.zero(), Scalar.zero()]),
+                    (False, (1, Poly.variable(ctx, "x")))):
+        monkeypatch.setattr(connections, "res_const", lambda eta, r=spoiled: r)
+        with pytest.raises(PrequantError, match="residue decomposition mismatch"):
+            is_flat(Connection1(sigma))
 
 
 # -- residue normalization ---------------------------------------------------
