@@ -429,7 +429,7 @@ def d_of_function(f: Poly) -> LogForm:
     terms: Dict[IndexSet, Poly] = {}
     for i in range(ctx.n):
         dc = f.log_partial(i) if ctx.is_divisor_index(i) else f.partial(i)
-        if dc.terms:
+        if not dc.is_zero():
             terms[(i,)] = dc
     return _form(ctx, min(1, ctx.n), terms)
 

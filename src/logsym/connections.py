@@ -173,8 +173,7 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
     cls_terms: Dict[tuple, Poly] = {}
     prim = LogForm.zero(ctx, omega.degree - 1)
     for I, c in omega.terms.items():
-        for e, coeff in c.terms.items():
-            mono = Poly.monomial(ctx, e, coeff)
+        for e, mono in c.monomials().items():
             pivot = next((i for i in ctx.divisor if e[i]), None)
             if pivot is not None:
                 field, weight = frame[pivot], e[pivot]

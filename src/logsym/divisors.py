@@ -104,9 +104,10 @@ def is_coordinate_ncd(h: Poly):
     variables.  Returns (True, sorted index tuple) or (False, None)."""
     if h.is_zero():
         raise DivisorError("zero polynomial")
-    if len(h.terms) != 1:
+    monomials = h.monomials()
+    if len(monomials) != 1:
         return False, None
-    ((e, _),) = h.terms.items()
+    (e,) = monomials
     if any(x not in (0, 1) for x in e):
         return False, None
     return True, tuple(i for i, x in enumerate(e) if x == 1)
@@ -216,7 +217,7 @@ def weighted_homogeneous(h: Poly):
     if h.is_zero():
         raise DivisorError("zero polynomial")
     n = h.ctx.n
-    exps = list(h.terms.keys())
+    exps = list(h.monomials())
     base = exps[0]
     diff_rows = [
         [Fraction(e[i] - base[i]) for i in range(n)] for e in exps[1:]

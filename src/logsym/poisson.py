@@ -342,9 +342,10 @@ def _dlog_unit(S: SymplecticData, u: Poly) -> LogForm:
     """du/u for a monomial u (any nonzero coefficient, either arena) with
     support in the divisor coordinates, as a constant-coefficient log
     1-form."""
-    if len(u.terms) != 1:
+    monomials = u.monomials()
+    if len(monomials) != 1:
         raise PoissonError("du/u needs a monomial, got %s" % print_canonical(u))
-    ((e, _),) = u.terms.items()
+    (e,) = monomials
     for i, x in enumerate(e):
         if x and not S.ctx.is_divisor_index(i):
             raise PoissonError("du/u leaves the arena for u = %s" % print_canonical(u))

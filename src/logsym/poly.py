@@ -1,28 +1,51 @@
 """Sparse multivariate polynomials (Laurent in the divisor coordinates).
 
-A :class:`Poly` is a dict mapping exponent tuples to nonzero :class:`Scalar`
-coefficients, tied to a :class:`VarContext`.  In the ``poly`` arena all
-exponents are >= 0; in the ``torus`` arena the divisor coordinates may carry
-negative exponents, which is what makes Hamiltonian vector fields of torus
-symplectic forms land back in the same ring.
+A :class:`Poly` tied to a :class:`VarContext` of n coordinates is one flat
+table ``_t`` from keys ``(e_1, ..., e_n, k)`` to Gaussian rationals
+``(re, im, den)``: the entry stands for the term
+``(re + im*I)/den * T^k * z_1^e_1 * ... * z_n^e_n``, so the key is the
+z-exponents followed by the power of T.  Each value is the canonical triple
+of :mod:`.scalars` (``den > 0``, ``gcd(re, im, den) == 1``, never zero) and
+entries that cancel are removed, so equality is plain table equality.  The
+ring operations work entry by entry on these triples, with no
+:class:`Scalar` object per coefficient; the ``terms`` view regroups the
+table as ``{e: Scalar}`` when read.  In the ``poly`` arena all z-exponents
+are >= 0; in the ``torus`` arena the divisor coordinates may carry negative
+exponents, which is what makes Hamiltonian vector fields of torus symplectic
+forms land back in the same ring.  The power of T may have either sign in
+both arenas.
 
 The leading term, and so the normalisation of a gcd, is taken in graded
-lexicographic order.  Division never leaves the ring silently: :func:`divides`
-answers membership in a principal ideal by one exact division on integer
-images in Z[i][z, T] (the coefficient ring QQ(i)[T, T^-1] is not a field,
-so coefficient divisibility is part of the test), the same division that
-certifies the heuristic gcd, and returns the quotient or a nonzero remainder
-witness.
+lexicographic order of the z-exponents.  Division never leaves the ring
+silently: :func:`divides` answers membership in a principal ideal by one
+exact division on integer images in Z[i][z, T] (the coefficient ring
+QQ(i)[T, T^-1] is not a field, so coefficient divisibility is part of the
+test), the same division that certifies the heuristic gcd, and returns the
+quotient or a nonzero remainder witness.  An image is the table with its
+denominators cleared and its T-powers shifted to >= 0.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 from operator import add, sub
+from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .context import TORUS, VarContext
-from .scalars import Scalar, _gmul, _power, _red, _scalar, _times_int, scalar_gcd
+from .scalars import (
+    _ONE,
+    Scalar,
+    _gadd,
+    _gdiv,
+    _gmul,
+    _gsub,
+    _power,
+    _red,
+    _scalar,
+    _times_int,
+    scalar_gcd,
+)
 
 Exp = Tuple[int, ...]
 
@@ -38,29 +61,50 @@ def _grlex_key(e: Exp):
 _new = object.__new__
 
 
-def _poly(ctx: VarContext, terms: Dict[Exp, Scalar]) -> "Poly":
-    """A Poly over terms already valid in ctx (int exponent tuples of its
-    arity, legal in its arena, nonzero coefficients), skipping the checks of
-    Poly.__init__, which stay for callers from outside."""
+def _poly(ctx: VarContext, t: dict) -> "Poly":
+    """A Poly over a flat table already valid in ctx (keys of n z-exponents
+    legal in its arena and a T-power, canonical nonzero triples), skipping
+    the checks of Poly.__init__, which stay for callers from outside."""
     p = _new(Poly)
     p.ctx = ctx
-    p.terms = terms
+    p._t = t
     return p
 
 
-class Poly:
-    """Sparse polynomial over Scalar coefficients in a fixed VarContext.
+def _product(x: dict, y: dict) -> dict:
+    """The table of the product of the tables x and y, summing the terms
+    that meet."""
+    t: dict = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            e = tuple(map(add, e1, e2))
+            w = _gmul(v1, v2)
+            u = t.get(e)
+            if u is not None:
+                w = _gadd(u, w)
+                if w is None:
+                    del t[e]
+                    continue
+            t[e] = w
+    return t
 
-    ``terms`` is never changed after it is built, so results may share a
-    table or a coefficient with their operands: ``p + 0`` and ``1 * p`` are
-    ``p`` itself.
+
+class Poly:
+    """Sparse polynomial over QQ(i)[T, T^-1] in a fixed VarContext.
+
+    ``_t`` maps ``z-exponents + (T-power,)`` to a canonical ``(re, im, den)``
+    triple (see the module docstring).  A table is never changed after it is
+    built, so results may share a table or a triple with their operands:
+    ``p + 0`` and ``1 * p`` are ``p`` itself.  ``Poly(ctx, {e: Scalar})``
+    checks and flattens its input; ``terms`` is the read-only
+    ``{e: Scalar}`` view, built on each read.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_t")
 
     def __init__(self, ctx: VarContext, terms: Optional[Dict[Exp, Scalar]] = None):
         self.ctx = ctx
-        clean: Dict[Exp, Scalar] = {}
+        t = {}
         if terms:
             for e, c in terms.items():
                 if c.is_zero():
@@ -74,8 +118,24 @@ class Poly:
                             "negative exponent on %s outside the torus arena"
                             % ctx.names[i]
                         )
-                clean[e] = c
-        self.terms = clean
+                for k, v in c._t.items():
+                    t[e + (k,)] = v
+        self._t = t
+
+    @property
+    def terms(self):
+        """Read-only ``{z-exponents: Scalar}`` view of the table."""
+        return MappingProxyType({
+            e: _scalar({k[-1]: v for k, v in m._t.items()})
+            for e, m in self.monomials().items()
+        })
+
+    def monomials(self) -> Dict[Exp, "Poly"]:
+        """``{e: c*z^e}``: the terms of the poly, one per z-exponent e."""
+        out: Dict[Exp, dict] = {}
+        for e, v in self._t.items():
+            out.setdefault(e[:-1], {})[e] = v
+        return {e: _poly(self.ctx, t) for e, t in out.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -85,11 +145,12 @@ class Poly:
 
     @staticmethod
     def constant(ctx: VarContext, c: Scalar) -> "Poly":
-        return _poly(ctx, {} if c.is_zero() else {(0,) * ctx.n: c})
+        z = (0,) * ctx.n
+        return _poly(ctx, {z + (k,): v for k, v in c._t.items()})
 
     @staticmethod
     def one(ctx: VarContext) -> "Poly":
-        return Poly.constant(ctx, Scalar.one())
+        return _poly(ctx, {(0,) * (ctx.n + 1): _ONE})
 
     @staticmethod
     def from_int(ctx: VarContext, n: int) -> "Poly":
@@ -97,9 +158,9 @@ class Poly:
 
     @staticmethod
     def variable(ctx: VarContext, name: str) -> "Poly":
-        e = [0] * ctx.n
+        e = [0] * (ctx.n + 1)
         e[ctx.index(name)] = 1
-        return _poly(ctx, {tuple(e): Scalar.one()})
+        return _poly(ctx, {tuple(e): _ONE})
 
     @staticmethod
     def monomial(ctx: VarContext, exps: Exp, c: Optional[Scalar] = None) -> "Poly":
@@ -108,17 +169,17 @@ class Poly:
     # -- predicates / views ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        e0 = (0,) * self.ctx.n
-        return set(self.terms) == {e0} and self.terms[e0].is_one()
+        t = self._t
+        return len(t) == 1 and t.get((0,) * (self.ctx.n + 1)) == _ONE
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not any(any(e[:-1]) for e in self._t)
 
     def constant_coefficient(self) -> Scalar:
-        return self.terms.get((0,) * self.ctx.n, Scalar.zero())
+        return _scalar({e[-1]: v for e, v in self._t.items() if not any(e[:-1])})
 
     def as_constant(self) -> Optional[Scalar]:
         if self.is_zero():
@@ -128,139 +189,130 @@ class Poly:
         return None
 
     def leading(self) -> Tuple[Exp, Scalar]:
-        if not self.terms:
+        if not self._t:
             raise PolyError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max({k[:-1] for k in self._t}, key=_grlex_key)
+        return e, _scalar({k[-1]: v for k, v in self._t.items() if k[:-1] == e})
 
     def degree_in(self, i: int) -> int:
         """Degree in variable i (-inf is reported as -1 on the zero poly)."""
-        if not self.terms:
+        if not self._t:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._t)
 
     def min_degree_in(self, i: int) -> int:
-        if not self.terms:
+        if not self._t:
             return 0
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._t)
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x != 0:
-                    used.add(i)
-        return used
+        n = self.ctx.n
+        return {i for e in self._t for i in range(n) if e[i]}
 
     def is_unit_monomial(self) -> bool:
         """True when the poly is unit * monomial (invertible in its arena).
 
-        In the torus arena a single term c*z^e with unit c and the support of
-        e inside the divisor coordinates is invertible; in the poly arena only
-        unit constants are.
+        In the torus arena a single term c*T^k*z^e with the support of e
+        inside the divisor coordinates is invertible; in the poly arena only
+        the constants c*T^k are.
         """
-        if len(self.terms) != 1:
+        if len(self._t) != 1:
             return False
-        ((e, c),) = self.terms.items()
-        if not c.is_unit():
-            return False
-        return all(x == 0 or self.ctx.laurent_ok(i) for i, x in enumerate(e))
+        (e,) = self._t
+        return all(x == 0 or self.ctx.laurent_ok(i) for i, x in enumerate(e[:-1]))
 
     def inverse_unit(self) -> "Poly":
         if not self.is_unit_monomial():
             raise PolyError("not an invertible monomial in this arena")
-        ((e, c),) = self.terms.items()
-        return _poly(self.ctx, {tuple(-x for x in e): c.inverse()})
+        ((e, v),) = self._t.items()
+        return _poly(self.ctx, {tuple(-x for x in e): _gdiv(_ONE, v)})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if other.ctx is not self.ctx:
             self.ctx.check_same(other.ctx)
-        if not self.terms:
+        x, y = self._t, other._t
+        if not x:
             return other
-        if not other.terms:
+        if not y:
             return self
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
+        if len(y) > len(x):
+            x, y = y, x
+        t = dict(x)
+        for e, v in y.items():
+            u = t.get(e)
+            if u is None:
+                t[e] = v
                 continue
-            s = s + c
-            if s.is_zero():
-                del terms[e]
+            w = _gadd(u, v)
+            if w is None:
+                del t[e]
             else:
-                terms[e] = s
-        return _poly(self.ctx, terms)
+                t[e] = w
+        return _poly(self.ctx, t)
 
     def __neg__(self) -> "Poly":
-        return _poly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ctx, {e: (-a, -b, d) for e, (a, b, d) in self._t.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if other.ctx is not self.ctx:
             self.ctx.check_same(other.ctx)
-        if not other.terms:
+        y = other._t
+        if not y:
             return self
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = -c
+        t = dict(self._t)
+        for e, v in y.items():
+            u = t.get(e)
+            if u is None:
+                t[e] = (-v[0], -v[1], v[2])
                 continue
-            s = s - c
-            if s.is_zero():
-                del terms[e]
+            w = _gsub(u, v)
+            if w is None:
+                del t[e]
             else:
-                terms[e] = s
-        return _poly(self.ctx, terms)
+                t[e] = w
+        return _poly(self.ctx, t)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if other.ctx is not self.ctx:
             self.ctx.check_same(other.ctx)
-        a, b = (other, self) if len(other.terms) == 1 else (self, other)
-        x, y = a.terms, b.terms
-        if len(x) == 1:
-            # c*z^e times y: the shift is injective and the coefficient ring
-            # is a domain, so no two terms meet and none vanishes; a factor
-            # exactly 1 gives the other operand back
-            ((e1, c1),) = x.items()
-            one = c1.is_one()
-            if one and not any(e1):
-                return b
-            if len(y) == 1:
-                ((e2, c2),) = y.items()
-                if not any(e2) and c2.is_one():
-                    return a
-            if one:
-                return _poly(self.ctx, {
-                    tuple(map(add, e1, e2)): c2 for e2, c2 in y.items()
-                })
-            if not any(e1):
-                return _poly(self.ctx, {e2: c1 * c2 for e2, c2 in y.items()})
-            return _poly(self.ctx, {
-                tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in y.items()
-            })
-        terms: Dict[Exp, Scalar] = {}
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c
-                    continue
-                s = s + c
-                if s.is_zero():
-                    del terms[e]
-                else:
-                    terms[e] = s
-        return _poly(self.ctx, terms)
+        a, b = (other, self) if len(other._t) == 1 else (self, other)
+        x, y = a._t, b._t
+        if len(x) != 1:
+            return _poly(self.ctx, _product(x, y))
+        # c*T^k*z^e times y: the shift is injective and Q(i) has no zero
+        # divisors, so no two terms meet and none vanishes; a factor exactly
+        # 1 gives the other operand back
+        ((e1, v1),) = x.items()
+        one = v1 == _ONE
+        if one and not any(e1):
+            return b
+        if len(y) == 1:
+            ((e2, v2),) = y.items()
+            if v2 == _ONE and not any(e2):
+                return a
+        if one:
+            return _poly(self.ctx, {tuple(map(add, e1, e2)): v2 for e2, v2 in y.items()})
+        if not any(e1):
+            return _poly(self.ctx, {e2: _gmul(v1, v2) for e2, v2 in y.items()})
+        return _poly(self.ctx, {
+            tuple(map(add, e1, e2)): _gmul(v1, v2) for e2, v2 in y.items()
+        })
 
     def scale(self, c: Scalar) -> "Poly":
-        if c.is_zero():
-            return Poly.zero(self.ctx)
-        return _poly(self.ctx, {e: cc * c for e, cc in self.terms.items()})
+        s = c._t
+        if len(s) != 1:
+            z = (0,) * self.ctx.n
+            return _poly(self.ctx, _product(self._t, {z + (k,): w for k, w in s.items()}))
+        ((k, w),) = s.items()
+        if k:
+            return _poly(self.ctx, {
+                e[:-1] + (e[-1] + k,): _gmul(v, w) for e, v in self._t.items()
+            })
+        if w == _ONE:
+            return self
+        return _poly(self.ctx, {e: _gmul(v, w) for e, v in self._t.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -271,59 +323,57 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.ctx == other.ctx
-            and self.terms == other.terms
+            and self._t == other._t
         )
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, frozenset(self._t.items())))
 
     # -- calculus helpers --------------------------------------------------
 
     def partial(self, i: int) -> "Poly":
         """Plain coordinate derivative d/dz_i."""
         return _poly(self.ctx, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: _times_int(c, e[i])
-            for e, c in self.terms.items() if e[i]
+            e[:i] + (e[i] - 1,) + e[i + 1:]: _times_int(v, e[i])
+            for e, v in self._t.items() if e[i]
         })
 
     def log_partial(self, i: int) -> "Poly":
         """The logarithmic derivative z_i * d/dz_i (stays in the ring even for Laurent exponents)."""
         return _poly(self.ctx, {
-            e: _times_int(c, e[i]) for e, c in self.terms.items() if e[i]
+            e: _times_int(v, e[i]) for e, v in self._t.items() if e[i]
         })
 
     def mul_var_power(self, i: int, k: int) -> "Poly":
         """Multiply by z_i^k (k may be negative only where the arena allows)."""
         if k == 0:
             return self
-        out_terms: Dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += k
-            if e2[i] < 0 and not self.ctx.laurent_ok(i):
+        t = {}
+        for e, v in self._t.items():
+            x = e[i] + k
+            if x < 0 and not self.ctx.laurent_ok(i):
                 raise PolyError(
                     "z_%s^%d pushes exponents negative outside the torus arena"
                     % (self.ctx.names[i], k)
                 )
-            out_terms[tuple(e2)] = c
-        return _poly(self.ctx, out_terms)
+            t[e[:i] + (x,) + e[i + 1:]] = v
+        return _poly(self.ctx, t)
 
     def substitute_zero(self, i: int) -> "Poly":
         """Set z_i = 0; an error if any term has a negative power of z_i."""
-        terms: Dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
+        t = {}
+        for e, v in self._t.items():
             if e[i] < 0:
                 raise PolyError(
                     "cannot evaluate at %s=0: negative exponent present"
                     % self.ctx.names[i]
                 )
-            if e[i] > 0:
-                continue
-            terms[e] = c
-        return _poly(self.ctx, terms)
+            if e[i] == 0:
+                t[e] = v
+        return _poly(self.ctx, t)
 
     def __repr__(self):
-        return "Poly(%s, %d terms)" % (self.ctx.describe(), len(self.terms))
+        return "Poly(%s, %d terms)" % (self.ctx.describe(), len(self.monomials()))
 
 
 # -- division and membership ----------------------------------------------
@@ -383,17 +433,15 @@ def _strip_laurent(f: Poly):
             shifts[i] = f.min_degree_in(i)
     if not any(shifts):
         return shifts, f
-    terms = {
-        tuple(x - s for x, s in zip(e, shifts)): c for e, c in f.terms.items()
-    }
-    return shifts, _poly(f.ctx, terms)
+    s = shifts + [0]
+    return shifts, _poly(f.ctx, {tuple(map(sub, e, s)): v for e, v in f._t.items()})
 
 
 def _coeffs_in(f: Poly, i: int):
     """Coefficients of f as a univariate poly in variable i (dict deg -> Poly)."""
-    out: Dict[int, Dict[Exp, Scalar]] = {}
-    for e, c in f.terms.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    out: Dict[int, dict] = {}
+    for e, v in f._t.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
     return {k: _poly(f.ctx, t) for k, t in out.items()}
 
 
@@ -528,28 +576,26 @@ def _image(f: Poly):
     Laurent shift of _strip_laurent, k the lowest T-power and den the lcm of
     the denominators, so the image lies in Z[i][z, T] and has no T factor."""
     shifts, f = _strip_laurent(f)
-    low = min(min(c._t) for c in f.terms.values())
-    den = 1
-    for c in f.terms.values():
-        for _, _, d in c._t.values():
-            den = lcm(den, d)
+    t = f._t
+    low = min(e[-1] for e in t)
+    den = lcm(*(d for _, _, d in t.values()))
     return {
-        e + (k - low,): (re * (den // d), im * (den // d))
-        for e, c in f.terms.items() for k, (re, im, d) in c._t.items()
+        e[:-1] + (e[-1] - low,): (re * (den // d), im * (den // d))
+        for e, (re, im, d) in t.items()
     }, shifts, low, den
 
 
-def _from_image(ctx: VarContext, h: dict, shifts=(), low=0, unit=(1, 0, 1)) -> Poly:
+def _from_image(ctx: VarContext, h: dict, shifts=(), low=0, unit=_ONE) -> Poly:
     """The Poly z^shifts * T^low * unit * h of an image h, unit being a
     Gaussian rational (re, im, den) in canonical form."""
-    one = unit == (1, 0, 1)
-    terms: Dict[Exp, Dict[int, tuple]] = {}
-    for e, v in h.items():
-        terms.setdefault(e[:-1], {})[e[-1] + low] = (
-            (v[0], v[1], 1) if one else _gmul((v[0], v[1], 1), unit))
-    if any(shifts):
-        return _poly(ctx, {tuple(map(add, e, shifts)): _scalar(t) for e, t in terms.items()})
-    return _poly(ctx, {e: _scalar(t) for e, t in terms.items()})
+    one = unit == _ONE
+    s = tuple(shifts) + (low,)
+    shift = any(s)
+    return _poly(ctx, {
+        tuple(map(add, e, s)) if shift else e:
+            (re, im, 1) if one else _gmul((re, im, 1), unit)
+        for e, (re, im) in h.items()
+    })
 
 
 def _heu(f: dict, g: dict, places) -> Optional[dict]:

@@ -11,7 +11,9 @@ Each Gaussian rational ``(re + im*I) / den`` is stored as the integer triple
 never ``re == im == 0`` (zero terms are not stored).  Canonical form makes
 equality plain table equality, and each result costs integer arithmetic and
 at most one ``math.gcd``.  The public ``terms`` view reads
-``{k: (Fraction, Fraction)}``.
+``{k: (Fraction, Fraction)}``.  A :class:`~logsym.poly.Poly` keeps the same
+triples in its own flat table, one per (z-exponents, T-power) key, and works
+on them with the triple helpers below, with no Scalar in between.
 
 The scalars form the Laurent-polynomial ring QQ(i)[T, T^-1].  Units are
 exactly the single-term scalars; the public division operator is restricted to
@@ -124,12 +126,12 @@ def _scalar(t):
     return s
 
 
-def _times_int(s, n):
-    """n * s for a nonzero int n, with no product of tables; s itself when n
+def _times_int(u, n):
+    """n * u for a canonical triple u and a nonzero int n; u itself when n
     is 1."""
     if n == 1:
-        return s
-    return _scalar({k: _red(a * n, b * n, d) for k, (a, b, d) in s._t.items()})
+        return u
+    return _red(u[0] * n, u[1] * n, u[2])
 
 
 class Scalar:
@@ -199,13 +201,6 @@ class Scalar:
     def is_unit(self) -> bool:
         """Units of QQ(i)[T, T^-1] are the nonzero single-power scalars."""
         return len(self._t) == 1
-
-    def single_power(self):
-        """Return (k, (a, b)) when the scalar is c*T^k, else None."""
-        if len(self._t) != 1:
-            return None
-        ((k, v),) = self._t.items()
-        return (k, _to_pair(v))
 
     def rational_value(self):
         """Return the plain Fraction value when the scalar is rational at T^0, else None."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple, Union
 
 from .calculus import CalculusError, LogForm, LogVectorField, d_of_function
@@ -26,7 +27,7 @@ from .connections import Connection1
 from .context import POLY, TORUS, ContextError, VarContext, make_context
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
-from .poly import Poly, PolyError, _grlex_key
+from .poly import Poly, PolyError
 from .scalars import Scalar, ScalarError
 
 RESERVED = {
@@ -647,30 +648,27 @@ def _mono_text(ctx: VarContext, e) -> str:
 
 
 def _poly_pieces(p: Poly):
-    """Signed pieces for each term, leading term first."""
+    """Signed pieces for each term, leading term first: the z-monomials in
+    descending graded lex order, the T-powers of each coefficient
+    descending."""
     ctx = p.ctx
+    t = p._t
     pieces = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[e]
+    keys = sorted(t, key=lambda e: (sum(e[:-1]), e), reverse=True)
+    for e, group in groupby(keys, key=lambda e: e[:-1]):
+        coeff = []
+        for k in group:
+            re, im, d = t[k]
+            coeff.append(_scalar_piece(k[-1], Fraction(re, d), Fraction(im, d)))
         mono = _mono_text(ctx, e)
         if not mono:
-            t = c.terms
-            for k in sorted(t, reverse=True):
-                pieces.append(_scalar_piece(k, *t[k]))
-            continue
-        if c.is_one():
-            pieces.append((False, mono))
-            continue
-        if (-c).is_one():
-            pieces.append((True, mono))
-            continue
-        sp = c.single_power()
-        if sp is not None:
-            k, (a, b) = sp
-            neg, base = _scalar_piece(k, a, b)
-            pieces.append((neg, base + "*" + mono))
+            pieces.extend(coeff)
+        elif len(coeff) > 1:
+            pieces.append((False, "(" + _join_signed(coeff) + ")*" + mono))
         else:
-            pieces.append((False, "(" + scalar_text(c) + ")*" + mono))
+            # a coefficient of 1 or -1 prints as its sign alone
+            neg, base = coeff[0]
+            pieces.append((neg, mono if base == "1" else base + "*" + mono))
     return pieces
 
 

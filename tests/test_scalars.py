@@ -254,10 +254,6 @@ def test_terms_view_is_read_only_fractions():
     assert all(type(v) is Fraction for pair in view.values() for v in pair)
     with pytest.raises(TypeError):
         view[0] = (Fraction(1), F0)
-    assert s.single_power() is None
-    k, pair = Scalar({3: (Fraction(1, 2), 2)}).single_power()
-    assert (k, pair) == (3, (Fraction(1, 2), Fraction(2)))
-    assert all(type(v) is Fraction for v in pair)
     assert type(Scalar.from_int(4).rational_value()) is Fraction
     assert type(Scalar.zero().rational_value()) is Fraction
     assert type((T * Scalar.from_int(3)).integer_times_t()) is int
