@@ -389,8 +389,8 @@ class Evaluator:
                 raise KindError(*pos, "cannot %s %s and %s" % (
                     "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
         elif isinstance(l, LogForm) and l.degree != r.degree:
-            raise KindError(*pos, "cannot add forms of degree %d and %d"
-                            % (l.degree, r.degree))
+            raise KindError(*pos, "cannot %s forms of degree %d and %d" % (
+                "add" if op == "+" else "subtract", l.degree, r.degree))
         return l + r if op == "+" else l - r
 
 

@@ -175,6 +175,14 @@ def test_errors_carry_positions():
     assert e.value.line == 1
 
 
+def test_form_degree_mismatch_names_the_operation():
+    m = parse_session("vars x y\n")
+    for op, verb in (("+", "add"), ("-", "subtract")):
+        with pytest.raises(KindError) as e:
+            eval_in_session(m, "d(x) %s d(x)^d(y)" % op)
+        assert e.value.message == "cannot %s forms of degree 1 and 2" % verb
+
+
 def test_unknown_kind_lines_rejected():
     with pytest.raises(SessionError):
         parse_session("vars x\nshape q : x\n")
@@ -372,8 +380,8 @@ class _ReferenceEvaluator(Evaluator):
             return l + r if op == "+" else l - r
         if isinstance(l, LogForm) and isinstance(r, LogForm):
             if l.degree != r.degree:
-                raise KindError(pos[0], pos[1], "cannot add forms of degree %d and %d"
-                                % (l.degree, r.degree))
+                raise KindError(pos[0], pos[1], "cannot %s forms of degree %d and %d" % (
+                    "add" if op == "+" else "subtract", l.degree, r.degree))
             return l + r if op == "+" else l - r
         raise KindError(pos[0], pos[1], "cannot %s %s and %s" % (
             "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
