@@ -24,6 +24,7 @@ from .calculus import (
     res_const,
 )
 from .connections import (
+    NonconstantResidueError,
     PrequantError,
     class_and_primitive,
     gauge as gauge_op,
@@ -379,8 +380,13 @@ def cmd_residues(m, args):
             "constant": True,
             "residues": [print_canonical(r) for r in data],
         }, lines
-    i, poly = data
-    txt = print_canonical(poly)
+    return _nonconstant_residue(ctx, *data)
+
+
+def _nonconstant_residue(ctx, i, value):
+    """The verdict of residues and normalize-residues on a residue that is
+    a nonconstant function."""
+    txt = print_canonical(value)
     return 1, {"constant": False, "along": ctx.names[i], "value": txt}, [
         "nonconstant residue along %s: %s" % (ctx.names[i], txt)
     ]
@@ -388,7 +394,10 @@ def cmd_residues(m, args):
 
 def cmd_normalize_residues(m, args):
     conn = _get(m, args.conn, "connection")
-    out, shifts = normalize_residues(conn)
+    try:
+        out, shifts = normalize_residues(conn)
+    except NonconstantResidueError as e:
+        return _nonconstant_residue(m.ctx, e.index, e.value)
     txt = print_canonical(out.sigma)
     return 0, {"sigma": txt, "shifts": shifts}, [
         "shifts = (%s)" % _shifts_text(shifts),

@@ -42,6 +42,18 @@ class PrequantError(ValueError):
     pass
 
 
+class NonconstantResidueError(PrequantError):
+    """normalize_residues met a residue that is a nonconstant function: the
+    connection is well formed, and its residue along ctx.names[index] is
+    value, as res_const reports it."""
+
+    def __init__(self, ctx, index: int, value: Poly):
+        super().__init__(
+            "nonconstant residue along %s cannot be normalized" % ctx.names[index])
+        self.index = index
+        self.value = value
+
+
 class Connection1:
     """The connection d + sigma for a log 1-form sigma, with its curvature
     d(sigma) computed when it is built; equal and hashed by sigma."""
@@ -201,43 +213,47 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
     """Shift each residue by an integer so its rational real part lands in
     [0, 1) (the standard section of C -> C/Z in this scalar model).
 
-    Residues must be constants with T-power 0; anything else is not
-    normalizable here and raises.  Curvature is unchanged since integer
+    The residues are read once, through res_const.  They must be constants
+    with T-power 0: a nonconstant one raises NonconstantResidueError, and any
+    other refusal a PrequantError.  Curvature is unchanged since integer
     multiples of the log coframe are closed.
     """
     ctx = conn.sigma.ctx
     if ctx.arena != TORUS:
         raise PrequantError("residue normalization lives in the torus arena")
-    for i in ctx.divisor:
-        r = conn.sigma.residue(i).coefficient(()).as_constant()
-        if r is None:
-            raise PrequantError(
-                "nonconstant residue along %s cannot be normalized" % ctx.names[i]
-            )
+    ok, data = res_const(conn.sigma)
+    if not ok:
+        raise NonconstantResidueError(ctx, *data)
+    for i, r in zip(ctx.divisor, data):
         if set(r.terms) - {0}:
             raise PrequantError(
                 "residue along %s is not a T-power-0 rational in this model"
                 % ctx.names[i]
             )
-    return _normalize_residues_soft(conn)
+    return _shift_residues(conn, [_shift(r) for r in data])
 
 
 def _normalize_residues_soft(conn: Connection1) -> Tuple[Connection1, List[int]]:
-    """The one shift rule: each residue moves by -floor of the real part of
-    the T^0 term of its constant term, and by 0 where it has a pole, so
-    connections with function-valued residues pass through untouched."""
+    """normalize_residues for any connection: each residue moves by the shift
+    of its constant term, and by 0 where it has a pole, so connections with
+    function-valued residues pass through untouched."""
     ctx = conn.sigma.ctx
     shifts = []
     for i in ctx.divisor:
         try:
             res_form = conn.sigma.residue(i)
-            r = res_form.coefficient(()).constant_coefficient()
         except CalculusError:
             shifts.append(0)
             continue
-        pair = r.terms.get(0)
-        shifts.append(-floor(pair[0]) if pair else 0)
+        shifts.append(_shift(res_form.coefficient(()).constant_coefficient()))
     return _shift_residues(conn, shifts)
+
+
+def _shift(r: Scalar) -> int:
+    """The one shift rule: -floor of the real part of the T^0 term of r, 0
+    when r has none."""
+    pair = r.terms.get(0)
+    return -floor(pair[0]) if pair else 0
 
 
 def _shift_residues(conn: Connection1, shifts: List[int]) -> Tuple[Connection1, List[int]]:

@@ -375,15 +375,18 @@ def test_residues(capsys, monkeypatch):
 
 def test_residues_and_normalize_residues_agree(capsys, monkeypatch):
     # one residue rule: the residue along y is x, so residues reports it
-    # nonconstant and normalize-residues refuses to shift it
+    # nonconstant and normalize-residues gives the same verdict, in text and
+    # in json; the connection is well formed, so neither exits 2
     session = "vars x y\ndivisor coords x y\nconn c : (5/2)*dlog(x) + x*dlog(y)\n"
-    code, out, _ = run_stdin(capsys, monkeypatch, session,
-                             "residues", "--session", "-", "--conn", "c")
-    assert (code, lines(out)) == (1, ["nonconstant residue along y: x"])
-    code, out, err = run_stdin(capsys, monkeypatch, session,
-                               "normalize-residues", "--session", "-", "--conn", "c")
-    assert (code, out, err) == (
-        2, "", "error: nonconstant residue along y cannot be normalized\n")
+    for cmd in ("residues", "normalize-residues"):
+        code, out, err = run_stdin(capsys, monkeypatch, session,
+                                   cmd, "--session", "-", "--conn", "c")
+        assert (code, out, err) == (1, "nonconstant residue along y: x\n", "")
+        code, out, err = run_stdin(capsys, monkeypatch, session, cmd, "--session",
+                                   "-", "--conn", "c", "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"command": cmd, "constant": False, "along": "y",
+                                   "value": "x", "exit": 1, "schema": cli.SCHEMA}
 
 
 def test_normalize_residues(capsys, monkeypatch):
@@ -398,9 +401,9 @@ def test_normalize_residues(capsys, monkeypatch):
         "sigma = (x*y + 1/2)*dlog(x) + x*y*dlog(y)",
     ]
 
-    code, _, err = run(capsys, "normalize-residues", "--session", EXACT,
+    code, out, _ = run(capsys, "normalize-residues", "--session", EXACT,
                        "--conn", "s")
-    assert code == 2 and "nonconstant residue along y" in err
+    assert (code, lines(out)) == (1, ["nonconstant residue along y: T*x"])
 
 
 # -- period and class commands -----------------------------------------------
@@ -1028,7 +1031,7 @@ JSON_SMOKE = [
     ("gauge", ["--session", EXACT, "--conn", "s", "--tau", "d(x*y)"], 0),
     ("flat", ["--session", EXACT, "--conn", "s"], 1),
     ("residues", ["--session", TORUS, "--form", "u"], 1),
-    ("normalize-residues", ["--session", EXACT, "--conn", "s"], 2),
+    ("normalize-residues", ["--session", EXACT, "--conn", "s"], 1),
     ("periods", ["--session", TORUS, "--form", "w"], 0),
     ("integrality", ["--session", TORUS, "--form", "w2"], 0),
     ("class", ["--session", TORUS, "--form", "w"], 0),
