@@ -393,9 +393,14 @@ def _lct_note(ctx: VarContext, h: Optional[Poly]) -> str:
     wh = weighted_homogeneous(h)
     if wh is not None:
         w, d = wh
+        # the comparison theorem for free divisors wants local
+        # quasi-homogeneity (Castro-Jimenez, Narvaez-Macarro and Mond,
+        # Trans. AMS 348, 1996); weights at the origin do not give it
         return (
             "chart equation is weighted homogeneous (weights %s, degree %d); "
-            "comparison hypothesis holds modulo freeness of the divisor"
+            "comparison of log and complement cohomology undecided: it needs "
+            "a free, locally quasi-homogeneous divisor, which is not decided "
+            "here; verdicts refer to the log complex"
             % (",".join(str(x) for x in w), d)
         )
     return (

@@ -397,6 +397,7 @@ def test_prequantize_chart_notes():
     assert "normal crossing" in note
     note = prequantize(wp, divisor_h=xp ** 3 + yp * yp).lct_caveat
     assert "weighted homogeneous" in note and "2,3" in note
+    assert "undecided" in note and "holds" not in note
     skew = xp * yp * (xp + yp) * (xp + yp * yp)
     note = prequantize(wp, divisor_h=skew).lct_caveat
     assert "not weighted homogeneous" in note
