@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from operator import sub
 
 import pytest
@@ -13,6 +14,7 @@ from logsym.poly import (
     Poly,
     PolyError,
     _coeffs_in,
+    _grlex_key,
     _pseudo_rem,
     _strip_laurent,
     divides,
@@ -619,3 +621,78 @@ def test_subtraction_is_adding_the_negation():
             assert (a - b).terms == (a + (-b)).terms
             assert a.terms == ta and b.terms == tb
         assert (a - a).is_zero() and (a - Poly.zero(ctx)) is a
+
+
+# -- the flat table ----------------------------------------------------------
+
+_ONE, _T, _I = Scalar.one(), Scalar.two_pi_i(), Scalar.i_unit()
+# coefficients that mix T-powers, and rationals that are not units of Z[i]
+_MIXED = st.one_of(
+    st.sampled_from([
+        _ONE + _T,
+        _T.inverse() - Scalar.from_int(2) * _I,
+        Scalar.from_rational(Fraction(2, 3)),
+        Scalar.from_rational(Fraction(-3, 4), Fraction(1, 6)),
+        Scalar.from_int(6) * _T * _T,
+    ]),
+    _SCALARS,
+)
+
+
+def _mixed_polys(ctx, min_size=0):
+    exps = st.tuples(*(st.integers(-1 if ctx.laurent_ok(i) else 0, 2) for i in range(ctx.n)))
+    return st.dictionaries(exps, _MIXED, min_size=min_size, max_size=3).map(
+        lambda t: Poly(ctx, t))
+
+
+def _assert_canonical(p):
+    """Every entry of p's table is keyed by n ints and a T-power, and holds a
+    reduced triple with a positive denominator that is not zero."""
+    for key, v in p._t.items():
+        assert len(key) == p.ctx.n + 1 and all(type(x) is int for x in key)
+        re, im, den = v
+        assert den > 0 and (re or im) and gcd(re, im, den) == 1
+        assert all(x >= 0 or p.ctx.laurent_ok(i) for i, x in enumerate(key[:-1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_flat_table_matches_the_scalar_references(data):
+    """On both arenas, with coefficients that mix T-powers: each result's
+    table is canonical, the {e: Scalar} view builds the same poly back,
+    equal polys built in two ways hash equal, and every kernel agrees with
+    its reference built through Poly(ctx, {e: Scalar})."""
+    ctx = data.draw(st.sampled_from(_CHARTS))
+    a = data.draw(_mixed_polys(ctx))
+    b = data.draw(_mixed_polys(ctx))
+    g = data.draw(_mixed_polys(ctx, min_size=1))
+    c = data.draw(_MIXED)
+    neg_b = Poly(ctx, {e: -s for e, s in b.terms.items()})
+    results = {
+        "mul": (a * b, _reference_mul(a, b)),
+        "add": (a + b, _reference_add(a, b)),
+        "sub": (a - b, _reference_add(a, neg_b)),
+        "neg": (-b, neg_b),
+        "scale": (a.scale(c), Poly(ctx, {e: s * c for e, s in a.terms.items()})),
+    }
+    for i in range(ctx.n):
+        results["partial%d" % i] = (a.partial(i), _reference_partial(a, i, False))
+        results["log_partial%d" % i] = (a.log_partial(i), _reference_partial(a, i, True))
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got._t == want._t, name
+    for p in (a, b, g):
+        _assert_canonical(p)
+        assert Poly(ctx, p.terms) == p
+    assert hash(a * b) == hash(b * a) == hash(_reference_mul(a, b))
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    e, lc = g.leading()
+    want_e = max(g.terms, key=_grlex_key)
+    assert (e, lc) == (want_e, g.terms[want_e])
+    for f in (g * a, b):
+        ok, x = divides(g, f)
+        ref_q, ref_r = _reference_divmod(f, g)
+        assert ok == ref_r.is_zero()
+        if ok:
+            assert x == ref_q
+    assert gcd_mv(g * a, g * b) == _reference_gcd(g * a, g * b)
