@@ -578,7 +578,9 @@ def _image(f: Poly):
     shifts, f = _strip_laurent(f)
     t = f._t
     low = min(e[-1] for e in t)
-    den = lcm(*(d for _, _, d in t.values()))
+    den = 1
+    for _, _, d in t.values():
+        den = lcm(den, d)
     return {
         e[:-1] + (e[-1] - low,): (re * (den // d), im * (den // d))
         for e, (re, im, d) in t.items()
