@@ -478,13 +478,17 @@ class SymplecticData:
       by det exactly instead;
     - frame_log, the log components of each frame field, row k for frame_k.
 
-    nondegenerate, whether det_cert passes the unit test of frame_kind, is
-    decided when the data is built, hand-built data included.  A Hamiltonian
-    field then costs one d(f) and matrix-vector products.
+    When the data is built, hand-built data included, it decides
+    nondegenerate, whether det_cert passes the unit test of frame_kind, and
+    keeps the nonzero entries, as (index, entry) pairs per row, of frame_log
+    (log_entries), of pi or, when pi is None, of adj (tensor_entries), and
+    of each frame field's coefficients (frame_entries).  A Hamiltonian field
+    then costs one d(f) and matrix-vector products over those entries.
     """
 
     __slots__ = ("omega", "frame", "gram", "det_cert", "adjugate", "poisson",
-                 "frame_log", "frame_kind", "nondegenerate")
+                 "frame_log", "frame_kind", "nondegenerate", "log_entries",
+                 "tensor_entries", "frame_entries")
 
     def __init__(
         self,
@@ -506,10 +510,19 @@ class SymplecticData:
         self.frame_log = frame_log
         self.frame_kind = frame_kind
         self.nondegenerate = _det_is_unit(det_cert, frame_kind)
+        self.log_entries = _nonzero_entries(frame_log)
+        self.tensor_entries = _nonzero_entries(adjugate if poisson is None else poisson)
+        self.frame_entries = _nonzero_entries(fr.coeffs for fr in frame)
 
     @property
     def ctx(self) -> VarContext:
         return self.omega.ctx
+
+
+def _nonzero_entries(rows) -> tuple:
+    """Per row, the (index, entry) pairs of its nonzero entries."""
+    return tuple(tuple((i, c) for i, c in enumerate(row) if not c.is_zero())
+                 for row in rows)
 
 
 def _det_is_unit(det: Poly, frame_kind: str) -> bool:

@@ -653,15 +653,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def _read_direct(command: str, words) -> Optional[argparse.Namespace]:
     """The namespace build_parser(command) reads from words, when words are
     pairs of an exact long option of command, given once, and a value that
-    does not start with "-" ("-" alone is a value), with every required
-    option given and --format text or json; else None, and argparse reads
-    and reports the words."""
+    is neither -h nor starts with "--", with every required option given
+    and --format text or json; else None, and argparse reads and reports
+    the words.  A value that starts with a single "-" (-x*y, -3, - for
+    stdin) reads as argparse reads --option=value."""
     values = dict.fromkeys(_long_options(command)[1:])
     if len(words) % 2:
         return None
     for name, value in zip(words[::2], words[1::2]):
         if (name not in values or values[name] is not None
-                or value[:1] == "-" and value != "-"):
+                or value[:2] == "--" or value == "-h"):
             return None
         values[name] = value
     required = ["--session"] + ["--" + opt[:-1] for opt in _COMMANDS[command][1]

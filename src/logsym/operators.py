@@ -137,17 +137,19 @@ def dirac_check(
     alpha*omega(delta_f,delta_g) with K the curvature of sigma; that identity
     is re-derived here and cross-checked against the direct commutator, so a
     passing check certifies the curvature condition on the pair.
+    omega(delta_f,delta_g) is read as -{f,g}, the bracket just
+    cross-checked against omega through the certificate of delta_g.
     """
     if alpha is None:
         alpha = Scalar.two_pi_i()
-    df = hamiltonian(S, f).delta
-    qf = _prequantum(f, df, sigma, alpha)
-    dg = hamiltonian(S, g).delta
-    qg = _prequantum(g, dg, sigma, alpha)
-    fg = bracket_of_fields(S, df, dg, g)
+    hf = hamiltonian(S, f)
+    qf = _prequantum(f, hf.delta, sigma, alpha)
+    hg = hamiltonian(S, g)
+    qg = _prequantum(g, hg.delta, sigma, alpha)
+    fg = bracket_of_fields(S, hf, hg)
     defect = qf.commutator(qg) - prequantum_op(fg, S, sigma, alpha)
     curv = sigma.d()
-    predicted = curv.evaluate([df, dg]) - S.omega.evaluate([df, dg]).scale(alpha)
+    predicted = curv.evaluate([hf.delta, hg.delta]) + fg.scale(alpha)
     if not defect.delta.is_zero():
         raise OperatorError("Dirac defect has a field part (internal error)")
     if defect.mult != predicted:
@@ -245,15 +247,15 @@ def verify_E_condition(
     """
     if alpha.is_zero():
         raise OperatorError("alpha must be nonzero")
-    df = hamiltonian(S, f).delta
-    dg = hamiltonian(S, g).delta
-    mf = mspec.eval(f, S, df)
-    mg = mspec.eval(g, S, dg)
-    fg = bracket_of_fields(S, df, dg, g)
-    curv_val = sigma.d().evaluate([df, dg])
+    hf = hamiltonian(S, f)
+    hg = hamiltonian(S, g)
+    mf = mspec.eval(f, S, hf.delta)
+    mg = mspec.eval(g, S, hg.delta)
+    fg = bracket_of_fields(S, hf, hg)
+    curv_val = sigma.d().evaluate([hf.delta, hg.delta])
     return (
-        dg.apply(mf)
-        - df.apply(mg)
+        hg.delta.apply(mf)
+        - hf.delta.apply(mg)
         + mspec.eval(fg, S)
         - curv_val.scale(alpha.inverse())
     )

@@ -7,8 +7,9 @@ delta = sum_k v_k frame_k, the coefficient of e^l in i_delta omega is
 (A^T v)_l, and d(f) has coefficient frame_l(f) there.  No system is solved
 per call.  Assembly stored the Poisson tensor pi = adj(A^T) * det^-1,
 checked against A^T * pi == I, and the log components F_l of each frame
-field.  Per call, a field computes d(f) once, forms b_l = sum_i F_li d(f)_i
-over the nonzero F_li, and sets v = pi * b; for a Saito frame whose constant
+field, with the nonzero entries of each.  Per call, a field computes d(f)
+once, forms b_l = sum_i F_li d(f)_i over the nonzero F_li, and sets
+v = pi * b over the nonzero entries of pi; for a Saito frame whose constant
 det is not a unit there is no pi, and v = adj * b is divided by det exactly.
 Every field is still re-verified through the certificate
 i_{delta_f} omega == d(f), on that same d(f), and every tilde field through
@@ -17,10 +18,20 @@ canonical form (no zero coefficient is kept, each scalar is reduced), so
 equality decides the same statement as the difference being zero without
 building that difference.
 
+A HamiltonianResult carries the d(f) its certificate proved equal to
+i_{delta_f} omega.  So every bracket is cross-checked without contracting
+omega again: omega(delta_g, delta_f) = -omega(delta_f, delta_g) = {f,g} is
+the log pairing <d(g), delta_f>, read off the certified d(g), and it must
+equal the derivation delta_f(g).  omega enters that check through the
+certificate of delta_g, so it decides the same statement as comparing
+omega(delta_g, delta_f) with delta_f(g).
+
 The identity suite computes each bracket, Hamiltonian field and fraction
 once per call.  {a,b} is computed on both sides once: their difference is
 identity (iii), reported as a defect, and (iv) and the Jacobi defect take
-delta_a(b) as {a,b}.  The {u,a} of identity (ii) is handed to the Jacobi
+delta_a(b) as {a,b}.  Identity (i) contracts omega with
+delta_{u,v} - uv*delta_s, s = {u,v}/(uv), by linearity, as the certified
+d({u,v}) - uv*d(s).  The {u,a} of identity (ii) is handed to the Jacobi
 defect, and (ii) is one fraction over uv(u+v).
 """
 
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .calculus import LogForm, LogVectorField, SymplecticData, _field, _form, d_of_function
+from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
 from .context import TORUS
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
@@ -42,9 +53,13 @@ class PoissonError(ValueError):
 
 
 class HamiltonianResult(NamedTuple):
+    """The Hamiltonian field delta of f with the 1-form df = d(f), which its
+    certificate i_delta omega == d(f) proved equal to i_delta omega; the
+    bracket cross-checks read omega(delta, .) from df."""
+
     f: Poly
     delta: LogVectorField
-    certificate: LogForm  # the zero 1-form: i_delta omega == d(f) was checked
+    df: LogForm
 
 
 def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
@@ -53,36 +68,40 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
         raise PoissonError("degenerate form has no Hamiltonian fields")
     S.ctx.check_same(f.ctx)
     df = d_of_function(f)
+    dterms = df.terms
     zero = Poly.zero(S.ctx)
     b = []
-    for row in S.frame_log:
+    for row in S.log_entries:
         # frame_l(f) is the pairing of d(f) with frame_l's log components
         bl = zero
-        for (i,), di in df.terms.items():
-            if not row[i].is_zero():
-                bl = bl + row[i] * di
+        for i, c in row:
+            di = dterms.get((i,))
+            if di is not None:
+                bl = bl + c * di
         b.append(bl)
     delta = _gram_field(S, b, "Hamiltonian")
     if S.omega.interior(delta) != df:
         raise PoissonError("Hamiltonian certificate failed (internal error)")
-    return HamiltonianResult(f=f, delta=delta, certificate=_form(S.ctx, 1, {}))
+    return HamiltonianResult(f=f, delta=delta, df=df)
 
 
 def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
     """sum_k v_k frame_k with A^T v = b: v = pi * b from the Poisson tensor
     stored at assembly, or v_k = (adj * b)_k / det by exact division when
-    det is not a unit, added into the field's coefficients only where
-    frame_k has a nonzero one.  what names the field in the error raised
-    when some v_k is not in the arena ring."""
-    pi = S.poisson
+    det is not a unit, over the nonzero entries of pi or adj; a nonzero v_k
+    is added into the field's coefficients only where frame_k has a nonzero
+    one.  what names the field in the error raised when some v_k is not in
+    the arena ring."""
+    divide = S.poisson is None
     zero = Poly.zero(S.ctx)
     coeffs = [zero] * S.ctx.n
-    for k, row in enumerate(S.adjugate if pi is None else pi):
+    for k, row in enumerate(S.tensor_entries):
         v = zero
-        for a, bl in zip(row, b):
-            if not (a.is_zero() or bl.is_zero()):
+        for l, a in row:
+            bl = b[l]
+            if not bl.is_zero():
                 v = v + a * bl
-        if pi is None:
+        if divide:
             ok, q = divides(S.det_cert, v)
             if not ok:
                 raise PoissonError(
@@ -90,9 +109,10 @@ def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
                     % (what, k, print_canonical(v), print_canonical(S.det_cert))
                 )
             v = q
-        for i, c in enumerate(S.frame[k].coeffs):
-            if not c.is_zero():
-                coeffs[i] = coeffs[i] + v * c
+        if v.is_zero():
+            continue
+        for i, c in S.frame_entries[k]:
+            coeffs[i] = coeffs[i] + v * c
     return _field(S.ctx, tuple(coeffs))
 
 
@@ -132,34 +152,37 @@ def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
 def bracket(S: SymplecticData, f: Poly, g: Poly) -> Poly:
     """{f,g} = -omega(delta_f, delta_g); returned as delta_f(g) after checking
     the two computations agree."""
-    return bracket_of_fields(S, hamiltonian(S, f).delta, hamiltonian(S, g).delta, g)
+    return bracket_of_fields(S, hamiltonian(S, f), hamiltonian(S, g))
 
 
 def bracket_of_fields(
-    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
+    S: SymplecticData, hf: HamiltonianResult, hg: HamiltonianResult
 ) -> Poly:
-    """{f,g} from fields the caller already holds: df and dg must be the
-    Hamiltonian fields of f and g, as hamiltonian returned them."""
-    via_omega, via_apply = _bracket_sides(S, df, dg, g)
-    if via_omega != via_apply:
+    """{f,g} from the Hamiltonian results of f and g the caller already
+    holds, as hamiltonian returned them, after checking its two
+    computations agree."""
+    via_pairing, via_apply = _bracket_sides(S, hf, hg)
+    if via_pairing != via_apply:
         raise PoissonError("bracket consistency failed (internal error)")
     return via_apply
 
 
 def _bracket_sides(
-    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
+    S: SymplecticData, hf: HamiltonianResult, hg: HamiltonianResult
 ) -> Tuple[Poly, Poly]:
-    """The two computations of {f,g}: -omega(df, dg), read as omega(dg, df)
-    by antisymmetry, and df(g)."""
-    return S.omega.evaluate([dg, df]), df.apply(g)
+    """The two computations of {f,g}: -omega(delta_f, delta_g), read as
+    omega(delta_g, delta_f), the log pairing of the certified
+    d(g) = i_{delta_g} omega with delta_f; and delta_f(g).  omega enters
+    through the certificate hamiltonian(S, g) decided, not here."""
+    pairing = hg.df.contract(hf.delta.log_components()).coefficient(())
+    return pairing, hf.delta.apply(hg.f)
 
 
 def _bracket_and_field(
-    S: SymplecticData, df: LogVectorField, dg: LogVectorField, g: Poly
-) -> Tuple[Poly, LogVectorField]:
-    """{f,g} and its Hamiltonian field."""
-    fg = bracket_of_fields(S, df, dg, g)
-    return fg, hamiltonian(S, fg).delta
+    S: SymplecticData, hf: HamiltonianResult, hg: HamiltonianResult
+) -> HamiltonianResult:
+    """The Hamiltonian result of {f,g}."""
+    return hamiltonian(S, bracket_of_fields(S, hf, hg))
 
 
 def sing_bracket(S: SymplecticData, a: Poly, b: Poly, h: Optional[Poly] = None) -> Poly:
@@ -212,37 +235,34 @@ def tilde_hamiltonian(
 
 def jacobi_defect(S: SymplecticData, f: Poly, g: Poly, k: Poly) -> Poly:
     """{f,{g,k}} + {g,{k,f}} + {k,{f,g}}."""
-    dg = hamiltonian(S, g).delta
-    dk = hamiltonian(S, k).delta
-    df = hamiltonian(S, f).delta
-    return _jacobi(S, f, g, k, df, dg, dk)
+    hg = hamiltonian(S, g)
+    hk = hamiltonian(S, k)
+    hf = hamiltonian(S, f)
+    return _jacobi(S, hf, hg, hk)
 
 
 def _jacobi(
     S: SymplecticData,
-    f: Poly,
-    g: Poly,
-    k: Poly,
-    df: LogVectorField,
-    dg: LogVectorField,
-    dk: LogVectorField,
-    inner: Optional[Tuple[Poly, LogVectorField]] = None,
+    hf: HamiltonianResult,
+    hg: HamiltonianResult,
+    hk: HamiltonianResult,
+    inner: Optional[HamiltonianResult] = None,
     fg: Optional[Poly] = None,
 ) -> Poly:
-    """The Jacobi defect from the Hamiltonian fields df, dg, dk of f, g, k;
-    inner is ({g,k}, its field) when the caller already holds them, and fg
+    """The Jacobi defect from the Hamiltonian results hf, hg, hk of f, g, k;
+    inner is the result of {g,k} when the caller already holds it, and fg
     is {f,g} when the caller has already cross-checked it (its field is
     still made here, in the same order).  Each inner bracket's field is made
     once, and every bracket is cross-checked once."""
-    gk, dgk = inner or _bracket_and_field(S, dg, dk, k)
-    kf, dkf = _bracket_and_field(S, dk, df, f)
+    hgk = inner or _bracket_and_field(S, hg, hk)
+    hkf = _bracket_and_field(S, hk, hf)
     if fg is None:
-        fg = bracket_of_fields(S, df, dg, g)
-    dfg = hamiltonian(S, fg).delta
+        fg = bracket_of_fields(S, hf, hg)
+    hfg = hamiltonian(S, fg)
     return (
-        bracket_of_fields(S, df, dgk, gk)
-        + bracket_of_fields(S, dg, dkf, kf)
-        + bracket_of_fields(S, dk, dfg, fg)
+        bracket_of_fields(S, hf, hgk)
+        + bracket_of_fields(S, hg, hkf)
+        + bracket_of_fields(S, hk, hfg)
     )
 
 
@@ -254,8 +274,8 @@ class IdentityReport(NamedTuple):
     defect is a RationalFunction, normalised once over uv(u+v), and is
     reported as data rather than asserted to vanish.  Identity (iii) is the
     difference of the two computations of {a,b}, omega(delta_b, delta_a)
-    and delta_a(b), decided here rather than by the cross-check other
-    brackets get.
+    read off the certified d(b) and delta_a(b), decided here rather than by
+    the cross-check other brackets get.
     """
 
     defect_i: LogForm  # 1-form
@@ -282,51 +302,60 @@ def verify_identities(
 ) -> IdentityReport:
     """Compute both sides of the five structural identities exactly.
 
-    u, v must be divisor-ideal members (tilde fields exist) with u + v != 0
-    (a PoissonError at identity (ii) otherwise); a, b arbitrary.  Ten
-    Hamiltonian fields are made and certified, and eight brackets
-    cross-checked, each once; {a,b}'s two sides are compared by (iii), and
-    delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves (ii) and the
-    Jacobi defect.
+    u, v must be monomials with support in the divisor coordinates, so that
+    du/u and dv/v are log forms (a PoissonError at identity (i) otherwise),
+    unit monomials in the torus arena, so that their tilde fields exist, and
+    u + v != 0 (a PoissonError at identity (ii) otherwise); a, b arbitrary.
+    Identity (i) takes s = {u,v}/(uv), which lies in the ring for such u
+    and v.  Ten Hamiltonian fields are made and certified, and eight
+    brackets cross-checked, each once; {a,b}'s two sides are compared by
+    (iii), and delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves
+    (ii) and the Jacobi defect.
     """
-    du = hamiltonian(S, u).delta
-    dv = hamiltonian(S, v).delta
-    buv, duv = _bracket_and_field(S, du, dv, v)
-    sing_uv = _sing_quotient(u, v, _ideal_member(S, u), _ideal_member(S, v), buv)
-    d_sing = hamiltonian(S, sing_uv).delta
-    uv = u * v
+    hu = hamiltonian(S, u)
+    hv = hamiltonian(S, v)
+    huv = _bracket_and_field(S, hu, hv)
+    buv, uv = huv.f, u * v
 
-    # (i)  i_{delta_{u,v} - uv*delta_sing} omega = {u,v}(du/u + dv/v)
-    x_field = duv - d_sing.scale(uv)
-    lhs_i = S.omega.interior(x_field)
+    # (i)  i_X omega = {u,v}(du/u + dv/v) for X = delta_{u,v} - uv*delta_s,
+    # s = {u,v}/(uv); by linearity i_X omega is the certified
+    # d({u,v}) - uv*d(s).  The singular bracket's quotient is s when u and v
+    # are divisor-ideal members, and names a quotient that leaves the ring
+    # as sing_bracket does; a unit monomial off the ideal, such as x^-1 in
+    # the torus arena, gets {u,v}/(uv) once du/u and dv/v exist
+    in_u, in_v = _ideal_member(S, u), _ideal_member(S, v)
+    s = _sing_quotient(u, v, in_u, in_v, buv)
     dlog_sum = _dlog_unit(S, u) + _dlog_unit(S, v)
-    defect_i = lhs_i - dlog_sum.scale(buv)
+    if not (in_u and in_v):
+        s = _exact_ratio(buv, uv, "{u,v}/(uv)")
+    hs = hamiltonian(S, s)
+    defect_i = huv.df - hs.df.scale(uv) - dlog_sum.scale(buv)
 
     # (ii)  {u,a}/u + {v,a}/v - {u+v,a}/(u+v), as one fraction over
     # uv(u+v); u and v are nonzero monomials once (i) has passed
-    da = hamiltonian(S, a).delta
-    bua = bracket_of_fields(S, du, da, a)
-    bva = bracket_of_fields(S, dv, da, a)
-    s = u + v
-    bsa = bracket_of_fields(S, hamiltonian(S, s).delta, da, a)
-    if s.is_zero():
+    ha = hamiltonian(S, a)
+    bua = bracket_of_fields(S, hu, ha)
+    bva = bracket_of_fields(S, hv, ha)
+    w = u + v
+    bwa = bracket_of_fields(S, hamiltonian(S, w), ha)
+    if w.is_zero():
         raise PoissonError("u + v = 0: identity (ii) divides by u + v")
-    defect_ii = RationalFunction((bua * v + bva * u) * s - bsa * uv, uv * s)
+    defect_ii = RationalFunction((bua * v + bva * u) * w - bwa * uv, uv * w)
 
     # (iii)  {a,b} = delta_a(b); the two sides serve (iv) and Jacobi too
-    db = hamiltonian(S, b).delta
-    ab_omega, bab = _bracket_sides(S, da, db, b)
-    defect_iii = ab_omega - bab
+    hb = hamiltonian(S, b)
+    ab_pairing, bab = _bracket_sides(S, ha, hb)
+    defect_iii = ab_pairing - bab
 
     # (iv)  [delta_a, delta_b] = delta_{a,b}, {a,b} taken as delta_a(b)
-    dab = hamiltonian(S, bab).delta
-    defect_iv = da.bracket(db) - dab
+    hab = hamiltonian(S, bab)
+    defect_iv = ha.delta.bracket(hb.delta) - hab.delta
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)
-    tu = tilde_hamiltonian(S, u, du)
-    tv = tilde_hamiltonian(S, v, dv)
+    tu = tilde_hamiltonian(S, u, hu.delta)
+    tv = tilde_hamiltonian(S, v, hv.delta)
     rhs_v = tu.bracket(tv).scale(uv) + (tv + tu).scale(buv)
-    defect_v = duv - rhs_v
+    defect_v = huv.delta - rhs_v
 
     return IdentityReport(
         defect_i=defect_i,
@@ -334,7 +363,7 @@ def verify_identities(
         defect_iii=defect_iii,
         defect_iv=defect_iv,
         defect_v=defect_v,
-        jacobi=_jacobi(S, u, a, b, du, da, db, (bab, dab), bua),
+        jacobi=_jacobi(S, hu, ha, hb, hab, bua),
     )
 
 

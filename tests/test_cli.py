@@ -221,14 +221,15 @@ def test_identities(capsys):
 
 def test_identities_bracket_vs_pairing_defect_exits_1(capsys, monkeypatch):
     """A nonzero identity (iii) is a verdict: spoiling only the omega side of
-    {a,b} prints its defect and exits 1, in text and json."""
+    {a,b}, the pairing of the certified d(b) with delta_a, prints its defect
+    and exits 1, in text and json."""
     real = poisson._bracket_sides
 
-    def spoiled(S, df, dg, g):
-        via_omega, via_apply = real(S, df, dg, g)
-        if print_canonical(g) == "x + y":
-            via_omega = via_omega + Poly.one(S.ctx)
-        return via_omega, via_apply
+    def spoiled(S, hf, hg):
+        via_pairing, via_apply = real(S, hf, hg)
+        if print_canonical(hg.f) == "x + y":
+            via_pairing = via_pairing + Poly.one(S.ctx)
+        return via_pairing, via_apply
 
     monkeypatch.setattr(poisson, "_bracket_sides", spoiled)
     argv = ["identities", "--session", EXACT, "--u", "y", "--v", "y^2",
@@ -246,6 +247,31 @@ def test_identities_bracket_vs_pairing_defect_exits_1(capsys, monkeypatch):
     doc = json.loads(out)
     assert (code, doc["exit"], doc["all_hold"]) == (1, 1, False)
     assert [k for k, ok in doc["identities"].items() if not ok] == ["bracket vs pairing"]
+
+
+def test_identities_off_the_divisor_ideal(capsys):
+    """Identity (i) takes s = {u,v}/(uv) when u or v is a unit monomial off
+    the divisor ideal too, so x^-1 and x^2, x^-1*y hold on the torus chart
+    (the singular bracket's {u,v}/v once printed a defect there)."""
+    for u, v in (("x^-1", "y"), ("x^2", "x^-1*y")):
+        code, out, _ = run(capsys, "identities", "--session", TORUS, "--form", "w",
+                           "--u", u, "--v", v, "--a", "x", "--b", "y")
+        assert (code, lines(out)[0]) == (0, "hamiltonian of a product: holds"), (u, v)
+
+
+def test_an_option_value_may_start_with_a_minus(capsys):
+    """A value that starts with a single "-" is the option's value, read as
+    --option=value reads it; -h and a word that starts with "--" are still
+    options, so argparse reports the option before them as given no value."""
+    code, out, err = run(capsys, "bracket", "--session", EXACT, "--f", "-x*y", "--g", "y")
+    assert (code, lines(out), err) == (0, ["{f,g} = y^2"], "")
+    assert run(capsys, "bracket", "--session", EXACT, "--f=-x*y", "--g", "y") == (code, out, err)
+    code, out, _ = run(capsys, "identities", "--session", TORUS, "--form", "w",
+                       "--u", "x", "--v", "-3*y", "--a", "x", "--b", "y")
+    assert (code, lines(out)[0]) == (0, "hamiltonian of a product: holds")
+    for word in ("-h", "--g"):
+        code, _, err = run(capsys, "bracket", "--session", EXACT, "--f", word, "--g", "y")
+        assert code == 2 and "argument --f: expected one argument" in err
 
 
 def test_identities_u_plus_v_zero_exits_2(capsys):
@@ -775,11 +801,12 @@ def test_one_parser_per_command_call(capsys, monkeypatch):
 
 
 # -- the direct read of a well-formed command line --------------------------
-# main reads pairs of exact option names and plain values itself; every other
-# shape goes to argparse.  Both must give the same namespace and bytes.
+# main reads pairs of exact option names and values itself; every other
+# shape goes to argparse.  A value that starts with a single "-" reads as
+# argparse reads --option=value.  Both must give the same namespace and bytes.
 
 _WORD_VALUES = ["-", "-1", "", "-x", "a b", "x=1", "json", "xml", "text", "x",
-                "-x + y", "s", "--", EXACT]
+                "-x + y", "s", "--", EXACT, "-h", "-3*y", "--x"]
 _EXTRA_WORDS = ["-h", "--help", "--", "extra", "--bogus", "-"]
 
 
@@ -815,26 +842,37 @@ def _main_bytes(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _argparse_read(command, words):
+    """(namespace, leftover words) as argparse reads words, or (None, None)
+    where it reports a usage error or prints help."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return tuple(cli.build_parser(command).parse_known_args(words))
+    except (cli._UsageError, SystemExit):
+        return None, None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_command_words())
 def test_direct_read_matches_argparse(command_words):
     """Where the direct read returns a namespace, argparse reads an equal one
-    and leaves no word over; where argparse reports a usage error, prints
-    help or leaves words over, the direct read declines; and main prints the
-    same bytes either way."""
+    from the same pairs written --option=value and leaves no word over, and
+    reads it from the words as given when no value starts with "-" ("-"
+    alone aside); where argparse reports a usage error, prints help or
+    leaves words over on those --option=value words, the direct read
+    declines; and main prints the same bytes as argparse's reading of them."""
     command, words = command_words
     direct = cli._read_direct(command, words)
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            parsed, extra = cli.build_parser(command).parse_known_args(words)
-    except (cli._UsageError, SystemExit):
-        parsed, extra = None, None
+    joined = words if direct is None else [
+        "%s=%s" % pair for pair in zip(words[::2], words[1::2])]
+    parsed, extra = _argparse_read(command, joined)
     assert direct is None or (direct == parsed and extra == []), words
-    argv = [command] + words
-    want = _main_bytes(argv)
+    if direct is not None and all(v[:1] != "-" or v == "-" for v in words[1::2]):
+        assert _argparse_read(command, words) == (parsed, extra), words
+    want = _main_bytes([command] + words)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_direct", lambda command, words: None)
-        assert _main_bytes(argv) == want, argv
+        assert _main_bytes([command] + joined) == want, words
 
 
 def _tree_bytes(argv):

@@ -159,6 +159,25 @@ def test_dirac_with_explicit_alpha():
     assert rep.predicted_mult == y.scale(T) - y.scale(T + T)
 
 
+def test_dirac_predicted_multiplier_is_the_omega_formula():
+    """dirac_check reads omega(delta_f, delta_g) as -{f,g}: its predicted
+    multiplier is K(delta_f, delta_g) - alpha*omega(delta_f, delta_g) with
+    omega contracted directly, for connections with and without the
+    matching curvature and for several alpha."""
+    ctx, S, sigma = _chart()
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    sigmas = [sigma, LogForm.zero(ctx, 1), LogForm.coframe(ctx, "x").scale(x * y)]
+    rng = random.Random(131)
+    for _ in range(6):
+        f, g = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(2))
+        df, dg = hamiltonian(S, f).delta, hamiltonian(S, g).delta
+        for s in sigmas:
+            for alpha in (None, T + T, Scalar.from_int(-3)):
+                a = T if alpha is None else alpha
+                want = s.d().evaluate([df, dg]) - S.omega.evaluate([df, dg]).scale(a)
+                assert dirac_check(f, g, S, s, alpha).predicted_mult == want
+
+
 def test_cochain_eval():
     ctx, S, sigma = _chart()
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")

@@ -15,6 +15,7 @@ they are checked against solves the Gram system A^T v = b with solve_linear.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -710,8 +711,8 @@ def test_a_spoiled_tilde_field_is_caught(monkeypatch):
 def test_certificates_are_decided_by_equality(monkeypatch):
     """hamiltonian and tilde_hamiltonian decide their certificates by
     comparing i_delta omega with d(f) and du/u: no LogForm difference is
-    built.  The certificate a Hamiltonian field carries is the zero
-    1-form."""
+    built.  A Hamiltonian result carries the d(f) its certificate proved
+    equal to i_delta omega."""
     subtractions = []
     real = LogForm.__sub__
 
@@ -725,8 +726,9 @@ def test_certificates_are_decided_by_equality(monkeypatch):
         ctx, S = maker()
         u, _ = _ideal_pair(maker, ctx)
         for _ in range(4):
-            res = hamiltonian(S, rand_poly(ctx, rng, deg=3, terms=3))
-            assert res.certificate.is_zero() and res.certificate.degree == 1
+            f = rand_poly(ctx, rng, deg=3, terms=3)
+            res = hamiltonian(S, f)
+            assert res.df == LogForm.function(f).d() == S.omega.interior(res.delta)
         tilde_hamiltonian(S, u)
     assert subtractions == []
 
@@ -746,31 +748,32 @@ def test_a_field_converts_to_log_components_once(monkeypatch):
     for maker in (_chart_a, _chart_b, _chart_c):
         ctx, S = maker()
         f, g, k = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3))
-        df, dg, dk = (hamiltonian(S, p).delta for p in (f, g, k))
+        hf, hg, hk = (hamiltonian(S, p) for p in (f, g, k))
         monkeypatch.setattr(Poly, "mul_var_power", counting)
         del conversions[:]
         for _ in range(3):
-            bracket_of_fields(S, df, dg, g)
-            bracket_of_fields(S, dg, dk, k)
+            bracket_of_fields(S, hf, hg)
+            bracket_of_fields(S, hg, hk)
         assert conversions == []
-        _jacobi(S, f, g, k, df, dg, dk)
+        _jacobi(S, hf, hg, hk)
         assert len(conversions) == 3 * len(ctx.divisor)
         monkeypatch.undo()
 
 
 def test_a_bracket_vs_pairing_defect_is_reported(monkeypatch):
     """Identity (iii) is decided, not raised: with only the omega side of
-    {a,b} spoiled, the report carries the difference as (iii)'s defect and
-    every other defect is unchanged."""
+    {a,b} (the pairing of the certified d(b) with delta_a) spoiled, the
+    report carries the difference as (iii)'s defect and every other defect
+    is unchanged."""
     ctx, S = _chart_a()
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     a, b = x * y + x, x + y
     want = verify_identities(S, x, y, a, b)
     real = poisson._bracket_sides
 
-    def spoiled(S, df, dg, g):
-        via_omega, via_apply = real(S, df, dg, g)
-        return (via_omega + Poly.one(S.ctx) if g is b else via_omega), via_apply
+    def spoiled(S, hf, hg):
+        via_pairing, via_apply = real(S, hf, hg)
+        return (via_pairing + Poly.one(S.ctx) if hg.f is b else via_pairing), via_apply
 
     monkeypatch.setattr(poisson, "_bracket_sides", spoiled)
     rep = verify_identities(S, x, y, a, b)
@@ -779,45 +782,124 @@ def test_a_bracket_vs_pairing_defect_is_reported(monkeypatch):
     assert rep._replace(defect_iii=want.defect_iii) == want
 
 
+def test_a_bracket_contracts_omega_only_in_its_certificates(monkeypatch):
+    """{f,g} contracts omega twice, once in each Hamiltonian certificate: the
+    cross-check reads omega(delta_g, delta_f) off the certified d(g), on
+    charts A, B and C and on both Saito frames, and gives the bracket
+    -omega(delta_f, delta_g) contracted from omega itself."""
+    contractions = []
+    real = LogForm.contract
+
+    def counting(self, v):
+        contractions.append(self)
+        return real(self, v)
+
+    rng = random.Random(521)
+    for ctx, S in [m() for m in (_chart_a, _chart_b, _chart_c)] + _cross_charts():
+        for _ in range(4):
+            f, g = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(2))
+            if S.poisson is None:
+                f, g = S.det_cert * f, S.det_cert * g
+            want = -S.omega.evaluate([hamiltonian(S, f).delta, hamiltonian(S, g).delta])
+            monkeypatch.setattr(LogForm, "contract", counting)
+            del contractions[:]
+            got = bracket(S, f, g)
+            monkeypatch.undo()
+            assert sum(w is S.omega for w in contractions) == 2
+            assert got == want
+
+
+def test_a_wrong_d_of_g_is_refused_by_the_cross_check():
+    """The cross-check pairs the d(g) a Hamiltonian result carries with
+    delta_f, so a result built by hand with a wrong d(g) is refused."""
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        hx, hy = hamiltonian(S, x), hamiltonian(S, y)
+        assert bracket_of_fields(S, hx, hy) == bracket(S, x, y) != Poly.zero(ctx)
+        for wrong in (hy.df + hy.df, hamiltonian(S, x * y).df):
+            with pytest.raises(PoissonError, match="bracket consistency failed"):
+                bracket_of_fields(S, hx, hy._replace(df=wrong))
+
+
+def test_identity_i_holds_off_the_divisor_ideal():
+    """Identity (i) takes s = {u,v}/(uv): for unit monomials off the divisor
+    ideal, where the singular bracket divides by one of u, v or neither, the
+    report still agrees with the reference and (i) holds."""
+    for maker in (_chart_a, _chart_c):
+        ctx, S = maker()
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        half_t = Poly.constant(ctx, Scalar.from_rational(Fraction(1, 2), power=1))
+        pairs = [(x.inverse_unit(), y), (x * x, x.inverse_unit() * y),
+                 (x.inverse_unit(), y.inverse_unit()), (half_t * x.inverse_unit(), x * y)]
+        for u, v in pairs:
+            assert not (_ideal_member(S, u) and _ideal_member(S, v))
+            a, b = x * y + x, x + y
+            rep = verify_identities(S, u, v, a, b)
+            assert rep.defect_i.is_zero() and rep.core_identities_hold
+            got = (rep.defect_i, rep.defect_ii, rep.defect_iii, rep.defect_iv,
+                   rep.defect_v, rep.jacobi)
+            assert got == _reference_verify_identities(S, u, v, a, b)
+
+
 # -- the identity suite before its brackets were shared ----------------------
+
+
+def _reference_bracket(S, df, dg, g):
+    """{f,g} = df(g) from the fields df, dg of f, g, cross-checked against
+    omega(dg, df) contracted from omega itself."""
+    fg = df.apply(g)
+    assert S.omega.evaluate([dg, df]) == fg
+    return fg
+
+
+def _reference_bracket_and_field(S, df, dg, g):
+    fg = _reference_bracket(S, df, dg, g)
+    return fg, hamiltonian(S, fg).delta
 
 
 def _reference_jacobi_of_fields(S, f, g, k, df, dg, dk, inner=None):
     """_jacobi as it was before it took {f,g} from its caller: each of the
     three inner brackets is cross-checked and given its field here."""
-    gk, dgk = inner or poisson._bracket_and_field(S, dg, dk, k)
-    kf, dkf = poisson._bracket_and_field(S, dk, df, f)
-    fg, dfg = poisson._bracket_and_field(S, df, dg, g)
+    gk, dgk = inner or _reference_bracket_and_field(S, dg, dk, k)
+    kf, dkf = _reference_bracket_and_field(S, dk, df, f)
+    fg, dfg = _reference_bracket_and_field(S, df, dg, g)
     return (
-        bracket_of_fields(S, df, dgk, gk)
-        + bracket_of_fields(S, dg, dkf, kf)
-        + bracket_of_fields(S, dk, dfg, fg)
+        _reference_bracket(S, df, dgk, gk)
+        + _reference_bracket(S, dg, dkf, kf)
+        + _reference_bracket(S, dk, dfg, fg)
     )
 
 
 def _reference_verify_identities(S, u, v, a, b):
     """verify_identities as it was before (iii), (iv) and the Jacobi defect
-    shared {a,b} and {u,a} and (ii) became one fraction: the same steps in
-    the same order, so the same exception where one is raised."""
+    shared {a,b} and {u,a} and (ii) became one fraction, with every bracket
+    cross-checked and (i) and (iii) contracted from omega itself: the same
+    steps in the same order, so the same exception where one is raised.
+    (i) takes s = {u,v}/(uv); off the divisor ideal it is divided once du/u
+    and dv/v exist."""
     du = hamiltonian(S, u).delta
     dv = hamiltonian(S, v).delta
-    buv, duv = poisson._bracket_and_field(S, du, dv, v)
-    sing_uv = poisson._sing_quotient(u, v, _ideal_member(S, u), _ideal_member(S, v), buv)
+    buv, duv = _reference_bracket_and_field(S, du, dv, v)
+    in_u, in_v = _ideal_member(S, u), _ideal_member(S, v)
+    sing_uv = poisson._sing_quotient(u, v, in_u, in_v, buv)
+    dlog_sum = poisson._dlog_unit(S, u) + poisson._dlog_unit(S, v)
+    if not (in_u and in_v):
+        sing_uv = _exact_ratio(buv, u * v, "{u,v}/(uv)")
     d_sing = hamiltonian(S, sing_uv).delta
     x_field = duv - d_sing.scale(u * v)
     lhs_i = S.omega.interior(x_field)
-    dlog_sum = poisson._dlog_unit(S, u) + poisson._dlog_unit(S, v)
     defect_i = lhs_i - dlog_sum.scale(buv)
     da = hamiltonian(S, a).delta
-    lhs_ii = RationalFunction(bracket_of_fields(S, du, da, a), u) + RationalFunction(
-        bracket_of_fields(S, dv, da, a), v
+    lhs_ii = RationalFunction(_reference_bracket(S, du, da, a), u) + RationalFunction(
+        _reference_bracket(S, dv, da, a), v
     )
     d_sum = hamiltonian(S, u + v).delta
-    rhs_ii = RationalFunction(bracket_of_fields(S, d_sum, da, a), u + v)
+    rhs_ii = RationalFunction(_reference_bracket(S, d_sum, da, a), u + v)
     defect_ii = lhs_ii - rhs_ii
     db = hamiltonian(S, b).delta
     defect_iii = -S.omega.evaluate([da, db]) - da.apply(b)
-    bab, dab = poisson._bracket_and_field(S, da, db, b)
+    bab, dab = _reference_bracket_and_field(S, da, db, b)
     defect_iv = da.bracket(db) - dab
     tu = tilde_hamiltonian(S, u, du)
     tv = tilde_hamiltonian(S, v, dv)
@@ -892,7 +974,7 @@ def test_u_plus_v_zero_is_named_where_ii_is_built(monkeypatch):
         with pytest.raises(PoissonError) as exc:
             verify_identities(S, u, -u, a, b)
         assert str(exc.value) == _SUM_ZERO
-        # u, v, {u,v}, its singular quotient, a and u + v: b is never reached
+        # u, v, {u,v}, {u,v}/(uv), a and u + v: b is never reached
         assert calls[-2:] == [a, Poly.zero(ctx)]
         monkeypatch.undo()
     # on the half chart x is off the divisor, so du/u fails in (i) first
