@@ -1,11 +1,12 @@
 """Exact linear algebra over the polynomial ring and its fraction field.
 
-Hamiltonian vector fields, homotopy primitives and operator decompositions all
-reduce to solving small linear systems whose entries are polynomials.  The
-solver here clears denominators row by row, runs fraction-free (Bareiss)
-elimination so every intermediate division is exact, back-substitutes in the
-fraction field, and then *verifies* A*x == b before returning: a wrong answer
-is a bug we want to see, not propagate.
+``RationalFunction`` keeps num/den reduced by their gcd.  ``det_poly`` runs
+fraction-free (Bareiss) elimination, so every intermediate division is
+exact; the Gram determinant, its adjugate and Saito's criterion use it.
+``solve_linear`` back-substitutes after the same elimination and *verifies*
+A*x == b before returning.  No module of the package calls the solver (the
+Poisson tensor stored at assembly gives the Hamiltonian fields); it stays
+public, and the tests check those fields against it.
 """
 
 from __future__ import annotations

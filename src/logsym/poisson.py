@@ -210,17 +210,16 @@ def _sing_quotient(a: Poly, b: Poly, in_a: bool, in_b: bool, ab: Poly) -> Poly:
 def tilde_hamiltonian(
     S: SymplecticData, u: Poly, delta_u: Optional[LogVectorField] = None
 ) -> LogVectorField:
-    """The field with i_delta omega = du/u, for u a unit times a monomial in
-    the divisor coordinates (the only u whose du/u stays in the arena).
+    """The field with i_delta omega = du/u, for u a monomial (any nonzero
+    coefficient) supported on the divisor coordinates, in either arena: the
+    u whose du/u is a log form, as _dlog_unit decides.  du/u needs no
+    inverse of u, so x^n on the divisor of the polynomial arena has a tilde
+    field although it is not a unit there.
 
     Also asserts the relation delta_u = u * tilde(delta_u); delta_u is the
     Hamiltonian field of u when the caller already holds it."""
-    if S.ctx.arena != TORUS:
-        raise PoissonError("tilde fields live in the torus arena")
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
-    if not u.is_unit_monomial():
-        raise PoissonError("du/u leaves the arena for u = %s" % print_canonical(u))
     dlog_u = _dlog_unit(S, u)
     b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
     tilde = _gram_field(S, b, "tilde")
@@ -303,9 +302,9 @@ def verify_identities(
     """Compute both sides of the five structural identities exactly.
 
     u, v must be monomials with support in the divisor coordinates, so that
-    du/u and dv/v are log forms (a PoissonError at identity (i) otherwise),
-    unit monomials in the torus arena, so that their tilde fields exist, and
-    u + v != 0 (a PoissonError at identity (ii) otherwise); a, b arbitrary.
+    du/u and dv/v are log forms and their tilde fields exist, in either
+    arena (a PoissonError at identity (i) otherwise), and u + v != 0 (a
+    PoissonError at identity (ii) otherwise); a, b arbitrary.
     Identity (i) takes s = {u,v}/(uv), which lies in the ring for such u
     and v.  Ten Hamiltonian fields are made and certified, and eight
     brackets cross-checked, each once; {a,b}'s two sides are compared by

@@ -20,9 +20,10 @@ lexicographic order of the z-exponents.  Division never leaves the ring
 silently: :func:`divides` answers membership in a principal ideal by one
 exact division on integer images in Z[i][z, T] (the coefficient ring
 QQ(i)[T, T^-1] is not a field, so coefficient divisibility is part of the
-test), the same division that certifies the heuristic gcd, and returns the
-quotient or a nonzero remainder witness.  An image is the table with its
-denominators cleared and its T-powers shifted to >= 0.
+test), and returns the quotient or a nonzero remainder witness.  An image
+is the table with its denominators cleared and its T-powers shifted to
+>= 0.  :func:`gcd_mv` has one algorithm, the heuristic gcd on the same
+images, and the same division certifies its answer at every level.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .scalars import (
     _red,
     _scalar,
     _times_int,
-    scalar_gcd,
 )
 
 Exp = Tuple[int, ...]
@@ -194,20 +194,10 @@ class Poly:
         e = max({k[:-1] for k in self._t}, key=_grlex_key)
         return e, _scalar({k[-1]: v for k, v in self._t.items() if k[:-1] == e})
 
-    def degree_in(self, i: int) -> int:
-        """Degree in variable i (-inf is reported as -1 on the zero poly)."""
-        if not self._t:
-            return -1
-        return max(e[i] for e in self._t)
-
     def min_degree_in(self, i: int) -> int:
         if not self._t:
             return 0
         return min(e[i] for e in self._t)
-
-    def variables_used(self):
-        n = self.ctx.n
-        return {i for e in self._t for i in range(n) if e[i]}
 
     def is_unit_monomial(self) -> bool:
         """True when the poly is unit * monomial (invertible in its arena).
@@ -437,111 +427,23 @@ def _strip_laurent(f: Poly):
     return shifts, _poly(f.ctx, {tuple(map(sub, e, s)): v for e, v in f._t.items()})
 
 
-def _coeffs_in(f: Poly, i: int):
-    """Coefficients of f as a univariate poly in variable i (dict deg -> Poly)."""
-    out: Dict[int, dict] = {}
-    for e, v in f._t.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
-    return {k: _poly(f.ctx, t) for k, t in out.items()}
-
-
-def _poly_content_in(f: Poly, i: int) -> Poly:
-    """gcd of the coefficients of f viewed in the variable i; 1, with no gcd
-    taken, when one of them is a unit."""
-    cs = list(_coeffs_in(f, i).values())
-    if any(c.is_unit_monomial() for c in cs):
-        return Poly.one(f.ctx)
-    acc = cs[0]
-    for c in cs[1:]:
-        acc = gcd_mv(acc, c)
-        if acc.is_one():
-            break
-    return acc
-
-
-def _primitive_in(f: Poly, i: int):
-    """(content, primitive part) of f in the variable i; a content of 1
-    divides nothing."""
-    c = _poly_content_in(f, i)
-    return c, (f if c.is_one() else exact_quotient(f, c))
-
-
-def _pseudo_rem(f: Poly, g: Poly, i: int) -> Poly:
-    """Pseudo-remainder of f by g in the variable i: lc(g)^(df-dg+1) * f mod g."""
-    dg = g.degree_in(i)
-    lg = _coeffs_in(g, i)[dg]
-    r = f
-    while not r.is_zero() and (dr := r.degree_in(i)) >= dg:
-        rc = _coeffs_in(r, i)
-        lr = rc[dr]
-        r = r * lg - g * lr.mul_var_power(i, dr - dg)
-        if not r.is_zero() and r.degree_in(i) >= dr:
-            raise PolyError("pseudo-division failed to reduce degree")
-    return r
-
-
 def gcd_mv(a: Poly, b: Poly) -> Poly:
-    """gcd of multivariate polynomials over QQ(i)[T, T^-1].
-
-    The heuristic gcd (GCDHEU, Char, Geddes and Gonnet 1989) runs first, on
-    integer images in Z[i][z, T] (see _heuristic_gcd): each level evaluates
-    one variable at xi >= 2*min(|f|, |g|) + 29 and rebuilds the gcd by the
-    balanced xi-adic expansion of the gcd of the images.  A candidate is kept
-    only when exact division shows that it divides both inputs of its level;
-    with that bound on xi this certificate proves it is the gcd.  When six
-    growing values of xi give no certified candidate, the primitive PRS
-    (_prs_gcd) decides.  The gcd is unique up to a unit c*T^k (times a
-    Laurent monomial in the torus arena), and both paths return it
-    normalised by _normalize_gcd, so they agree byte for byte.
+    """gcd of multivariate polynomials over QQ(i)[T, T^-1], by one algorithm:
+    the heuristic gcd _heu (GCDHEU, Char, Geddes and Gonnet 1989) on the
+    integer images of a and b (see _image), each level of which certifies
+    its answer by exact division.  An image differs from its poly by a unit
+    of the ring, Z[i][z, T] with the nonzero Gaussian integers, T and (in
+    the torus arena) the divisor coordinates inverted, so the gcd of the
+    images is the gcd up to a unit, which _normalize_gcd fixes.  A zero
+    input gives the other input, normalised.
     """
     a.ctx.check_same(b.ctx)
-    if not (a.is_zero() or b.is_zero()):
-        g = _heuristic_gcd(a, b)
-        if g is not None:
-            return g
-    return _prs_gcd(a, b)
-
-
-def _prs_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd_mv by a primitive PRS on the highest variable actually used,
-    recursing on the coefficient ring through gcd_mv.  Each remainder is
-    divided once by its content in that variable; that content bottoms out
-    in the Euclidean gcd in T, so it takes the scalar content along.  The
-    result is normalised so its leading scalar has unit part 1.  Laurent
-    monomial factors (units of the torus arena) are stripped first and do
-    not appear in the answer.
-    """
-    if a.is_zero() and b.is_zero():
-        return Poly.zero(a.ctx)
     if a.is_zero():
         return _normalize_gcd(b)
     if b.is_zero():
         return _normalize_gcd(a)
-    _, a = _strip_laurent(a)
-    _, b = _strip_laurent(b)
-    used = a.variables_used() | b.variables_used()
-    if not used:
-        c = scalar_gcd(a.constant_coefficient(), b.constant_coefficient())
-        return Poly.constant(a.ctx, c)
-    i = max(used)
-    if a.degree_in(i) == 0 or b.degree_in(i) == 0:
-        # one side is free of z_i, so the gcd divides the other's content in z_i
-        f, g = (a, b) if b.degree_in(i) > 0 else (b, a)
-        return gcd_mv(f, _poly_content_in(g, i))
-    ca, pa = _primitive_in(a, i)
-    cb, pb = _primitive_in(b, i)
-    cont = gcd_mv(ca, cb)
-    if pa.degree_in(i) < pb.degree_in(i):
-        pa, pb = pb, pa
-    while True:
-        r = _pseudo_rem(pa, pb, i)
-        if r.is_zero():
-            break
-        if r.degree_in(i) == 0:
-            pb = Poly.one(a.ctx)
-            break
-        pa, pb = pb, _primitive_in(r, i)[1]
-    return _normalize_gcd(cont * pb)
+    h = _heu(_image(a)[0], _image(b)[0], range(a.ctx.n + 1))
+    return _normalize_gcd(_from_image(a.ctx, h))
 
 
 def _normalize_gcd(g: Poly) -> Poly:
@@ -557,18 +459,6 @@ def _normalize_gcd(g: Poly) -> Poly:
 # An image is a dict from exponent tuples (z_1, ..., z_n, t) to nonzero
 # Gaussian integers (re, im), every exponent >= 0; the last place is the
 # power of T.
-
-
-def _heuristic_gcd(a: Poly, b: Poly) -> Optional[Poly]:
-    """gcd_mv of nonzero a and b by GCDHEU on their images in Z[i][z, T], or
-    None when it gives up.  Each input is mapped to its image by stripping
-    its Laurent monomial (torus divisor coordinates), clearing denominators
-    by their lcm and shifting its T-powers to >= 0, all units of the ring.
-    The ring is Z[i][z, T] with the nonzero Gaussian integers, T and (in the
-    torus arena) the divisor coordinates inverted, so the gcd of the images
-    is the gcd of a and b up to a unit."""
-    h = _heu(_image(a)[0], _image(b)[0], range(a.ctx.n + 1))
-    return None if h is None else _normalize_gcd(_from_image(a.ctx, h))
 
 
 def _image(f: Poly):
@@ -600,19 +490,29 @@ def _from_image(ctx: VarContext, h: dict, shifts=(), low=0, unit=_ONE) -> Poly:
     })
 
 
-def _heu(f: dict, g: dict, places) -> Optional[dict]:
+def _heu(f: dict, g: dict, places) -> dict:
     """A gcd of the nonzero images f and g, whose exponents are 0 outside
-    places, or None after six values of xi.
+    places.
 
     The gcd is the gcd of the contents times that of the primitive parts.
-    A place neither side uses is skipped.  At the first place used, the
-    primitive parts are evaluated at xi, the gcd of the evaluations is taken
-    by recursion (_ggcd at the bottom), and the candidate is the
-    primitive part of its balanced xi-adic expansion.  It is returned only
-    when it divides both primitive parts exactly; since xi >= 2*min(|f|, |g|)
-    + 2, with |re| + |im| as the size of a coefficient, it is then their gcd
-    (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).  xi grows as in
-    sympy's heuristicgcd.py between tries.
+    A place neither side uses is skipped.  At the first place used, z_j,
+    the primitive parts are evaluated at z_j = xi, the gcd of the
+    evaluations is taken by recursion (_ggcd at the bottom), and the
+    candidate is the primitive part of its balanced xi-adic expansion.  It
+    is returned only when it divides both primitive parts exactly; since
+    xi >= 2*min(|f|, |g|) + 2, with |re| + |im| as the size of a
+    coefficient, it is then their gcd (Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7, 1989).  Otherwise xi grows as in sympy's heuristicgcd.py and
+    the level tries again, for as long as it takes.
+
+    Why the loop ends: let the primitive parts be H*F and H*G with F and G
+    coprime.  Past the finitely many xi at which F and G evaluated at
+    z_j = xi vanish or share a nonconstant factor, the gcd of the two
+    evaluations is d*H(xi) up to a unit, where the Gaussian integer d
+    divides the content of the resultant of F and G in z_j, so its size is
+    bounded.  Once xi > 2*|d*H|, the balanced expansion returns d*H, whose
+    primitive part H passes the certificate.  xi grows without bound, so
+    every level ends.
     """
     used = [j for j in places
             if any(e[j] for e in f) or any(e[j] for e in g)]
@@ -624,19 +524,15 @@ def _heu(f: dict, g: dict, places) -> Optional[dict]:
         return {zero: c}
     j, rest = used[0], used[1:]
     xi = 2 * min(_norm(f), _norm(g)) + 29
-    for _ in range(6):
+    while True:
         fx, gx = _evaluate(f, j, xi), _evaluate(g, j, xi)
         if fx and gx:
-            hx = _heu(fx, gx, rest)
-            if hx is None:
-                return None
-            _, h = _primitive(_expand(hx, j, xi))
+            _, h = _primitive(_expand(_heu(fx, gx, rest), j, xi))
             if not _divide_image(h, f)[1] and not _divide_image(h, g)[1]:
                 if c == (1, 0):
                     return h
                 return {e: _gmul_int(c, v) for e, v in h.items()}
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
 
 
 def _ggcd(u, v):

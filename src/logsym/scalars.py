@@ -21,6 +21,8 @@ those (dividing by a multi-power scalar like ``1 + T`` would leave the ring).
 ``exact_div`` gives the other exact quotients, and the Euclidean remainder it
 is built on decides ``scalar_gcd``.  Polynomial division does not come here:
 ``poly.divides`` divides integer images, one Gaussian integer per power of T.
+Nor does the polynomial gcd: ``poly.gcd_mv`` works on the same images, so
+``scalar_gcd`` has no caller left in the package; it stays a public function.
 """
 
 from __future__ import annotations

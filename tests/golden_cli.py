@@ -5,8 +5,9 @@ A group's digest covers, call by call, the argv, the exit code, stdout and
 stderr; the calls run from the repository root, where the argv's session
 paths point.  The calls use all 22 commands on the three shipped sessions (by
 path), on fixed sessions read from stdin (the two sessions of ROADMAP item 1,
-a ``divisor poly`` session with Saito fields, a 4-variable torus chart and
-one malformed session per error class) and on a missing file, with seeded
+a ``divisor poly`` session with Saito fields, a 4-variable torus chart, a
+polynomial-arena chart with both coordinates on the divisor and one
+malformed session per error class) and on a missing file, with seeded
 random arguments in text and json, plus a few usage errors per command and
 fixed regression calls (``REGRESSIONS``) that once let an exception escape.
 The argv list itself is kept in the file, so the corpus does not depend on
@@ -64,6 +65,8 @@ STDIN = {
         "vfield e : x*@x + z*@z\n"
         "func f : x*y + z\nfunc g : w^-1*x\n"
     ),
+    # the polynomial arena with both coordinates on the divisor
+    "poly-coords": "vars x y\narena poly\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n",
     # one malformed session per error class
     "bad-bytes": "vars x y\n# caf\udce9\nform w : d(x)^d(y)\n",
     "bad-token": "vars x y\nform w : d(x)$d(y)\n",
@@ -96,6 +99,8 @@ POOLS = {
                        form="", conn="", vfield="e s"),
     "torus4": dict(vars="x y z w", div="x y z w", laurent=True, func="f g",
                    form2="om om2 ex", form="", conn="c", vfield="e"),
+    "poly-coords": dict(vars="x y", div="x y", laurent=False, func="",
+                        form2="w", form="", conn="", vfield=""),
 }
 
 # -- argument generation ----------------------------------------------------

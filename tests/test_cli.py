@@ -249,6 +249,26 @@ def test_identities_bracket_vs_pairing_defect_exits_1(capsys, monkeypatch):
     assert [k for k, ok in doc["identities"].items() if not ok] == ["bracket vs pairing"]
 
 
+def test_identities_in_the_polynomial_arena(capsys, monkeypatch):
+    """du/u needs no inverse of u, so divisor monomials of the polynomial
+    arena have tilde fields: all five identities are decided there, where
+    the call once exited 2 with "tilde fields live in the torus arena"."""
+    session = "vars x y\narena poly\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "identities", "--session", "-",
+                             "--u", "x", "--v", "y", "--a", "x", "--b", "y")
+    assert code == 0
+    assert lines(out)[:5] == [
+        "hamiltonian of a product: holds",
+        "bracket vs pairing: holds",
+        "bracket of hamiltonian fields: holds",
+        "tilde field recombination: holds",
+        "jacobi: holds",
+    ]
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "jacobi", "--session", "-",
+                             "--f", "x", "--g", "y", "--h", "x*y")
+    assert (code, lines(out)) == (0, ["jacobi defect = 0"])
+
+
 def test_identities_off_the_divisor_ideal(capsys):
     """Identity (i) takes s = {u,v}/(uv) when u or v is a unit monomial off
     the divisor ideal too, so x^-1 and x^2, x^-1*y hold on the torus chart

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from logsym import poly
 from logsym.calculus import LogVectorField
 from logsym.context import make_context
 from logsym.divisors import (
@@ -151,10 +152,9 @@ def _same_up_to_unit(p, q):
     return divides(p, q)[0] and divides(q, p)[0]
 
 
-def test_squarefree_torus_product_in_budget():
-    """The 2-variable torus product whose gcds swelled past 30 s under the
-    PRS: h*g is reduced, and h*h*g has h, up to a unit, as its witness.
-    Each check gets 2 s."""
+def _check_torus_product():
+    """On the 2-variable torus product, h*g is reduced, and h*h*g has h, up
+    to a unit, as its witness; each check gets 2 s."""
     m = parse_session("vars x y\ndivisor coords x y\narena torus\n")
     h = eval_in_session(m, "(1 - 2/3*I)*T*x^-1*y + T*x^-2*y^-2")
     g = eval_in_session(m, "x + 2/3*x^-1*y - 4/3*T*y^-2")
@@ -167,6 +167,33 @@ def test_squarefree_torus_product_in_budget():
     assert print_canonical(witness) == "x*y^3 + (9/13 + 6/13*I)"
     assert _same_up_to_unit(witness, h)
     assert t1 - t0 < 2.0 and t2 - t1 < 2.0
+
+
+def test_squarefree_torus_product_in_budget():
+    """The 2-variable torus product whose gcds swelled past 30 s under the
+    primitive PRS that gcd_mv once used; the heuristic gcd decides both of
+    its checks in well under the budget."""
+    _check_torus_product()
+
+
+def test_squarefree_torus_product_with_spoiled_candidates(monkeypatch):
+    """The same checks when every candidate of the heuristic gcd below
+    xi = 10^40 is spoiled, so each level rejects several values of xi
+    before one passes its certificate: they finish in the same budget with
+    the same witness."""
+    expand = poly._expand
+    spoiled = []
+
+    def spoil(h, j, xi):
+        out = expand(h, j, xi)
+        if xi < 10 ** 40:
+            # a term of degree 99 in the evaluated place fails the division
+            out[tuple(99 * (k == j) for k in range(len(next(iter(h)))))] = (1, 0)
+            spoiled.append(xi)
+        return out
+    monkeypatch.setattr(poly, "_expand", spoil)
+    _check_torus_product()
+    assert spoiled
 
 
 def _dense(ctx, rng, deg):

@@ -239,10 +239,19 @@ def test_tilde_fields():
     with pytest.raises(PoissonError):
         tilde_hamiltonian(S, x + y)
 
+    # the polynomial arena: x has no tilde field with no divisor, and the
+    # torus chart's fields once x and y are divisor coordinates
     ctxp = make_context(["x", "y"], [], "poly")
     wp = LogForm.coframe(ctxp, "x").wedge(LogForm.coframe(ctxp, "y"))
     with pytest.raises(PoissonError):
         tilde_hamiltonian(assemble_symplectic(wp), Poly.variable(ctxp, "x"))
+    ctxd = make_context(["x", "y"], ["x", "y"], "poly")
+    Sd = assemble_symplectic(LogForm.coframe(ctxd, "x").wedge(LogForm.coframe(ctxd, "y")))
+    xd, yd, zd = Poly.variable(ctxd, "x"), Poly.variable(ctxd, "y"), Poly.zero(ctxd)
+    assert tilde_hamiltonian(Sd, xd) == LogVectorField(ctxd, [zd, -yd])
+    assert tilde_hamiltonian(Sd, xd * xd * yd) == LogVectorField(ctxd, [xd, -yd - yd])
+    with pytest.raises(PoissonError):
+        tilde_hamiltonian(Sd, xd + yd)
 
 
 def test_identity_suite_chart_a():

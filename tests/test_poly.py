@@ -13,9 +13,7 @@ from logsym.divisors import check_squarefree
 from logsym.poly import (
     Poly,
     PolyError,
-    _coeffs_in,
     _grlex_key,
-    _pseudo_rem,
     _strip_laurent,
     divides,
     exact_quotient,
@@ -225,6 +223,39 @@ def test_gcd_known_values():
 
 
 # -- the gcd against the content-in-every-case reference ---------------------
+#
+# The reference is the primitive PRS that gcd_mv used before the heuristic
+# gcd became its one algorithm, with its own copies of the coefficient,
+# degree and pseudo-remainder helpers that went with it.
+
+
+def _degree_in(f, i):
+    """Degree of f in variable i, -1 on the zero poly."""
+    return max((e[i] for e in f.terms), default=-1)
+
+
+def _variables_used(f):
+    return {i for e in f.terms for i, x in enumerate(e) if x}
+
+
+def _coeffs_in(f, i):
+    """Coefficients of f as a univariate poly in variable i (dict deg -> Poly)."""
+    out = {}
+    for e, c in f.terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {k: Poly(f.ctx, t) for k, t in out.items()}
+
+
+def _pseudo_rem(f, g, i):
+    """Pseudo-remainder of f by g in the variable i: lc(g)^(df-dg+1) * f mod g."""
+    dg = _degree_in(g, i)
+    lg = _coeffs_in(g, i)[dg]
+    r = f
+    while not r.is_zero() and (dr := _degree_in(r, i)) >= dg:
+        lr = _coeffs_in(r, i)[dr]
+        r = r * lg - g * lr.mul_var_power(i, dr - dg)
+        assert r.is_zero() or _degree_in(r, i) < dr
+    return r
 
 
 def _reference_strip(f):
@@ -268,24 +299,24 @@ def _reference_gcd(a, b):
     if b.is_zero():
         return _reference_normalize(a)
     a, b = _reference_strip(a), _reference_strip(b)
-    used = a.variables_used() | b.variables_used()
+    used = _variables_used(a) | _variables_used(b)
     if not used:
         c = scalar_gcd(a.constant_coefficient(), b.constant_coefficient())
         return Poly.constant(a.ctx, c)
     i = max(used)
-    if a.degree_in(i) == 0 or b.degree_in(i) == 0:
-        f, g = (a, b) if b.degree_in(i) > 0 else (b, a)
+    if _degree_in(a, i) == 0 or _degree_in(b, i) == 0:
+        f, g = (a, b) if _degree_in(b, i) > 0 else (b, a)
         return _reference_gcd(f, _reference_content(g, i))
     ca, cb = _reference_content(a, i), _reference_content(b, i)
     cont = _reference_gcd(ca, cb)
     pa, pb = exact_quotient(a, ca), exact_quotient(b, cb)
-    if pa.degree_in(i) < pb.degree_in(i):
+    if _degree_in(pa, i) < _degree_in(pb, i):
         pa, pb = pb, pa
     while True:
         r = _pseudo_rem(pa, pb, i)
         if r.is_zero():
             break
-        if r.degree_in(i) == 0:
+        if _degree_in(r, i) == 0:
             pb = Poly.one(a.ctx)
             break
         pa, pb = pb, exact_quotient(r, _reference_content(r, i))
@@ -311,54 +342,48 @@ def _factors(deg, terms):
                     yield fs
 
 
-def test_gcd_matches_reference(monkeypatch):
-    """The heuristic gcd, the PRS fallback called directly and the reference
-    agree on every pair, and gcd_mv returns the heuristic's answer."""
-    beside_unit = []
-    content = poly._poly_content_in
-
-    def recorded(f, i):
-        cs = _coeffs_in(f, i).values()
-        beside_unit.append(any(c.is_unit_monomial() for c in cs))
-        return content(f, i)
-    monkeypatch.setattr(poly, "_poly_content_in", recorded)
+def test_gcd_matches_reference():
+    """gcd_mv and the reference PRS agree on every ordered pair."""
     n = 0
     for c, g, a, b in _factors(deg=3, terms=2):
         f1, f2 = c * g * a, g * b
         for p, q in ((f1, f2), (f2, f1)):
-            want = _reference_gcd(p, q)
-            assert poly._heuristic_gcd(p, q) == want
-            assert poly._prs_gcd(p, q) == want
-            assert gcd_mv(p, q) == want
+            assert gcd_mv(p, q) == _reference_gcd(p, q)
         n += 1
     assert n == 60
-    # both branches of the PRS's unit rule ran
-    assert any(beside_unit) and not all(beside_unit)
 
 
-@pytest.mark.parametrize("give_up", ["no candidate", "no certificate"])
-def test_gcd_falls_back_to_the_prs(monkeypatch, give_up):
-    """When the heuristic gives up, gcd_mv returns the PRS's bytes: once
-    with no candidate at all, once with every candidate spoiled so that the
-    division certificate refuses it and all six values of xi are tried."""
+def test_gcd_tries_past_six_values_of_xi(monkeypatch):
+    """A level of the heuristic keeps growing xi until a candidate passes its
+    division certificate: with every candidate below xi = 10^40 spoiled,
+    gcd_mv gives the same bytes on all 60 pairs, and some level rejected
+    more than six candidates in a row."""
     pairs = [(c * g * a, g * b) for c, g, a, b in _factors(deg=2, terms=2)]
     want = [gcd_mv(p, q) for p, q in pairs]
-    if give_up == "no candidate":
-        monkeypatch.setattr(poly, "_heu", lambda f, g, places: None)
-    else:
-        # a term of degree 99 in the evaluated place spoils every candidate
-        expand = poly._expand
-        monkeypatch.setattr(poly, "_expand", lambda h, j, xi: {
-            **expand(h, j, xi), tuple(99 * (k == j) for k in range(len(next(iter(h))))): (1, 0)})
-    gave_up = 0
+    expand, heu = poly._expand, poly._heu
+    tries, rejected = [], []
+
+    def spoiled(h, j, xi):
+        # a term of degree 99 in the evaluated place spoils the candidate
+        tries[-1] += 1
+        out = expand(h, j, xi)
+        if xi < 10 ** 40:
+            out[tuple(99 * (k == j) for k in range(len(next(iter(h)))))] = (1, 0)
+        return out
+
+    def level(f, g, places):
+        tries.append(0)
+        try:
+            return heu(f, g, places)
+        finally:
+            rejected.append(max(tries.pop() - 1, 0))
+    monkeypatch.setattr(poly, "_expand", spoiled)
+    monkeypatch.setattr(poly, "_heu", level)
     for (p, q), w in zip(pairs, want):
-        gave_up += poly._heuristic_gcd(p, q) is None
         got = gcd_mv(p, q)
         assert got.terms == w.terms
         assert print_canonical(got) == print_canonical(w)
-    # a side whose primitive image is a constant needs no candidate: 11 of
-    # the 60 pairs have one after the Laurent monomial is stripped
-    assert gave_up == 60 if give_up == "no candidate" else gave_up >= 45
+    assert max(rejected) > 6
 
 
 def test_every_level_is_certified(monkeypatch):
@@ -427,22 +452,6 @@ def test_squarefree_matches_reference(monkeypatch):
     monkeypatch.setattr(divisors, "gcd_mv", _reference_gcd)
     assert got == [check_squarefree(h) for h in hs]
     assert any(ok for ok, _ in got) and not all(ok for ok, _ in got)
-
-
-def test_content_beside_a_unit_takes_no_gcd(monkeypatch):
-    ctx, x, y, z = _xyz()
-    calls = []
-    gcd = poly.gcd_mv
-    monkeypatch.setattr(poly, "gcd_mv", lambda a, b: calls.append(1) or gcd(a, b))
-    one = Poly.one(ctx)
-    # x^2 has coefficient 1 in (x + y) * (x + 2y + 1)
-    assert poly._poly_content_in((x + y) * (x + y + y + one), 0).is_one()
-    assert calls == []
-    # no coefficient of (1 + T) * (x + y) * y in x is a unit: the gcds run
-    t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
-    ok, u = divides(poly._poly_content_in(t * (x + y) * y, 0), t * y)
-    assert ok and u.is_unit_monomial()
-    assert calls
 
 
 def test_squarefree_joint_criterion():

@@ -9,8 +9,9 @@ is one.  In the torus arena the divisor coordinates are invertible too, so
 there the units are c*T^k times monomials in those coordinates.  Skipped
 where sympy is not installed; logsym itself stays stdlib-only.
 
-Random factors stay of degree at most 1: products of denser factors can keep
-the primitive remainder sequence of gcd_mv busy for minutes.
+Random factors stay of degree at most 1: sympy's multivariate gcd over QQ_I
+took 35 s on one 3-variable case, so denser products are checked against
+their planted factors in test_divisor.py instead.
 """
 
 import random
