@@ -1,12 +1,13 @@
 """Exact linear algebra over the polynomial ring and its fraction field.
 
-``RationalFunction`` keeps num/den reduced by their gcd.  ``det_poly`` runs
-fraction-free (Bareiss) elimination, so every intermediate division is
-exact; the Gram determinant, its adjugate and Saito's criterion use it.
-``solve_linear`` back-substitutes after the same elimination and *verifies*
-A*x == b before returning.  No module of the package calls the solver (the
-Poisson tensor stored at assembly gives the Hamiltonian fields); it stays
-public, and the tests check those fields against it.
+``RationalFunction`` is reduced when first read: num and den are divided by
+their gcd the first time either is read.  ``det_poly`` runs fraction-free
+(Bareiss) elimination, so every intermediate division is exact; the Gram
+determinant, its adjugate and Saito's criterion use it.  ``solve_linear``
+back-substitutes after the same elimination and *verifies* A*x == b before
+returning.  No module of the package calls the solver (the Poisson tensor
+stored at assembly gives the Hamiltonian fields); it stays public, and the
+tests check those fields against it.
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ class LinAlgError(ArithmeticError):
 
 
 class RationalFunction:
-    """Quotient num/den of polynomials, kept normalised by their gcd.
+    """Quotient num/den of polynomials, reduced when first read.
 
-    The denominator is normalised so its leading scalar has unit part one;
-    invertible monomials (torus units) migrate into the numerator.
+    The fraction keeps the numerator and denominator it was built with until
+    ``num`` or ``den`` is first read; that read divides both by their gcd and
+    normalises the denominator so its leading scalar has unit part one, with
+    invertible monomials (torus units) moved into the numerator
+    (_normalize_fraction).  ``is_zero``, ``as_poly`` and ``==`` hold for any
+    representative of the fraction, so they read it as built and run no gcd.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_reduced")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None, _normalized=False):
         if den is None:
@@ -35,10 +40,24 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         num.ctx.check_same(den.ctx)
-        if not _normalized:
-            num, den = _normalize_fraction(num, den)
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
+        self._reduced = _normalized
+
+    def _reduce(self):
+        if not self._reduced:
+            self._num, self._den = _normalize_fraction(self._num, self._den)
+            self._reduced = True
+
+    @property
+    def num(self) -> Poly:
+        self._reduce()
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        self._reduce()
+        return self._den
 
     @staticmethod
     def from_poly(p: Poly) -> "RationalFunction":
@@ -46,15 +65,15 @@ class RationalFunction:
 
     @property
     def ctx(self):
-        return self.num.ctx
+        return self._num.ctx
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def as_poly(self) -> Optional[Poly]:
         """The underlying polynomial when the denominator divides the
         numerator, else None."""
-        ok, q = divides(self.den, self.num)
+        ok, q = divides(self._den, self._num)
         return q if ok else None
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -71,14 +90,14 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        return (self._num * other._den) == (other._num * self._den)
 
     def __repr__(self):
         return "RationalFunction(%r / %r)" % (self.num, self.den)

@@ -270,11 +270,12 @@ class IdentityReport(NamedTuple):
 
     Identity (ii) compares the product expansion {u,a}/u + {v,a}/v with the
     formal {u+v,a}/(u+v); the quotient generally leaves the ring, so that
-    defect is a RationalFunction, normalised once over uv(u+v), and is
-    reported as data rather than asserted to vanish.  Identity (iii) is the
-    difference of the two computations of {a,b}, omega(delta_b, delta_a)
-    read off the certified d(b) and delta_a(b), decided here rather than by
-    the cross-check other brackets get.
+    defect is a RationalFunction over uv(u+v), reduced when first read (the
+    verdict core_identities_hold never reads it), and is reported as data
+    rather than asserted to vanish.  Identity (iii) is the difference of the
+    two computations of {a,b}, omega(delta_b, delta_a) read off the
+    certified d(b) and delta_a(b), decided here rather than by the
+    cross-check other brackets get.
     """
 
     defect_i: LogForm  # 1-form

@@ -21,8 +21,10 @@ silently: :func:`divides` answers membership in a principal ideal by one
 exact division on integer images in Z[i][z, T] (the coefficient ring
 QQ(i)[T, T^-1] is not a field, so coefficient divisibility is part of the
 test), and returns the quotient or a nonzero remainder witness.  An image
-is the table with its denominators cleared and its T-powers shifted to
->= 0.  :func:`gcd_mv` has one algorithm, the heuristic gcd on the same
+is the table with its denominators cleared and a monomial taken out: for
+:func:`divides` the lowest powers that are units (of T, and in the torus
+arena of the divisor coordinates), for :func:`gcd_mv` the lowest power of
+every place.  :func:`gcd_mv` has one algorithm, the heuristic gcd on these
 images, and the same division certifies its answer at every level.
 """
 
@@ -390,15 +392,15 @@ def divides(g: Poly, f: Poly):
         return True, Poly.zero(f.ctx)
     if g.is_unit_monomial():
         return True, f * g.inverse_unit()
-    fi, fs, fk, fd = _image(f)
-    gi, gs, gk, gd = _image(g)
+    fi, fs, fd = _image(f)
+    gi, gs, gd = _image(g)
     (a, b), gi = _primitive(gi)
     q, r = _divide_image(gi, fi)
     if r:
-        return False, _from_image(f.ctx, r, fs, fk, (1, 0, fd))
-    # f = z^fs * T^fk * F / fd and g = z^gs * T^gk * (a + b*i) * G / gd
+        return False, _from_image(f.ctx, r, fs, (1, 0, fd))
+    # f = z^fs * F / fd and g = z^gs * (a + b*i) * G / gd, T a place of z
     unit = _red(gd * a, -gd * b, fd * (a * a + b * b))
-    return True, _from_image(f.ctx, q, tuple(map(sub, fs, gs)), fk - gk, unit)
+    return True, _from_image(f.ctx, q, tuple(map(sub, fs, gs)), unit)
 
 
 def exact_quotient(f: Poly, g: Poly) -> Poly:
@@ -431,19 +433,23 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
     """gcd of multivariate polynomials over QQ(i)[T, T^-1], by one algorithm:
     the heuristic gcd _heu (GCDHEU, Char, Geddes and Gonnet 1989) on the
     integer images of a and b (see _image), each level of which certifies
-    its answer by exact division.  An image differs from its poly by a unit
-    of the ring, Z[i][z, T] with the nonzero Gaussian integers, T and (in
-    the torus arena) the divisor coordinates inverted, so the gcd of the
-    images is the gcd up to a unit, which _normalize_gcd fixes.  A zero
-    input gives the other input, normalised.
+    its answer by exact division.  Each image has the lowest power of every
+    place taken out, z^a from a and z^b from b (T among the places), and
+    z^min(a, b) is put back, since gcd(z^a*F, z^b*G) = z^min(a, b)*gcd(F, G):
+    _heu would otherwise evaluate xi^a for a monomial factor z^a.  What is
+    left differs from the gcd by a unit of the ring, Z[i][z, T] with the
+    nonzero Gaussian integers, T and (in the torus arena) the divisor
+    coordinates inverted, which _normalize_gcd fixes.  A zero input gives
+    the other input, normalised.
     """
     a.ctx.check_same(b.ctx)
     if a.is_zero():
         return _normalize_gcd(b)
     if b.is_zero():
         return _normalize_gcd(a)
-    h = _heu(_image(a)[0], _image(b)[0], range(a.ctx.n + 1))
-    return _normalize_gcd(_from_image(a.ctx, h))
+    fm, gm = (tuple(map(min, zip(*p._t))) for p in (a, b))
+    h = _heu(_image(a, fm)[0], _image(b, gm)[0], range(a.ctx.n + 1))
+    return _normalize_gcd(_from_image(a.ctx, h, tuple(map(min, fm, gm))))
 
 
 def _normalize_gcd(g: Poly) -> Poly:
@@ -461,30 +467,37 @@ def _normalize_gcd(g: Poly) -> Poly:
 # power of T.
 
 
-def _image(f: Poly):
-    """(image, m, k, den) for a nonzero f = z^m * T^k * image / den: m is the
-    Laurent shift of _strip_laurent, k the lowest T-power and den the lcm of
-    the denominators, so the image lies in Z[i][z, T] and has no T factor."""
-    shifts, f = _strip_laurent(f)
+def _image(f: Poly, shift: Optional[Exp] = None):
+    """(image, shift, den) for a nonzero f = z^shift * image / den, the last
+    place of shift being the power of T and den the lcm of the denominators,
+    so the image lies in Z[i][z, T].  The default shift is the lowest power
+    of each place whose powers are units: T and, in the torus arena, the
+    divisor coordinates (the Laurent shift of _strip_laurent)."""
     t = f._t
-    low = min(e[-1] for e in t)
+    if shift is None:
+        ctx = f.ctx
+        shift = [0] * ctx.n + [min(e[-1] for e in t)]
+        if ctx.arena == TORUS:
+            for i in ctx.divisor:
+                shift[i] = min(e[i] for e in t)
     den = 1
     for _, _, d in t.values():
         den = lcm(den, d)
+    shifted = any(shift)
     return {
-        e[:-1] + (e[-1] - low,): (re * (den // d), im * (den // d))
+        tuple(map(sub, e, shift)) if shifted else e:
+            (re * (den // d), im * (den // d))
         for e, (re, im, d) in t.items()
-    }, shifts, low, den
+    }, shift, den
 
 
-def _from_image(ctx: VarContext, h: dict, shifts=(), low=0, unit=_ONE) -> Poly:
-    """The Poly z^shifts * T^low * unit * h of an image h, unit being a
-    Gaussian rational (re, im, den) in canonical form."""
+def _from_image(ctx: VarContext, h: dict, shift, unit=_ONE) -> Poly:
+    """The Poly z^shift * unit * h of an image h (shift as in _image), unit
+    being a Gaussian rational (re, im, den) in canonical form."""
     one = unit == _ONE
-    s = tuple(shifts) + (low,)
-    shift = any(s)
+    shifted = any(shift)
     return _poly(ctx, {
-        tuple(map(add, e, s)) if shift else e:
+        tuple(map(add, e, shift)) if shifted else e:
             (re, im, 1) if one else _gmul((re, im, 1), unit)
         for e, (re, im) in h.items()
     })

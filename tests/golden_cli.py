@@ -67,6 +67,11 @@ STDIN = {
     ),
     # the polynomial arena with both coordinates on the divisor
     "poly-coords": "vars x y\narena poly\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n",
+    # a divisor poly with monomial content and repeated factors, named by a func
+    "poly-content": (
+        "vars x y\ndivisor poly x^40*y*(x+y)^2\nform w : d(x)^d(y)\n"
+        "func h : x^40*y*(x+y)^2\n"
+    ),
     # one malformed session per error class
     "bad-bytes": "vars x y\n# caf\udce9\nform w : d(x)^d(y)\n",
     "bad-token": "vars x y\nform w : d(x)$d(y)\n",
@@ -101,6 +106,8 @@ POOLS = {
                    form2="om om2 ex", form="", conn="c", vfield="e"),
     "poly-coords": dict(vars="x y", div="x y", laurent=False, func="",
                         form2="w", form="", conn="", vfield=""),
+    "poly-content": dict(vars="x y", div="", laurent=False, func="h",
+                         form2="w", form="", conn="", vfield=""),
 }
 
 # -- argument generation ----------------------------------------------------

@@ -196,6 +196,19 @@ def test_squarefree_torus_product_with_spoiled_candidates(monkeypatch):
     assert spoiled
 
 
+def test_squarefree_monomial_content_in_budget():
+    """x^100000*y has the repeated factor x^99999, which the gcd finds by
+    taking the lowest power of each variable out of both inputs rather than
+    evaluating x at a value of xi to the 100000th power: under 1 s."""
+    ctx = make_context(["x", "y"], [], "poly")
+    h = Poly.monomial(ctx, (100000, 1))
+    t0 = time.perf_counter()
+    ok, witness = check_squarefree(h)
+    spent = time.perf_counter() - t0
+    assert not ok and witness == Poly.monomial(ctx, (99999, 0))
+    assert spent < 1.0
+
+
 def _dense(ctx, rng, deg):
     """Every monomial of total degree <= deg with a seeded coefficient in
     Q(i)[T]: Gaussian in about a third of them, a T-power in about half."""

@@ -4,18 +4,22 @@ solver round-trips on systems with a known solution, fraction normalisation."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsym.context import make_context
 from logsym.linalg import (
     LinAlgError,
     RationalFunction,
+    _normalize_fraction,
     det_poly,
     solve_linear,
     solve_linear_poly,
 )
 from logsym.poly import Poly
 from logsym.scalars import Scalar
-from conftest import rand_ctx, rand_poly
+from logsym.sessions import print_canonical
+from conftest import rand_ctx, rand_exponent, rand_poly, rand_scalar
 
 
 def _cofactor_det(rows):
@@ -157,6 +161,49 @@ def test_torus_denominator_keeps_no_unit():
     assert (a.num, a.den) == (b.num, b.den) == (y, y * y + one)
     c = RationalFunction(one, y * y + y)
     assert (c.num, c.den) == (y.inverse_unit(), y + one)
+
+
+_CHARTS = (
+    make_context(["x", "y"], [], "poly"),
+    make_context(["x", "y"], ["x"], "torus"),
+    make_context(["x", "y"], ["x", "y"], "torus"),
+)
+
+
+def _nonzero(ctx, rng):
+    p = Poly.zero(ctx)
+    while p.is_zero():
+        p = rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
+    return p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_unreduced_representative_reads_like_the_reduced(data):
+    """A fraction built as k*n / k*d, k a seeded common factor times a
+    monomial (a Laurent unit on the torus divisor coordinates), is not
+    reduced by ==, is_zero or as_poly, which answer as n/d does; its first
+    read prints the bytes of an eager _normalize_fraction, and of n/d."""
+    ctx = data.draw(st.sampled_from(_CHARTS))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    n = rand_poly(ctx, rng, deg=3, terms=3)
+    d, k = _nonzero(ctx, rng), _nonzero(ctx, rng)
+    if data.draw(st.booleans()):
+        n = n * d
+    c = Scalar.zero()
+    while c.is_zero():
+        c = rand_scalar(rng, tmin=0, tmax=1, terms=2)
+    k = k * Poly.monomial(ctx, rand_exponent(ctx, rng, deg=3), c)
+    rep, ref = RationalFunction(k * n, k * d), RationalFunction(n, d)
+    off = RationalFunction(n + d, d)
+    assert rep == ref and ref == rep
+    assert not rep == off and not off == rep
+    assert rep.is_zero() == ref.is_zero()
+    assert rep.as_poly() == ref.as_poly()
+    assert not rep._reduced
+    eager = RationalFunction(*_normalize_fraction(k * n, k * d), _normalized=True)
+    assert print_canonical(rep) == print_canonical(eager) == print_canonical(ref)
+    assert rep._reduced
 
 
 def test_rational_function_arithmetic():

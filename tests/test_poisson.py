@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsym import calculus, poisson
+from logsym import calculus, linalg, poisson
 from logsym.calculus import (
     FRAME_SAITO,
     CalculusError,
@@ -266,6 +266,27 @@ def test_identity_suite_chart_a():
     # the product identity picks up an honest correction term
     rep = verify_identities(S, x, y, x + Poly.one(ctx), y)
     assert rep.defect_ii == RationalFunction(x * x, x + y)
+
+
+def test_identity_verdict_reduces_no_fraction(monkeypatch):
+    """The verdict core_identities_hold never reads defect (ii), so the suite
+    and the verdict call _normalize_fraction zero times; the first read of
+    defect_ii.num reduces the fraction once, and later reads reuse it."""
+    ctx, S = _chart_a()
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    calls = []
+    reduce = linalg._normalize_fraction
+
+    def counted(num, den):
+        calls.append(num)
+        return reduce(num, den)
+    monkeypatch.setattr(linalg, "_normalize_fraction", counted)
+    rep = verify_identities(S, x, y, x + Poly.one(ctx), y)
+    assert rep.core_identities_hold and not calls
+    assert rep.defect_ii.num == x * x and len(calls) == 1
+    assert rep.defect_ii.den == x + y
+    assert print_canonical(rep.defect_ii) == "(x^2) / (x + y)"
+    assert len(calls) == 1
 
 
 def test_identity_suite_chart_b():

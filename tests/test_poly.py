@@ -343,12 +343,19 @@ def _factors(deg, terms):
 
 
 def test_gcd_matches_reference():
-    """gcd_mv and the reference PRS agree on every ordered pair."""
+    """gcd_mv and the reference PRS agree on every ordered pair, as drawn
+    and with seeded monomial content planted on both sides (a unit on the
+    divisor coordinates of a torus arena, a factor elsewhere)."""
+    rng = random.Random(214)
     n = 0
     for c, g, a, b in _factors(deg=3, terms=2):
         f1, f2 = c * g * a, g * b
-        for p, q in ((f1, f2), (f2, f1)):
+        ctx = c.ctx
+        m1, m2 = (Poly.monomial(ctx, [rng.randint(0, 4) for _ in range(ctx.n)])
+                  for _ in range(2))
+        for p, q in ((f1, f2), (m1 * f1, m2 * f2)):
             assert gcd_mv(p, q) == _reference_gcd(p, q)
+            assert gcd_mv(q, p) == _reference_gcd(q, p)
         n += 1
     assert n == 60
 
