@@ -245,19 +245,7 @@ class LogForm:
         return _form(self.ctx, self.degree, {I: -c for I, c in self.terms.items()})
 
     def __sub__(self, other: "LogForm") -> "LogForm":
-        self._check_like(other)
-        terms = dict(self.terms)
-        for I, c in other.terms.items():
-            s = terms.get(I)
-            if s is None:
-                terms[I] = -c
-                continue
-            s = s - c
-            if s.is_zero():
-                del terms[I]
-            else:
-                terms[I] = s
-        return _form(self.ctx, self.degree, terms)
+        return self + (-other)
 
     def scale(self, f: Poly) -> "LogForm":
         if f.is_zero():

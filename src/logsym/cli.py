@@ -582,7 +582,7 @@ _HELP = {
 
 
 class _UsageError(Exception):
-    def __init__(self, parser: Optional[argparse.ArgumentParser], message: str):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
         self.parser = parser
 
@@ -629,17 +629,8 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                        help=_HELP.get(key, "function argument"))
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser of command alone, or the full tree with every
-    command's subparser when command is None.  The one-command parser reads
-    the words after the command as the tree's subparser does, with the same
-    prog; only the tree's usage, help and invalid-choice message list the
-    commands."""
-    if command is not None:
-        p = _Parser(prog="logsym " + command)
-        p.set_defaults(command=command)
-        _add_options(p, command)
-        return p
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: a tree with one subparser per command."""
     ap = _Parser(
         prog="logsym",
         description="logarithmic symplectic calculus on affine charts",
@@ -651,7 +642,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _read_direct(command: str, words) -> Optional[argparse.Namespace]:
-    """The namespace build_parser(command) reads from words, when words are
+    """The namespace the tree reads from the command and words, when words are
     pairs of an exact long option of command, given once, and a value that
     is neither -h nor starts with "--", with every required option given
     and --format text or json; else None, and argparse reads and reports
@@ -683,22 +674,15 @@ def main(argv=None) -> int:
     # leading command word is the command whatever follows
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        if command is None:
-            args = build_parser().parse_args(argv)
-        else:
-            args = _read_direct(command, argv[1:])
+        args = None if command is None else _read_direct(command, argv[1:])
         if args is None:
-            # the tree's subparser leaves unknown words to the top level,
-            # which reports them as its own error (parser None: the tree)
-            args, extra = build_parser(command).parse_known_args(argv[1:])
-            if extra:
-                raise _UsageError(None, "unrecognized arguments: %s" % " ".join(extra))
-        for name in _long_options(args.command)[1:]:
-            # argparse strips "--" from an explicit --opt=-- and stores []
-            value = getattr(args, name[2:])
-            if value is not None and not isinstance(value, str):
-                raise _UsageError(build_parser(args.command),
-                                  "argument %s: expected one argument" % name)
+            tree = build_parser()
+            args = tree.parse_args(argv)
+            for name in _long_options(args.command)[1:]:
+                # argparse strips "--" from an explicit --opt=-- and stores
+                # []: the tree reports it as the option with no value
+                if isinstance(getattr(args, name[2:]), list):
+                    tree.parse_args([args.command, name])
     except _UsageError as e:
         if _json_requested(argv, command):
             doc = {"schema": SCHEMA, "command": command,
@@ -706,9 +690,8 @@ def main(argv=None) -> int:
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             # argparse's own report, byte for byte
-            usage = e.parser or build_parser()
-            usage.print_usage(sys.stderr)
-            print("%s: error: %s" % (usage.prog, e), file=sys.stderr)
+            e.parser.print_usage(sys.stderr)
+            print("%s: error: %s" % (e.parser.prog, e), file=sys.stderr)
         return 2
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 2

@@ -137,8 +137,13 @@ def integrality_check(omega: LogForm):
     Returns (True, [(pair, n)]) with the integers, or (False, (pair, period))
     with the first offending period.
     """
+    return _integrality(periods(omega))
+
+
+def _integrality(period_list):
+    """integrality_check's verdict on the periods of a form."""
     ints = []
-    for pair, p in periods(omega):
+    for pair, p in period_list:
         n = p.integer_times_t()
         if n is None:
             return False, (pair, p)
@@ -323,7 +328,7 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     obstruction = None
     if closed:
         period_list = periods(omega)
-        ok, data = integrality_check(omega)
+        ok, data = _integrality(period_list)
         integral = ok
         if not ok:
             witness = data

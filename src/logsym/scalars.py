@@ -97,11 +97,6 @@ def _to_pair(t):
     return (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
 
 
-def _qhash(n, d):
-    """hash(Fraction(n, d)), without building the Fraction when d == 1."""
-    return hash(n) if d == 1 else hash(Fraction(n, d))
-
-
 _new = object.__new__
 _ONE = (1, 0, 1)
 _ONE_T = {0: _ONE}
@@ -141,8 +136,7 @@ class Scalar:
 
     ``_t`` maps the T-power to a canonical ``(re, im, den)`` triple; zero
     values are never stored, so equality is plain table equality.  A table
-    is never changed after it is built, so results may share one: ``1 * s``
-    is ``s`` itself.
+    is never changed after it is built.
     """
 
     __slots__ = ("_t",)
@@ -236,45 +230,15 @@ class Scalar:
         return _scalar(terms)
 
     def __neg__(self) -> "Scalar":
-        t = self._t
-        if len(t) == 1:
-            ((k, (a, b, d)),) = t.items()
-            return _scalar({k: (-a, -b, d)})
-        return _scalar({k: (-a, -b, d) for k, (a, b, d) in t.items()})
+        return _scalar({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        terms = dict(self._t)
-        for k, v in other._t.items():
-            u = terms.get(k)
-            if u is None:
-                terms[k] = (-v[0], -v[1], v[2])
-                continue
-            w = _gsub(u, v)
-            if w is None:
-                del terms[k]
-            else:
-                terms[k] = w
-        return _scalar(terms)
+        return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b = (other, self) if len(other._t) == 1 else (self, other)
-        x, y = a._t, b._t
-        if len(x) == 1:
-            # c*T^k times y: the shift is injective and Q(i) has no zero
-            # divisors, so no two terms meet and none vanishes; a factor 1
-            # gives the other operand back
-            ((k, v),) = x.items()
-            if v == _ONE and not k:
-                return b
-            if len(y) != 1:
-                return _scalar({k + k2: _gmul(v, v2) for k2, v2 in y.items()})
-            ((k2, v2),) = y.items()
-            if v2 == _ONE and not k2:
-                return a
-            return _scalar({k + k2: _gmul(v, v2)})
         terms = {}
-        for k1, v1 in x.items():
-            for k2, v2 in y.items():
+        for k1, v1 in self._t.items():
+            for k2, v2 in other._t.items():
                 k = k1 + k2
                 w = _gmul(v1, v2)
                 u = terms.get(k)
@@ -309,12 +273,7 @@ class Scalar:
         return isinstance(other, Scalar) and self._t == other._t
 
     def __hash__(self):
-        # the hash of the Fraction-pair table: a tuple or frozenset hash
-        # depends only on the hashes of its members, and hash(h) == h for
-        # every value a hash can take
-        return hash(frozenset(
-            (k, (_qhash(a, d), _qhash(b, d))) for k, (a, b, d) in self._t.items()
-        ))
+        return hash(frozenset(self.terms.items()))
 
     # -- exact division inside the ring -----------------------------------
 

@@ -69,13 +69,17 @@ def rand_exponent(ctx, rng, deg=4):
 
 
 def rand_poly(ctx, rng, deg=4, terms=3, allow_zero=True):
-    p = Poly.zero(ctx)
-    for _ in range(rng.randint(0 if allow_zero else 1, terms)):
-        c = rand_scalar(rng, tmin=0, tmax=1, terms=1)
-        if c.is_zero():
-            continue
-        p = p + Poly.monomial(ctx, rand_exponent(ctx, rng, deg), c)
-    return p
+    """Up to terms random monomials; with allow_zero=False, drawn again until
+    the sum is nonzero (a zero coefficient or cancelling terms give 0)."""
+    while True:
+        p = Poly.zero(ctx)
+        for _ in range(rng.randint(0 if allow_zero else 1, terms)):
+            c = rand_scalar(rng, tmin=0, tmax=1, terms=1)
+            if c.is_zero():
+                continue
+            p = p + Poly.monomial(ctx, rand_exponent(ctx, rng, deg), c)
+        if allow_zero or not p.is_zero():
+            return p
 
 
 def rand_log_field(ctx, rng, deg=3):

@@ -779,8 +779,8 @@ INVALID = ("argument command: invalid choice: 'nosuchcmd' (choose from %s)"
 
 def test_one_parser_per_command_call(capsys, monkeypatch):
     """A well-formed call of any command, from a file or from stdin, in text
-    or json, builds no parser; a leftover word or an abbreviated option
-    builds that command's parser alone, and an unknown command the tree."""
+    or json, builds no parser; any other call (a leftover word, an
+    abbreviated option, --opt=--, an unknown command) builds the tree once."""
     built, trees = [], []
     real_init = cli._Parser.__init__
     real_add_subparsers = argparse.ArgumentParser.add_subparsers
@@ -809,15 +809,16 @@ def test_one_parser_per_command_call(capsys, monkeypatch):
             assert run_stdin(capsys, monkeypatch, stdin, *argv)[0] == want, argv
     assert (built, trees) == ([], [])
 
-    for words in (["extra", "--format", "json"], ["--forma", "json"]):
-        code, out, _ = run(capsys, "bracket", "--session", EXACT, "--f", "x",
-                           "--g", "y", *words)
-        assert (built, trees) == (["logsym bracket"], [])
+    tree = ["logsym"] + ["logsym " + cmd for cmd in COMMANDS]
+    for argv, want in ((["--forma", "json"], 0), (["extra"], 2),
+                       (["--f=--"], 2), (["--help"], 0)):
+        argv = ["bracket", "--session", EXACT, "--f", "x", "--g", "y"] + argv
+        assert run(capsys, *argv)[0] == want, argv
+        assert (built, trees) == (tree, ["logsym"]), argv
         built.clear()
-    assert (code, json.loads(out)["bracket"]) == (0, "-y")
-
+        trees.clear()
     assert run(capsys, "nosuchcmd")[0] == 2
-    assert len(built) == 1 + len(COMMANDS) and trees == ["logsym"]
+    assert (built, trees) == (tree, ["logsym"])
 
 
 # -- the direct read of a well-formed command line --------------------------
@@ -863,11 +864,11 @@ def _main_bytes(argv):
 
 
 def _argparse_read(command, words):
-    """(namespace, leftover words) as argparse reads words, or (None, None)
-    where it reports a usage error or prints help."""
+    """(namespace, leftover words) as the tree reads the command and words,
+    or (None, None) where it reports a usage error or prints help."""
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return tuple(cli.build_parser(command).parse_known_args(words))
+            return tuple(cli.build_parser().parse_known_args([command] + words))
     except (cli._UsageError, SystemExit):
         return None, None
 

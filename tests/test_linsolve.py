@@ -170,13 +170,6 @@ _CHARTS = (
 )
 
 
-def _nonzero(ctx, rng):
-    p = Poly.zero(ctx)
-    while p.is_zero():
-        p = rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
-    return p
-
-
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_unreduced_representative_reads_like_the_reduced(data):
@@ -187,7 +180,8 @@ def test_unreduced_representative_reads_like_the_reduced(data):
     ctx = data.draw(st.sampled_from(_CHARTS))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     n = rand_poly(ctx, rng, deg=3, terms=3)
-    d, k = _nonzero(ctx, rng), _nonzero(ctx, rng)
+    d, k = (rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
+            for _ in range(2))
     if data.draw(st.booleans()):
         n = n * d
     c = Scalar.zero()

@@ -135,14 +135,22 @@ def test_divides_contract(data):
             assert x == ref_q
 
 
+def test_rand_poly_without_zero_is_nonzero():
+    """rand_poly(..., allow_zero=False) never returns 0, also where a drawn
+    coefficient is 0 or two terms cancel."""
+    ctx = make_context(["x", "y"], [], POLY)
+    zero = [s for s in range(2000)
+            if rand_poly(ctx, random.Random(s), deg=2, terms=2,
+                         allow_zero=False).is_zero()]
+    assert zero == []
+
+
 def test_divides_multiples_random():
     rng = random.Random(203)
     for _ in range(150):
         ctx = rand_ctx(rng)
         a = rand_poly(ctx, rng, deg=3, terms=2)
         b = rand_poly(ctx, rng, deg=3, terms=2, allow_zero=False)
-        if b.is_zero():
-            continue
         ok, q = divides(b, a * b)
         assert ok
         assert q * b == a * b
@@ -197,8 +205,6 @@ def test_gcd_common_factor_random():
         g = rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
         a = rand_poly(ctx, rng, deg=2, terms=2)
         b = rand_poly(ctx, rng, deg=2, terms=2)
-        if g.is_zero():
-            continue
         d = gcd_mv(a * g, b * g)
         if (a * g).is_zero() and (b * g).is_zero():
             continue
@@ -337,7 +343,7 @@ def _factors(deg, terms):
                 c = Poly.constant(ctx, rand_scalar(rng, tmin=0, tmax=1, terms=3))
                 fs = [c] + [rand_poly(ctx, rng, deg, terms, allow_zero=False)
                             for _ in range(3)]
-                if not any(f.is_zero() for f in fs):
+                if not c.is_zero():
                     k += 1
                     yield fs
 

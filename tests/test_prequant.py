@@ -356,6 +356,29 @@ def test_prequantize_non_integral():
     assert "non-integral" in rep.obstruction
 
 
+def test_prequantize_reads_integrality_from_its_periods(monkeypatch):
+    """One prequantize call computes the periods once, and its integrality
+    verdict and witness are integrality_check's on the same form."""
+    ctx = _full_torus()
+    w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
+    forms = [w.scale_scalar(Scalar.from_rational(Fraction(m)) * T.inverse())
+             for m in (0, 2, Fraction(1, 2))] + [w]
+    want = [integrality_check(f) for f in forms]
+    calls = []
+
+    def counting_periods(omega):
+        calls.append(omega)
+        return periods(omega)
+
+    monkeypatch.setattr(connections, "periods", counting_periods)
+    for f, (ok, data) in zip(forms, want):
+        rep = prequantize(f)
+        assert calls == [f]
+        calls.clear()
+        assert rep.integral is ok
+        assert rep.witness == (None if ok else data)
+
+
 def test_prequantize_failure_modes():
     ctxp = make_context(["x", "y"], [], "poly")
     xp = Poly.variable(ctxp, "x")
