@@ -462,21 +462,26 @@ class SymplecticData:
       A^T * adj == det * I;
     - poisson, the frame Poisson tensor pi = omega^-1 = adj * det^-1, checked
       against A^T * pi == I, when det is a unit monomial; None for a Saito
-      frame whose constant det is not a unit, where a field divides adj * b
-      by det exactly instead;
-    - frame_log, the log components of each frame field, row k for frame_k.
+      frame whose constant det is not a unit, where a field divides by det
+      exactly instead;
+    - frame_log, F, the log components of each frame field, row k for
+      frame_k.
 
     When the data is built, hand-built data included, it decides
     nondegenerate, whether det_cert passes the unit test of frame_kind, and
-    keeps the nonzero entries, as (index, entry) pairs per row, of frame_log
-    (log_entries), of pi or, when pi is None, of adj (tensor_entries), and
-    of each frame field's coefficients (frame_entries).  A Hamiltonian field
-    then costs one d(f) and matrix-vector products over those entries.
+    composes field_map, the map from the coframe coefficients alpha_j of a
+    log 1-form alpha to the field X with i_X omega = alpha, kept as the
+    (index, entry) pairs of the nonzero entries of each row.  Where pi
+    exists it is H = Phi^T * pi * F, Phi the frame fields' plain
+    coefficients, and row i gives X's coefficient of d/dx_i.  Where pi is
+    None it is adj * F: row k gives det times X's component along frame_k,
+    and frame_entries keeps the nonzero coefficients of each frame field
+    for the field to apply after dividing by det.
     """
 
     __slots__ = ("omega", "frame", "gram", "det_cert", "adjugate", "poisson",
-                 "frame_log", "frame_kind", "nondegenerate", "log_entries",
-                 "tensor_entries", "frame_entries")
+                 "frame_log", "frame_kind", "nondegenerate", "field_map",
+                 "frame_entries")
 
     def __init__(
         self,
@@ -498,9 +503,11 @@ class SymplecticData:
         self.frame_log = frame_log
         self.frame_kind = frame_kind
         self.nondegenerate = _det_is_unit(det_cert, frame_kind)
-        self.log_entries = _nonzero_entries(frame_log)
-        self.tensor_entries = _nonzero_entries(adjugate if poisson is None else poisson)
-        self.frame_entries = _nonzero_entries(fr.coeffs for fr in frame)
+        divide = poisson is None
+        self.field_map = _field_map(omega.ctx, frame, adjugate if divide else poisson,
+                                    frame_log, divide)
+        self.frame_entries = (_nonzero_entries(fr.coeffs for fr in frame)
+                              if divide else None)
 
     @property
     def ctx(self) -> VarContext:
@@ -511,6 +518,28 @@ def _nonzero_entries(rows) -> tuple:
     """Per row, the (index, entry) pairs of its nonzero entries."""
     return tuple(tuple((i, c) for i, c in enumerate(row) if not c.is_zero())
                  for row in rows)
+
+
+def _field_map(ctx: VarContext, frame: Sequence[LogVectorField], tensor: tuple,
+               logs: tuple, divide: bool) -> tuple:
+    """The nonzero entries per row of tensor * F, F = logs, when divide, else
+    of Phi^T * tensor * F, Phi the frame fields' plain coefficients."""
+    zero = Poly.zero(ctx)
+    rows = [_row_product(zero, row, logs) for row in _nonzero_entries(tensor)]
+    if not divide:
+        phi_t = _nonzero_entries(zip(*(fr.coeffs for fr in frame)))
+        rows = [_row_product(zero, row, rows) for row in phi_t]
+    return _nonzero_entries(rows)
+
+
+def _row_product(zero: Poly, entries: tuple, rows) -> List[Poly]:
+    """sum_k c * rows[k] over the (k, c) pairs of entries, for square rows."""
+    out = [zero] * len(rows)
+    for k, c in entries:
+        for j, e in enumerate(rows[k]):
+            if not e.is_zero():
+                out[j] = out[j] + c * e
+    return out
 
 
 def _det_is_unit(det: Poly, frame_kind: str) -> bool:

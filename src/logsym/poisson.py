@@ -1,16 +1,16 @@
 """Hamiltonian derivations and the two Poisson brackets of a nondegenerate
 closed log 2-form, plus the machine-checkable identity suite.
 
-The Hamiltonian field of f solves the Gram system A^T v = b where A is the
-pairing matrix of omega against the chosen frame and b_l = frame_l(f): with
-delta = sum_k v_k frame_k, the coefficient of e^l in i_delta omega is
-(A^T v)_l, and d(f) has coefficient frame_l(f) there.  No system is solved
-per call.  Assembly stored the Poisson tensor pi = adj(A^T) * det^-1,
-checked against A^T * pi == I, and the log components F_l of each frame
-field, with the nonzero entries of each.  Per call, a field computes d(f)
-once, forms b_l = sum_i F_li d(f)_i over the nonzero F_li, and sets
-v = pi * b over the nonzero entries of pi; for a Saito frame whose constant
-det is not a unit there is no pi, and v = adj * b is divided by det exactly.
+The Hamiltonian field of f is the X with i_X omega = d(f), and the tilde
+field of u the X with i_X omega = du/u.  Both come from the map
+alpha -> X, i_X omega = alpha, on log 1-forms, which depends only on the
+structure.  Assembly composed it once: where the Poisson tensor pi
+(checked against A^T * pi == I) exists, as H = Phi^T * pi * F, with F the
+frame fields' log components and Phi their plain coefficients, so X's
+coefficient of d/dx_i is sum_j H_ij alpha_j over the nonzero H_ij.  For a
+Saito frame whose constant det is not a unit there is no pi: the stored
+map is adj * F, each of its rows k times alpha is divided by det exactly,
+and the quotients weight the frame fields.  No system is solved per call.
 Every field is still re-verified through the certificate
 i_{delta_f} omega == d(f), on that same d(f), and every tilde field through
 i_tilde omega == du/u.  Forms, polynomials and scalars are stored in
@@ -37,7 +37,7 @@ defect, and (ii) is one fraction over uv(u+v).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
 from .context import TORUS
@@ -68,51 +68,40 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
         raise PoissonError("degenerate form has no Hamiltonian fields")
     S.ctx.check_same(f.ctx)
     df = d_of_function(f)
-    dterms = df.terms
-    zero = Poly.zero(S.ctx)
-    b = []
-    for row in S.log_entries:
-        # frame_l(f) is the pairing of d(f) with frame_l's log components
-        bl = zero
-        for i, c in row:
-            di = dterms.get((i,))
-            if di is not None:
-                bl = bl + c * di
-        b.append(bl)
-    delta = _gram_field(S, b, "Hamiltonian")
+    delta = _gram_field(S, df, "Hamiltonian")
     if S.omega.interior(delta) != df:
         raise PoissonError("Hamiltonian certificate failed (internal error)")
     return HamiltonianResult(f=f, delta=delta, df=df)
 
 
-def _gram_field(S: SymplecticData, b: List[Poly], what: str) -> LogVectorField:
-    """sum_k v_k frame_k with A^T v = b: v = pi * b from the Poisson tensor
-    stored at assembly, or v_k = (adj * b)_k / det by exact division when
-    det is not a unit, over the nonzero entries of pi or adj; a nonzero v_k
-    is added into the field's coefficients only where frame_k has a nonzero
-    one.  what names the field in the error raised when some v_k is not in
-    the arena ring."""
+def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
+    """The field X with i_X omega = alpha, for a log 1-form alpha, as one
+    sparse product of the field map stored at assembly with alpha's coframe
+    coefficients; when there is no Poisson tensor, each product row k is
+    divided by det exactly and weights frame_k.  what names the field in the
+    error raised when some quotient is not in the arena ring."""
     divide = S.poisson is None
+    terms = alpha.terms
     zero = Poly.zero(S.ctx)
     coeffs = [zero] * S.ctx.n
-    for k, row in enumerate(S.tensor_entries):
+    for k, row in enumerate(S.field_map):
         v = zero
-        for l, a in row:
-            bl = b[l]
-            if not bl.is_zero():
-                v = v + a * bl
-        if divide:
-            ok, q = divides(S.det_cert, v)
-            if not ok:
-                raise PoissonError(
-                    "%s component %d leaves the arena ring: (%s) / (%s)"
-                    % (what, k, print_canonical(v), print_canonical(S.det_cert))
-                )
-            v = q
-        if v.is_zero():
+        for j, h in row:
+            aj = terms.get((j,))
+            if aj is not None:
+                v = v + h * aj
+        if not divide:
+            coeffs[k] = v
             continue
-        for i, c in S.frame_entries[k]:
-            coeffs[i] = coeffs[i] + v * c
+        ok, q = divides(S.det_cert, v)
+        if not ok:
+            raise PoissonError(
+                "%s component %d leaves the arena ring: (%s) / (%s)"
+                % (what, k, print_canonical(v), print_canonical(S.det_cert))
+            )
+        if not q.is_zero():
+            for i, c in S.frame_entries[k]:
+                coeffs[i] = coeffs[i] + q * c
     return _field(S.ctx, tuple(coeffs))
 
 
@@ -221,8 +210,7 @@ def tilde_hamiltonian(
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
     dlog_u = _dlog_unit(S, u)
-    b = [dlog_u.coefficient((l,)) for l in range(S.ctx.n)]
-    tilde = _gram_field(S, b, "tilde")
+    tilde = _gram_field(S, dlog_u, "tilde")
     if S.omega.interior(tilde) != dlog_u:
         raise PoissonError("tilde certificate failed (internal error)")
     if delta_u is None:

@@ -9,9 +9,10 @@ standard form with one log direction.
 
 Chart C: torus x,y,z,w all on the divisor, omega = e^x ^ e^y + e^z ^ e^w.
 
-The fields are read off the Poisson tensor (or, for a Saito frame whose
-constant det is not a unit, the adjugate) stored at assembly; the reference
-they are checked against solves the Gram system A^T v = b with solve_linear.
+The fields are read off the field map stored at assembly (built from the
+Poisson tensor or, for a Saito frame whose constant det is not a unit, the
+adjugate); the reference they are checked against solves the Gram system
+A^T v = b with solve_linear.
 """
 
 import random
@@ -47,7 +48,7 @@ from logsym.poisson import (
 )
 from logsym.poly import Poly
 from logsym.scalars import Scalar
-from logsym.sessions import print_canonical
+from logsym.sessions import eval_in_session, parse_session, print_canonical
 from conftest import rand_poly, rand_scalar
 
 
@@ -580,6 +581,97 @@ def test_one_derivative_per_hamiltonian_field(monkeypatch):
                 got = hamiltonian(S, f).delta
                 assert counts == {"d": 1, "apply": 0}
             assert got == want
+
+
+def _saito_charts():
+    """omega = dlog(x)^dlog(y) with both coordinates on the divisor, in the
+    torus and the polynomial arena, on two Saito frames of determinant 1
+    between their log components, so the Gram determinant is 1 and the
+    Poisson tensor exists: x@x, x@x + y@y, and x@x + xy@y, y@y.  Each is
+    returned with the log-frame structure of the same form."""
+    out = []
+    for arena in ("torus", "poly"):
+        m = parse_session("vars x y\ndivisor coords x y\narena %s\n" % arena)
+        w = eval_in_session(m, "dlog(x)^dlog(y)")
+        for fields in (("x*@x", "x*@x + y*@y"), ("x*@x + x*y*@y", "y*@y")):
+            frame = [eval_in_session(m, t) for t in fields]
+            out.append((m, assemble_symplectic(w, frame, FRAME_SAITO),
+                        assemble_symplectic(w)))
+    return out
+
+
+def test_tilde_field_on_a_saito_frame():
+    """The tilde field of u = x on the Saito frame x@x, x@x + y@y is the
+    log-frame one, -y@y, in both arenas: du/u itself is handed to the field
+    map, not its coframe coefficients read as pairings with the frame."""
+    for m, S, _ in _saito_charts()[::2]:
+        u = eval_in_session(m, "x")
+        assert tilde_hamiltonian(S, u) == eval_in_session(m, "-y*@y")
+
+
+def test_fields_do_not_depend_on_the_frame():
+    """Hamiltonian fields, brackets and tilde fields on the Saito frames equal
+    their log-frame values: an oracle that needs no solver, on frames whose
+    plain coefficients are not the log frame's."""
+    rng = random.Random(522)
+    for m, S, L in _saito_charts():
+        ctx = S.ctx
+        for _ in range(25):
+            f, g = (rand_poly(ctx, rng, deg=3, terms=3) for _ in range(2))
+            assert hamiltonian(S, f).delta == hamiltonian(L, f).delta
+            assert bracket(S, f, g) == bracket(L, f, g)
+        low = -2 if ctx.arena == "torus" else 0
+        for _ in range(2):
+            e = (rng.randint(low, 2), rng.randint(1, 2))
+            u = Poly.monomial(ctx, e, Scalar.from_rational(rng.randint(1, 5), 0, 1))
+            assert tilde_hamiltonian(S, u) == tilde_hamiltonian(L, u)
+
+
+def test_stored_field_map_is_the_gram_solve():
+    """The field map composed at assembly sends each coframe basis 1-form e^j
+    to the fraction-field solve of A^T v = (frame_l(e^j))_l: where pi exists
+    its entries are the solved field's coefficients, and where it does not
+    (the Saito frames of non-unit det) they are det times the solved
+    components v_k, and det * e^j maps to det times the solved field."""
+    charts = [m() for m in (_chart_a, _chart_b, _chart_c, _chart_saito)]
+    charts += [(S.ctx, S) for _, S, _ in _saito_charts()] + _cross_charts()
+    for ctx, S in charts:
+        n = ctx.n
+        zero = Poly.zero(ctx)
+        at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]
+        logs = [fr.log_components() for fr in S.frame]
+        for j, name in enumerate(ctx.names):
+            b = [logs[l][j] for l in range(n)]
+            e_j = LogForm.coframe(ctx, name)
+            stored = [dict(row).get(j, zero) for row in S.field_map]
+            if S.poisson is not None:
+                want = _reference_field(S, b)
+                assert list(want.coeffs) == stored
+                assert poisson._gram_field(S, e_j, "test") == want
+                continue
+            v = solve_linear(at_rows, b)
+            assert [(s * RationalFunction(S.det_cert, Poly.one(ctx))).as_poly()
+                    for s in v] == stored
+            want = _reference_field(S, [S.det_cert * c for c in b])
+            assert poisson._gram_field(S, e_j.scale(S.det_cert), "test") == want
+
+
+def test_one_field_map_per_structure(monkeypatch):
+    """Assembly composes the field map once; Hamiltonian fields, brackets and
+    tilde fields compose none."""
+    calls = []
+    real = calculus._field_map
+    monkeypatch.setattr(calculus, "_field_map",
+                        lambda *a: calls.append(a) or real(*a))
+    for maker in (_chart_a, _chart_b, _chart_c):
+        del calls[:]
+        ctx, S = maker()
+        assert len(calls) == 1
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        hamiltonian(S, x * y + x)
+        bracket(S, x, y * y)
+        tilde_hamiltonian(S, _ideal_pair(maker, ctx)[0])
+        assert len(calls) == 1
 
 
 # -- fields passed down --------------------------------------------------------
