@@ -452,62 +452,33 @@ class DegenerateError(CalculusError):
 
 
 class SymplecticData:
-    """A closed nondegenerate log 2-form with its Gram data on a frame.
+    """A closed nondegenerate log 2-form with what its fields read.
 
-    gram is the pairing matrix A_{kl} = omega(frame_k, frame_l) and det_cert
-    its determinant, a unit (or a nonzero constant for a Saito frame).
-    Assembly computes, once per structure:
+    det_cert is the determinant of the Gram matrix A_{kl} = omega(frame_k,
+    frame_l) on the frame it was assembled on, a unit (or a nonzero constant
+    for a Saito frame).  When the data is built, hand-built data included,
+    it decides nondegenerate, whether det_cert passes the unit test of
+    frame_kind.
 
-    - adjugate, adj(A^T) from the cofactors of A, checked against
-      A^T * adj == det * I;
-    - poisson, the frame Poisson tensor pi = omega^-1 = adj * det^-1, checked
-      against A^T * pi == I, when det is a unit monomial; None for a Saito
-      frame whose constant det is not a unit, where a field divides by det
-      exactly instead;
-    - frame_log, F, the log components of each frame field, row k for
-      frame_k.
-
-    When the data is built, hand-built data included, it decides
-    nondegenerate, whether det_cert passes the unit test of frame_kind, and
-    composes field_map, the map from the coframe coefficients alpha_j of a
-    log 1-form alpha to the field X with i_X omega = alpha, kept as the
-    (index, entry) pairs of the nonzero entries of each row.  Where pi
-    exists it is H = Phi^T * pi * F, Phi the frame fields' plain
-    coefficients, and row i gives X's coefficient of d/dx_i.  Where pi is
-    None it is adj * F: row k gives det times X's component along frame_k,
-    and frame_entries keeps the nonzero coefficients of each frame field
-    for the field to apply after dividing by det.
+    field_map maps the coframe coefficients alpha_j of a log 1-form alpha to
+    the field X with i_X omega = alpha, kept as the (index, entry) pairs of
+    the nonzero entries of each row.  Where the frame Poisson tensor pi
+    exists, row i gives X's coefficient of d/dx_i.  Where it does not (a
+    Saito frame whose constant det is not a unit), row k gives det times X's
+    component along frame_k, and frame_entries keeps the nonzero
+    coefficients of each frame field for the field to apply after dividing
+    by det; it is None otherwise.
     """
 
-    __slots__ = ("omega", "frame", "gram", "det_cert", "adjugate", "poisson",
-                 "frame_log", "frame_kind", "nondegenerate", "field_map",
-                 "frame_entries")
+    __slots__ = ("omega", "det_cert", "nondegenerate", "field_map", "frame_entries")
 
-    def __init__(
-        self,
-        omega: LogForm,
-        frame: Tuple[LogVectorField, ...],
-        gram: tuple,  # n x n tuple-of-tuples of Poly
-        det_cert: Poly,
-        adjugate: tuple,  # adj(A^T), n x n tuple-of-tuples of Poly
-        poisson: Optional[tuple],  # adj * det^-1, or None when det is not a unit
-        frame_log: tuple,  # log components of frame_k, n x n tuple-of-tuples
-        frame_kind: str,
-    ):
+    def __init__(self, omega: LogForm, det_cert: Poly, frame_kind: str,
+                 field_map: tuple, frame_entries: Optional[tuple] = None):
         self.omega = omega
-        self.frame = frame
-        self.gram = gram
         self.det_cert = det_cert
-        self.adjugate = adjugate
-        self.poisson = poisson
-        self.frame_log = frame_log
-        self.frame_kind = frame_kind
         self.nondegenerate = _det_is_unit(det_cert, frame_kind)
-        divide = poisson is None
-        self.field_map = _field_map(omega.ctx, frame, adjugate if divide else poisson,
-                                    frame_log, divide)
-        self.frame_entries = (_nonzero_entries(fr.coeffs for fr in frame)
-                              if divide else None)
+        self.field_map = field_map
+        self.frame_entries = frame_entries
 
     @property
     def ctx(self) -> VarContext:
@@ -603,13 +574,16 @@ def assemble_symplectic(
     frame: Optional[Sequence[LogVectorField]] = None,
     frame_kind: str = FRAME_LOG,
 ) -> SymplecticData:
-    """Check a closed nondegenerate log 2-form and package its Gram data.
+    """Check a closed nondegenerate log 2-form and compose its field map.
 
     Nondegeneracy is decided by gram_determinant on the given frame (the log
     frame by default).  Raises on odd dimension, non-closed or degenerate
-    input.  The adjugate of A^T, the Poisson tensor and the frame's log
-    components are computed and checked here, once, for every later
-    Hamiltonian field.
+    input.  Once per structure, the adjugate adj(A^T) is checked against
+    A^T * adj == det * I and, where det is a unit monomial, the Poisson
+    tensor pi = adj * det^-1 against A^T * pi == I.  The field map is
+    Phi^T * pi * F, Phi the frame fields' plain coefficients and F their log
+    components; without pi it is adj * F, applied to the frame after a
+    division by det.  Only the map is kept.
     """
     if omega.degree != 2:
         raise CalculusError("symplectic data needs a 2-form")
@@ -625,18 +599,14 @@ def assemble_symplectic(
         raise DegenerateError(det)
     adj = _adjugate_transpose(rows, det)
     pi = _poisson_tensor(adj, det)
-    if pi is not None and not _inverts(rows, pi, Poly.one(det.ctx)):
+    if pi is None:
+        return SymplecticData(omega, det, frame_kind,
+                              _field_map(omega.ctx, frame, adj, logs, True),
+                              _nonzero_entries(fr.coeffs for fr in frame))
+    if not _inverts(rows, pi, Poly.one(det.ctx)):
         raise CalculusError("Poisson tensor check A^T * pi == I failed")
-    return SymplecticData(
-        omega=omega,
-        frame=tuple(frame),
-        gram=tuple(tuple(r) for r in rows),
-        det_cert=det,
-        adjugate=adj,
-        poisson=pi,
-        frame_log=logs,
-        frame_kind=frame_kind,
-    )
+    return SymplecticData(omega, det, frame_kind,
+                          _field_map(omega.ctx, frame, pi, logs, False))
 
 
 def _adjugate_transpose(rows: List[List[Poly]], det: Poly) -> tuple:

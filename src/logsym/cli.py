@@ -540,7 +540,7 @@ def cmd_weights(m, args):
     w, d = res
     return 0, {
         "weighted_homogeneous": True, "weights": list(w), "degree": d,
-    }, ["weights: (%s) degree %d" % (", ".join(str(x) for x in w), d)]
+    }, ["weights: (%s) degree %s" % (", ".join(map(number_text, w)), number_text(d))]
 
 
 # -- wiring -----------------------------------------------------------------

@@ -177,11 +177,16 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
     docstring.  The identity d(primitive) + class == omega is verified
     before returning.
     """
-    ctx = omega.ctx
     if omega.degree < 1:
         raise PrequantError("homotopy wants degree >= 1")
     if not omega.d().is_zero():
         raise PrequantError("form is not closed")
+    return _homotopy(omega)
+
+
+def _homotopy(omega: LogForm) -> Tuple[LogForm, LogForm]:
+    """class_and_primitive's split of a form already known to be closed."""
+    ctx = omega.ctx
     plain = [i for i in range(ctx.n) if not ctx.is_divisor_index(i)]
     frame = log_frame(ctx)
     euler = _euler_plain(ctx)
@@ -305,7 +310,8 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
 
     Checks closedness, nondegeneracy (log-frame Gram determinant a unit of the
     arena), even chart dimension, periods and their integrality, then splits
-    T*omega into class + d(primitive).  When the class part vanishes the
+    T*omega into class + d(primitive).  d(omega) is taken once, by periods;
+    the split does not test T*omega again.  When the class part vanishes the
     primitive is an actual connection form with curvature T*omega and is
     returned as it is (its residues have no constant term, so every shift
     is 0); when it is nonzero but integral, the verdict is positive but the
@@ -315,7 +321,6 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     ctx = omega.ctx
     if omega.degree != 2:
         raise PrequantError("prequantization wants a 2-form")
-    closed = omega.d().is_zero()
     even = ctx.n % 2 == 0
     _, _, nondeg = gram_determinant(omega, log_frame(ctx), FRAME_LOG)
     period_list: List[Tuple[Tuple[int, int], Scalar]] = []
@@ -326,14 +331,18 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     residues: List[Tuple[int, Poly]] = []
     shifts: List[int] = []
     obstruction = None
-    if closed:
+    closed = True
+    try:
         period_list = periods(omega)
+    except PrequantError:  # its one refusal left, the degree checked: d(omega) != 0
+        closed = False
+    if closed:
         ok, data = _integrality(period_list)
         integral = ok
         if not ok:
             witness = data
         t_omega = omega.scale_scalar(Scalar.two_pi_i())
-        cls, prim = class_and_primitive(t_omega)
+        cls, prim = _homotopy(t_omega)
         if cls.is_zero() and nondeg and even:
             conn = Connection1(prim)
             if conn.curvature != t_omega:

@@ -77,10 +77,11 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
 def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
     """The field X with i_X omega = alpha, for a log 1-form alpha, as one
     sparse product of the field map stored at assembly with alpha's coframe
-    coefficients; when there is no Poisson tensor, each product row k is
-    divided by det exactly and weights frame_k.  what names the field in the
+    coefficients; where the structure keeps frame_entries (there was no
+    Poisson tensor), each product row k is divided by det exactly and
+    weights frame_k.  what names the field in the
     error raised when some quotient is not in the arena ring."""
-    divide = S.poisson is None
+    divide = S.frame_entries is not None
     terms = alpha.terms
     zero = Poly.zero(S.ctx)
     coeffs = [zero] * S.ctx.n

@@ -611,7 +611,7 @@ def _scalar_piece(k: int, a: Fraction, b: Fraction):
     elif k == 1:
         t = "T"
     else:
-        t = "T^%d" % k
+        t = "T^" + number_text(k)
     if not t:
         return neg, base
     if base == "1":
@@ -643,7 +643,7 @@ def _mono_text(ctx: VarContext, e) -> str:
         if k == 0:
             continue
         nm = ctx.names[i]
-        parts.append(nm if k == 1 else "%s^%d" % (nm, k))
+        parts.append(nm if k == 1 else nm + "^" + number_text(k))
     return "*".join(parts)
 
 

@@ -743,6 +743,7 @@ def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):
     numeral = "9" * (digit_limit + 700)
     too_long = "a number of more than %d digits is too long to print" % digit_limit
     session = "vars x y\ndivisor coords x y\nform w : 9^5000*(1/T)*dlog(x)^dlog(y)\n"
+    plane = "vars x y\narena poly\nform w : d(x)^d(y)\n"
     cases = [
         (["bracket", "--session", EXACT, "--f", numeral, "--g", "y"], "",
          "in %r... (%d characters): line 1, col 1: expected a numeral of at most"
@@ -752,6 +753,11 @@ def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):
         (["integrality", "--session", "-"], session, too_long),
         (["normalize-residues", "--session", TORUS, "--conn", "9^5000*dlog(y)"], "",
          too_long),
+        # an exponent, a T-power and a weight past the limit
+        (["check-divisor", "--session", "-", "--poly", "x^(10^5000)*y^2"], plane, too_long),
+        (["bracket", "--session", TORUS, "--form", "w", "--f", "T^(10^5000)*x", "--g", "y"],
+         "", too_long),
+        (["weights", "--session", "-", "--poly", "x^(10^5000)*y + y^2"], plane, too_long),
     ]
     for argv, stdin, message in cases:
         text, doc = _error_bytes(argv[0], message)

@@ -203,3 +203,30 @@ def test_tables_are_never_changed_in_place():
               "s._t.update(t)\np.terms.setdefault(e, c)\ns._t.clear()\n"
               "x: int = 0\nterms[e] = c\np.terms = {}\nq = p.terms.get(e)\n")
     assert [line for line, _ in _table_mutations(ast.parse(sample))] == list(range(1, 8))
+
+
+def _slots(tree):
+    """(class, name) for every name in a class's literal __slots__."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                out += [(cls.name, s) for s in ast.literal_eval(node.value)]
+    return out
+
+
+def test_every_slot_is_read():
+    """Every __slots__ name of a class in src/logsym is read as an attribute
+    somewhere in the package, so a stored value cannot outlive its last
+    reader.  Assignments do not count as reads."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = ["%s.%s" % (cls, name) for tree in trees
+              for cls, name in _slots(tree) if name not in read]
+    assert not unread, "slots never read: " + ", ".join(unread)

@@ -11,8 +11,8 @@ Chart C: torus x,y,z,w all on the divisor, omega = e^x ^ e^y + e^z ^ e^w.
 
 The fields are read off the field map stored at assembly (built from the
 Poisson tensor or, for a Saito frame whose constant det is not a unit, the
-adjugate); the reference they are checked against solves the Gram system
-A^T v = b with solve_linear.
+adjugate); the reference they are checked against recomputes the Gram
+matrix A from the chart's frame and solves A^T v = b with solve_linear.
 """
 
 import random
@@ -70,23 +70,36 @@ def _chart_c():
     return ctx, assemble_symplectic(e[0].wedge(e[1]) + e[2].wedge(e[3]))
 
 
+def _plain_frame(ctx):
+    return [LogVectorField.coordinate(ctx, nm) for nm in ctx.names]
+
+
 def _chart_saito():
     """Plain frame on the polynomial plane, omega = (1+T) d(x)^d(y): the Gram
     determinant (1+T)^2 is a nonzero constant but not a unit."""
     ctx = make_context(["x", "y"], [], "poly")
     one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(one_t)
-    frame = [LogVectorField.coordinate(ctx, "x"), LogVectorField.coordinate(ctx, "y")]
-    return ctx, assemble_symplectic(w, frame, FRAME_SAITO)
+    return ctx, assemble_symplectic(w, _plain_frame(ctx), FRAME_SAITO)
 
 
-def _reference_field(S, b):
-    """sum_k v_k frame_k with A^T v = b, by a fraction-field solve; None when
-    some v_k is not a polynomial."""
-    n = S.ctx.n
-    at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]
+def _frames(makers):
+    """(ctx, S, frame) for charts whose maker returns (ctx, S): the log frame
+    for charts A, B and C, the plain frame for the Saito chart."""
+    out = []
+    for maker in makers:
+        ctx, S = maker()
+        frame = _plain_frame(ctx) if maker is _chart_saito else calculus.log_frame(ctx)
+        out.append((ctx, S, frame))
+    return out
+
+
+def _reference_field(S, frame, b):
+    """sum_k v_k frame_k with A^T v = b, A the Gram matrix of omega on frame,
+    by a fraction-field solve; None when some v_k is not a polynomial."""
+    rows = calculus.gram_matrix(S.omega, frame)
     out = LogVectorField.zero(S.ctx)
-    for fr, s in zip(S.frame, solve_linear(at_rows, b)):
+    for fr, s in zip(frame, solve_linear([list(c) for c in zip(*rows)], b)):
         p = s.as_poly()
         if p is None:
             return None
@@ -94,8 +107,8 @@ def _reference_field(S, b):
     return out
 
 
-def _reference_hamiltonian(S, f):
-    return _reference_field(S, [fr.apply(f) for fr in S.frame])
+def _reference_hamiltonian(S, frame, f):
+    return _reference_field(S, frame, [fr.apply(f) for fr in frame])
 
 
 def test_hamiltonian_fields_chart_a():
@@ -351,13 +364,12 @@ def test_nondegeneracy_is_decided_once(monkeypatch):
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(x)
     frame = calculus.log_frame(ctx)
     rows, det, _ = calculus.gram_determinant(w, frame, calculus.FRAME_LOG)
+    logs = tuple(tuple(fr.log_components()) for fr in frame)
+    field_map = calculus._field_map(
+        ctx, frame, calculus._adjugate_transpose(rows, det), logs, True)
     calls.clear()
-    S = calculus.SymplecticData(
-        omega=w, frame=tuple(frame), gram=tuple(tuple(r) for r in rows),
-        det_cert=det, adjugate=calculus._adjugate_transpose(rows, det),
-        poisson=None, frame_log=tuple(tuple(fr.log_components()) for fr in frame),
-        frame_kind=calculus.FRAME_LOG,
-    )
+    S = calculus.SymplecticData(w, det, calculus.FRAME_LOG, field_map,
+                                calculus._nonzero_entries(fr.coeffs for fr in frame))
     assert calls == [calculus.FRAME_LOG] and not S.nondegenerate
     with pytest.raises(PoissonError, match="degenerate form has no Hamiltonian fields"):
         hamiltonian(S, x)
@@ -366,10 +378,11 @@ def test_nondegeneracy_is_decided_once(monkeypatch):
 def test_hamiltonian_matches_gram_solve():
     for maker, count in ((_chart_a, 30), (_chart_b, 30), (_chart_c, 12)):
         ctx, S = maker()
+        frame = calculus.log_frame(ctx)
         rng = random.Random(507)
         for _ in range(count):
             f = rand_poly(ctx, rng, deg=3, terms=3)
-            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, frame, f)
 
 
 def test_tilde_matches_gram_solve():
@@ -382,37 +395,39 @@ def test_tilde_matches_gram_solve():
                 continue
             u = Poly.monomial(ctx, e, Scalar.from_rational(rng.randint(1, 5), 0, 1))
             b = [Poly.from_int(ctx, x) for x in e]
-            assert tilde_hamiltonian(S, u) == _reference_field(S, b)
+            assert tilde_hamiltonian(S, u) == _reference_field(S, calculus.log_frame(ctx), b)
 
 
 def test_saito_frame_with_non_unit_constant_det():
     ctx, S = _chart_saito()
+    frame = _plain_frame(ctx)
     x = Poly.variable(ctx, "x")
     one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
     assert S.det_cert == one_t * one_t
     assert not S.det_cert.is_unit_monomial()
     # delta_x = -(d/dy)/(1+T) leaves the ring ...
-    assert _reference_hamiltonian(S, x) is None
+    assert _reference_hamiltonian(S, frame, x) is None
     with pytest.raises(PoissonError, match="component 1 leaves the arena ring"):
         hamiltonian(S, x)
     # ... while (1+T)*x has the polynomial field -d/dy
     f = one_t * x
     delta = hamiltonian(S, f).delta
-    assert delta == _reference_hamiltonian(S, f)
+    assert delta == _reference_hamiltonian(S, frame, f)
     assert delta == LogVectorField(ctx, [Poly.zero(ctx), -Poly.one(ctx)])
 
 
 def _chart_cross(fields):
     """omega = (1+T) d(x)^d(y) on the polynomial plane with the Saito frame
     whose coefficient rows fields(x, y, one, zero) returns, of determinant
-    1: the Gram determinant (1+T)^2 is a constant but not a unit."""
+    1: the Gram determinant (1+T)^2 is a constant but not a unit.  Returns
+    (ctx, S, frame)."""
     ctx = make_context(["x", "y"], [], "poly")
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     one = Poly.one(ctx)
     one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(one_t)
     frame = [LogVectorField(ctx, c) for c in fields(x, y, one, Poly.zero(ctx))]
-    return ctx, assemble_symplectic(w, frame, FRAME_SAITO)
+    return ctx, assemble_symplectic(w, frame, FRAME_SAITO), frame
 
 
 def _cross_charts():
@@ -428,46 +443,49 @@ def test_gram_field_meets_cross_terms():
     coefficients of the Hamiltonian field gather terms from more than one
     frame field: every field equals the fraction-field solve, on these Saito
     frames through the divides branch and on charts A, B and C."""
-    for ctx, S in _cross_charts():
+    for ctx, S, frame in _cross_charts():
         one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
         assert S.det_cert == one_t * one_t
-        assert sum(not c.is_zero() for c in S.frame[1].coeffs) == 2
+        assert sum(not c.is_zero() for c in frame[1].coeffs) == 2
         rng = random.Random(515)
         for _ in range(20):
             f = rand_poly(ctx, rng, deg=3, terms=3)
-            ref = _reference_hamiltonian(S, one_t * f)
+            ref = _reference_hamiltonian(S, frame, one_t * f)
             assert ref is not None and hamiltonian(S, one_t * f).delta == ref
-            ref = _reference_hamiltonian(S, f)
+            ref = _reference_hamiltonian(S, frame, f)
             if ref is None:
                 with pytest.raises(PoissonError, match="leaves the arena ring"):
                     hamiltonian(S, f)
             else:
                 assert hamiltonian(S, f).delta == ref
-    for maker in (_chart_a, _chart_b, _chart_c):
-        ctx, S = maker()
+    for ctx, S, frame in _frames((_chart_a, _chart_b, _chart_c)):
         rng = random.Random(516)
         for _ in range(6):
             f = rand_poly(ctx, rng, deg=3, terms=3)
-            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+            assert hamiltonian(S, f).delta == _reference_hamiltonian(S, frame, f)
             e = tuple(rng.randint(-2, 2) if ctx.is_divisor_index(i) else 0
                       for i in range(ctx.n))
             if not any(e):
                 continue
             u = Poly.monomial(ctx, e, Scalar.from_rational(rng.randint(1, 5), 0, 1))
             b = [Poly.from_int(ctx, x) for x in e]
-            assert tilde_hamiltonian(S, u) == _reference_field(S, b)
+            assert tilde_hamiltonian(S, u) == _reference_field(S, frame, b)
 
 
-def test_stored_adjugate_inverts_the_gram_matrix():
-    for maker in (_chart_a, _chart_b, _chart_c, _chart_saito):
-        ctx, S = maker()
+def test_adjugate_inverts_the_gram_matrix():
+    """The adjugate assembly composes the field map from satisfies
+    A^T * adj == det * I, with A and adj recomputed from the chart's frame
+    and det the structure's det_cert."""
+    for ctx, S, frame in _frames((_chart_a, _chart_b, _chart_c, _chart_saito)):
+        rows = calculus.gram_matrix(S.omega, frame)
+        adj = calculus._adjugate_transpose(rows, S.det_cert)
         n = ctx.n
         zero = Poly.zero(ctx)
         for l in range(n):
             for m in range(n):
                 acc = zero
                 for k in range(n):
-                    acc = acc + S.gram[k][l] * S.adjugate[k][m]
+                    acc = acc + rows[k][l] * adj[k][m]
                 assert acc == (S.det_cert if l == m else zero)
 
 
@@ -487,27 +505,27 @@ def test_assembly_rejects_a_wrong_adjugate(monkeypatch):
         assemble_symplectic(w)
 
 
-def _gram_product(S, m):
-    """A^T * m for the stored Gram matrix A."""
-    n = S.ctx.n
-    zero = Poly.zero(S.ctx)
+def _gram_product(rows, m):
+    """A^T * m for the Gram matrix A = rows."""
+    n = len(rows)
+    zero = Poly.zero(m[0][0].ctx)
     out = []
     for l in range(n):
         row = []
         for j in range(n):
             acc = zero
             for k in range(n):
-                acc = acc + S.gram[k][l] * m[k][j]
+                acc = acc + rows[k][l] * m[k][j]
             row.append(acc)
         out.append(row)
     return out
 
 
-def test_assembly_stores_the_poisson_tensor_and_frame_log(monkeypatch):
-    """Where det is a unit, assembly stores pi with A^T * pi == I and the
-    fields use it; where it is not (the Saito frames, det (1+T)^2), there is
-    no pi and every field divides by det.  The stored frame log components
-    are the frame fields' own."""
+def test_fields_divide_by_det_only_without_a_poisson_tensor(monkeypatch):
+    """Where det is a unit, the Poisson tensor recomputed from the chart's
+    frame satisfies A^T * pi == I, the structure keeps no frame entries and
+    the fields divide nothing; where it is not (the Saito frames, det
+    (1+T)^2), there is no pi and every field divides by det."""
     divisions = []
     real_divides = poisson.divides
 
@@ -516,23 +534,27 @@ def test_assembly_stores_the_poisson_tensor_and_frame_log(monkeypatch):
         return real_divides(g, f)
 
     monkeypatch.setattr(poisson, "divides", counting)
-    charts = [(maker(), True) for maker in (_chart_a, _chart_b, _chart_c)]
+    charts = [(chart, True) for chart in _frames((_chart_a, _chart_b, _chart_c))]
     charts += [(chart, False) for chart in _cross_charts()]
     rng = random.Random(517)
-    for (ctx, S), unit in charts:
+    for (ctx, S, frame), unit in charts:
         n = ctx.n
-        assert S.frame_log == tuple(tuple(fr.log_components()) for fr in S.frame)
         assert S.det_cert.is_unit_monomial() is unit
+        rows = calculus.gram_matrix(S.omega, frame)
+        pi = calculus._poisson_tensor(calculus._adjugate_transpose(rows, S.det_cert),
+                                      S.det_cert)
         if unit:
             identity = [[Poly.one(ctx) if l == j else Poly.zero(ctx) for j in range(n)]
                         for l in range(n)]
-            assert _gram_product(S, S.poisson) == identity
+            assert _gram_product(rows, pi) == identity
+            assert S.frame_entries is None
         else:
-            assert S.poisson is None
+            assert pi is None
+            assert S.frame_entries is not None
         del divisions[:]
         f = rand_poly(ctx, rng, deg=3, terms=3)
         f = f if unit else S.det_cert * f
-        assert hamiltonian(S, f).delta == _reference_hamiltonian(S, f)
+        assert hamiltonian(S, f).delta == _reference_hamiltonian(S, frame, f)
         assert divisions == ([] if unit else [S.det_cert] * n)
 
 
@@ -567,13 +589,13 @@ def test_one_derivative_per_hamiltonian_field(monkeypatch):
         return real_apply(self, f)
 
     rng = random.Random(518)
-    charts = [_chart_a(), _chart_b(), _chart_c(), _cross_charts()[1]]
-    for ctx, S in charts:
+    charts = _frames((_chart_a, _chart_b, _chart_c)) + [_cross_charts()[1]]
+    for ctx, S, frame in charts:
         for _ in range(6):
             f = rand_poly(ctx, rng, deg=3, terms=3)
-            if S.poisson is None:
+            if not S.det_cert.is_unit_monomial():
                 f = S.det_cert * f
-            want = _reference_hamiltonian(S, f)
+            want = _reference_hamiltonian(S, frame, f)
             with monkeypatch.context() as mp:
                 mp.setattr(poisson, "d_of_function", counting_d)
                 mp.setattr(LogVectorField, "apply", counting_apply)
@@ -588,7 +610,7 @@ def _saito_charts():
     torus and the polynomial arena, on two Saito frames of determinant 1
     between their log components, so the Gram determinant is 1 and the
     Poisson tensor exists: x@x, x@x + y@y, and x@x + xy@y, y@y.  Each is
-    returned with the log-frame structure of the same form."""
+    returned with the log-frame structure of the same form and the frame."""
     out = []
     for arena in ("torus", "poly"):
         m = parse_session("vars x y\ndivisor coords x y\narena %s\n" % arena)
@@ -596,7 +618,7 @@ def _saito_charts():
         for fields in (("x*@x", "x*@x + y*@y"), ("x*@x + x*y*@y", "y*@y")):
             frame = [eval_in_session(m, t) for t in fields]
             out.append((m, assemble_symplectic(w, frame, FRAME_SAITO),
-                        assemble_symplectic(w)))
+                        assemble_symplectic(w), frame))
     return out
 
 
@@ -604,7 +626,7 @@ def test_tilde_field_on_a_saito_frame():
     """The tilde field of u = x on the Saito frame x@x, x@x + y@y is the
     log-frame one, -y@y, in both arenas: du/u itself is handed to the field
     map, not its coframe coefficients read as pairings with the frame."""
-    for m, S, _ in _saito_charts()[::2]:
+    for m, S, _, _ in _saito_charts()[::2]:
         u = eval_in_session(m, "x")
         assert tilde_hamiltonian(S, u) == eval_in_session(m, "-y*@y")
 
@@ -614,7 +636,7 @@ def test_fields_do_not_depend_on_the_frame():
     their log-frame values: an oracle that needs no solver, on frames whose
     plain coefficients are not the log frame's."""
     rng = random.Random(522)
-    for m, S, L in _saito_charts():
+    for m, S, L, _ in _saito_charts():
         ctx = S.ctx
         for _ in range(25):
             f, g = (rand_poly(ctx, rng, deg=3, terms=3) for _ in range(2))
@@ -633,26 +655,27 @@ def test_stored_field_map_is_the_gram_solve():
     its entries are the solved field's coefficients, and where it does not
     (the Saito frames of non-unit det) they are det times the solved
     components v_k, and det * e^j maps to det times the solved field."""
-    charts = [m() for m in (_chart_a, _chart_b, _chart_c, _chart_saito)]
-    charts += [(S.ctx, S) for _, S, _ in _saito_charts()] + _cross_charts()
-    for ctx, S in charts:
+    charts = _frames((_chart_a, _chart_b, _chart_c, _chart_saito))
+    charts += [(S.ctx, S, frame) for _, S, _, frame in _saito_charts()] + _cross_charts()
+    for ctx, S, frame in charts:
         n = ctx.n
         zero = Poly.zero(ctx)
-        at_rows = [[S.gram[k][l] for k in range(n)] for l in range(n)]
-        logs = [fr.log_components() for fr in S.frame]
+        rows = calculus.gram_matrix(S.omega, frame)
+        at_rows = [list(c) for c in zip(*rows)]
+        logs = [fr.log_components() for fr in frame]
         for j, name in enumerate(ctx.names):
             b = [logs[l][j] for l in range(n)]
             e_j = LogForm.coframe(ctx, name)
             stored = [dict(row).get(j, zero) for row in S.field_map]
-            if S.poisson is not None:
-                want = _reference_field(S, b)
+            if S.det_cert.is_unit_monomial():
+                want = _reference_field(S, frame, b)
                 assert list(want.coeffs) == stored
                 assert poisson._gram_field(S, e_j, "test") == want
                 continue
             v = solve_linear(at_rows, b)
             assert [(s * RationalFunction(S.det_cert, Poly.one(ctx))).as_poly()
                     for s in v] == stored
-            want = _reference_field(S, [S.det_cert * c for c in b])
+            want = _reference_field(S, frame, [S.det_cert * c for c in b])
             assert poisson._gram_field(S, e_j.scale(S.det_cert), "test") == want
 
 
@@ -686,14 +709,10 @@ def _chart_c_open():
     w = e[0].wedge(e[1]) + e[2].wedge(e[3]) + e[1].wedge(e[2]).scale(Poly.variable(ctx, "x"))
     frame = calculus.log_frame(ctx)
     rows, det, _ = calculus.gram_determinant(w, frame, calculus.FRAME_LOG)
-    adj = calculus._adjugate_transpose(rows, det)
-    S = calculus.SymplecticData(
-        omega=w, frame=tuple(frame), gram=tuple(tuple(r) for r in rows),
-        det_cert=det, adjugate=adj, poisson=calculus._poisson_tensor(adj, det),
-        frame_log=tuple(tuple(fr.log_components()) for fr in frame),
-        frame_kind=calculus.FRAME_LOG,
-    )
-    return ctx, S
+    pi = calculus._poisson_tensor(calculus._adjugate_transpose(rows, det), det)
+    logs = tuple(tuple(fr.log_components()) for fr in frame)
+    field_map = calculus._field_map(ctx, frame, pi, logs, False)
+    return ctx, calculus.SymplecticData(w, det, calculus.FRAME_LOG, field_map)
 
 
 def _dlog(ctx, u):
@@ -915,10 +934,10 @@ def test_a_bracket_contracts_omega_only_in_its_certificates(monkeypatch):
         return real(self, v)
 
     rng = random.Random(521)
-    for ctx, S in [m() for m in (_chart_a, _chart_b, _chart_c)] + _cross_charts():
+    for ctx, S, _ in _frames((_chart_a, _chart_b, _chart_c)) + _cross_charts():
         for _ in range(4):
             f, g = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(2))
-            if S.poisson is None:
+            if not S.det_cert.is_unit_monomial():
                 f, g = S.det_cert * f, S.det_cert * g
             want = -S.omega.evaluate([hamiltonian(S, f).delta, hamiltonian(S, g).delta])
             monkeypatch.setattr(LogForm, "contract", counting)

@@ -4,6 +4,7 @@ residue normalization, and the full prequantization pipeline."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +26,11 @@ from logsym.context import make_context
 from logsym.operators import dirac_check
 from logsym.poly import Poly
 from logsym.scalars import Scalar
+from logsym.sessions import parse_session
 from conftest import rand_closed_2form, rand_ctx, rand_form, rand_poly, rand_scalar
 
 T = Scalar.two_pi_i()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _full_torus():
@@ -377,6 +380,26 @@ def test_prequantize_reads_integrality_from_its_periods(monkeypatch):
         calls.clear()
         assert rep.integral is ok
         assert rep.witness == (None if ok else data)
+
+
+def test_prequantize_decides_closedness_once(monkeypatch):
+    """One prequantize call takes the exterior derivative of omega once, for
+    its closedness verdict, its periods and the homotopy split of T*omega;
+    the other d is the homotopy's own check d(primitive) + class == T*omega.
+    A form that is not closed is differentiated once and goes no further."""
+    m = parse_session((ROOT / "sessions" / "torus.lsx").read_text())
+    degrees = []
+    real = LogForm.d
+    monkeypatch.setattr(LogForm, "d", lambda self: degrees.append(self.degree) or real(self))
+    for name in ("w", "w1"):
+        del degrees[:]
+        rep = prequantize(m.forms[name])
+        assert rep.closed and degrees == [2, 1]
+    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"], "torus")
+    z4 = Poly.variable(ctx4, "z")
+    del degrees[:]
+    rep = prequantize(LogForm.coframe(ctx4, "x").wedge(LogForm.coframe(ctx4, "y")).scale(z4))
+    assert not rep.closed and degrees == [2]
 
 
 def test_prequantize_failure_modes():
