@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .context import VarContext
 from .linalg import det_poly
-from .poly import Poly, PolyError
+from .poly import Poly, PolyError, dot
 from .scalars import Scalar
 
 IndexSet = Tuple[int, ...]
@@ -93,13 +93,11 @@ class LogVectorField:
         return hash((self.ctx, self.coeffs))
 
     def apply(self, f: Poly) -> Poly:
-        """The derivation applied to a ring element."""
+        """The derivation applied to a ring element, sum_i X^i * df/dz_i
+        accumulated into one table by poly.dot."""
         self.ctx.check_same(f.ctx)
-        acc = Poly.zero(self.ctx)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                acc = acc + a * f.partial(i)
-        return acc
+        return dot(((a, f.partial(i)) for i, a in enumerate(self.coeffs)
+                    if not a.is_zero()), self.ctx)
 
     def bracket(self, other: "LogVectorField") -> "LogVectorField":
         """Commutator of derivations, computed coefficientwise in the plain frame."""
@@ -495,22 +493,17 @@ def _field_map(ctx: VarContext, frame: Sequence[LogVectorField], tensor: tuple,
                logs: tuple, divide: bool) -> tuple:
     """The nonzero entries per row of tensor * F, F = logs, when divide, else
     of Phi^T * tensor * F, Phi the frame fields' plain coefficients."""
-    zero = Poly.zero(ctx)
-    rows = [_row_product(zero, row, logs) for row in _nonzero_entries(tensor)]
+    rows = [_row_product(ctx, row, logs) for row in _nonzero_entries(tensor)]
     if not divide:
         phi_t = _nonzero_entries(zip(*(fr.coeffs for fr in frame)))
-        rows = [_row_product(zero, row, rows) for row in phi_t]
+        rows = [_row_product(ctx, row, rows) for row in phi_t]
     return _nonzero_entries(rows)
 
 
-def _row_product(zero: Poly, entries: tuple, rows) -> List[Poly]:
-    """sum_k c * rows[k] over the (k, c) pairs of entries, for square rows."""
-    out = [zero] * len(rows)
-    for k, c in entries:
-        for j, e in enumerate(rows[k]):
-            if not e.is_zero():
-                out[j] = out[j] + c * e
-    return out
+def _row_product(ctx: VarContext, entries: tuple, rows) -> List[Poly]:
+    """sum_k c * rows[k] over the (k, c) pairs of entries, for square rows,
+    one poly.dot per column."""
+    return [dot(((c, rows[k][j]) for k, c in entries), ctx) for j in range(len(rows))]
 
 
 def _det_is_unit(det: Poly, frame_kind: str) -> bool:

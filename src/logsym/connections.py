@@ -73,6 +73,15 @@ class Connection1:
         return hash(self.sigma)
 
 
+def _connection(sigma: LogForm, curvature: LogForm) -> Connection1:
+    """The Connection1 of the 1-form sigma whose d(sigma) the caller has
+    already taken as curvature, skipping Connection1.__init__."""
+    conn = object.__new__(Connection1)
+    conn.sigma = sigma
+    conn.curvature = curvature
+    return conn
+
+
 def gauge(conn: Connection1, tau: LogForm) -> Connection1:
     """Shift the connection form by a closed 1-form; curvature is unchanged
     (checked bit-exactly, not assumed)."""
@@ -98,7 +107,8 @@ def is_flat(conn: Connection1):
     """
     if not conn.curvature.is_zero():
         return False, conn.curvature
-    cls, prim = class_and_primitive(conn.sigma)
+    # the zero curvature is d(sigma): sigma is closed, so it splits unchecked
+    cls, _, _ = _homotopy(conn.sigma)
     residues = [cls.coefficient((i,)).constant_coefficient() for i in conn.sigma.ctx.divisor]
     try:
         ok, direct = res_const(conn.sigma)
@@ -181,11 +191,13 @@ def class_and_primitive(omega: LogForm) -> Tuple[LogForm, LogForm]:
         raise PrequantError("homotopy wants degree >= 1")
     if not omega.d().is_zero():
         raise PrequantError("form is not closed")
-    return _homotopy(omega)
+    cls, prim, _ = _homotopy(omega)
+    return cls, prim
 
 
-def _homotopy(omega: LogForm) -> Tuple[LogForm, LogForm]:
-    """class_and_primitive's split of a form already known to be closed."""
+def _homotopy(omega: LogForm) -> Tuple[LogForm, LogForm, LogForm]:
+    """class_and_primitive's split of a form already known to be closed,
+    with d(primitive), which its check took."""
     ctx = omega.ctx
     plain = [i for i in range(ctx.n) if not ctx.is_divisor_index(i)]
     frame = log_frame(ctx)
@@ -211,9 +223,10 @@ def _homotopy(omega: LogForm) -> Tuple[LogForm, LogForm]:
             else:
                 cls_terms[I] = mono  # e = 0: one constant per pure log cell
     cls = LogForm(ctx, omega.degree, cls_terms)
-    if prim.d() + cls != omega:
+    dprim = prim.d()
+    if dprim + cls != omega:
         raise PrequantError("homotopy verification failed (internal error)")
-    return cls, prim
+    return cls, prim, dprim
 
 
 # -- residue normalization --------------------------------------------------
@@ -311,7 +324,8 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     Checks closedness, nondegeneracy (log-frame Gram determinant a unit of the
     arena), even chart dimension, periods and their integrality, then splits
     T*omega into class + d(primitive).  d(omega) is taken once, by periods;
-    the split does not test T*omega again.  When the class part vanishes the
+    the split does not test T*omega again, and the d(primitive) its check
+    took is the connection's curvature.  When the class part vanishes the
     primitive is an actual connection form with curvature T*omega and is
     returned as it is (its residues have no constant term, so every shift
     is 0); when it is nonzero but integral, the verdict is positive but the
@@ -342,9 +356,9 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
         if not ok:
             witness = data
         t_omega = omega.scale_scalar(Scalar.two_pi_i())
-        cls, prim = _homotopy(t_omega)
+        cls, prim, dprim = _homotopy(t_omega)
         if cls.is_zero() and nondeg and even:
-            conn = Connection1(prim)
+            conn = _connection(prim, dprim)
             if conn.curvature != t_omega:
                 raise PrequantError("pipeline curvature mismatch (internal error)")
             # every monomial of the homotopy primitive has a nonzero

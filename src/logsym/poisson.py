@@ -7,7 +7,8 @@ alpha -> X, i_X omega = alpha, on log 1-forms, which depends only on the
 structure.  Assembly composed it once: where the Poisson tensor pi
 (checked against A^T * pi == I) exists, as H = Phi^T * pi * F, with F the
 frame fields' log components and Phi their plain coefficients, so X's
-coefficient of d/dx_i is sum_j H_ij alpha_j over the nonzero H_ij.  For a
+coefficient of d/dx_i is sum_j H_ij alpha_j over the nonzero H_ij, one
+poly.dot (the multiply-accumulate kernel) per row.  For a
 Saito frame whose constant det is not a unit there is no pi: the stored
 map is adj * F, each of its rows k times alpha is divided by det exactly,
 and the quotients weight the frame fields.  No system is solved per call.
@@ -21,10 +22,10 @@ building that difference.
 A HamiltonianResult carries the d(f) its certificate proved equal to
 i_{delta_f} omega.  So every bracket is cross-checked without contracting
 omega again: omega(delta_g, delta_f) = -omega(delta_f, delta_g) = {f,g} is
-the log pairing <d(g), delta_f>, read off the certified d(g), and it must
-equal the derivation delta_f(g).  omega enters that check through the
-certificate of delta_g, so it decides the same statement as comparing
-omega(delta_g, delta_f) with delta_f(g).
+the log pairing <d(g), delta_f>, read off the certified d(g) as one
+poly.dot, and it must equal the derivation delta_f(g), another.  omega
+enters that check through the certificate of delta_g, so it decides the
+same statement as comparing omega(delta_g, delta_f) with delta_f(g).
 
 The identity suite computes each bracket, Hamiltonian field and fraction
 once per call.  {a,b} is computed on both sides once: their difference is
@@ -43,7 +44,7 @@ from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_func
 from .context import TORUS
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
-from .poly import Poly, divides
+from .poly import Poly, divides, dot
 from .scalars import Scalar
 from .sessions import print_canonical
 
@@ -77,20 +78,16 @@ def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
 def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
     """The field X with i_X omega = alpha, for a log 1-form alpha, as one
     sparse product of the field map stored at assembly with alpha's coframe
-    coefficients; where the structure keeps frame_entries (there was no
-    Poisson tensor), each product row k is divided by det exactly and
-    weights frame_k.  what names the field in the
-    error raised when some quotient is not in the arena ring."""
+    coefficients, a poly.dot per row; where the structure keeps
+    frame_entries (there was no Poisson tensor), each product row k is
+    divided by det exactly and weights frame_k.  what names the field in
+    the error raised when some quotient is not in the arena ring."""
     divide = S.frame_entries is not None
     terms = alpha.terms
     zero = Poly.zero(S.ctx)
     coeffs = [zero] * S.ctx.n
     for k, row in enumerate(S.field_map):
-        v = zero
-        for j, h in row:
-            aj = terms.get((j,))
-            if aj is not None:
-                v = v + h * aj
+        v = dot(((h, terms[(j,)]) for j, h in row if (j,) in terms), S.ctx)
         if not divide:
             coeffs[k] = v
             continue
@@ -164,7 +161,8 @@ def _bracket_sides(
     omega(delta_g, delta_f), the log pairing of the certified
     d(g) = i_{delta_g} omega with delta_f; and delta_f(g).  omega enters
     through the certificate hamiltonian(S, g) decided, not here."""
-    pairing = hg.df.contract(hf.delta.log_components()).coefficient(())
+    log = hf.delta.log_components()
+    pairing = dot(((c, log[j]) for (j,), c in hg.df.terms.items()), S.ctx)
     return pairing, hf.delta.apply(hg.f)
 
 
@@ -210,7 +208,14 @@ def tilde_hamiltonian(
     Hamiltonian field of u when the caller already holds it."""
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
-    dlog_u = _dlog_unit(S, u)
+    return _tilde(S, u, _dlog_unit(S, u), delta_u)
+
+
+def _tilde(
+    S: SymplecticData, u: Poly, dlog_u: LogForm, delta_u: Optional[LogVectorField]
+) -> LogVectorField:
+    """tilde_hamiltonian's field and checks from du/u = dlog_u, which the
+    caller already holds."""
     tilde = _gram_field(S, dlog_u, "tilde")
     if S.omega.interior(tilde) != dlog_u:
         raise PoissonError("tilde certificate failed (internal error)")
@@ -299,7 +304,8 @@ def verify_identities(
     and v.  Ten Hamiltonian fields are made and certified, and eight
     brackets cross-checked, each once; {a,b}'s two sides are compared by
     (iii), and delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves
-    (ii) and the Jacobi defect.
+    (ii) and the Jacobi defect; du/u and dv/v are built once, for (i) and
+    the tilde fields of (v).
     """
     hu = hamiltonian(S, u)
     hv = hamiltonian(S, v)
@@ -314,11 +320,11 @@ def verify_identities(
     # the torus arena, gets {u,v}/(uv) once du/u and dv/v exist
     in_u, in_v = _ideal_member(S, u), _ideal_member(S, v)
     s = _sing_quotient(u, v, in_u, in_v, buv)
-    dlog_sum = _dlog_unit(S, u) + _dlog_unit(S, v)
+    dlog_u, dlog_v = _dlog_unit(S, u), _dlog_unit(S, v)
     if not (in_u and in_v):
         s = _exact_ratio(buv, uv, "{u,v}/(uv)")
     hs = hamiltonian(S, s)
-    defect_i = huv.df - hs.df.scale(uv) - dlog_sum.scale(buv)
+    defect_i = huv.df - hs.df.scale(uv) - (dlog_u + dlog_v).scale(buv)
 
     # (ii)  {u,a}/u + {v,a}/v - {u+v,a}/(u+v), as one fraction over
     # uv(u+v); u and v are nonzero monomials once (i) has passed
@@ -341,8 +347,8 @@ def verify_identities(
     defect_iv = ha.delta.bracket(hb.delta) - hab.delta
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)
-    tu = tilde_hamiltonian(S, u, hu.delta)
-    tv = tilde_hamiltonian(S, v, hv.delta)
+    tu = _tilde(S, u, dlog_u, hu.delta)
+    tv = _tilde(S, v, dlog_v, hv.delta)
     rhs_v = tu.bracket(tv).scale(uv) + (tv + tu).scale(buv)
     defect_v = huv.delta - rhs_v
 

@@ -15,6 +15,13 @@ exponents, which is what makes Hamiltonian vector fields of torus symplectic
 forms land back in the same ring.  The power of T may have either sign in
 both arenas.
 
+Exponent keys are added and subtracted only by _key_add[n] and
+_key_sub[n], written out once per key arity n.  A sum of products
+sum a*b (a field applied to a function, a row of a field map times a
+1-form, a log pairing) is dot(pairs, ctx), the one multiply-accumulate
+kernel: every term pair is added straight into one fresh table, with no
+intermediate product or sum.
+
 The leading term, and so the normalisation of a gcd, is taken in graded
 lexicographic order of the z-exponents.  Division never leaves the ring
 silently: :func:`divides` answers membership in a principal ideal by one
@@ -31,9 +38,8 @@ images, and the same division certifies its answer at every level.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from operator import add, sub
 from types import MappingProxyType
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .context import TORUS, VarContext
 from .scalars import (
@@ -73,13 +79,39 @@ def _poly(ctx: VarContext, t: dict) -> "Poly":
     return p
 
 
-def _product(x: dict, y: dict) -> dict:
+class _KeyArith(dict):
+    """Arity -> the function that adds (op "+") or subtracts (op "-") two
+    keys of that arity entry by entry, written out as one tuple display the
+    first time the arity is met, the way dataclasses writes its methods:
+    the key layout is this module's, and the written-out sum costs a
+    fraction of tuple(map(add, a, b))."""
+
+    def __init__(self, op: str):
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, n: int):
+        body = "".join("a[%d] %s b[%d], " % (i, self.op, i) for i in range(n))
+        f = self[n] = eval("lambda a, b: (%s)" % body)
+        return f
+
+
+_key_add = _KeyArith("+")
+_key_sub = _KeyArith("-")
+
+
+def _product(x: dict, y: dict, t: Optional[dict] = None) -> dict:
     """The table of the product of the tables x and y, summing the terms
-    that meet."""
-    t: dict = {}
+    that meet; with t, the product is added into t, a fresh table of the
+    caller's, and t is returned."""
+    if t is None:
+        t = {}
+    if not (x and y):
+        return t
+    add = _key_add[len(next(iter(x)))]
     for e1, v1 in x.items():
         for e2, v2 in y.items():
-            e = tuple(map(add, e1, e2))
+            e = add(e1, e2)
             w = _gmul(v1, v2)
             u = t.get(e)
             if u is not None:
@@ -89,6 +121,16 @@ def _product(x: dict, y: dict) -> dict:
                     continue
             t[e] = w
     return t
+
+
+def dot(pairs: Iterable[Tuple["Poly", "Poly"]], ctx: VarContext) -> "Poly":
+    """sum a*b over the pairs (a, b) of Polys in ctx, every term pair added
+    straight into one fresh table: a sum of n products costs no
+    intermediate product or sum.  No operand's table is written."""
+    t: dict = {}
+    for a, b in pairs:
+        _product(a._t, b._t, t)
+    return _poly(ctx, t)
 
 
 class Poly:
@@ -284,13 +326,12 @@ class Poly:
             ((e2, v2),) = y.items()
             if v2 == _ONE and not any(e2):
                 return a
-        if one:
-            return _poly(self.ctx, {tuple(map(add, e1, e2)): v2 for e2, v2 in y.items()})
         if not any(e1):
             return _poly(self.ctx, {e2: _gmul(v1, v2) for e2, v2 in y.items()})
-        return _poly(self.ctx, {
-            tuple(map(add, e1, e2)): _gmul(v1, v2) for e2, v2 in y.items()
-        })
+        add = _key_add[len(e1)]
+        if one:
+            return _poly(self.ctx, {add(e1, e2): v2 for e2, v2 in y.items()})
+        return _poly(self.ctx, {add(e1, e2): _gmul(v1, v2) for e2, v2 in y.items()})
 
     def scale(self, c: Scalar) -> "Poly":
         s = c._t
@@ -400,7 +441,7 @@ def divides(g: Poly, f: Poly):
         return False, _from_image(f.ctx, r, fs, (1, 0, fd))
     # f = z^fs * F / fd and g = z^gs * (a + b*i) * G / gd, T a place of z
     unit = _red(gd * a, -gd * b, fd * (a * a + b * b))
-    return True, _from_image(f.ctx, q, tuple(map(sub, fs, gs)), unit)
+    return True, _from_image(f.ctx, q, _key_sub[len(fs)](fs, gs), unit)
 
 
 def exact_quotient(f: Poly, g: Poly) -> Poly:
@@ -426,7 +467,8 @@ def _strip_laurent(f: Poly):
     if not any(shifts):
         return shifts, f
     s = shifts + [0]
-    return shifts, _poly(f.ctx, {tuple(map(sub, e, s)): v for e, v in f._t.items()})
+    sub = _key_sub[len(s)]
+    return shifts, _poly(f.ctx, {sub(e, s): v for e, v in f._t.items()})
 
 
 def gcd_mv(a: Poly, b: Poly) -> Poly:
@@ -484,8 +526,9 @@ def _image(f: Poly, shift: Optional[Exp] = None):
     for _, _, d in t.values():
         den = lcm(den, d)
     shifted = any(shift)
+    sub = _key_sub[len(shift)]
     return {
-        tuple(map(sub, e, shift)) if shifted else e:
+        sub(e, shift) if shifted else e:
             (re * (den // d), im * (den // d))
         for e, (re, im, d) in t.items()
     }, shift, den
@@ -496,8 +539,9 @@ def _from_image(ctx: VarContext, h: dict, shift, unit=_ONE) -> Poly:
     being a Gaussian rational (re, im, den) in canonical form."""
     one = unit == _ONE
     shifted = any(shift)
+    add = _key_add[len(shift)]
     return _poly(ctx, {
-        tuple(map(add, e, shift)) if shifted else e:
+        add(e, shift) if shifted else e:
             (re, im, 1) if one else _gmul((re, im, 1), unit)
         for e, (re, im) in h.items()
     })
@@ -688,11 +732,12 @@ def _divide_image(h: dict, f: dict):
     divide, so h divides f - r.  A primitive h of one term has a unit
     coefficient, so only its exponent needs dividing, and r is the terms of f
     it does not divide."""
+    sub = _key_sub[len(next(iter(h)))]
     if len(h) == 1:
         ((lead, lc),) = h.items()
         q, r = {}, {}
         for e, v in f.items():
-            d = tuple(map(sub, e, lead))
+            d = sub(e, lead)
             if min(d) < 0:
                 r[e] = v
             else:
@@ -701,10 +746,11 @@ def _divide_image(h: dict, f: dict):
     lead = max(h)
     lc = h[lead]
     tail = [(e, v) for e, v in h.items() if e != lead]
+    add = _key_add[len(lead)]
     q, r = {}, dict(f)
     while r:
         e = max(r)
-        d = tuple(map(sub, e, lead))
+        d = sub(e, lead)
         if min(d) < 0:
             break
         c = _gquo(r[e], lc)
@@ -713,7 +759,7 @@ def _divide_image(h: dict, f: dict):
         del r[e]
         q[d] = c
         for m, w in tail:
-            t = tuple(map(add, d, m))
+            t = add(d, m)
             p = _gmul_int(c, w)
             s = r.get(t)
             if s is None:

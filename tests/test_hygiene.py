@@ -205,6 +205,46 @@ def test_tables_are_never_changed_in_place():
     assert [line for line, _ in _table_mutations(ast.parse(sample))] == list(range(1, 8))
 
 
+def _operand_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _mapped_key_arithmetic(tree):
+    """Lines of every tuple(map(add, ...)) and tuple(map(sub, ...)), the
+    operator named bare or as an attribute (operator.add)."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _operand_name(node.func) == "tuple"
+                and len(node.args) == 1):
+            continue
+        inner = node.args[0]
+        if (isinstance(inner, ast.Call) and _operand_name(inner.func) == "map"
+                and inner.args and _operand_name(inner.args[0]) in ("add", "sub")):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_key_arithmetic_has_one_rule():
+    """Exponent keys are added and subtracted only by poly's kernels written
+    out per key arity (poly._key_add, poly._key_sub), never by
+    tuple(map(add|sub, ...)), which costs several times the written-out
+    sum."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d" % (path.name, line) for line in _mapped_key_arithmetic(tree)]
+    assert not found, "keys added through map: " + ", ".join(found)
+    # the walk sees both operators in both spellings and nothing else
+    sample = ("tuple(map(add, e1, e2))\ntuple(map(operator.sub, e, s))\n"
+              "tuple(map(min, a, b))\nmap(add, a, b)\nlist(map(sub, a, b))\n"
+              "tuple(a + b for a, b in zip(e1, e2))\n")
+    assert _mapped_key_arithmetic(ast.parse(sample)) == [1, 2]
+
+
 def _slots(tree):
     """(class, name) for every name in a class's literal __slots__."""
     out = []

@@ -759,6 +759,25 @@ def _counting_hamiltonian(monkeypatch):
     return calls
 
 
+def test_identities_build_dlog_once_per_monomial(monkeypatch):
+    """verify_identities builds du/u and dv/v once each: identity (i) and the
+    tilde fields of (v) share them, with the same defects."""
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        u, v = _ideal_pair(maker, ctx)
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        want = _reference_identities(S, u, v, x * y + x, x + y)
+        calls = []
+        real = poisson._dlog_unit
+        monkeypatch.setattr(poisson, "_dlog_unit",
+                            lambda S, w: calls.append(w) or real(S, w))
+        rep = verify_identities(S, u, v, x * y + x, x + y)
+        monkeypatch.undo()
+        assert calls == [u, v]
+        assert (rep.defect_i, rep.defect_ii, rep.defect_iii, rep.defect_iv,
+                rep.defect_v, rep.jacobi) == want
+
+
 def _ideal_pair(maker, ctx):
     if maker is _chart_b:
         y = Poly.variable(ctx, "y")

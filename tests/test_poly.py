@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
-from operator import sub
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -718,3 +718,45 @@ def test_flat_table_matches_the_scalar_references(data):
         if ok:
             assert x == ref_q
     assert gcd_mv(g * a, g * b) == _reference_gcd(g * a, g * b)
+
+
+# -- the accumulate kernel and the arity kernels -----------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dot_is_the_fold_of_products(data):
+    """dot over a list of pairs equals the fold of * and + over the same
+    pairs, on both arenas (Laurent exponents, T-powers, Gaussian
+    coefficients), with zero, one-term and several-term sides, the empty
+    list, and sums that cancel to zero (the pairs followed by their
+    negations in some order); its table is canonical and fresh, and no
+    operand's table changes."""
+    ctx = data.draw(st.sampled_from(_CHARTS))
+    side = st.one_of(_mixed_polys(ctx), st.just(Poly.one(ctx)), st.just(Poly.zero(ctx)))
+    pairs = data.draw(st.lists(st.tuples(side, side), max_size=5))
+    cancel = data.draw(st.booleans())
+    if cancel:
+        pairs += data.draw(st.permutations([(-a, b) for a, b in pairs]))
+    before = [(dict(a._t), dict(b._t)) for a, b in pairs]
+    want = Poly.zero(ctx)
+    for a, b in pairs:
+        want = want + a * b
+    got = poly.dot(iter(pairs), ctx)
+    _assert_canonical(got)
+    assert got.ctx is ctx and got._t == want._t
+    assert got.is_zero() or not cancel
+    assert [(a._t, b._t) for a, b in pairs] == before
+    assert all(got._t is not p._t for pair in pairs for p in pair)
+    assert poly.dot([], ctx) == Poly.zero(ctx)
+
+
+def test_key_kernels_match_map():
+    """The adder and subtractor written out for each key arity give
+    tuple(map(add|sub, a, b)), negative entries included."""
+    rng = random.Random(218)
+    for n in range(1, 9):
+        for _ in range(40):
+            a, b = (tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(2))
+            assert poly._key_add[n](a, b) == tuple(map(add, a, b))
+            assert poly._key_sub[n](a, b) == tuple(map(sub, a, b))

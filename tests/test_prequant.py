@@ -26,7 +26,7 @@ from logsym.context import make_context
 from logsym.operators import dirac_check
 from logsym.poly import Poly
 from logsym.scalars import Scalar
-from logsym.sessions import parse_session
+from logsym.sessions import eval_in_session, parse_session
 from conftest import rand_closed_2form, rand_ctx, rand_form, rand_poly, rand_scalar
 
 T = Scalar.two_pi_i()
@@ -400,6 +400,29 @@ def test_prequantize_decides_closedness_once(monkeypatch):
     del degrees[:]
     rep = prequantize(LogForm.coframe(ctx4, "x").wedge(LogForm.coframe(ctx4, "y")).scale(z4))
     assert not rep.closed and degrees == [2]
+
+
+def test_connections_differentiate_each_form_once(monkeypatch):
+    """A connection's curvature is its one d(sigma): is_flat splits a flat
+    connection form without taking d(sigma) again (only the homotopy's
+    check d(primitive) + class == sigma differentiates), and prequantize
+    reuses the d(primitive) of its split's check as the curvature."""
+    m = parse_session((ROOT / "sessions" / "torus.lsx").read_text())
+    sigma = eval_in_session(m, "(5/2)*dlog(x) + d(x*y)")
+    degrees = []
+    real = LogForm.d
+    monkeypatch.setattr(LogForm, "d", lambda self: degrees.append(self.degree) or real(self))
+    conn = Connection1(sigma)
+    assert degrees == [1]
+    del degrees[:]
+    ok, residues = is_flat(conn)
+    assert ok and residues == [Scalar.from_rational(Fraction(5, 2)), Scalar.zero()]
+    assert degrees == [0]
+    del degrees[:]
+    rep = prequantize(m.forms["wexact"])
+    assert degrees == [2, 1]
+    assert rep.connection is not None
+    assert rep.connection.curvature == m.forms["wexact"].scale_scalar(T)
 
 
 def test_prequantize_failure_modes():
