@@ -9,9 +9,10 @@ a ``divisor poly`` session with Saito fields, a 4-variable torus chart, a
 polynomial-arena chart with both coordinates on the divisor and one
 malformed session per error class) and on a missing file, with seeded
 random arguments in text and json, plus a few usage errors per command and
-fixed regression calls (``REGRESSIONS``) that once let an exception escape.
-The argv list itself is kept in the file, so the corpus does not depend on
-this generator once it is written.
+fixed regression calls (``REGRESSIONS``): calls that once let an exception
+escape, and the evaluator's refusals of mixed kinds.  The argv list itself,
+and the stdin of a group that gives one per call, are kept in the file, so
+the corpus does not depend on this generator once it is written.
 
     python tests/golden_cli.py          # rewrite tests/golden_cli.json
     python tests/golden_cli.py --check  # name the groups whose digest changed
@@ -276,14 +277,34 @@ def _usage_calls(command, fmt, options):
     return calls
 
 
-# fixed calls that once let an exception escape main, one group each, text
-# and json together
+def _both_formats(calls):
+    return [argv + tail for argv in calls for tail in ([], ["--format", "json"])]
+
+
+# expressions whose evaluation names the kinds of its operands or reads an
+# exponent, given as --poly on a torus chart
+_KIND_TEXTS = ["2 + d(x)", "@x - 2", "2/@x", "x/(1+T)", "I/0", "(1+T)^-1", "0^-1",
+               "x^(y - y + 2)"]
+# session lines that define a number as a field or a connection
+_KIND_LINES = ["vfield v : 2", "conn c : 2"]
+
+# fixed calls, one group each, text and json together: calls that once let
+# an exception escape main, and the evaluator's texts for mixed kinds.  A
+# group whose calls read different sessions on stdin gives them in "stdin",
+# one per call.
 REGRESSIONS = [
     # u + v = 0: identity (ii)'s {u+v,a}/(u+v) has a zero denominator
     {"command": "identities", "session": "sessions/torus.lsx", "format": "text+json",
-     "calls": [["identities", "--session", "sessions/torus.lsx", "--form", "w",
-                "--u", "x", "--v=-x", "--a", "y", "--b", "x*y"] + tail
-               for tail in ([], ["--format", "json"])]},
+     "calls": _both_formats([["identities", "--session", "sessions/torus.lsx",
+                              "--form", "w", "--u", "x", "--v=-x", "--a", "y",
+                              "--b", "x*y"]])},
+    {"command": "check-divisor", "session": "-", "format": "text+json",
+     "stdin": [""] * 2 * len(_KIND_TEXTS)
+     + ["vars x y\n%s\n" % line for line in _KIND_LINES for _ in "tj"],
+     "calls": _both_formats(
+         [["check-divisor", "--session", "sessions/torus.lsx", "--poly", text]
+          for text in _KIND_TEXTS]
+         + [["check-divisor", "--session", "-", "--poly", "x"]] * len(_KIND_LINES))},
 ]
 
 
@@ -342,10 +363,11 @@ def run_call(argv, stdin: bytes):
 
 
 def digest(group) -> str:
-    stdin = STDIN.get(group["session"], "").encode("utf-8", "surrogateescape")
+    calls = group["calls"]
+    stdins = group.get("stdin", [STDIN.get(group["session"], "")] * len(calls))
     h = hashlib.sha256()
-    for argv in group["calls"]:
-        code, out, err = run_call(argv, stdin)
+    for argv, stdin in zip(calls, stdins):
+        code, out, err = run_call(argv, stdin.encode("utf-8", "surrogateescape"))
         h.update(json.dumps([argv, code, out, err]).encode("ascii"))
         h.update(b"\n")
     return h.hexdigest()
@@ -396,7 +418,7 @@ def write(groups):
              '"sessions": %s,' % json.dumps(STDIN, indent=1, sort_keys=True),
              '"groups": [']
     for n, g in enumerate(groups):
-        head = {k: g[k] for k in ("command", "session", "format")}
+        head = {k: g[k] for k in ("command", "session", "format", "stdin") if k in g}
         head["sha256"] = got[group_key(g)]
         lines.append(json.dumps(head)[:-1] + ', "calls": [')
         lines.append(",\n".join(json.dumps(a) for a in g["calls"]))
