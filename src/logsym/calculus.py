@@ -527,9 +527,9 @@ def _frame_log(omega: LogForm, frame: Sequence[LogVectorField]) -> tuple:
 def _gram_rows(omega: LogForm, logs: tuple) -> List[List[Poly]]:
     """A_{kl} = omega(frame_k, frame_l) from the frame's log components,
     evaluated above the diagonal: a 2-form gives A_{lk} = -A_{kl} and a zero
-    diagonal exactly."""
-    if omega.degree < 2:
-        raise CalculusError("cannot contract a degree-0 form")
+    diagonal exactly.  Any other degree is a CalculusError."""
+    if omega.degree != 2:
+        raise CalculusError("a Gram matrix needs a 2-form, got degree %d" % omega.degree)
     n = len(logs)
     rows = [[Poly.zero(omega.ctx)] * n for _ in range(n)]
     for k in range(n - 1):

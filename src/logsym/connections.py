@@ -284,7 +284,7 @@ def _shift_residues(conn: Connection1, shifts: List[int]) -> Tuple[Connection1, 
     curvature must not change."""
     ctx = conn.sigma.ctx
     tau_terms = {
-        (i,): Poly.constant(ctx, Scalar.from_int(s))
+        (i,): Poly.from_int(ctx, s)
         for i, s in zip(ctx.divisor, shifts) if s
     }
     out = Connection1(conn.sigma + LogForm(ctx, 1, tau_terms))

@@ -63,10 +63,6 @@ class RationalFunction:
     def from_poly(p: Poly) -> "RationalFunction":
         return RationalFunction(p, Poly.one(p.ctx), _normalized=True)
 
-    @property
-    def ctx(self):
-        return self._num.ctx
-
     def is_zero(self) -> bool:
         return self._num.is_zero()
 

@@ -57,13 +57,6 @@ class LogDiffOp1:
     def __neg__(self) -> "LogDiffOp1":
         return LogDiffOp1(-self.delta, -self.mult)
 
-    def scale(self, f: Poly) -> "LogDiffOp1":
-        """The module action f*phi (both parts scaled)."""
-        return LogDiffOp1(self.delta.scale(f), f * self.mult)
-
-    def scale_scalar(self, c: Scalar) -> "LogDiffOp1":
-        return LogDiffOp1(self.delta.scale_scalar(c), self.mult.scale(c))
-
     def commutator(self, other: "LogDiffOp1") -> "LogDiffOp1":
         """[phi1, phi2] = ([delta1, delta2], delta1(m2) - delta2(m1))."""
         return LogDiffOp1(

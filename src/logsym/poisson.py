@@ -45,7 +45,6 @@ from .context import TORUS
 from .divisors import coordinate_divisor
 from .linalg import RationalFunction
 from .poly import Poly, divides, dot
-from .scalars import Scalar
 from .sessions import print_canonical
 
 
@@ -376,5 +375,5 @@ def _dlog_unit(S: SymplecticData, u: Poly) -> LogForm:
     return LogForm(
         S.ctx,
         1,
-        {(i,): Poly.constant(S.ctx, Scalar.from_int(x)) for i, x in enumerate(e) if x},
+        {(i,): Poly.from_int(S.ctx, x) for i, x in enumerate(e) if x},
     )

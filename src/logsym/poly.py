@@ -198,7 +198,7 @@ class Poly:
 
     @staticmethod
     def from_int(ctx: VarContext, n: int) -> "Poly":
-        return Poly.constant(ctx, Scalar.from_int(n))
+        return _poly(ctx, {(0,) * (ctx.n + 1): (n, 0, 1)} if n else {})
 
     @staticmethod
     def variable(ctx: VarContext, name: str) -> "Poly":

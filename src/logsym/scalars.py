@@ -23,6 +23,7 @@ is built on decides ``scalar_gcd``.  Polynomial division does not come here:
 ``poly.divides`` divides integer images, one Gaussian integer per power of T.
 Nor does the polynomial gcd: ``poly.gcd_mv`` works on the same images, so
 ``scalar_gcd`` has no caller left in the package; it stays a public function.
+Nor do session expressions: a numeral, I or T there is a constant Poly.
 """
 
 from __future__ import annotations
@@ -193,19 +194,6 @@ class Scalar:
 
     def is_one(self) -> bool:
         return self._t == _ONE_T
-
-    def is_unit(self) -> bool:
-        """Units of QQ(i)[T, T^-1] are the nonzero single-power scalars."""
-        return len(self._t) == 1
-
-    def rational_value(self):
-        """Return the plain Fraction value when the scalar is rational at T^0, else None."""
-        if not self._t:
-            return Fraction(0)
-        v = self._t.get(0)
-        if len(self._t) != 1 or v is None or v[1]:
-            return None
-        return Fraction(v[0], v[2])
 
     def integer_times_t(self):
         """Return n when the scalar equals n*T with n a rational integer, else None."""

@@ -2,16 +2,19 @@
 
 A session is a line-oriented UTF-8 file: variable/divisor/arena declarations
 followed by named definitions (func, vfield, form, conn), with "#" comments.
-Expressions build scalars, polynomials, log vector fields and log forms from
-rationals, I, T, variables, @x basis fields, d(...) and dlog(...), with
-+ - * / ^ where ^ is wedge on forms and power elsewhere (the kinds are
-disjoint, so no ambiguity survives evaluation).  All operator chains,
-including ^, associate left.
+Expressions build functions, log vector fields and log forms from numerals,
+I, T, variables, @x basis fields, d(...) and dlog(...), with + - * / ^ where
+^ is wedge on forms and power elsewhere (the kinds are disjoint, so no
+ambiguity survives evaluation).  A numeral, I and T are constant functions
+of the session's chart, elements of its coefficient ring Q(i)[T, T^-1], so
+a value has one of three kinds.  All operator chains, including ^,
+associate left.
 
 Errors carry 1-based line/column positions.  print_canonical emits a
 deterministic text rendering with the guarantee parse(print(x)) == x for
-every value the language builds; it also prints a RationalFunction, which
-the language does not build, as (num) / (den).
+every value the language builds; it also prints a Scalar (a period, a
+residue), which reads back as the constant function, and a RationalFunction,
+which the language does not build, as (num) / (den).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ RESERVED = {
     "conn", "d", "dlog", "I", "T", "torus",
 }
 
-Value = Union[Scalar, Poly, LogVectorField, LogForm]
+Value = Union[Poly, LogVectorField, LogForm]
 
 
 class SessionError(ValueError):
@@ -233,24 +236,12 @@ def _parse_line(tokens):
 # -- evaluator --------------------------------------------------------------
 
 
-def _kind_name(v) -> str:
-    if isinstance(v, Scalar):
-        return "scalar"
+def _kind_name(v: Value) -> str:
     if isinstance(v, Poly):
         return "function"
     if isinstance(v, LogVectorField):
         return "vector field"
-    if isinstance(v, LogForm):
-        return "form (degree %d)" % v.degree
-    return type(v).__name__
-
-
-def _as_poly(v, ctx):
-    if isinstance(v, Scalar):
-        return Poly.constant(ctx, v)
-    if isinstance(v, Poly):
-        return v
-    return None
+    return "form (degree %d)" % v.degree
 
 
 class Evaluator:
@@ -262,7 +253,7 @@ class Evaluator:
         tag = node[0]
         pos = node[1]
         if tag == "num":
-            return Scalar.from_int(node[2])
+            return Poly.from_int(self.ctx, node[2])
         if tag == "ident":
             return self._lookup(pos, node[2])
         if tag == "at":
@@ -300,9 +291,9 @@ class Evaluator:
 
     def _lookup(self, pos, name):
         if name == "I":
-            return Scalar.i_unit()
+            return Poly.constant(self.ctx, Scalar.i_unit())
         if name == "T":
-            return Scalar.two_pi_i()
+            return Poly.constant(self.ctx, Scalar.two_pi_i())
         if name in self.names:
             v = self.names[name]
             if isinstance(v, Connection1):
@@ -313,9 +304,8 @@ class Evaluator:
         raise KindError(pos[0], pos[1], "unknown name %r" % name)
 
     def _d(self, pos, v):
-        p = _as_poly(v, self.ctx)
-        if p is not None:
-            return d_of_function(p)
+        if isinstance(v, Poly):
+            return d_of_function(v)
         if isinstance(v, LogForm):
             return v.d()
         raise KindError(pos[0], pos[1], "cannot differentiate a %s" % _kind_name(v))
@@ -323,19 +313,18 @@ class Evaluator:
     def _bin(self, pos, op, l, r):
         try:
             return self._combine(pos, op, l, r)
-        except (ScalarError, PolyError, CalculusError) as e:
+        except (PolyError, CalculusError) as e:
             raise KindError(pos[0], pos[1], str(e)) from None
 
     def _combine(self, pos, op, l, r):
         """l op r, or a KindError at pos naming the kinds of l and r when
         they do not combine under op.
 
-        ^ wedges two forms and otherwise raises a scalar or a function to an
-        integer power.  / multiplies by the inverse of a unit scalar or a
-        unit monomial.  A scalar is lifted to the constant function next to
-        a non-scalar for *, and next to a function for + and -; then *
-        multiplies two functions or scales a field or form by a function,
-        and + and - take two operands of one kind (forms of one degree).
+        ^ wedges two forms and otherwise raises a function to a power that
+        is a constant integer; a negative power needs a unit monomial.  /
+        multiplies by the inverse of a unit monomial.  * multiplies two
+        functions or scales a field or form by a function, and + and - take
+        two operands of one kind (forms of one degree).
         """
         if op == "^":
             if isinstance(l, LogForm) and isinstance(r, LogForm):
@@ -343,60 +332,48 @@ class Evaluator:
             k = _integer(r)
             if k is None:
                 raise KindError(*pos, "exponent must be an integer")
-            if not isinstance(l, (Scalar, Poly)):
+            if not isinstance(l, Poly):
                 raise KindError(*pos, "cannot raise a %s to a power" % _kind_name(l))
-            if k < 0 and isinstance(l, Scalar):
-                if not l.is_unit():
-                    raise KindError(*pos, "negative power of a non-unit")
-                return l.inverse() ** -k
             return l ** k
         if op == "/":
-            if isinstance(r, Scalar):
-                if not r.is_unit():
-                    raise KindError(*pos, "division by a non-invertible scalar")
-                r = r.inverse()
-            elif isinstance(r, Poly):
-                if not r.is_unit_monomial():
-                    raise KindError(*pos, "division by a non-invertible function")
-                r = r.inverse_unit()
-            else:
+            if not isinstance(r, Poly):
                 raise KindError(*pos, "cannot divide %s by %s"
                                 % (_kind_name(l), _kind_name(r)))
+            if not r.is_unit_monomial():
+                raise KindError(*pos, "division by a non-invertible function")
+            r = r.inverse_unit()
             op = "*"
         if op == "*":
-            if isinstance(l, Scalar) is not isinstance(r, Scalar):
-                if isinstance(l, Scalar):
-                    l = Poly.constant(self.ctx, l)
-                else:
-                    r = Poly.constant(self.ctx, r)
             if isinstance(r, Poly) and not isinstance(l, Poly):
                 l, r = r, l
             if isinstance(l, Poly):
                 return l * r if isinstance(r, Poly) else r.scale(l)
-            if isinstance(l, Scalar):
-                return l * r
-            # fields and forms only: nothing was lifted or swapped
+            # fields and forms only: nothing was swapped
             if isinstance(l, LogForm) and isinstance(r, LogForm):
                 raise KindError(*pos, "use ^ to wedge forms")
             raise KindError(*pos, "cannot multiply %s by %s"
                             % (_kind_name(l), _kind_name(r)))
         if type(l) is not type(r):
-            if isinstance(l, Scalar) and isinstance(r, Poly):
-                l = Poly.constant(self.ctx, l)
-            elif isinstance(l, Poly) and isinstance(r, Scalar):
-                r = Poly.constant(self.ctx, r)
-            else:
-                raise KindError(*pos, "cannot %s %s and %s" % (
-                    "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
-        elif isinstance(l, LogForm) and l.degree != r.degree:
+            raise KindError(*pos, "cannot %s %s and %s" % (
+                "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
+        if isinstance(l, LogForm) and l.degree != r.degree:
             raise KindError(*pos, "cannot %s forms of degree %d and %d" % (
                 "add" if op == "+" else "subtract", l.degree, r.degree))
         return l + r if op == "+" else l - r
 
 
-def _integer(v) -> Optional[int]:
-    e = v.rational_value() if isinstance(v, Scalar) else None
-    return int(e) if e is not None and e.denominator == 1 else None
+def _integer(v: Value) -> Optional[int]:
+    """The value of v when v is a constant function with a rational integer
+    value, else None."""
+    if not isinstance(v, Poly):
+        return None
+    t = v._t
+    if not t:
+        return 0
+    if len(t) != 1:
+        return None
+    ((e, (re, im, den)),) = t.items()
+    return re if not (any(e) or im) and den == 1 else None
 
 
 # -- session manifest -------------------------------------------------------
@@ -520,9 +497,8 @@ def parse_session(text: str) -> SessionManifest:
     names: Dict[str, Value] = {}
     if div_expr is not None:
         lineno, node = div_expr
-        ev = Evaluator(ctx, names)
-        h = _as_poly(ev.eval(node), ctx)
-        if h is None or h.is_zero():
+        h = Evaluator(ctx, names).eval(node)
+        if not isinstance(h, Poly) or h.is_zero():
             raise KindError(lineno, 1, "divisor poly must be a nonzero function")
         m.divisor_poly = h
 
@@ -539,24 +515,23 @@ def parse_session(text: str) -> SessionManifest:
     return m
 
 
-def _coerce_def(kind: str, v, ctx: VarContext):
+def _coerce_def(kind: str, v: Value, ctx: VarContext):
     """v as a value of kind (func, vfield, form or conn), or None when v is
-    not one.  A scalar is a constant function, a function is a 0-form, and a
-    zero function is also the zero field and the zero connection.  Session
-    definitions and CLI arguments both go through this one rule."""
-    p = _as_poly(v, ctx)
+    not one.  A function is a 0-form, and a zero function is also the zero
+    field and the zero connection.  Session definitions and CLI arguments
+    both go through this one rule."""
     if kind == "func":
-        return p
-    if kind == "form":
-        if p is not None:
-            return LogForm.function(p)
-        return v if isinstance(v, LogForm) else None
-    if p is not None:
-        if not p.is_zero():
+        return v if isinstance(v, Poly) else None
+    if isinstance(v, Poly):
+        if kind == "form":
+            return LogForm.function(v)
+        if not v.is_zero():
             return None
         v = LogVectorField.zero(ctx) if kind == "vfield" else LogForm.zero(ctx, 1)
     if kind == "vfield":
         return v if isinstance(v, LogVectorField) else None
+    if kind == "form":
+        return v if isinstance(v, LogForm) else None
     return Connection1(v) if isinstance(v, LogForm) and v.degree == 1 else None
 
 

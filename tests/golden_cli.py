@@ -299,8 +299,9 @@ REGRESSIONS = [
                               "--form", "w", "--u", "x", "--v=-x", "--a", "y",
                               "--b", "x*y"]])},
     {"command": "check-divisor", "session": "-", "format": "text+json",
+     # the text and the json call of a pair read one session
      "stdin": [""] * 2 * len(_KIND_TEXTS)
-     + ["vars x y\n%s\n" % line for line in _KIND_LINES for _ in "tj"],
+     + ["vars x y\n%s\n" % line for line in _KIND_LINES for _ in range(2)],
      "calls": _both_formats(
          [["check-divisor", "--session", "sessions/torus.lsx", "--poly", text]
           for text in _KIND_TEXTS]

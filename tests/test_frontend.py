@@ -9,6 +9,7 @@ error) and the precedence rules that were easy to get wrong by hand:
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,14 @@ from hypothesis import strategies as st
 from logsym.calculus import CalculusError, LogForm, LogVectorField
 from logsym.cli import main
 from logsym.poly import Poly, PolyError
-from logsym.scalars import Scalar, ScalarError
+from logsym.scalars import Scalar
 from logsym.sessions import (
     MAX_NESTING,
     Evaluator,
     KindError,
     ParseError,
     SessionError,
-    _as_poly,
+    _coerce_def,
     _kind_name,
     _tokenize,
     eval_in_session,
@@ -93,13 +94,13 @@ def test_precedence():
     # unary minus binds looser than ^
     assert eval_in_session(m, "-x^2") == -(x * x)
     assert eval_in_session(m, "(-x)^2") == x * x
-    # ^ associates left, including in towers; scalar-only input stays scalar
-    assert eval_in_session(m, "2^3^2") == Scalar.from_int(64)
+    # ^ associates left, including in towers; numerals are constant functions
+    assert eval_in_session(m, "2^3^2") == Poly.from_int(m.ctx, 64)
     # exponents may carry their own sign
-    assert eval_in_session(m, "2^-1") == Scalar.from_int(2).inverse()
+    assert eval_in_session(m, "2^-1") == Poly.constant(m.ctx, Scalar.from_rational(Fraction(1, 2)))
     assert eval_in_session(m, "2*x^2") == x * x + x * x
-    assert eval_in_session(m, "1 - 2 - 3") == Scalar.from_int(-4)
-    assert eval_in_session(m, "12/3/2") == Scalar.from_int(2)
+    assert eval_in_session(m, "1 - 2 - 3") == Poly.from_int(m.ctx, -4)
+    assert eval_in_session(m, "12/3/2") == Poly.from_int(m.ctx, 2)
 
 
 def test_laurent_power_evaluation():
@@ -114,7 +115,7 @@ def test_wedge_via_power_operator():
     m = parse_session(BASE)
     w = eval_in_session(m, "d(x)^dlog(y)")
     assert w == m.forms["w"]
-    # form*form is reserved for scalars; the message points at ^
+    # form*form is refused; the message points at ^
     with pytest.raises(KindError):
         eval_in_session(m, "w * w")
     with pytest.raises(KindError):
@@ -205,9 +206,6 @@ def _round_trip(m, obj):
     if isinstance(obj, LogForm) and obj.degree == 0:
         # degree-0 forms print as their coefficient and come back as one
         obj = obj.coefficient(())
-    if isinstance(back, Scalar) and isinstance(obj, Poly):
-        # variable-free text evaluates at the scalar level
-        back = Poly.constant(m.ctx, back)
     assert back == obj, text
     assert print_canonical(back) == text
     return text
@@ -354,9 +352,14 @@ def test_numeral_past_digit_limit_is_a_parse_error(digit_limit):
 # -- the combine rule against the per-operator reference --------------------
 
 
+def _as_poly(v):
+    """v when it is a function, else None: the reference's one lift."""
+    return v if isinstance(v, Poly) else None
+
+
 class _ReferenceEvaluator(Evaluator):
     """The evaluator with one dispatch method per operator, each with its own
-    kind ladder; a function times a scalar on the right is refused here."""
+    kind ladder."""
 
     def _bin(self, pos, op, l, r):
         try:
@@ -367,13 +370,11 @@ class _ReferenceEvaluator(Evaluator):
             if op == "/":
                 return self._div(pos, l, r)
             return self._pow(pos, l, r)
-        except (ScalarError, PolyError, CalculusError) as e:
+        except (PolyError, CalculusError) as e:
             raise KindError(pos[0], pos[1], str(e)) from None
 
     def _addsub(self, pos, op, l, r):
-        if isinstance(l, Scalar) and isinstance(r, Scalar):
-            return l + r if op == "+" else l - r
-        lp, rp = _as_poly(l, self.ctx), _as_poly(r, self.ctx)
+        lp, rp = _as_poly(l), _as_poly(r)
         if lp is not None and rp is not None:
             return lp + rp if op == "+" else lp - rp
         if isinstance(l, LogVectorField) and isinstance(r, LogVectorField):
@@ -387,11 +388,9 @@ class _ReferenceEvaluator(Evaluator):
             "add" if op == "+" else "subtract", _kind_name(l), _kind_name(r)))
 
     def _mul(self, pos, l, r):
-        if isinstance(l, Scalar) and isinstance(r, Scalar):
-            return l * r
-        if isinstance(r, (Scalar, Poly)) and not isinstance(l, (Scalar, Poly)):
+        if isinstance(r, Poly) and not isinstance(l, Poly):
             l, r = r, l
-        lp = _as_poly(l, self.ctx)
+        lp = _as_poly(l)
         if lp is not None:
             if isinstance(r, Poly):
                 return lp * r
@@ -403,22 +402,11 @@ class _ReferenceEvaluator(Evaluator):
                         % (_kind_name(l), _kind_name(r)))
 
     def _div(self, pos, l, r):
-        if isinstance(r, Scalar):
-            if not r.is_unit():
-                raise KindError(pos[0], pos[1], "division by a non-invertible scalar")
-            inv = r.inverse()
-            if isinstance(l, Scalar):
-                return l * inv
-            if isinstance(l, Poly):
-                return l.scale(inv)
-            if isinstance(l, LogVectorField):
-                return l.scale(Poly.constant(self.ctx, inv))
-            return l.scale_scalar(inv)
         if isinstance(r, Poly):
             if not r.is_unit_monomial():
                 raise KindError(pos[0], pos[1], "division by a non-invertible function")
             inv = r.inverse_unit()
-            lp = _as_poly(l, self.ctx)
+            lp = _as_poly(l)
             return lp * inv if lp is not None else l.scale(inv)
         raise KindError(pos[0], pos[1], "cannot divide %s by %s"
                         % (_kind_name(l), _kind_name(r)))
@@ -426,16 +414,14 @@ class _ReferenceEvaluator(Evaluator):
     def _pow(self, pos, l, r):
         if isinstance(l, LogForm) and isinstance(r, LogForm):
             return l.wedge(r)
-        e = r.rational_value() if isinstance(r, Scalar) else None
-        if e is None or e.denominator != 1:
+        # an integer exponent is a constant function with one rational
+        # integer term at T^0, or zero
+        c = r.as_constant() if isinstance(r, Poly) else None
+        t = {} if c is None else dict(c.terms)
+        re, im = t.pop(0, (0, 0))
+        if c is None or t or im or Fraction(re).denominator != 1:
             raise KindError(pos[0], pos[1], "exponent must be an integer")
-        k = int(e)
-        if isinstance(l, Scalar):
-            if k < 0:
-                if not l.is_unit():
-                    raise KindError(pos[0], pos[1], "negative power of a non-unit")
-                return l.inverse() ** (-k)
-            return l ** k
+        k = int(re)
         if isinstance(l, Poly):
             return l ** k
         raise KindError(pos[0], pos[1], "cannot raise a %s to a power" % _kind_name(l))
@@ -450,8 +436,9 @@ COMBINE_SESSIONS = [
     "vars x y\ndivisor poly x*y*(x + y)\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
     "vfield e1 : y*@y\nfunc f1 : x\n",
 ]
-# every kind: scalars (zero, units, a non-unit), functions (units and not),
-# fields, and forms of degree 1, 2 and 3 (the last one zero)
+COMBINE_IDS = ("torus", "poly", "divisor-poly")
+# every kind: constant functions (zero, units, a non-unit), other functions
+# (units and not), fields, and forms of degree 1, 2 and 3 (the last one zero)
 COMBINE_ATOMS = ["0", "2", "1/2", "I", "T", "1 + T", "x", "y", "x*y", "x + 1",
                  "y^-1", "f1", "@x", "x*@y", "e1", "d(x)", "dlog(y)", "x*d(y)",
                  "d(x)^d(y)", "w", "s", "d(x)^d(y)^d(x)", "0*d(x)", "y*dlog(x)"]
@@ -465,29 +452,67 @@ def _outcome(ev, op, l, r):
     return type(v).__name__, v
 
 
-@pytest.mark.parametrize("text", COMBINE_SESSIONS, ids=("torus", "poly", "divisor-poly"))
-def test_combine_rule_matches_reference(text):
-    m = parse_session(text)
-    atoms = []
+def _combine_atoms(m):
+    """The COMBINE_ATOMS that evaluate in the session m, by their text."""
+    atoms = {}
     for a in COMBINE_ATOMS:
         try:
-            atoms.append(eval_in_session(m, a))
-        except KindError:  # y^-1 and dlog(y) off the torus arena
+            atoms[a] = eval_in_session(m, a)
+        except KindError:  # y^-1 and the dlogs off the torus arena
             pass
+    return atoms
+
+
+@pytest.mark.parametrize("text", COMBINE_SESSIONS, ids=COMBINE_IDS)
+def test_values_have_three_kinds(text):
+    """A numeral, I and T evaluate to constant functions of the session's
+    chart, so every value the evaluator returns is a function, a vector
+    field or a form."""
+    m = parse_session(text)
+    atoms = _combine_atoms(m)
+    assert set(COMBINE_ATOMS) - set(atoms) <= {"y^-1", "dlog(y)", "y*dlog(x)"}
+    for a, v in atoms.items():
+        assert type(v) in (Poly, LogVectorField, LogForm), a
+    ctx = m.ctx
+    assert atoms["0"] == Poly.zero(ctx)
+    assert atoms["2"] == Poly.one(ctx) + Poly.one(ctx)
+    assert atoms["1/2"] == Poly.constant(ctx, Scalar.from_rational(Fraction(1, 2)))
+    assert atoms["I"] == Poly.constant(ctx, Scalar.from_rational(0, 1))
+    assert atoms["T"] == Poly.constant(ctx, Scalar.two_pi_i())
+    assert atoms["1 + T"] == Poly.one(ctx) + atoms["T"]
+
+
+@pytest.mark.parametrize("text", COMBINE_SESSIONS, ids=COMBINE_IDS)
+def test_combine_rule_matches_reference(text):
+    m = parse_session(text)
+    atoms = list(_combine_atoms(m).values())
     names = {**m.funcs, **m.vfields, **m.forms, **m.conns}
     ev, ref = Evaluator(m.ctx, names), _ReferenceEvaluator(m.ctx, names)
-    right_scalar = 0
     for op in "+-*/^":
         for l in atoms:
             for r in atoms:
                 got, want = _outcome(ev, op, l, r), _outcome(ref, op, l, r)
-                if want == ("error", "cannot multiply function by scalar"):
-                    # now a product, equal to the scalar-on-the-left one
-                    assert got == _outcome(ev, op, r, l), (op, l, r)
-                    right_scalar += 1
-                else:
-                    assert got == want, (op, l, r)
-    assert right_scalar > 0
+                assert got == want, (op, l, r)
+                assert got[0] in ("error", "Poly", "LogVectorField", "LogForm")
+
+
+def test_coerce_def_takes_each_kind_by_one_rule():
+    """A definition of a kind takes a value of that kind; a function is also
+    a 0-form, and the zero function also the zero field and connection."""
+    m = parse_session(BASE)
+    ctx = m.ctx
+    values = {text: eval_in_session(m, text)
+              for text in ("2", "0", "x", "@x", "d(x)", "w")}
+    taken = {(kind, text) for kind in ("func", "vfield", "form", "conn")
+             for text, v in values.items() if _coerce_def(kind, v, ctx) is not None}
+    assert taken == {("func", "2"), ("func", "0"), ("func", "x"),
+                     ("vfield", "0"), ("vfield", "@x"),
+                     ("form", "2"), ("form", "0"), ("form", "x"), ("form", "d(x)"),
+                     ("form", "w"), ("conn", "0"), ("conn", "d(x)")}
+    assert _coerce_def("form", values["x"], ctx) == LogForm.function(values["x"])
+    assert _coerce_def("vfield", values["0"], ctx) == LogVectorField.zero(ctx)
+    assert _coerce_def("conn", values["0"], ctx).sigma == LogForm.zero(ctx, 1)
+    assert _coerce_def("conn", values["d(x)"], ctx).sigma == values["d(x)"]
 
 
 def test_scalar_on_the_right_of_a_function():

@@ -375,6 +375,23 @@ def test_nondegeneracy_is_decided_once(monkeypatch):
         hamiltonian(S, x)
 
 
+def test_gram_determinant_needs_a_2_form():
+    """Only a 2-form has a Gram matrix: a form of any other degree is refused
+    with its degree named, not answered with an all-zero matrix and a
+    "degenerate" verdict."""
+    ctx = make_context(["x", "y", "z", "w"], ["x", "y", "z", "w"], "torus")
+    x, y, z, w = (LogForm.coframe(ctx, v) for v in ctx.names)
+    frame = calculus.log_frame(ctx)
+    for form in (LogForm.function(Poly.one(ctx)), x, x.wedge(y).wedge(z),
+                 x.wedge(y).wedge(z).wedge(w)):
+        with pytest.raises(CalculusError) as e:
+            calculus.gram_determinant(form, frame, calculus.FRAME_LOG)
+        assert str(e.value) == "a Gram matrix needs a 2-form, got degree %d" % form.degree
+    rows, det, nondeg = calculus.gram_determinant(
+        x.wedge(y) + z.wedge(w), frame, calculus.FRAME_LOG)
+    assert nondeg and det == Poly.one(ctx)
+
+
 def test_hamiltonian_matches_gram_solve():
     for maker, count in ((_chart_a, 30), (_chart_b, 30), (_chart_c, 12)):
         ctx, S = maker()
