@@ -8,9 +8,10 @@ path), on fixed sessions read from stdin (the two sessions of ROADMAP item 1,
 a ``divisor poly`` session with Saito fields, a 4-variable torus chart, a
 polynomial-arena chart with both coordinates on the divisor and one
 malformed session per error class) and on a missing file, with seeded
-random arguments in text and json, plus a few usage errors per command and
-fixed regression calls (``REGRESSIONS``): calls that once let an exception
-escape, and the evaluator's refusals of mixed kinds.  The argv list itself,
+random arguments in text and json (a few of them of the wrong kind), plus
+a few usage errors per command and fixed regression calls
+(``REGRESSIONS``): calls that once let an exception escape, and the
+evaluator's refusals of mixed kinds.  The argv list itself,
 and the stdin of a group that gives one per call, are kept in the file, so
 the corpus does not depend on this generator once it is written.
 
@@ -231,6 +232,19 @@ _MAKERS = {
     "vfield": _vfield, "fields": _fields, "tau": _tau,
 }
 
+
+def _form_or_field(rng, pool):
+    return rng.choice((_one_form, _vfield))(rng, pool)
+
+
+# a share WRONG_KIND of function and connection options get a value of
+# another kind: a form or a field where a function is wanted, a function
+# where a connection is, so a slip in the rule that coerces an argument shows
+WRONG_KIND = 0.1
+_WRONG = {key: _form_or_field for key, make in _MAKERS.items()
+          if make in (_func, _unit_monomial)}
+_WRONG["conn"] = _func
+
 # commands whose --form is a form of any degree, not a 2-form
 _ANY_DEGREE = {"class", "primitive"}
 # commands that want one option of a pair, mostly given alone
@@ -251,6 +265,8 @@ def _argv(rng, command, session, fmt, options, pool):
         if key == "form":
             value = (_any_form if command in _ANY_DEGREE else
                      _one_form if command == "residues" else _two_form)(rng, pool)
+        elif key in _WRONG and rng.random() < WRONG_KIND:
+            value = _WRONG[key](rng, pool)
         else:
             value = _MAKERS[key](rng, pool)
         argv += ["--" + key, value]
