@@ -10,8 +10,9 @@ polynomial-arena chart with both coordinates on the divisor and one
 malformed session per error class) and on a missing file, with seeded
 random arguments in text and json (a few of them of the wrong kind), plus
 a few usage errors per command and fixed regression calls
-(``REGRESSIONS``): calls that once let an exception escape, and the
-evaluator's refusals of mixed kinds.  The argv list itself,
+(``REGRESSIONS``): calls that once let an exception escape, the
+evaluator's refusals of mixed kinds, forms past the top degree and unit
+divisors.  The argv list itself,
 and the stdin of a group that gives one per call, are kept in the file, so
 the corpus does not depend on this generator once it is written.
 
@@ -304,10 +305,24 @@ _KIND_TEXTS = ["2 + d(x)", "@x - 2", "2/@x", "x/(1+T)", "I/0", "(1+T)^-1", "0^-1
 # session lines that define a number as a field or a connection
 _KIND_LINES = ["vfield v : 2", "conn c : 2"]
 
+# a 2-dimensional chart whose d(w) and d(x)^d(y)^d(x) lie past the top
+# degree, and a 1-dimensional one whose curvature does
+_TOP = "vars x y\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n"
+_LINE = "vars x\ndivisor coords x\nconn c : x*dlog(x)\n"
+
+
+def _on_stdin(command, text, options):
+    """A group of calls of command, one per option list, in text and json,
+    every call reading the session text on stdin."""
+    calls = _both_formats([[command, "--session", "-"] + o for o in options])
+    return {"command": command, "session": "-", "format": "text+json",
+            "stdin": [text] * len(calls), "calls": calls}
+
+
 # fixed calls, one group each, text and json together: calls that once let
-# an exception escape main, and the evaluator's texts for mixed kinds.  A
-# group whose calls read different sessions on stdin gives them in "stdin",
-# one per call.
+# an exception escape main, the evaluator's texts for mixed kinds, forms past
+# the top degree and unit divisors.  A group whose calls read different
+# sessions on stdin gives them in "stdin", one per call.
 REGRESSIONS = [
     # u + v = 0: identity (ii)'s {u+v,a}/(u+v) has a zero denominator
     {"command": "identities", "session": "sessions/torus.lsx", "format": "text+json",
@@ -322,6 +337,15 @@ REGRESSIONS = [
          [["check-divisor", "--session", "sessions/torus.lsx", "--poly", text]
           for text in _KIND_TEXTS]
          + [["check-divisor", "--session", "-", "--poly", "x"]] * len(_KIND_LINES))},
+    _on_stdin("check-logsymplectic", _TOP,
+              [["--form", "d(w)"], ["--form", "d(x)^d(y)^d(x)"]]),
+    _on_stdin("periods", _TOP, [["--form", "w + d(w)"]]),
+    _on_stdin("class", _TOP, [["--form", "d(w)"]]),
+    _on_stdin("curvature", _LINE, [["--conn", "c"]]),
+    # a unit h cuts the empty divisor
+    {"command": "check-divisor", "session": "sessions/torus.lsx", "format": "text+json",
+     "calls": _both_formats([["check-divisor", "--session", "sessions/torus.lsx",
+                              "--poly", h] for h in ("3", "T")])},
 ]
 
 
