@@ -48,7 +48,6 @@ from .scalars import (
     _gadd,
     _gdiv,
     _gmul,
-    _gsub,
     _power,
     _red,
     _scalar,
@@ -290,23 +289,7 @@ class Poly:
         return _poly(self.ctx, {e: (-a, -b, d) for e, (a, b, d) in self._t.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if other.ctx is not self.ctx:
-            self.ctx.check_same(other.ctx)
-        y = other._t
-        if not y:
-            return self
-        t = dict(self._t)
-        for e, v in y.items():
-            u = t.get(e)
-            if u is None:
-                t[e] = (-v[0], -v[1], v[2])
-                continue
-            w = _gsub(u, v)
-            if w is None:
-                del t[e]
-            else:
-                t[e] = w
-        return _poly(self.ctx, t)
+        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if other.ctx is not self.ctx:
@@ -334,18 +317,7 @@ class Poly:
         return _poly(self.ctx, {add(e1, e2): _gmul(v1, v2) for e2, v2 in y.items()})
 
     def scale(self, c: Scalar) -> "Poly":
-        s = c._t
-        if len(s) != 1:
-            z = (0,) * self.ctx.n
-            return _poly(self.ctx, _product(self._t, {z + (k,): w for k, w in s.items()}))
-        ((k, w),) = s.items()
-        if k:
-            return _poly(self.ctx, {
-                e[:-1] + (e[-1] + k,): _gmul(v, w) for e, v in self._t.items()
-            })
-        if w == _ONE:
-            return self
-        return _poly(self.ctx, {e: _gmul(v, w) for e, v in self._t.items()})
+        return self * Poly.constant(self.ctx, c)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:

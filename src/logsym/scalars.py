@@ -61,17 +61,6 @@ def _gadd(u, v):
     return _red(re, im, d) if re or im else None
 
 
-def _gsub(u, v):
-    """u - v, or None when the difference is zero."""
-    a, b, d = u
-    c, f, e = v
-    if d == e:
-        re, im = a - c, b - f
-    else:
-        re, im, d = a * e - c * d, b * e - f * d, d * e
-    return _red(re, im, d) if re or im else None
-
-
 def _gmul(u, v):
     # (a+bi)(c+fi) with i^2 = -1; Z[i] has no zero divisors, so never zero
     a, b, d = u
