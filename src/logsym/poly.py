@@ -270,8 +270,6 @@ class Poly:
             return other
         if not y:
             return self
-        if len(y) > len(x):
-            x, y = y, x
         t = dict(x)
         for e, v in y.items():
             u = t.get(e)
@@ -351,8 +349,6 @@ class Poly:
 
     def mul_var_power(self, i: int, k: int) -> "Poly":
         """Multiply by z_i^k (k may be negative only where the arena allows)."""
-        if k == 0:
-            return self
         t = {}
         for e, v in self._t.items():
             x = e[i] + k

@@ -114,10 +114,7 @@ def _scalar(t):
 
 
 def _times_int(u, n):
-    """n * u for a canonical triple u and a nonzero int n; u itself when n
-    is 1."""
-    if n == 1:
-        return u
+    """n * u for a canonical triple u and a nonzero int n."""
     return _red(u[0] * n, u[1] * n, u[2])
 
 
