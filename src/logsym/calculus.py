@@ -173,13 +173,15 @@ class LogForm:
     """Exterior form of fixed degree in the log coframe.
 
     terms maps a sorted index tuple I (|I| = degree) to a nonzero Poly
-    coefficient; the form is sum_I c_I e^I.
+    coefficient; the form is sum_I c_I e^I.  The degree is any integer
+    >= 0: past the chart dimension a form has no cells, so it is zero, and
+    it keeps its degree.
     """
 
     __slots__ = ("ctx", "degree", "terms")
 
     def __init__(self, ctx: VarContext, degree: int, terms: Optional[Dict[IndexSet, Poly]] = None):
-        if not 0 <= degree <= ctx.n:
+        if degree < 0:
             raise CalculusError("degree %d out of range" % degree)
         self.ctx = ctx
         self.degree = degree
@@ -271,8 +273,6 @@ class LogForm:
     def wedge(self, other: "LogForm") -> "LogForm":
         self.ctx.check_same(other.ctx)
         deg = self.degree + other.degree
-        if deg > self.ctx.n:
-            return _form(self.ctx, self.ctx.n, {})  # identically zero beyond top degree
         terms: Dict[IndexSet, Poly] = {}
         for I, c in self.terms.items():
             for J, d in other.terms.items():
@@ -294,8 +294,6 @@ class LogForm:
     def d(self) -> "LogForm":
         """Exterior derivative.  The coframe is closed, so d(c e^I) = dc wedge e^I,
         with dc = sum_{i in S} (z_i dc/dz_i) e^i + sum_{j not in S} (dc/dz_j) e^j."""
-        if self.degree >= self.ctx.n:
-            return _form(self.ctx, min(self.degree + 1, self.ctx.n), {})
         terms: Dict[IndexSet, Poly] = {}
         for I, c in self.terms.items():
             for i in range(self.ctx.n):
@@ -349,9 +347,6 @@ class LogForm:
         """Lie derivative via Cartan: i_delta d + d i_delta."""
         if self.degree == 0:
             return self.d().interior(delta)
-        if self.degree == self.ctx.n:
-            # d of a top-degree form vanishes identically
-            return self.interior(delta).d()
         return self.d().interior(delta) + self.interior(delta).d()
 
     def evaluate(self, fields: Sequence[LogVectorField]) -> Poly:
@@ -417,7 +412,7 @@ def d_of_function(f: Poly) -> LogForm:
         dc = f.log_partial(i) if ctx.is_divisor_index(i) else f.partial(i)
         if not dc.is_zero():
             terms[(i,)] = dc
-    return _form(ctx, min(1, ctx.n), terms)
+    return _form(ctx, 1, terms)
 
 
 def res_const(eta: LogForm):

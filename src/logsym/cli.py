@@ -169,9 +169,8 @@ def cmd_check_divisor(m, args):
     ncd, coords = is_coordinate_ncd(h)
     lines = ["reduced" if ok else "repeated factor: %s" % print_canonical(witness)]
     if ncd:
-        lines.append(
-            "normal crossing: %s" % "*".join(m.ctx.names[i] for i in coords)
-        )
+        names = "*".join(m.ctx.names[i] for i in coords)
+        lines.append("normal crossing: %s" % (names or "none, h is a unit"))
     payload = {
         "reduced": ok,
         "witness": None if ok else print_canonical(witness),

@@ -697,7 +697,8 @@ def form_text(f: LogForm) -> str:
             continue
         pieces.extend(_coeff_times(c, _cell_text(ctx, I)))
     if not pieces:
-        return "0*" + _cell_text(ctx, tuple(range(f.degree)))
+        # the first coordinates in order, wrapping round past the top degree
+        return "0*" + _cell_text(ctx, [i % ctx.n for i in range(f.degree)])
     return _join_signed(pieces)
 
 

@@ -65,6 +65,14 @@ def test_check_divisor(capsys):
     assert code == 1
     assert lines(out) == ["repeated factor: x"]
 
+    # a unit cuts the empty divisor, which the text names
+    for h in ("3", "T"):
+        code, out, _ = run(capsys, "check-divisor", "--session", EXACT, "--poly", h)
+        assert (code, lines(out)) == (0, ["reduced", "normal crossing: none, h is a unit"])
+        code, out, _ = run(capsys, "check-divisor", "--session", EXACT, "--poly", h,
+                           "--format", "json")
+        assert json.loads(out)["coords"] == []
+
 
 def test_check_saito_free(capsys):
     code, out, _ = run(capsys, "check-saito", "--session", SAITO,
@@ -139,6 +147,11 @@ def test_check_logsymplectic(capsys, monkeypatch):
         code, out, err = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
                                    "--session", "-", "--fields", fields)
         assert (code, out, err) == (2, "", "error: a frame needs 2 fields, got %d\n" % got)
+
+    # a 3-form past the top degree is not taken for a 2-form
+    code, out, err = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
+                               "--session", "-", "--form", "d(x)^d(y)^d(x)")
+    assert (code, out, err) == (2, "", "error: --form must be a 2-form\n")
 
 
 def test_hamiltonian_and_brackets(capsys):

@@ -238,8 +238,28 @@ def test_round_trip_random_values():
             assert "@" in text
             continue
         else:
-            obj = rand_form(m.ctx, rng, rng.randint(0, m.ctx.n), deg=2, cells=2)
+            # past the top degree a form is zero and keeps its degree
+            obj = rand_form(m.ctx, rng, rng.randint(0, m.ctx.n + 2), deg=2, cells=2)
         _round_trip(m, obj)
+
+
+def test_forms_past_the_top_degree_keep_their_degree():
+    """d of a top-degree form, a wedge past the top degree and the curvature
+    of a 1-dimensional connection are zero forms of the degree they have:
+    they print as such and read back, and a sum with a form of another
+    degree is refused."""
+    m = parse_session("vars x y\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n")
+    for text in ("d(w)", "d(x)^d(y)^d(x)"):
+        v = eval_in_session(m, text)
+        assert v == LogForm.zero(m.ctx, 3)
+        assert _round_trip(m, v) == "0*dlog(x)^dlog(y)^dlog(x)"
+    with pytest.raises(KindError) as e:
+        eval_in_session(m, "w + d(w)")
+    assert e.value.message == "cannot add forms of degree 2 and 3"
+    line = parse_session("vars x\ndivisor coords x\nconn c : x*dlog(x)\n")
+    curvature = line.conns["c"].curvature
+    assert curvature == LogForm.zero(line.ctx, 2)
+    assert _round_trip(line, curvature) == "0*dlog(x)^dlog(x)"
 
 
 def test_zero_values_print_readably():

@@ -231,7 +231,9 @@ def test_shape_errors():
     ctx = make_context(["x", "y"], [], "poly")
     x = Poly.variable(ctx, "x")
     with pytest.raises(CalculusError):
-        LogForm(ctx, 3)
+        LogForm(ctx, -1)
+    with pytest.raises(CalculusError):
+        LogForm(ctx, 3, {(0, 1, 1): x})
     with pytest.raises(CalculusError):
         LogForm(ctx, 1, {(0, 1): x})
     with pytest.raises(CalculusError):
@@ -242,6 +244,20 @@ def test_shape_errors():
         LogForm.function(x).interior(LogVectorField.coordinate(ctx, "x"))
     with pytest.raises(CalculusError):
         LogForm.coframe(ctx, "x").evaluate([])
+
+
+def test_forms_past_the_top_degree_keep_their_degree():
+    """Past the chart dimension a form has no cells: wedge and d give the
+    zero form of the degree they produce, not one clamped to the dimension,
+    and the Lie derivative of a top-degree form is d i_delta."""
+    ctx = make_context(["x", "y"], ["y"], POLY)
+    x = Poly.variable(ctx, "x")
+    top = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(x)
+    assert top.d() == LogForm(ctx, 3)
+    assert top.wedge(LogForm.coframe(ctx, "x")) == LogForm(ctx, 3)
+    assert top.wedge(top) == LogForm(ctx, 4)
+    for delta in log_frame(ctx):
+        assert top.lie(delta) == top.interior(delta).d()
 
 
 def _revalidated(obj):
@@ -323,7 +339,7 @@ def test_d_of_function_is_d_of_the_0_form():
     """d_of_function builds d(f) directly; it is LogForm.function(f).d() on
     seeded polynomials in both arenas, with Laurent exponents on divisor
     coordinates and with coordinates off the divisor, and on a chart with
-    no coordinates."""
+    no coordinates, where d(f) is the zero 1-form."""
     rng = random.Random(131)
     laurent = off_divisor = 0
     for arena in (POLY, TORUS):
@@ -337,7 +353,7 @@ def test_d_of_function_is_d_of_the_0_form():
     empty = make_context([], [])
     for c in (Scalar.zero(), Scalar.from_int(3)):
         f = Poly.constant(empty, c)
-        assert d_of_function(f) == LogForm.function(f).d()
+        assert d_of_function(f) == LogForm.function(f).d() == LogForm.zero(empty, 1)
 
 
 def test_log_components_are_kept_and_handed_out_fresh():
