@@ -688,7 +688,7 @@ def _cell_text(ctx: VarContext, I) -> str:
 
 def form_text(f: LogForm) -> str:
     ctx = f.ctx
-    if f.degree == 0:
+    if f.degree == 0 or not ctx.n:  # no coordinate to name a cell with
         return poly_text(f.coefficient(()))
     pieces = []
     for I in sorted(f.terms):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from logsym.calculus import CalculusError, LogForm, LogVectorField
 from logsym.cli import main
+from logsym.context import make_context
 from logsym.poly import Poly, PolyError
 from logsym.scalars import Scalar
 from logsym.sessions import (
@@ -270,6 +271,8 @@ def test_zero_values_print_readably():
 
     assert print_canonical(LogVectorField.zero(m.ctx)) == "0*@x"
     assert print_canonical(LogForm.zero(m.ctx, 2)) == "0*d(x)^dlog(y)"
+    # a chart with no coordinates has no cell to print
+    assert print_canonical(LogForm.zero(make_context([]), 1)) == "0"
 
 
 @settings(max_examples=300, deadline=None)

@@ -630,8 +630,8 @@ def test_products_and_derivatives_match_the_double_loop():
 
 
 def test_subtraction_is_adding_the_negation():
-    """a - b walks b once; it equals a + (-b) in both arenas, for zero and
-    equal operands too, and leaves both operands' tables as they were."""
+    """a - b is a + (-b) in both arenas, for zero and equal operands too,
+    and leaves both operands' tables as they were."""
     rng = random.Random(216)
     for arena in (POLY, TORUS):
         for _ in range(150):
