@@ -11,8 +11,9 @@ malformed session per error class) and on a missing file, with seeded
 random arguments in text and json (a few of them of the wrong kind), plus
 a few usage errors per command and fixed regression calls
 (``REGRESSIONS``): calls that once let an exception escape, the
-evaluator's refusals of mixed kinds, forms past the top degree and unit
-divisors.  The argv list itself,
+evaluator's refusals of mixed kinds, forms past the top degree, unit
+divisors, and the verdicts on coordinate divisors that the ring deciding
+them changes (ROADMAP items 1 and 19).  The argv list itself,
 and the stdin of a group that gives one per call, are kept in the file, so
 the corpus does not depend on this generator once it is written.
 
@@ -314,14 +315,35 @@ _LINE = "vars x\ndivisor coords x\nconn c : x*dlog(x)\n"
 def _on_stdin(command, text, options):
     """A group of calls of command, one per option list, in text and json,
     every call reading the session text on stdin."""
-    calls = _both_formats([[command, "--session", "-"] + o for o in options])
+    return _cases(command, [(text, o) for o in options])
+
+
+def _cases(command, cases):
+    """A group of calls of command, one text and one json call per
+    (session, options) case; a session that is not a path to a .lsx file is
+    its text, read on stdin."""
+    calls, stdin = [], []
+    for session, options in cases:
+        path = session if session.endswith(".lsx") else "-"
+        calls += _both_formats([[command, "--session", path] + options])
+        stdin += ["" if path != "-" else session] * 2
     return {"command": command, "session": "-", "format": "text+json",
-            "stdin": [text] * len(calls), "calls": calls}
+            "stdin": stdin, "calls": calls}
+
+
+# ROADMAP items 1 and 19: log frames on coordinate divisors, whose det is a
+# unit on U and may not be one along D, and the arena that once picked one
+_COORDS_Y = "vars x y\ndivisor coords y\nform w : d(x)^d(y)\n"
+_POLE_U = "vars u v\ndivisor coords u v\nform w : -u^-1*dlog(u)^dlog(v)\n"
+_ALONG = [(_COORDS_Y, []), (_POLE_U, []), ("sessions/exact.lsx", ["--form", "w"]),
+          ("sessions/torus.lsx", ["--form", "w"])]
+_PLANE_XY = "vars x y\ndivisor poly x*y\nform w : d(x)^d(y)\n"
+_IDENTITY_ARGS = ["--u", "x", "--v", "y", "--a", "x", "--b", "y"]
 
 
 # fixed calls, one group each, text and json together: calls that once let
 # an exception escape main, the evaluator's texts for mixed kinds, forms past
-# the top degree and unit divisors.  A group whose calls read different
+# the top degree, unit divisors and the ring a verdict is decided in.  A group whose calls read different
 # sessions on stdin gives them in "stdin", one per call.
 REGRESSIONS = [
     # u + v = 0: identity (ii)'s {u+v,a}/(u+v) has a zero denominator
@@ -337,15 +359,26 @@ REGRESSIONS = [
          [["check-divisor", "--session", "sessions/torus.lsx", "--poly", text]
           for text in _KIND_TEXTS]
          + [["check-divisor", "--session", "-", "--poly", "x"]] * len(_KIND_LINES))},
-    _on_stdin("check-logsymplectic", _TOP,
-              [["--form", "d(w)"], ["--form", "d(x)^d(y)^d(x)"]]),
+    _cases("check-logsymplectic",
+           [(_TOP, ["--form", "d(w)"]), (_TOP, ["--form", "d(x)^d(y)^d(x)"])]
+           + _ALONG),
+    _cases("prequantize", _ALONG),
+    # @x is not logarithmic along x*y in the polynomial ring
+    _cases("check-saito", [("vars x y\ndivisor coords x y\n", ["--fields", "@x,y*@y"])]),
+    # x is no member of the ideal of x*y, with or without an arena line
+    _cases("singbracket", [(_PLANE_XY, ["--f", "x", "--g", "x*y"]),
+                           ("arena torus\n" + _PLANE_XY, ["--f", "x", "--g", "x*y"])]),
+    # an arena line on a coordinate divisor
+    _cases("identities", [("arena poly\n" + _TOP, _IDENTITY_ARGS),
+                          ("arena torus\n" + _TOP, _IDENTITY_ARGS)]),
     _on_stdin("periods", _TOP, [["--form", "w + d(w)"]]),
     _on_stdin("class", _TOP, [["--form", "d(w)"]]),
     _on_stdin("curvature", _LINE, [["--conn", "c"]]),
-    # a unit h cuts the empty divisor
+    # a unit h cuts the empty divisor; x^2*y has a repeated factor x, and
+    # x^-1*y is no polynomial
     {"command": "check-divisor", "session": "sessions/torus.lsx", "format": "text+json",
      "calls": _both_formats([["check-divisor", "--session", "sessions/torus.lsx",
-                              "--poly", h] for h in ("3", "T")])},
+                              "--poly", h] for h in ("3", "T", "x^2*y", "x^-1*y")])},
 ]
 
 
