@@ -22,7 +22,7 @@ from logsym.sessions import print_canonical
 
 
 def main():
-    ctx = make_context(["x", "y", "z"], [], "poly")
+    ctx = make_context(["x", "y", "z"], [])
     x, y, z = (Poly.variable(ctx, n) for n in "xyz")
     two = Poly.from_int(ctx, 2)
 
@@ -55,7 +55,7 @@ def main():
     print("(freeness without weights: the interesting case)")
 
     # contrast: a weighted homogeneous cusp
-    ctx2 = make_context(["x", "y"], [], "poly")
+    ctx2 = make_context(["x", "y"], [])
     cusp = Poly.variable(ctx2, "x") ** 3 + Poly.variable(ctx2, "y") ** 2
     weights, degree = weighted_homogeneous(cusp)
     print("contrast  x^3 + y^2: weights %s, degree %d" % (weights, degree))

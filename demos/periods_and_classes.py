@@ -30,7 +30,7 @@ T = Scalar.two_pi_i()
 
 
 def main():
-    ctx = make_context(["x", "y"], ["x", "y"], "torus")
+    ctx = make_context(["x", "y"], ["x", "y"])
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
 

@@ -22,7 +22,7 @@ T = Scalar.two_pi_i()
 
 
 def main():
-    ctx = make_context(["x", "y"], ["y"], "torus")
+    ctx = make_context(["x", "y"], ["y"])
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
     print("omega =", print_canonical(w))

@@ -31,7 +31,7 @@ from .connections import (
     periods,
     prequantize,
 )
-from .context import POLY, TORUS, VarContext, make_context
+from .context import VarContext, make_context
 from .divisors import (
     SaitoResult,
     check_squarefree,
@@ -78,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scalar", "scalar_gcd", "Poly", "divides", "gcd_mv",
-    "VarContext", "make_context", "POLY", "TORUS",
+    "VarContext", "make_context",
     "RationalFunction", "det_poly", "solve_linear", "solve_linear_poly",
     "LogForm", "LogVectorField", "SymplecticData", "DegenerateError",
     "assemble_symplectic", "d_of_function", "log_frame", "res_const",

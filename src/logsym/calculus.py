@@ -9,15 +9,13 @@ coframe is closed, so the exterior derivative of a form is just the
 derivative of its coefficients wedged in.
 
 The dual log frame is xi_i = z_i*d/dz_i for i in S and d/dz_j otherwise;
-<e^i, xi_j> is the Kronecker pairing.  A plain-frame field converts to log
-components exactly when its divisor-coordinate coefficients are divisible by
-the matching z_i, which is the chart-level meaning of "logarithmic along the
-coordinate divisor".
+<e^i, xi_j> is the Kronecker pairing.  The chart's ring inverts every z_i in
+S, so every plain-frame field has log components.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .context import VarContext
 from .linalg import det_poly
@@ -108,27 +106,13 @@ class LogVectorField:
         )
 
     def log_components(self) -> List[Poly]:
-        """Components against the log frame (xi_i = z_i d/dz_i on S, d/dz_j off S).
-
-        Raises CalculusError when a divisor-coordinate coefficient is not
-        divisible by its z_i, i.e. the field is not logarithmic along the
-        coordinate divisor.  The components are computed once per field;
-        each call returns a new list of them.
-        """
+        """Components against the log frame (xi_i = z_i d/dz_i on S, d/dz_j
+        off S): the @z_i coefficient divided by the unit z_i on S.  They are
+        computed once per field; each call returns a new list of them."""
         if self._log is None:
-            out = []
-            for i, a in enumerate(self.coeffs):
-                if not self.ctx.is_divisor_index(i):
-                    out.append(a)
-                    continue
-                try:
-                    out.append(a.mul_var_power(i, -1))
-                except PolyError:
-                    raise CalculusError(
-                        "field is not logarithmic along %s: its @%s coefficient"
-                        " is not divisible by %s" % ((self.ctx.names[i],) * 3)
-                    ) from None
-            self._log = tuple(out)
+            self._log = tuple(
+                a.mul_var_power(i, -1) if self.ctx.is_divisor_index(i) else a
+                for i, a in enumerate(self.coeffs))
         return list(self._log)
 
     def __repr__(self):
@@ -540,10 +524,28 @@ def gram_determinant(
 ) -> Tuple[List[List[Poly]], Poly, bool]:
     """The Gram matrix of omega on frame, its determinant and whether omega
     is nondegenerate there: on the log frame the determinant must be a unit
-    of the arena ring (unit monomial in the torus arena, unit constant in the
-    polynomial arena), on a Saito-type frame a nonzero constant.  A frame
-    has one field per coordinate."""
+    of the chart's ring (a unit monomial in the divisor coordinates), on a
+    Saito-type frame a nonzero constant.  A frame has one field per
+    coordinate."""
     return _gram(omega, frame, frame_kind)[1:]
+
+
+class AlongDivisor(NamedTuple):
+    """along_divisor's verdict, the det and the first pole's coordinate."""
+    holds: bool
+    det: Poly
+    pole: Optional[int]
+
+
+def along_divisor(rows: List[List[Poly]], det: Poly) -> AlongDivisor:
+    """Whether a log-frame Gram matrix (rows, det from gram_determinant) is
+    nondegenerate along D, not only on U: the entries and det lie in the
+    polynomial ring, and det is a unit (is_unit_monomial) there."""
+    for p in [a for row in rows for a in row] + [det]:
+        i = p.pole()
+        if i is not None:
+            return AlongDivisor(False, det, i)
+    return AlongDivisor(det.in_polynomial_ring().is_unit_monomial(), det, None)
 
 
 def _gram(omega: LogForm, frame: Sequence[LogVectorField], frame_kind: str):

@@ -18,6 +18,7 @@ from .calculus import (
     FRAME_SAITO,
     CalculusError,
     DegenerateError,
+    along_divisor,
     assemble_symplectic,
     gram_determinant,
     log_frame,
@@ -155,6 +156,17 @@ def _pair_name(ctx, pair) -> str:
     return "T_{%s,%s}" % (ctx.names[pair[0]], ctx.names[pair[1]])
 
 
+def _along_divisor(ctx, along):
+    """The along-D lines and json keys of an AlongDivisor, none for None."""
+    if along is None:
+        return [], {}
+    pole = None if along.pole is None else ctx.names[along.pole]
+    det = print_canonical(along.det)
+    why = "pole in %s" % pole if pole else "det = %s, polynomial ring" % det
+    return ["along D: %s (%s)" % ("yes" if along.holds else "no", why)], {
+        "along_divisor": {"holds": along.holds, "det": det, "pole": pole}}
+
+
 def _shifts_text(shifts) -> str:
     return ", ".join(("+" if s >= 0 else "") + number_text(s) for s in shifts)
 
@@ -212,19 +224,21 @@ def cmd_check_logsymplectic(m, args):
         kind = FRAME_SAITO
     else:
         frame, kind = log_frame(m.ctx), FRAME_LOG
-    _, det, nondeg = gram_determinant(w, frame, kind)
+    rows, det, nondeg = gram_determinant(w, frame, kind)
+    along, keys = _along_divisor(m.ctx, along_divisor(rows, det)
+                                 if kind == FRAME_LOG and m.ctx.divisor else None)
     lines = [
         "closed: %s" % ("yes" if closed else "no"),
         "nondegenerate: %s (det = %s, %s frame)"
         % ("yes" if nondeg else "no", print_canonical(det), kind),
-    ]
+    ] + along
     code = 0 if (closed and nondeg) else 1
-    return code, {
+    return code, dict({
         "closed": closed,
         "nondegenerate": nondeg,
         "det": print_canonical(det),
         "frame": kind,
-    }, lines
+    }, **keys), lines
 
 
 def cmd_hamiltonian(m, args):
@@ -480,9 +494,11 @@ def cmd_prequantize(m, args):
     w = _two_form(m, args.form)
     rep = prequantize(w, m.divisor_poly)
     ctx = m.ctx
+    along, keys = _along_divisor(ctx, rep.along)
     lines = [
         "closed: %s" % ("yes" if rep.closed else "no"),
         "nondegenerate: %s" % ("yes" if rep.nondegenerate else "no"),
+    ] + along + [
         "even dimension: %s (n = %d)" % ("yes" if rep.even_dim else "no", ctx.n),
     ]
     for pair, p in rep.periods:
@@ -527,6 +543,7 @@ def cmd_prequantize(m, args):
         "obstruction": rep.obstruction,
         "note": rep.lct_caveat,
         "prequantizable": verdict,
+        **keys,
     }
     return (0 if verdict else 1), payload, lines
 

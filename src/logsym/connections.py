@@ -25,14 +25,16 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .calculus import (
     FRAME_LOG,
+    AlongDivisor,
     CalculusError,
     LogForm,
     LogVectorField,
+    along_divisor,
     gram_determinant,
     log_frame,
     res_const,
 )
-from .context import TORUS, VarContext
+from .context import VarContext
 from .divisors import is_coordinate_ncd, weighted_homogeneous
 from .poly import Poly
 from .scalars import Scalar
@@ -242,8 +244,6 @@ def normalize_residues(conn: Connection1) -> Tuple[Connection1, List[int]]:
     multiples of the log coframe are closed.
     """
     ctx = conn.sigma.ctx
-    if ctx.arena != TORUS:
-        raise PrequantError("residue normalization lives in the torus arena")
     ok, data = res_const(conn.sigma)
     if not ok:
         raise NonconstantResidueError(ctx, *data)
@@ -299,6 +299,7 @@ def _shift_residues(conn: Connection1, shifts: List[int]) -> Tuple[Connection1, 
 class PrequantReport(NamedTuple):
     closed: bool
     nondegenerate: bool
+    along: Optional[AlongDivisor]  # None without divisor coordinates
     even_dim: bool
     periods: List[Tuple[Tuple[int, int], Scalar]]
     integral: Optional[bool]
@@ -322,7 +323,8 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     """Run the full chart-level pipeline on a candidate log 2-form.
 
     Checks closedness, nondegeneracy (log-frame Gram determinant a unit of the
-    arena), even chart dimension, periods and their integrality, then splits
+    chart's ring, and along D by along_divisor with divisor coordinates),
+    even chart dimension, periods and their integrality, then splits
     T*omega into class + d(primitive).  d(omega) is taken once, by periods;
     the split does not test T*omega again, and the d(primitive) its check
     took is the connection's curvature.  When the class part vanishes the
@@ -336,7 +338,7 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     if omega.degree != 2:
         raise PrequantError("prequantization wants a 2-form")
     even = ctx.n % 2 == 0
-    _, _, nondeg = gram_determinant(omega, log_frame(ctx), FRAME_LOG)
+    rows, det, nondeg = gram_determinant(omega, log_frame(ctx), FRAME_LOG)
     period_list: List[Tuple[Tuple[int, int], Scalar]] = []
     integral: Optional[bool] = None
     witness = None
@@ -389,6 +391,7 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     return PrequantReport(
         closed=closed,
         nondegenerate=nondeg,
+        along=along_divisor(rows, det) if ctx.divisor else None,
         even_dim=even,
         periods=period_list,
         integral=integral,

@@ -1,20 +1,17 @@
 """Shared coordinate context for polynomials, forms and vector fields.
 
 Every algebraic object in the package carries a :class:`VarContext` naming the
-coordinates, marking which of them cut out the divisor at hand, and fixing the
-*arena*: ``"poly"`` for honest polynomial exponents, ``"torus"`` when the
-divisor coordinates may also appear with negative exponents (functions on the
-complement of a normal-crossing divisor in a torus chart).  Mixing objects
-from different contexts is always a bug, so operations check compatibility
-eagerly.
+coordinates and marking which of them cut out the divisor at hand.  The
+chart's ring inverts exactly the divisor coordinates, so on a coordinate
+divisor it is the ring of functions on the complement U; a question about
+a polynomial is asked in the chart's polynomial ring (:meth:`VarContext.polynomial`).
+Mixing objects from different contexts is always a bug, so operations check
+compatibility eagerly.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
-
-POLY = "poly"
-TORUS = "torus"
 
 
 class ContextError(ValueError):
@@ -22,42 +19,35 @@ class ContextError(ValueError):
 
 
 class VarContext:
-    """Coordinate names, the sorted indices of the divisor coordinates and
-    the arena; equal and hashed by those three, and never changed after it
-    is built."""
+    """Coordinate names and the sorted indices of the divisor coordinates;
+    equal and hashed by those two, and never changed after it is built."""
 
-    __slots__ = ("names", "divisor", "arena", "_index")
+    __slots__ = ("names", "divisor", "_index")
 
-    def __init__(self, names: Tuple[str, ...], divisor: Tuple[int, ...] = (),
-                 arena: str = POLY):
+    def __init__(self, names: Tuple[str, ...], divisor: Tuple[int, ...] = ()):
         if len(set(names)) != len(names):
             raise ContextError("duplicate variable names: %r" % (names,))
         for name in names:
             if not name.isidentifier():
                 raise ContextError("bad variable name %r" % name)
-        if arena not in (POLY, TORUS):
-            raise ContextError("unknown arena %r" % arena)
         div = tuple(sorted(set(divisor)))
         for i in div:
             if not 0 <= i < len(names):
                 raise ContextError("divisor index %d out of range" % i)
         self.names = names
         self.divisor = div
-        self.arena = arena
         self._index = {n: i for i, n in enumerate(names)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarContext) and (
-            (self.names, self.divisor, self.arena)
-            == (other.names, other.divisor, other.arena)
+            (self.names, self.divisor) == (other.names, other.divisor)
         )
 
     def __hash__(self):
-        return hash((self.names, self.divisor, self.arena))
+        return hash((self.names, self.divisor))
 
     def __repr__(self):
-        return "VarContext(names=%r, divisor=%r, arena=%r)" % (
-            self.names, self.divisor, self.arena)
+        return "VarContext(names=%r, divisor=%r)" % (self.names, self.divisor)
 
     @property
     def n(self) -> int:
@@ -72,9 +62,11 @@ class VarContext:
     def is_divisor_index(self, i: int) -> bool:
         return i in self.divisor
 
-    def laurent_ok(self, i: int) -> bool:
-        """Whether coordinate i may carry negative exponents."""
-        return self.arena == TORUS and i in self.divisor
+    laurent_ok = is_divisor_index  # a divisor coordinate is inverted
+
+    def polynomial(self) -> "VarContext":
+        """The chart's polynomial ring: none inverted (self if none is)."""
+        return VarContext(self.names) if self.divisor else self
 
     def check_same(self, other: "VarContext"):
         if self is not other and self != other:
@@ -83,14 +75,15 @@ class VarContext:
             )
 
     def describe(self) -> str:
-        return "vars=(%s) divisor={%s} arena=%s" % (
+        return "vars=(%s) divisor={%s}" % (
             ", ".join(self.names),
             ", ".join(self.names[i] for i in self.divisor),
-            self.arena,
         )
 
 
-def make_context(names, divisor_names=(), arena: str = POLY) -> VarContext:
+def make_context(names, divisor_names=(), arena=None) -> VarContext:
+    """arena is only for perfbench/workloads.py, which passes "torus" with
+    divisor coordinates and "poly" without, until that file changes."""
     names = tuple(names)
     idx = {n: i for i, n in enumerate(names)}
     div = []
@@ -98,4 +91,7 @@ def make_context(names, divisor_names=(), arena: str = POLY) -> VarContext:
         if d not in idx:
             raise ContextError("divisor variable %r not among %r" % (d, names))
         div.append(idx[d])
-    return VarContext(names, tuple(div), arena)
+    if arena not in (None, "poly", "torus") or arena == "poly" and div:
+        raise ContextError("a chart inverts its divisor coordinates: arena %r "
+                           "with divisor %r" % (arena, tuple(divisor_names)))
+    return VarContext(names, tuple(div))

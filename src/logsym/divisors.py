@@ -2,10 +2,10 @@
 logarithmicity of derivations, Saito's freeness criterion and weighted
 homogeneity.
 
-Everything here works with the raw plain-frame coefficient rows of vector
-fields against an explicit defining polynomial h, independent of the coframe
-machinery: Saito's criterion is literally a determinant identity det = c*h,
-and logarithmicity is the membership delta(h) in (h).
+Everything here works with the plain-frame coefficient rows of vector fields
+against an explicit defining polynomial h, in the chart's polynomial ring:
+Saito's criterion is literally a determinant identity det = c*h, and
+logarithmicity is the membership delta(h) in (h).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence
 
-from .calculus import LogVectorField
-from .context import VarContext
+from .calculus import LogVectorField, _field
 from .linalg import det_poly
 from .poly import Poly, divides, gcd_mv
 from .scalars import Scalar
@@ -32,10 +31,11 @@ def check_squarefree(h: Poly):
     being repeated.)
 
     Returns (True, None) or (False, witness) where the witness is that joint
-    gcd, a repeated factor of h.
+    gcd, a repeated factor of h, both in the polynomial ring.
     """
     if h.is_zero():
         raise DivisorError("zero polynomial")
+    h = h.in_polynomial_ring()
     g = h
     for i in range(h.ctx.n):
         d = h.partial(i)
@@ -50,13 +50,21 @@ def check_squarefree(h: Poly):
 def is_logarithmic(delta: LogVectorField, h: Poly):
     """Whether delta preserves the principal ideal (h): delta(h) = g*h.
 
-    Returns (True, g) or (False, remainder witness).  For a principal ideal
-    this single membership is equivalent to delta(u) in (u) for every u in
-    (h), by the Leibniz rule.
+    Returns (True, g) or (False, remainder witness), in the polynomial
+    ring.  For a principal ideal this single membership is equivalent to
+    delta(u) in (u) for every u in (h), by the Leibniz rule.
     """
     delta.ctx.check_same(h.ctx)
-    val = delta.apply(h)
-    return divides(h, val)
+    h = h.in_polynomial_ring()
+    return divides(h, _polynomial_field(delta).apply(h))
+
+
+def _polynomial_field(delta: LogVectorField) -> LogVectorField:
+    """delta in the polynomial ring, as Poly.in_polynomial_ring moves a poly."""
+    if not delta.ctx.divisor:
+        return delta
+    return _field(delta.ctx.polynomial(),
+                  tuple(c.in_polynomial_ring() for c in delta.coeffs))
 
 
 class SaitoResult(NamedTuple):
@@ -71,12 +79,14 @@ def saito_check(fields: Sequence[LogVectorField], h: Poly) -> SaitoResult:
     nonzero constant times h.
 
     Raises DivisorError when some field is not logarithmic (the criterion's
-    hypothesis); otherwise returns the determinant and, if it matches c*h,
-    the constant certificate.
+    hypothesis); otherwise returns the determinant, in the polynomial ring,
+    and, if it matches c*h, the constant certificate.
     """
     ctx = h.ctx
     if len(fields) != ctx.n:
         raise DivisorError("need exactly %d fields, got %d" % (ctx.n, len(fields)))
+    h = h.in_polynomial_ring()
+    fields = [_polynomial_field(delta) for delta in fields]
     for k, delta in enumerate(fields):
         ok, _ = is_logarithmic(delta, h)
         if not ok:
@@ -88,15 +98,6 @@ def saito_check(fields: Sequence[LogVectorField], h: Poly) -> SaitoResult:
         if c is not None and not c.is_zero():
             return SaitoResult(True, det, c)
     return SaitoResult(False, det, None)
-
-
-def coordinate_divisor(ctx: VarContext) -> Poly:
-    """The product of the divisor coordinates of ctx (1 when there are none):
-    the defining equation of the coordinate normal crossing."""
-    h = Poly.one(ctx)
-    for i in ctx.divisor:
-        h = h * Poly.variable(ctx, ctx.names[i])
-    return h
 
 
 def is_coordinate_ncd(h: Poly):

@@ -103,7 +103,7 @@ def _normalize_fraction(num: Poly, den: Poly):
     """A denominator that divides the numerator (a unit always does) leaves
     the quotient over 1.  Otherwise both are divided by their gcd, which
     leaves a non-unit denominator; its Laurent-monomial factor (a unit of the
-    torus arena) moves into the numerator, and both are scaled so the
+    chart's ring) moves into the numerator, and both are scaled so the
     denominator's leading scalar has unit part 1."""
     ok, q = divides(den, num)
     if ok:

@@ -41,8 +41,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_function
-from .context import TORUS
-from .divisors import coordinate_divisor
 from .linalg import RationalFunction
 from .poly import Poly, divides, dot
 from .sessions import print_canonical
@@ -80,7 +78,7 @@ def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
     coefficients, a poly.dot per row; where the structure keeps
     frame_entries (there was no Poisson tensor), each product row k is
     divided by det exactly and weights frame_k.  what names the field in
-    the error raised when some quotient is not in the arena ring."""
+    the error raised when some quotient is not in the chart's ring."""
     divide = S.frame_entries is not None
     terms = alpha.terms
     zero = Poly.zero(S.ctx)
@@ -93,7 +91,7 @@ def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
         ok, q = divides(S.det_cert, v)
         if not ok:
             raise PoissonError(
-                "%s component %d leaves the arena ring: (%s) / (%s)"
+                "%s component %d leaves the chart's ring: (%s) / (%s)"
                 % (what, k, print_canonical(v), print_canonical(S.det_cert))
             )
         if not q.is_zero():
@@ -104,32 +102,19 @@ def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
 
 def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
     """Membership of u in the divisor ideal, in the sense the singular bracket
-    needs: in the torus arena a unit times a monomial vanishing on some
-    divisor component (nonnegative exponents, at least one positive, support
-    inside the divisor coordinates); in the polynomial arena literal
-    divisibility by h.  A constant h cuts out no divisor, so its ideal has
-    no members here."""
-    if u.is_zero():
-        return False
-    if S.ctx.arena == TORUS:
-        return (
-            u.is_unit_monomial()
-            and not u.is_constant()
-            and min(u.leading()[0]) >= 0
-        )
-    if h is None:
-        h = coordinate_divisor(S.ctx)
-    if h.is_constant():
-        return False
-    ok, _ = divides(h, u)
-    return ok
+    needs: with divisor coordinates, a unit monomial with nonnegative
+    exponents, one positive; without, divisibility by the declared equation
+    h, where no h or a constant one has no members."""
+    if S.ctx.divisor:
+        return u.is_unit_monomial() and not u.is_constant() and min(u.leading()[0]) >= 0
+    return not (u.is_zero() or h is None or h.is_constant()) and divides(h, u)[0]
 
 
 def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
     ok, q = divides(den, num)
     if not ok:
         raise PoissonError(
-            "%s does not stay in the arena ring: %s"
+            "%s does not stay in the chart's ring: %s"
             % (what, print_canonical(RationalFunction(num, den)))
         )
     return q
@@ -198,10 +183,9 @@ def tilde_hamiltonian(
     S: SymplecticData, u: Poly, delta_u: Optional[LogVectorField] = None
 ) -> LogVectorField:
     """The field with i_delta omega = du/u, for u a monomial (any nonzero
-    coefficient) supported on the divisor coordinates, in either arena: the
-    u whose du/u is a log form, as _dlog_unit decides.  du/u needs no
-    inverse of u, so x^n on the divisor of the polynomial arena has a tilde
-    field although it is not a unit there.
+    coefficient) supported on the divisor coordinates: the u whose du/u is
+    a log form, as _dlog_unit decides.  du/u needs no inverse of u, so
+    (1 + T)*x on the divisor has a tilde field although it is not a unit.
 
     Also asserts the relation delta_u = u * tilde(delta_u); delta_u is the
     Hamiltonian field of u when the caller already holds it."""
@@ -296,8 +280,8 @@ def verify_identities(
     """Compute both sides of the five structural identities exactly.
 
     u, v must be monomials with support in the divisor coordinates, so that
-    du/u and dv/v are log forms and their tilde fields exist, in either
-    arena (a PoissonError at identity (i) otherwise), and u + v != 0 (a
+    du/u and dv/v are log forms and their tilde fields exist (a
+    PoissonError at identity (i) otherwise), and u + v != 0 (a
     PoissonError at identity (ii) otherwise); a, b arbitrary.
     Identity (i) takes s = {u,v}/(uv), which lies in the ring for such u
     and v.  Ten Hamiltonian fields are made and certified, and eight
@@ -315,8 +299,8 @@ def verify_identities(
     # s = {u,v}/(uv); by linearity i_X omega is the certified
     # d({u,v}) - uv*d(s).  The singular bracket's quotient is s when u and v
     # are divisor-ideal members, and names a quotient that leaves the ring
-    # as sing_bracket does; a unit monomial off the ideal, such as x^-1 in
-    # the torus arena, gets {u,v}/(uv) once du/u and dv/v exist
+    # as sing_bracket does; a unit monomial off the ideal, such as x^-1 on
+    # the divisor, gets {u,v}/(uv) once du/u and dv/v exist
     in_u, in_v = _ideal_member(S, u), _ideal_member(S, v)
     s = _sing_quotient(u, v, in_u, in_v, buv)
     dlog_u, dlog_v = _dlog_unit(S, u), _dlog_unit(S, v)
@@ -362,16 +346,15 @@ def verify_identities(
 
 
 def _dlog_unit(S: SymplecticData, u: Poly) -> LogForm:
-    """du/u for a monomial u (any nonzero coefficient, either arena) with
-    support in the divisor coordinates, as a constant-coefficient log
-    1-form."""
+    """du/u for a monomial u (any nonzero coefficient) with support in the
+    divisor coordinates, as a constant-coefficient log 1-form."""
     monomials = u.monomials()
     if len(monomials) != 1:
         raise PoissonError("du/u needs a monomial, got %s" % print_canonical(u))
     (e,) = monomials
     for i, x in enumerate(e):
         if x and not S.ctx.is_divisor_index(i):
-            raise PoissonError("du/u leaves the arena for u = %s" % print_canonical(u))
+            raise PoissonError("du/u leaves the chart's ring for u = %s" % print_canonical(u))
     return LogForm(
         S.ctx,
         1,

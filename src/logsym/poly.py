@@ -9,11 +9,10 @@ of :mod:`.scalars` (``den > 0``, ``gcd(re, im, den) == 1``, never zero) and
 entries that cancel are removed, so equality is plain table equality.  The
 ring operations work entry by entry on these triples, with no
 :class:`Scalar` object per coefficient; the ``terms`` view regroups the
-table as ``{e: Scalar}`` when read.  In the ``poly`` arena all z-exponents
-are >= 0; in the ``torus`` arena the divisor coordinates may carry negative
-exponents, which is what makes Hamiltonian vector fields of torus symplectic
-forms land back in the same ring.  The power of T may have either sign in
-both arenas.
+table as ``{e: Scalar}`` when read.  Only the divisor coordinates may
+carry negative exponents (the chart's ring), which is what makes
+Hamiltonian vector fields of torus symplectic forms land back in the same
+ring.  The power of T may have either sign.
 
 Exponent keys are added and subtracted only by _key_add[n] and
 _key_sub[n], written out once per key arity n.  A sum of products
@@ -29,8 +28,8 @@ exact division on integer images in Z[i][z, T] (the coefficient ring
 QQ(i)[T, T^-1] is not a field, so coefficient divisibility is part of the
 test), and returns the quotient or a nonzero remainder witness.  An image
 is the table with its denominators cleared and a monomial taken out: for
-:func:`divides` the lowest powers that are units (of T, and in the torus
-arena of the divisor coordinates), for :func:`gcd_mv` the lowest power of
+:func:`divides` the lowest powers that are units (of T and of the divisor
+coordinates), for :func:`gcd_mv` the lowest power of
 every place.  :func:`gcd_mv` has one algorithm, the heuristic gcd on these
 images, and the same division certifies its answer at every level.
 """
@@ -41,7 +40,7 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional, Tuple
 
-from .context import TORUS, VarContext
+from .context import VarContext
 from .scalars import (
     _ONE,
     Scalar,
@@ -70,7 +69,7 @@ _new = object.__new__
 
 def _poly(ctx: VarContext, t: dict) -> "Poly":
     """A Poly over a flat table already valid in ctx (keys of n z-exponents
-    legal in its arena and a T-power, canonical nonzero triples), skipping
+    legal in its ring and a T-power, canonical nonzero triples), skipping
     the checks of Poly.__init__, which stay for callers from outside."""
     p = _new(Poly)
     p.ctx = ctx
@@ -158,7 +157,7 @@ class Poly:
                 for i, x in enumerate(e):
                     if x < 0 and not ctx.laurent_ok(i):
                         raise PolyError(
-                            "negative exponent on %s outside the torus arena"
+                            "negative exponent on %s, which is not inverted"
                             % ctx.names[i]
                         )
                 for k, v in c._t.items():
@@ -243,12 +242,8 @@ class Poly:
         return min(e[i] for e in self._t)
 
     def is_unit_monomial(self) -> bool:
-        """True when the poly is unit * monomial (invertible in its arena).
-
-        In the torus arena a single term c*T^k*z^e with the support of e
-        inside the divisor coordinates is invertible; in the poly arena only
-        the constants c*T^k are.
-        """
+        """True when the poly is a unit of its ring: one term c*T^k*z^e,
+        the support of e inside the divisor coordinates."""
         if len(self._t) != 1:
             return False
         (e,) = self._t
@@ -256,9 +251,20 @@ class Poly:
 
     def inverse_unit(self) -> "Poly":
         if not self.is_unit_monomial():
-            raise PolyError("not an invertible monomial in this arena")
+            raise PolyError("not a unit of the chart's ring")
         ((e, v),) = self._t.items()
         return _poly(self.ctx, {tuple(-x for x in e): _gdiv(_ONE, v)})
+
+    def pole(self) -> Optional[int]:
+        """The first divisor coordinate with a negative exponent, or None."""
+        return next((i for i in self.ctx.divisor if self.min_degree_in(i) < 0), None)
+
+    def in_polynomial_ring(self) -> "Poly":
+        """The poly in ctx.polynomial() (itself if that is ctx); a pole is a PolyError."""
+        i = self.pole()
+        if i is not None:
+            raise PolyError("not in the polynomial ring: pole in %s" % self.ctx.names[i])
+        return _poly(self.ctx.polynomial(), self._t) if self.ctx.divisor else self
 
     # -- ring operations ---------------------------------------------------
 
@@ -348,14 +354,14 @@ class Poly:
         })
 
     def mul_var_power(self, i: int, k: int) -> "Poly":
-        """Multiply by z_i^k (k may be negative only where the arena allows)."""
+        """Multiply by z_i^k (k may be negative only where z_i is inverted)."""
         t = {}
         for e, v in self._t.items():
             x = e[i] + k
             if x < 0 and not self.ctx.laurent_ok(i):
                 raise PolyError(
-                    "z_%s^%d pushes exponents negative outside the torus arena"
-                    % (self.ctx.names[i], k)
+                    "z_%s^%d pushes exponents negative, and %s is not inverted"
+                    % (self.ctx.names[i], k, self.ctx.names[i])
                 )
             t[e[:i] + (x,) + e[i + 1:]] = v
         return _poly(self.ctx, t)
@@ -386,8 +392,8 @@ def divides(g: Poly, f: Poly):
     Returns (True, q) with f == q*g, or (False, r) with r != 0 and g | f - r.
     A unit monomial g (1 among them) divides everything, and the quotient is
     f * g^-1.  Any other g is decided on images in Z[i][z, T] (see _image):
-    the ring is Z[i][z, T] with the nonzero Gaussian integers, T and (in the
-    torus arena) the divisor coordinates inverted, and the primitive part of
+    the ring is Z[i][z, T] with the nonzero Gaussian integers, T and the
+    divisor coordinates inverted, and the primitive part of
     g's image has none of these as a factor, so by Gauss's lemma it divides
     f's image in Z[i][z, T] exactly when g divides f.  A refusal returns the
     remainder where the division of the images stopped, times f's unit.
@@ -424,14 +430,11 @@ def exact_quotient(f: Poly, g: Poly) -> Poly:
 
 def _strip_laurent(f: Poly):
     """Factor f = z^m * f0 with f0 of minimum degree 0 in every divisor
-    coordinate of a torus arena, where z^m is a unit.  No other coordinate
-    carries a negative exponent, and nothing else is stripped: in the poly
-    arena f0 is f.  Returns (m, f0).
-    """
+    coordinate, where z^m is a unit; nothing else is stripped, so without
+    divisor coordinates f0 is f.  Returns (m, f0)."""
     shifts = [0] * f.ctx.n
-    if f.ctx.arena == TORUS:
-        for i in f.ctx.divisor:
-            shifts[i] = f.min_degree_in(i)
+    for i in f.ctx.divisor:
+        shifts[i] = f.min_degree_in(i)
     if not any(shifts):
         return shifts, f
     s = shifts + [0]
@@ -448,9 +451,9 @@ def gcd_mv(a: Poly, b: Poly) -> Poly:
     z^min(a, b) is put back, since gcd(z^a*F, z^b*G) = z^min(a, b)*gcd(F, G):
     _heu would otherwise evaluate xi^a for a monomial factor z^a.  What is
     left differs from the gcd by a unit of the ring, Z[i][z, T] with the
-    nonzero Gaussian integers, T and (in the torus arena) the divisor
-    coordinates inverted, which _normalize_gcd fixes.  A zero input gives
-    the other input, normalised.
+    nonzero Gaussian integers, T and the divisor coordinates inverted,
+    which _normalize_gcd fixes.  A zero input gives the other input,
+    normalised.
     """
     a.ctx.check_same(b.ctx)
     if a.is_zero():
@@ -481,15 +484,14 @@ def _image(f: Poly, shift: Optional[Exp] = None):
     """(image, shift, den) for a nonzero f = z^shift * image / den, the last
     place of shift being the power of T and den the lcm of the denominators,
     so the image lies in Z[i][z, T].  The default shift is the lowest power
-    of each place whose powers are units: T and, in the torus arena, the
-    divisor coordinates (the Laurent shift of _strip_laurent)."""
+    of each place whose powers are units: T and the divisor coordinates
+    (the Laurent shift of _strip_laurent)."""
     t = f._t
     if shift is None:
         ctx = f.ctx
         shift = [0] * ctx.n + [min(e[-1] for e in t)]
-        if ctx.arena == TORUS:
-            for i in ctx.divisor:
-                shift[i] = min(e[i] for e in t)
+        for i in ctx.divisor:
+            shift[i] = min(e[i] for e in t)
     den = 1
     for _, _, d in t.values():
         den = lcm(den, d)

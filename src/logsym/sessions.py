@@ -1,6 +1,6 @@
 """Session files and the expression language.
 
-A session is a line-oriented UTF-8 file: variable/divisor/arena declarations
+A session is a line-oriented UTF-8 file: variable and divisor declarations
 followed by named definitions (func, vfield, form, conn), with "#" comments.
 Expressions build functions, log vector fields and log forms from numerals,
 I, T, variables, @x basis fields, d(...) and dlog(...), with + - * / ^ where
@@ -27,15 +27,14 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .calculus import CalculusError, LogForm, LogVectorField, d_of_function
 from .connections import Connection1
-from .context import POLY, TORUS, ContextError, VarContext, make_context
-from .divisors import coordinate_divisor
+from .context import ContextError, VarContext, make_context
 from .linalg import RationalFunction
 from .poly import Poly, PolyError
 from .scalars import Scalar, ScalarError
 
 RESERVED = {
-    "vars", "divisor", "coords", "poly", "arena", "func", "vfield", "form",
-    "conn", "d", "dlog", "I", "T", "torus",
+    "vars", "divisor", "coords", "poly", "func", "vfield", "form", "conn",
+    "d", "dlog", "I", "T",
 }
 
 Value = Union[Poly, LogVectorField, LogForm]
@@ -407,12 +406,13 @@ class SessionManifest:
 
     def divisor_equation(self) -> Optional[Poly]:
         """The defining polynomial: declared directly, or the product of the
-        divisor coordinates."""
-        if self.divisor_poly is not None:
+        divisor coordinates (None when there are none)."""
+        if self.divisor_poly is not None or not self.ctx.divisor:
             return self.divisor_poly
-        if not self.ctx.divisor:
-            return None
-        return coordinate_divisor(self.ctx)
+        h = Poly.one(self.ctx)
+        for i in self.ctx.divisor:
+            h = h * Poly.variable(self.ctx, self.ctx.names[i])
+        return h
 
 
 def parse_session(text: str) -> SessionManifest:
@@ -423,7 +423,6 @@ def parse_session(text: str) -> SessionManifest:
     div_line = 1
     div_coords: List[str] = []
     div_expr = None  # (tokens-line, text) parsed after ctx exists
-    arena: Optional[str] = None
     defs: List[Tuple[int, str, str, object]] = []
 
     for idx, raw in enumerate(lines, start=1):
@@ -455,13 +454,11 @@ def parse_session(text: str) -> SessionManifest:
             else:
                 raise ParseError(p2[0], p2[1], "'coords' or 'poly'", _show(k2, v2))
         elif val == "arena":
-            if arena is not None:
-                raise ParseError(pos[0], pos[1], "a single arena line", "'arena'")
-            k2, p2, v2 = toks[1]
-            if k2 != "ident" or v2 not in (POLY, TORUS):
-                raise ParseError(p2[0], p2[1], "'poly' or 'torus'", _show(k2, v2))
-            arena = v2
-            _ExprParser(toks[2:]).finish()
+            # ignoring the removed switch would move verdicts silently
+            raise SessionError(
+                pos[0], pos[1], "the arena line is removed: a chart inverts its "
+                "divisor coordinates, and questions about a polynomial are "
+                "asked in its polynomial ring")
         elif val in _WANTED:
             k2, p2, name = toks[1]
             if k2 != "ident":
@@ -475,21 +472,18 @@ def parse_session(text: str) -> SessionManifest:
         else:
             raise ParseError(
                 pos[0], pos[1],
-                "one of vars/divisor/arena/func/vfield/form/conn", repr(val),
+                "one of vars/divisor/func/vfield/form/conn", repr(val),
             )
 
     if var_names is None:
         if div_kind is None and not defs:
             raise ParseError(1, 1, "a vars declaration", "empty session")
         raise ParseError(1, 1, "a vars declaration before other lines", "none")
-    if arena is None:
-        # coordinate divisors live naturally on the torus, general ones do not
-        arena = TORUS if div_kind == "coords" else POLY
     for nm in div_coords:
         if nm not in var_names:
             raise KindError(div_line, 1, "divisor coordinate %r is not a variable" % nm)
     try:
-        ctx = make_context(var_names, div_coords, arena)
+        ctx = make_context(var_names, div_coords)
     except ContextError as e:
         raise KindError(vars_line, 1, str(e)) from None
 
@@ -674,7 +668,7 @@ def field_text(v: LogVectorField) -> str:
             continue
         pieces.extend(_coeff_times(c, "@" + ctx.names[i]))
     if not pieces:
-        return "0*@" + ctx.names[0]
+        return "0*@" + ctx.names[0] if ctx.n else "0"
     return _join_signed(pieces)
 
 
@@ -724,7 +718,6 @@ def print_session(m: SessionManifest) -> str:
         lines.append("divisor poly " + poly_text(m.divisor_poly))
     elif m.ctx.divisor:
         lines.append("divisor coords " + " ".join(m.ctx.names[i] for i in m.ctx.divisor))
-    lines.append("arena " + m.ctx.arena)
     for kind, name in m.order:
         lines.append("%s %s : %s" % (kind, name, print_canonical(m.table(kind)[name])))
     return "\n".join(lines) + "\n"

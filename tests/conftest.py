@@ -2,7 +2,7 @@
 
 Everything takes an explicit random.Random so each test pins its own seed;
 no global state.  Generated vector fields are built from the log frame, so
-they are logarithmic by construction in either arena.
+they are logarithmic by construction.
 """
 
 import random
@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from logsym.calculus import LogForm, LogVectorField, log_frame
-from logsym.context import POLY, TORUS, make_context
+from logsym.context import make_context
 from logsym.poly import Poly
 from logsym.scalars import Scalar
 
@@ -48,14 +48,12 @@ def rand_scalar(rng, tmin=-1, tmax=2, terms=2):
     return s
 
 
-def rand_ctx(rng, nmax=4, arena=None):
+def rand_ctx(rng, nmax=4):
     n = rng.randint(1, nmax)
     names = NAMES[:n]
-    if arena is None:
-        arena = rng.choice([POLY, TORUS])
     k = rng.randint(0, n)
     divisor = sorted(rng.sample(names, k))
-    return make_context(names, divisor, arena)
+    return make_context(names, divisor)
 
 
 def rand_exponent(ctx, rng, deg=4):

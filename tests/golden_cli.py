@@ -6,8 +6,8 @@ stderr; the calls run from the repository root, where the argv's session
 paths point.  The calls use all 22 commands on the three shipped sessions (by
 path), on fixed sessions read from stdin (the two sessions of ROADMAP item 1,
 a ``divisor poly`` session with Saito fields, a 4-variable torus chart, a
-polynomial-arena chart with both coordinates on the divisor and one
-malformed session per error class) and on a missing file, with seeded
+``divisor poly`` with monomial content and one malformed session per error
+class) and on a missing file, with seeded
 random arguments in text and json (a few of them of the wrong kind), plus
 a few usage errors per command and fixed regression calls
 (``REGRESSIONS``): calls that once let an exception escape, the
@@ -50,7 +50,7 @@ SHIPPED = ("sessions/exact.lsx", "sessions/saito3.lsx", "sessions/torus.lsx")
 MISSING = "missing-session.lsx"
 
 STDIN = {
-    # ROADMAP item 1: a coordinate divisor with no arena line (torus arena)
+    # ROADMAP item 1: a coordinate divisor, inverted in the chart's ring
     "coords-y": "vars x y\ndivisor coords y\nform w : d(x)^d(y)\n",
     # ROADMAP item 1: a divisor poly with no coordinate on the divisor
     "poly-xy": "vars x y\ndivisor poly x*y*(x+y)\nform w : d(x)^d(y)\n",
@@ -69,8 +69,6 @@ STDIN = {
         "vfield e : x*@x + z*@z\n"
         "func f : x*y + z\nfunc g : w^-1*x\n"
     ),
-    # the polynomial arena with both coordinates on the divisor
-    "poly-coords": "vars x y\narena poly\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n",
     # a divisor poly with monomial content and repeated factors, named by a func
     "poly-content": (
         "vars x y\ndivisor poly x^40*y*(x+y)^2\nform w : d(x)^d(y)\n"
@@ -108,8 +106,6 @@ POOLS = {
                        form="", conn="", vfield="e s"),
     "torus4": dict(vars="x y z w", div="x y z w", laurent=True, func="f g",
                    form2="om om2 ex", form="", conn="c", vfield="e"),
-    "poly-coords": dict(vars="x y", div="x y", laurent=False, func="",
-                        form2="w", form="", conn="", vfield=""),
     "poly-content": dict(vars="x y", div="", laurent=False, func="h",
                          form2="w", form="", conn="", vfield=""),
 }
@@ -368,7 +364,7 @@ REGRESSIONS = [
     # x is no member of the ideal of x*y, with or without an arena line
     _cases("singbracket", [(_PLANE_XY, ["--f", "x", "--g", "x*y"]),
                            ("arena torus\n" + _PLANE_XY, ["--f", "x", "--g", "x*y"])]),
-    # an arena line on a coordinate divisor
+    # an arena line, refused since the switch is removed
     _cases("identities", [("arena poly\n" + _TOP, _IDENTITY_ARGS),
                           ("arena torus\n" + _TOP, _IDENTITY_ARGS)]),
     _on_stdin("periods", _TOP, [["--form", "w + d(w)"]]),

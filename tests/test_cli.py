@@ -117,16 +117,18 @@ def test_weights(capsys):
 def test_check_logsymplectic(capsys, monkeypatch):
     code, out, _ = run(capsys, "check-logsymplectic", "--session", EXACT)
     assert code == 0
-    assert lines(out) == ["closed: yes", "nondegenerate: yes (det = 1, log frame)"]
+    assert lines(out) == ["closed: yes", "nondegenerate: yes (det = 1, log frame)",
+                          "along D: yes (det = 1, polynomial ring)"]
 
     session = "vars x y\ndivisor coords y\nform wdeg : x*d(x)^dlog(y)\n"
     code, out, _ = run_stdin(capsys, monkeypatch, session,
                              "check-logsymplectic", "--session", "-")
     assert code == 1
-    assert lines(out) == ["closed: yes", "nondegenerate: no (det = x^2, log frame)"]
+    assert lines(out) == ["closed: yes", "nondegenerate: no (det = x^2, log frame)",
+                          "along D: no (det = x^2, polynomial ring)"]
 
     # --fields switches to the Saito rule: a nonzero constant det, unit or not
-    session = ("vars x y\narena poly\nform w : (1+T)*d(x)^d(y)\n"
+    session = ("vars x y\nform w : (1+T)*d(x)^d(y)\n"
                "vfield a : @x\nvfield b : @y\nvfield c : x*@x\n")
     code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
                              "--session", "-", "--fields", "a,b")
@@ -152,6 +154,113 @@ def test_check_logsymplectic(capsys, monkeypatch):
     code, out, err = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
                                "--session", "-", "--form", "d(x)^d(y)^d(x)")
     assert (code, out, err) == (2, "", "error: --form must be a 2-form\n")
+
+
+COORDS_Y = "vars x y\ndivisor coords y\nform w : d(x)^d(y)\n"
+POLE_U = "vars u v\ndivisor coords u v\nform w : -u^-1*dlog(u)^dlog(v)\n"
+
+
+def test_along_divisor_next_to_the_verdict_on_U(capsys, monkeypatch):
+    """On a coordinate divisor, check-logsymplectic and prequantize print
+    whether the log-frame Gram det is a unit of the polynomial ring (along D)
+    next to today's verdict on U, which keeps its line, exit code and json
+    keys: d(x)^d(y) = y*d(x)^dlog(y) degenerates along y = 0, and
+    -u^-1*dlog(u)^dlog(v) has a pole in u."""
+    cases = [(COORDS_Y, ["--session", "-"], "nondegenerate: yes (det = y^2, log frame)",
+              "along D: no (det = y^2, polynomial ring)",
+              {"holds": False, "det": "y^2", "pole": None}),
+             (POLE_U, ["--session", "-"], "nondegenerate: yes (det = u^-2, log frame)",
+              "along D: no (pole in u)", {"holds": False, "det": "u^-2", "pole": "u"}),
+             ("", ["--session", EXACT, "--form", "w"], "nondegenerate: yes (det = 1, log frame)",
+              "along D: yes (det = 1, polynomial ring)",
+              {"holds": True, "det": "1", "pole": None}),
+             ("", ["--session", TORUS, "--form", "w"], "nondegenerate: yes (det = 1, log frame)",
+              "along D: yes (det = 1, polynomial ring)",
+              {"holds": True, "det": "1", "pole": None})]
+    for session, argv, on_u, along, value in cases:
+        code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic", *argv)
+        assert (code, lines(out)) == (0, ["closed: yes", on_u, along])
+        code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic", *argv,
+                                 "--format", "json")
+        doc = json.loads(out)
+        assert (code, doc["closed"], doc["nondegenerate"]) == (0, True, True)
+        assert doc["along_divisor"] == value
+        code, out, _ = run_stdin(capsys, monkeypatch, session, "prequantize", *argv)
+        assert lines(out)[1:3] == ["nondegenerate: yes", along]
+        prequantizable = code == 0
+        code, out, _ = run_stdin(capsys, monkeypatch, session, "prequantize", *argv,
+                                 "--format", "json")
+        doc = json.loads(out)
+        assert (doc["nondegenerate"], doc["prequantizable"]) == (True, prequantizable)
+        assert doc["along_divisor"] == value
+    # the first two still build their connections on U
+    for session, sigma in ((COORDS_Y, "-T*y*d(x)"), (POLE_U, "T*u^-1*dlog(v)")):
+        code, out, _ = run_stdin(capsys, monkeypatch, session, "prequantize",
+                                 "--session", "-", "--format", "json")
+        assert (code, json.loads(out)["connection"]) == (0, sigma)
+    # a chart without divisor coordinates prints no along-D line or key
+    plane = "vars x y\nform w : d(x)^d(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, plane, "check-logsymplectic",
+                             "--session", "-")
+    assert (code, lines(out)) == (0, ["closed: yes", "nondegenerate: yes (det = 1, log frame)"])
+    for command in ("check-logsymplectic", "prequantize"):
+        code, out, _ = run_stdin(capsys, monkeypatch, plane, command, "--session", "-",
+                                 "--format", "json")
+        assert "along_divisor" not in json.loads(out)
+
+
+def test_polynomial_questions_are_asked_in_the_polynomial_ring(capsys, monkeypatch):
+    """check-divisor and check-saito decide in the chart's polynomial ring,
+    where no divisor coordinate is a unit: x^2*y has the repeated factor x,
+    x^-1*y is no polynomial, and @x is not logarithmic along x*y."""
+    code, out, _ = run(capsys, "check-divisor", "--session", TORUS, "--poly", "x^2*y")
+    assert (code, lines(out)) == (1, ["repeated factor: x"])
+    code, out, _ = run(capsys, "check-divisor", "--session", TORUS, "--poly", "x^2*y",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["reduced"], doc["witness"]) == (1, False, "x")
+    message = "not in the polynomial ring: pole in x"
+    code, out, err = run(capsys, "check-divisor", "--session", TORUS, "--poly", "x^-1*y")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    code, out, _ = run(capsys, "check-divisor", "--session", TORUS, "--poly", "x^-1*y",
+                       "--format", "json")
+    assert (code, json.loads(out)["error"]) == (2, message)
+    session = "vars x y\ndivisor coords x y\n"
+    argv = ["check-saito", "--session", "-", "--fields", "@x,y*@y"]
+    code, out, _ = run_stdin(capsys, monkeypatch, session, *argv)
+    assert (code, lines(out)) == (1, ["not free: field 1 is not logarithmic along h"])
+    code, out, _ = run_stdin(capsys, monkeypatch, session, *argv, "--format", "json")
+    assert (code, json.loads(out)) == (1, {
+        "schema": cli.SCHEMA, "command": "check-saito", "exit": 1, "free": False,
+        "error": "field 1 is not logarithmic along h"})
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "check-saito", "--session", "-",
+                             "--fields", "x*@x,y*@y")
+    assert (code, lines(out)) == (0, ["free: det = x*y = 1*h"])
+
+
+def test_singbracket_on_a_divisor_poly_session(capsys, monkeypatch):
+    """x is no member of the ideal of the declared x*y, so {x, x*y} has no
+    singular bracket; an arena line once flipped this to {f,g}_sing = -x,
+    and is now refused."""
+    session = "vars x y\ndivisor poly x*y\nform w : d(x)^d(y)\n"
+    argv = ["singbracket", "--session", "-", "--f", "x", "--g", "x*y"]
+    message = "{a,v}/v does not stay in the chart's ring: (-1) / (y)"
+    assert run_stdin(capsys, monkeypatch, session, *argv) == (2, "", "error: %s\n" % message)
+    code, out, _ = run_stdin(capsys, monkeypatch, session, *argv, "--format", "json")
+    assert (code, json.loads(out)["error"]) == (2, message)
+    code, out, err = run_stdin(capsys, monkeypatch, "arena torus\n" + session, *argv)
+    assert (code, out) == (2, "") and "the arena line is removed" in err
+    code, out, _ = run_stdin(capsys, monkeypatch, "arena torus\n" + session, *argv,
+                             "--format", "json")
+    assert code == 2 and "the arena line is removed" in json.loads(out)["error"]
+
+
+def test_normalize_residues_without_divisor_coordinates(capsys, monkeypatch):
+    """A chart without divisor coordinates has no residues to move."""
+    session = "vars x y\nconn s : x*d(y)\n"
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "normalize-residues",
+                             "--session", "-", "--conn", "s")
+    assert (code, lines(out)) == (0, ["shifts = ()", "sigma = x*d(y)"])
 
 
 def test_hamiltonian_and_brackets(capsys):
@@ -193,10 +302,9 @@ def test_singbracket_uses_declared_divisor(capsys, monkeypatch):
 
 
 def test_singbracket_without_divisor(capsys, monkeypatch):
-    # a polynomial-arena session with no divisor line: the coordinate product
-    # is the constant 1, which cuts out nothing, so no function lies in the
-    # ideal and the singular bracket is the plain bracket {y,x} = 1
-    session = "vars x y\narena poly\nform w : d(x)^d(y)\n"
+    # a session with no divisor line declares no equation, so no function
+    # lies in the ideal and the singular bracket is the plain bracket {y,x} = 1
+    session = "vars x y\nform w : d(x)^d(y)\n"
     code, out, err = run_stdin(capsys, monkeypatch, session, "singbracket",
                                "--session", "-", "--f", "y", "--g", "x")
     assert (code, lines(out), err) == (0, ["{f,g}_sing = 1"], "")
@@ -262,11 +370,11 @@ def test_identities_bracket_vs_pairing_defect_exits_1(capsys, monkeypatch):
     assert [k for k, ok in doc["identities"].items() if not ok] == ["bracket vs pairing"]
 
 
-def test_identities_in_the_polynomial_arena(capsys, monkeypatch):
-    """du/u needs no inverse of u, so divisor monomials of the polynomial
-    arena have tilde fields: all five identities are decided there, where
-    the call once exited 2 with "tilde fields live in the torus arena"."""
-    session = "vars x y\narena poly\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n"
+def test_identities_on_divisor_monomials(capsys, monkeypatch):
+    """du/u needs no inverse of u, so the divisor monomials x and y have
+    tilde fields and all five identities are decided; the same session with
+    an arena line is refused, naming the line's removal."""
+    session = "vars x y\ndivisor coords x y\nform w : dlog(x)^dlog(y)\n"
     code, out, _ = run_stdin(capsys, monkeypatch, session, "identities", "--session", "-",
                              "--u", "x", "--v", "y", "--a", "x", "--b", "y")
     assert code == 0
@@ -280,6 +388,14 @@ def test_identities_in_the_polynomial_arena(capsys, monkeypatch):
     code, out, _ = run_stdin(capsys, monkeypatch, session, "jacobi", "--session", "-",
                              "--f", "x", "--g", "y", "--h", "x*y")
     assert (code, lines(out)) == (0, ["jacobi defect = 0"])
+    for arena in ("poly", "torus"):
+        code, out, err = run_stdin(capsys, monkeypatch, "arena %s\n" % arena + session,
+                                   "identities", "--session", "-", "--u", "x", "--v", "y",
+                                   "--a", "x", "--b", "y")
+        assert (code, out) == (2, "")
+        assert err == ("error: session: line 1, col 1: the arena line is removed: a "
+                       "chart inverts its divisor coordinates, and questions about a "
+                       "polynomial are asked in its polynomial ring\n")
 
 
 def test_identities_off_the_divisor_ideal(capsys):
@@ -426,7 +542,7 @@ def test_residues(capsys, monkeypatch):
     assert code == 1
     assert lines(out) == ["nonconstant residue along y: T*x"]
 
-    session = "vars x y\narena poly\nconn c : x*d(y)\n"
+    session = "vars x y\nconn c : x*d(y)\n"
     code, out, _ = run_stdin(capsys, monkeypatch, session,
                              "residues", "--session", "-", "--conn", "c")
     assert (code, lines(out)) == (0, ["no divisor coordinates"])
@@ -526,6 +642,7 @@ def test_prequantize_exact_chart(capsys):
     assert lines(out) == [
         "closed: yes",
         "nondegenerate: yes",
+        "along D: yes (det = 1, polynomial ring)",
         "even dimension: yes (n = 2)",
         "integral: yes",
         "class part = 0*d(x)^dlog(y)",
@@ -654,21 +771,16 @@ def test_same_text_same_value():
 LIBRARY_ERRORS = [
     (["singbracket", "--session", "-", "--f", "2*y", "--g", "x*y"],
      "vars x y\ndivisor poly x*y\nform w : d(x)^d(y)\n",
-     "{a,v}/v does not stay in the arena ring: (2) / (x)"),
+     "{a,v}/v does not stay in the chart's ring: (2) / (x)"),
     (["identities", "--session", EXACT, "--u", "x+y", "--v", "y",
       "--a", "x", "--b", "y"], "",
      "du/u needs a monomial, got x + y"),
-    (["check-logsymplectic", "--session", "-", "--fields", "u,v"],
-     "vars x y\ndivisor coords y\narena poly\nform w : d(x)^dlog(y)\n"
-     "vfield u : @x\nvfield v : @y\n",
-     "field is not logarithmic along y: its @y coefficient is not divisible by y"),
+    (["check-divisor", "--session", TORUS, "--poly", "x^-1*y"], "",
+     "not in the polynomial ring: pole in x"),
     (["gauge", "--session", EXACT, "--conn", "s", "--tau", "x*dlog(y)"], "",
      "gauge form must be closed"),
     (["residues", "--session", TORUS, "--form", "y^-1*dlog(y)"], "",
      "coefficient of e^{y} cell has a pole in y beyond the log factor"),
-    (["normalize-residues", "--session", "-", "--conn", "s"],
-     "vars x y\narena poly\ndivisor coords y\nconn s : x*dlog(y)\n",
-     "residue normalization lives in the torus arena"),
 ]
 
 
@@ -756,7 +868,7 @@ def test_numbers_past_the_digit_limit(capsys, monkeypatch, digit_limit):
     numeral = "9" * (digit_limit + 700)
     too_long = "a number of more than %d digits is too long to print" % digit_limit
     session = "vars x y\ndivisor coords x y\nform w : 9^5000*(1/T)*dlog(x)^dlog(y)\n"
-    plane = "vars x y\narena poly\nform w : d(x)^d(y)\n"
+    plane = "vars x y\nform w : d(x)^d(y)\n"
     cases = [
         (["bracket", "--session", EXACT, "--f", numeral, "--g", "y"], "",
          "in %r... (%d characters): line 1, col 1: expected a numeral of at most"
@@ -1205,7 +1317,6 @@ def _stdin_session(draw):
     lines = ["vars " + " ".join(names)]
     if div:
         lines.append("divisor coords " + " ".join(sorted(div)))
-    lines.append("arena " + draw(st.sampled_from(["poly", "torus"])))
     for kind, name in (("form", "w"), ("conn", "s"), ("func", "f"), ("vfield", "e1")):
         if draw(st.booleans()):
             lines.append("%s %s : %s" % (kind, name, draw(st.sampled_from(_DEFS[kind]))))

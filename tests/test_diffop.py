@@ -36,7 +36,7 @@ T = Scalar.two_pi_i()
 
 
 def _chart():
-    ctx = make_context(["x", "y"], ["y"], "torus")
+    ctx = make_context(["x", "y"], ["y"])
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
     S = assemble_symplectic(w)
     x = Poly.variable(ctx, "x")

@@ -29,7 +29,7 @@ from conftest import rand_scalar
 
 
 def _arrangement():
-    ctx = make_context(["x", "y", "z"], [], "poly")
+    ctx = make_context(["x", "y", "z"], [])
     x, y, z = (Poly.variable(ctx, n) for n in "xyz")
     two = Poly.from_int(ctx, 2)
     h = x * y * (x + y) * ((z - two) * x + y)
@@ -41,7 +41,7 @@ def _arrangement():
 
 
 def test_divisor_rejects_zero():
-    ctx = make_context(["x"], [], "poly")
+    ctx = make_context(["x"], [])
     zero = Poly.zero(ctx)
     for check in (check_squarefree, is_coordinate_ncd, weighted_homogeneous):
         with pytest.raises(DivisorError, match="zero polynomial"):
@@ -116,7 +116,7 @@ def test_saito_rejects_bad_input():
 
 
 def test_weighted_homogeneity_known():
-    ctx2 = make_context(["x", "y"], [], "poly")
+    ctx2 = make_context(["x", "y"], [])
     x, y = Poly.variable(ctx2, "x"), Poly.variable(ctx2, "y")
     assert weighted_homogeneous(x * x * y + y * y * y) == ((1, 1), 3)
     assert weighted_homogeneous(x * x * x + y * y) == ((2, 3), 6)
@@ -134,7 +134,7 @@ def test_weighted_homogeneity_properties():
 
     found = 0
     for _ in range(200):
-        ctx = rand_ctx(rng, nmax=3, arena="poly")
+        ctx = rand_ctx(rng, nmax=3)
         p = rand_poly(ctx, rng, deg=3, terms=3, allow_zero=False)
         res = weighted_homogeneous(p)
         if res is None:
@@ -147,15 +147,20 @@ def test_weighted_homogeneity_properties():
 
 
 def _same_up_to_unit(p, q):
+    p, q = p.in_polynomial_ring(), q.in_polynomial_ring()
     return divides(p, q)[0] and divides(q, p)[0]
 
 
 def _check_torus_product():
     """On the 2-variable torus product, h*g is reduced, and h*h*g has h, up
-    to a unit, as its witness; each check gets 2 s."""
-    m = parse_session("vars x y\ndivisor coords x y\narena torus\n")
-    h = eval_in_session(m, "(1 - 2/3*I)*T*x^-1*y + T*x^-2*y^-2")
-    g = eval_in_session(m, "x + 2/3*x^-1*y - 4/3*T*y^-2")
+    to a unit, as its witness; each check gets 2 s.  h and g are the
+    Laurent polynomials (1 - 2/3*I)*T*x^-1*y + T*x^-2*y^-2 and
+    x + 2/3*x^-1*y - 4/3*T*y^-2 times the units x^2*y^2 and x*y^2, which
+    clear their poles: reducedness is asked in the polynomial ring, and the
+    gcd takes the same images either way."""
+    m = parse_session("vars x y\ndivisor coords x y\n")
+    h = eval_in_session(m, "(1 - 2/3*I)*T*x*y^3 + T")
+    g = eval_in_session(m, "x^2*y^2 + 2/3*y^3 - 4/3*T*x")
     t0 = time.perf_counter()
     assert check_squarefree(h * g) == (True, None)
     t1 = time.perf_counter()
@@ -198,7 +203,7 @@ def test_squarefree_monomial_content_in_budget():
     """x^100000*y has the repeated factor x^99999, which the gcd finds by
     taking the lowest power of each variable out of both inputs rather than
     evaluating x at a value of xi to the 100000th power: under 1 s."""
-    ctx = make_context(["x", "y"], [], "poly")
+    ctx = make_context(["x", "y"], [])
     h = Poly.monomial(ctx, (100000, 1))
     t0 = time.perf_counter()
     ok, witness = check_squarefree(h)
@@ -219,14 +224,14 @@ def _dense(ctx, rng, deg):
 
 def test_squarefree_dense_products_in_budget():
     """The harder tier, in 3 variables: products of 3 dense quadratic and of
-    5 dense linear factors, in the polynomial arena and on the torus, each
+    5 dense linear factors, with no divisor and on the torus, each
     once as drawn (reduced) and once with its first factor squared (the
     witness is that factor up to a unit).  The verdicts are checked against
     the planted factors with divides; all 8 checks share a 10 s budget."""
     rng = random.Random(312)
     spent = 0.0
-    for arena, divisor in (("poly", []), ("torus", ["x", "y", "z"])):
-        ctx = make_context(["x", "y", "z"], divisor, arena)
+    for divisor in ([], ["x", "y", "z"]):
+        ctx = make_context(["x", "y", "z"], divisor)
         for deg, k in ((2, 3), (1, 5)):
             fs = [_dense(ctx, rng, deg) for _ in range(k)]
             h = Poly.one(ctx)

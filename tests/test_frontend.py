@@ -45,7 +45,6 @@ from conftest import (
 BASE = """\
 vars x y
 divisor coords y
-arena torus
 func f : x^2 + y
 form w : d(x)^dlog(y)
 conn s : T*x*dlog(y)
@@ -55,7 +54,7 @@ conn s : T*x*dlog(y)
 def test_parse_base_session():
     m = parse_session(BASE)
     assert m.ctx.names == ("x", "y")
-    assert m.ctx.arena == "torus"
+    assert m.ctx.divisor == (1,)
     assert [k for k, _ in m.order] == ["func", "form", "conn"]
     x, y = Poly.variable(m.ctx, "x"), Poly.variable(m.ctx, "y")
     assert m.funcs["f"] == x * x + y
@@ -70,13 +69,18 @@ def test_session_round_trip_is_fixed_point():
     assert text == again
 
 
-def test_arena_defaults():
+def test_arena_line_is_refused():
+    """The arena switch is removed: a chart inverts exactly its divisor
+    coordinates, and a session that still names an arena is refused, not
+    read with verdicts that moved."""
     m = parse_session("vars x y\ndivisor coords x\n")
-    assert m.ctx.arena == "torus"
-    m = parse_session("vars x y\n")
-    assert m.ctx.arena == "poly"
+    assert m.ctx.divisor == (0,)
+    assert eval_in_session(m, "x^-1") == Poly.variable(m.ctx, "x") ** -1
+    for line in ("arena torus", "arena poly", "arena"):
+        with pytest.raises(SessionError, match="line 2, col 1: the arena line is removed"):
+            parse_session("vars x y\n%s\ndivisor coords x\n" % line)
     m = parse_session("vars x y\ndivisor poly x*y + y^3\n")
-    assert m.ctx.arena == "poly"
+    assert m.ctx.divisor == ()
     x, y = Poly.variable(m.ctx, "x"), Poly.variable(m.ctx, "y")
     assert m.divisor_poly == x * y + y ** 3
     assert m.divisor_equation() == x * y + y ** 3
@@ -189,7 +193,7 @@ def test_unknown_kind_lines_rejected():
     with pytest.raises(SessionError):
         parse_session("vars x\nshape q : x\n")
     with pytest.raises(SessionError):
-        parse_session("vars x\narena torus\narena poly\n")
+        parse_session("vars x\narena torus\n")
     with pytest.raises(SessionError):
         parse_session("divisor coords x\n")
 
@@ -217,14 +221,13 @@ def test_round_trip_random_values():
     session_cache = {}
     for _ in range(250):
         ctx = rand_ctx(rng, nmax=3)
-        key = (ctx.names, ctx.divisor, ctx.arena)
+        key = (ctx.names, ctx.divisor)
         if key not in session_cache:
             lines = ["vars " + " ".join(ctx.names)]
             if ctx.divisor:
                 lines.append(
                     "divisor coords " + " ".join(ctx.names[i] for i in ctx.divisor)
                 )
-            lines.append("arena " + ctx.arena)
             session_cache[key] = parse_session("\n".join(lines) + "\n")
         m = session_cache[key]
         kind = rng.randrange(4)
@@ -271,8 +274,9 @@ def test_zero_values_print_readably():
 
     assert print_canonical(LogVectorField.zero(m.ctx)) == "0*@x"
     assert print_canonical(LogForm.zero(m.ctx, 2)) == "0*d(x)^dlog(y)"
-    # a chart with no coordinates has no cell to print
+    # a chart with no coordinates has no cell or field to print
     assert print_canonical(LogForm.zero(make_context([]), 1)) == "0"
+    assert print_canonical(LogVectorField.zero(make_context([]))) == "0"
 
 
 @settings(max_examples=300, deadline=None)
@@ -450,11 +454,11 @@ class _ReferenceEvaluator(Evaluator):
         raise KindError(pos[0], pos[1], "cannot raise a %s to a power" % _kind_name(l))
 
 
-# the torus arena, the polynomial arena and a divisor given by its equation
+# a coordinate divisor, no divisor and a divisor given by its equation
 COMBINE_SESSIONS = [
     "vars x y\ndivisor coords x y\nform w : dlog(x)^dlog(y)\nconn s : T*x*dlog(y)\n"
     "vfield e1 : y*@y\nfunc f1 : x\n",
-    "vars x y\narena poly\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
+    "vars x y\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
     "vfield e1 : y*@y\nfunc f1 : x\n",
     "vars x y\ndivisor poly x*y*(x + y)\nform w : d(x)^d(y)\nconn s : x*d(y)\n"
     "vfield e1 : y*@y\nfunc f1 : x\n",
@@ -481,7 +485,7 @@ def _combine_atoms(m):
     for a in COMBINE_ATOMS:
         try:
             atoms[a] = eval_in_session(m, a)
-        except KindError:  # y^-1 and the dlogs off the torus arena
+        except KindError:  # y^-1 and the dlogs off the divisor
             pass
     return atoms
 

@@ -130,6 +130,32 @@ def test_tracer_exemption_is_pinned():
     assert set(_unreferenced([])) - set(_unreferenced(_tracer_attrs())) == TRACER_ONLY
 
 
+def _contexts_with_a_third_argument(path):
+    """The lines of path that call make_context with more than two
+    arguments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_context"
+            and len(node.args) + len(node.keywords) > 2]
+
+
+def test_make_context_arena_is_benchmark_only():
+    """make_context keeps its third parameter, arena, only for the calls in
+    perfbench/workloads.py; nothing under src/, tests/ or demos/ passes one.
+    Once a change to the benchmark stops passing it, this fails and names
+    the parameter to delete, as TRACER_ONLY names the tracer's functions."""
+    root = SRC.parent.parent
+    assert _contexts_with_a_third_argument(root / "perfbench" / "workloads.py"), (
+        "perfbench/workloads.py passes make_context no third argument: delete the "
+        "parameter arena of logsym.context.make_context and its check")
+    passed = ["%s:%d" % (path.relative_to(root), line)
+              for top in ("src", "tests", "demos")
+              for path in sorted((root / top).rglob("*.py"))
+              for line in _contexts_with_a_third_argument(path)]
+    assert not passed, "make_context given a third argument: " + ", ".join(passed)
+
+
 def test_exports_are_bound():
     """Every name in logsym.__all__ is bound in the package, so a name left
     in the list after its import is gone fails here and not at a user's

@@ -36,7 +36,7 @@ def _cofactor_det(rows):
 
 
 def _xy():
-    ctx = make_context(["x", "y"], [], "poly")
+    ctx = make_context(["x", "y"], [])
     return ctx, Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
 
 
@@ -112,10 +112,10 @@ def test_solve_singular_raises():
 
 def test_solve_poly_denominator_cases():
     ctx, x, y = _xy()
-    # y/x is not polynomial in the poly arena
+    # y/x is not polynomial on a chart with no divisor
     assert solve_linear_poly([[x]], [y]) is None
     # but x is invertible on the torus chart
-    tctx = make_context(["x", "y"], ["x"], "torus")
+    tctx = make_context(["x", "y"], ["x"])
     tx, ty = Poly.variable(tctx, "x"), Poly.variable(tctx, "y")
     sol = solve_linear_poly([[tx]], [ty])
     assert sol is not None and sol[0] == ty.mul_var_power(0, -1)
@@ -138,13 +138,13 @@ def test_as_poly_on_unit_and_non_unit_denominators():
     # unit denominators: a unit scalar here, a Laurent monomial on the torus
     r = RationalFunction(x + y, two_i)
     assert r.den.is_one() and r.as_poly() == (x + y).scale(Scalar.from_rational(0, 2).inverse())
-    tctx = make_context(["x", "y"], ["x"], "torus")
+    tctx = make_context(["x", "y"], ["x"])
     tx, ty = Poly.variable(tctx, "x"), Poly.variable(tctx, "y")
     u = tx.scale(T) * tx
     r = RationalFunction(ty + tx, u)
     assert r.den.is_one() and r.as_poly() == (ty + tx) * u.inverse_unit()
     assert RationalFunction(ty + tx, tx * (ty + tx)).as_poly() == tx.inverse_unit()
-    # non-unit denominators: a non-unit scalar, y, and x + y in either arena
+    # non-unit denominators: a non-unit scalar, y, and x + y on either chart
     assert RationalFunction(x, one_t).as_poly() is None
     assert RationalFunction(x * one_t, one_t).as_poly() == x
     assert RationalFunction(tx, ty).as_poly() is None
@@ -153,7 +153,7 @@ def test_as_poly_on_unit_and_non_unit_denominators():
 
 
 def test_torus_denominator_keeps_no_unit():
-    tctx = make_context(["x", "y"], ["y"], "torus")
+    tctx = make_context(["x", "y"], ["y"])
     y = Poly.variable(tctx, "y")
     one = Poly.one(tctx)
     a = RationalFunction(one, y + y.inverse_unit())
@@ -164,9 +164,9 @@ def test_torus_denominator_keeps_no_unit():
 
 
 _CHARTS = (
-    make_context(["x", "y"], [], "poly"),
-    make_context(["x", "y"], ["x"], "torus"),
-    make_context(["x", "y"], ["x", "y"], "torus"),
+    make_context(["x", "y"], []),
+    make_context(["x", "y"], ["x"]),
+    make_context(["x", "y"], ["x", "y"]),
 )
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsym import divisors, poly
-from logsym.context import POLY, TORUS, ContextError, make_context
+from logsym.context import ContextError, make_context
 from logsym.divisors import check_squarefree
 from logsym.poly import (
     Poly,
@@ -24,8 +24,8 @@ from logsym.sessions import print_canonical
 from conftest import rand_ctx, rand_poly, rand_scalar
 
 
-def _xyz(arena="poly", divisor=()):
-    ctx = make_context(["x", "y", "z"], list(divisor), arena)
+def _xyz(divisor=()):
+    ctx = make_context(["x", "y", "z"], list(divisor))
     return ctx, Poly.variable(ctx, "x"), Poly.variable(ctx, "y"), Poly.variable(ctx, "z")
 
 
@@ -42,23 +42,23 @@ def test_ring_axioms_random():
 
 
 def test_context_separation():
-    c1 = make_context(["x"], [], "poly")
-    c2 = make_context(["x"], [], "torus")
+    c1 = make_context(["x"], [])
+    c2 = make_context(["x"], ["x"])
     with pytest.raises(ContextError):
         Poly.variable(c1, "x") + Poly.variable(c2, "x")
 
 
 def test_laurent_only_on_divisor_coords():
-    ctx, x, y, z = _xyz("torus", divisor=("z",))
+    ctx, x, y, z = _xyz(divisor=("z",))
     zi = Poly.one(ctx).mul_var_power(2, -1)
     assert (zi * z).is_one()
     # only result exponents are checked: x * x^-1 = 1 is fine anywhere
     assert x.mul_var_power(0, -1).is_one()
     with pytest.raises(PolyError):
         y.mul_var_power(0, -1)  # leaves x^-1*y, x not a divisor coordinate
-    ctx2, x2, *_ = _xyz("poly", divisor=("x",))
+    ctx2, x2, *_ = _xyz()
     with pytest.raises(PolyError):
-        Poly.one(ctx2).mul_var_power(0, -1)  # poly arena, no Laurent anywhere
+        Poly.one(ctx2).mul_var_power(0, -1)  # no divisor, no Laurent anywhere
 
 
 def test_grlex_leading():
@@ -96,10 +96,10 @@ def _reference_divmod(f, g):
     return q, r
 
 
-_CHARTS = [make_context(["x", "y"], [], POLY),
-           make_context(["x", "y", "z"], ["x"], POLY),
-           make_context(["x", "y"], ["x", "y"], TORUS),
-           make_context(["x", "y", "z"], ["y"], TORUS)]
+_CHARTS = [make_context(["x", "y"], []),
+           make_context(["x", "y", "z"], ["x"]),
+           make_context(["x", "y"], ["x", "y"]),
+           make_context(["x", "y", "z"], ["y"])]
 _RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
 _SCALARS = st.dictionaries(
     st.integers(-1, 2), st.tuples(_RATIONALS, _RATIONALS), min_size=1, max_size=2,
@@ -115,7 +115,7 @@ def _polys(ctx, min_size=0):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_divides_contract(data):
-    """On both arenas: a planted product g*q gives back q; any f gives
+    """With and without divisor coordinates: a planted product g*q gives back q; any f gives
     (True, q) with q*g == f or (False, r) with r != 0 and g | f - r; and
     the verdict and quotient are those of the reference reduction."""
     ctx = data.draw(st.sampled_from(_CHARTS))
@@ -138,7 +138,7 @@ def test_divides_contract(data):
 def test_rand_poly_without_zero_is_nonzero():
     """rand_poly(..., allow_zero=False) never returns 0, also where a drawn
     coefficient is 0 or two terms cancel."""
-    ctx = make_context(["x", "y"], [], POLY)
+    ctx = make_context(["x", "y"], [])
     zero = [s for s in range(2000)
             if rand_poly(ctx, random.Random(s), deg=2, terms=2,
                          allow_zero=False).is_zero()]
@@ -164,8 +164,8 @@ def test_divides_witness():
 
 
 def test_divides_laurent_strip():
-    # in the torus arena a Laurent monomial factor must not block division
-    ctx, x, y, z = _xyz("torus", divisor=("x", "y"))
+    # a Laurent monomial factor on the divisor must not block division
+    ctx, x, y, z = _xyz(divisor=("x", "y"))
     f = (x + y) * x.mul_var_power(0, -2)
     ok, q = divides(x + y, f)
     assert ok
@@ -176,19 +176,18 @@ def test_divides_unit_monomial_matches_reduction():
     """divides decides a unit-monomial divisor by one product with its
     inverse; the reference reduction, term by term, agrees."""
     rng = random.Random(209)
-    for arena in (POLY, TORUS):
-        for _ in range(80):
-            ctx = rand_ctx(rng, arena=arena)
-            f = rand_poly(ctx, rng)
-            c = Scalar.zero()
-            while c.is_zero():
-                c = rand_scalar(rng, terms=1)
-            e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
-            u = Poly.monomial(ctx, e, c)
-            assert u.is_unit_monomial()
-            q, r = _reference_divmod(f, u)
-            assert r.is_zero()
-            assert divides(u, f) == (True, q)
+    for _ in range(160):
+        ctx = rand_ctx(rng)
+        f = rand_poly(ctx, rng)
+        c = Scalar.zero()
+        while c.is_zero():
+            c = rand_scalar(rng, terms=1)
+        e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
+        u = Poly.monomial(ctx, e, c)
+        assert u.is_unit_monomial()
+        q, r = _reference_divmod(f, u)
+        assert r.is_zero()
+        assert divides(u, f) == (True, q)
 
 
 def test_exact_quotient_raises():
@@ -330,14 +329,14 @@ def _reference_gcd(a, b):
 
 
 def _factors(deg, terms):
-    """Seeded nonzero factors (c, g, a, b) in 2 and 3 variables, in the poly
-    arena and in torus arenas with negative exponents on one or every divisor
+    """Seeded nonzero factors (c, g, a, b) in 2 and 3 variables, with no
+    divisor coordinate and with negative exponents on one or every divisor
     coordinate.  The constant c is a polynomial in T more often than a unit,
     so contents that are not units reach the gcds."""
     rng = random.Random(213)
     for names in (["x", "y"], ["x", "y", "z"]):
-        for arena, divisor in ((POLY, []), (TORUS, names[:1]), (TORUS, names)):
-            ctx = make_context(names, divisor, arena)
+        for divisor in ([], names[:1], names):
+            ctx = make_context(names, divisor)
             k = 0
             while k < 10:
                 c = Poly.constant(ctx, rand_scalar(rng, tmin=0, tmax=1, terms=3))
@@ -351,7 +350,7 @@ def _factors(deg, terms):
 def test_gcd_matches_reference():
     """gcd_mv and the reference PRS agree on every ordered pair, as drawn
     and with seeded monomial content planted on both sides (a unit on the
-    divisor coordinates of a torus arena, a factor elsewhere)."""
+    divisor coordinates, a factor elsewhere)."""
     rng = random.Random(214)
     n = 0
     for c, g, a, b in _factors(deg=3, terms=2):
@@ -459,7 +458,9 @@ def test_gaussian_gcd_matches_euclid():
 
 
 def test_squarefree_matches_reference(monkeypatch):
-    hs = [c * a * b * (a if k % 2 else Poly.one(a.ctx))
+    # the Laurent monomial stripped, each h is a polynomial, which is what
+    # check_squarefree decides
+    hs = [_strip_laurent(c * a * b * (a if k % 2 else Poly.one(a.ctx)))[1]
           for k, (c, _, a, b) in enumerate(_factors(deg=2, terms=2))]
     got = [check_squarefree(h) for h in hs]
     monkeypatch.setattr(divisors, "gcd_mv", _reference_gcd)
@@ -479,7 +480,7 @@ def test_squarefree_joint_criterion():
 
 
 def test_log_partial_and_substitution():
-    ctx, x, y, z = _xyz("torus", divisor=("z",))
+    ctx, x, y, z = _xyz(divisor=("z",))
     p = x * z + z * z
     assert p.log_partial(2) == x * z + z * z * Poly.from_int(ctx, 2)
     assert p.substitute_zero(2).is_zero()
@@ -489,19 +490,19 @@ def test_log_partial_and_substitution():
 
 
 def test_unit_monomials():
-    ctx, x, y, z = _xyz("torus", divisor=("x",))
+    ctx, x, y, z = _xyz(divisor=("x",))
     u = x.scale(Scalar.two_pi_i())
     assert u.is_unit_monomial()
     assert (u * u.inverse_unit()).is_one()
     assert not (x + y).is_unit_monomial()
-    assert not y.is_unit_monomial()  # y is not invertible in this arena
+    assert not y.is_unit_monomial()  # y is not on the divisor, so not inverted
 
 
 def test_power_is_square_and_multiply(monkeypatch):
     """k-th powers of Scalars and Polys take one squaring per bit of k below
     the top bit and one product per set bit past the lowest, and agree with
     repeated products."""
-    ctx = make_context(["x", "y"], ["x"], "torus")
+    ctx = make_context(["x", "y"], ["x"])
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     I, T = Scalar.i_unit(), Scalar.two_pi_i()
     z = Scalar.from_rational(2, 3) + I + T.inverse()
@@ -574,15 +575,15 @@ def _reference_partial(p, i, log):
 
 def _one_term_operands(ctx, rng):
     """Zero, 1 and -1; other constants (3, i, T-powers, 1 + T); monomials
-    with unit and non-unit coefficients, at negative exponents where the
-    arena allows; and seeded multi-term polys."""
+    with unit and non-unit coefficients, at negative exponents on a chart
+    whose coordinates are on the divisor; and seeded multi-term polys."""
     one, t = Scalar.one(), Scalar.two_pi_i()
     consts = [Scalar.zero(), one, -one, Scalar.from_int(3), Scalar.i_unit(),
               Scalar.two_pi_i(2), Scalar.two_pi_i(-1), one + t,
               Scalar.from_rational(1, -3, 0) + Scalar.two_pi_i(-2)]
     out = [Poly.constant(ctx, c) for c in consts]
     exps = [(1, 0), (2, 1), (0, 3)]
-    if ctx.arena == TORUS:
+    if ctx.divisor:
         exps += [(-1, 0), (-2, 3), (1, -1)]
     for e in exps:
         for c in (one, -t, one + t, Scalar.from_rational(2, 5)):
@@ -593,8 +594,8 @@ def _one_term_operands(ctx, rng):
 
 def test_products_and_derivatives_match_the_double_loop():
     rng = random.Random(214)
-    for arena, divisor in ((POLY, []), (TORUS, ["x", "y"])):
-        ctx = make_context(["x", "y"], divisor, arena)
+    for divisor in ([], ["x", "y"]):
+        ctx = make_context(["x", "y"], divisor)
         zero = Poly.zero(ctx)
         ops = _one_term_operands(ctx, rng)
         for p in ops:
@@ -615,7 +616,7 @@ def test_products_and_derivatives_match_the_double_loop():
         # z^e * q (coefficient exactly 1, e nonzero, q of several terms)
         # shifts q's exponents and shares q's coefficient triples
         exps = [(1, 0), (2, 1), (0, 3)]
-        if ctx.arena == TORUS:
+        if ctx.divisor:
             exps += [(-1, 0), (-2, 3), (1, -1)]
         several = [q for q in ops[-8:] if len(q.terms) > 1]
         assert len(several) >= 6
@@ -630,19 +631,18 @@ def test_products_and_derivatives_match_the_double_loop():
 
 
 def test_subtraction_is_adding_the_negation():
-    """a - b is a + (-b) in both arenas, for zero and equal operands too,
-    and leaves both operands' tables as they were."""
+    """a - b is a + (-b), for zero and equal operands too, and leaves both
+    operands' tables as they were."""
     rng = random.Random(216)
-    for arena in (POLY, TORUS):
-        for _ in range(150):
-            ctx = rand_ctx(rng, nmax=3, arena=arena)
-            a = rand_poly(ctx, rng, deg=3, terms=4)
-            b = rng.choice([rand_poly(ctx, rng, deg=3, terms=4), a, -a,
-                            a + rand_poly(ctx, rng, deg=3, terms=1)])
-            ta, tb = dict(a.terms), dict(b.terms)
-            assert (a - b).terms == (a + (-b)).terms
-            assert a.terms == ta and b.terms == tb
-        assert (a - a).is_zero() and (a - Poly.zero(ctx)) is a
+    for _ in range(300):
+        ctx = rand_ctx(rng, nmax=3)
+        a = rand_poly(ctx, rng, deg=3, terms=4)
+        b = rng.choice([rand_poly(ctx, rng, deg=3, terms=4), a, -a,
+                        a + rand_poly(ctx, rng, deg=3, terms=1)])
+        ta, tb = dict(a.terms), dict(b.terms)
+        assert (a - b).terms == (a + (-b)).terms
+        assert a.terms == ta and b.terms == tb
+    assert (a - a).is_zero() and (a - Poly.zero(ctx)) is a
 
 
 # -- the flat table ----------------------------------------------------------
@@ -680,7 +680,7 @@ def _assert_canonical(p):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_flat_table_matches_the_scalar_references(data):
-    """On both arenas, with coefficients that mix T-powers: each result's
+    """With and without divisor coordinates, with coefficients that mix T-powers: each result's
     table is canonical, the {e: Scalar} view builds the same poly back,
     equal polys built in two ways hash equal, and every kernel agrees with
     its reference built through Poly(ctx, {e: Scalar})."""
@@ -727,7 +727,7 @@ def test_flat_table_matches_the_scalar_references(data):
 @given(st.data())
 def test_dot_is_the_fold_of_products(data):
     """dot over a list of pairs equals the fold of * and + over the same
-    pairs, on both arenas (Laurent exponents, T-powers, Gaussian
+    pairs, with and without divisor coordinates (Laurent exponents, T-powers, Gaussian
     coefficients), with zero, one-term and several-term sides, the empty
     list, and sums that cancel to zero (the pairs followed by their
     negations in some order); its table is canonical and fresh, and no

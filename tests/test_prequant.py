@@ -34,11 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _full_torus():
-    return make_context(["x", "y"], ["x", "y"], "torus")
+    return make_context(["x", "y"], ["x", "y"])
 
 
 def _half_chart():
-    return make_context(["x", "y"], ["y"], "torus")
+    return make_context(["x", "y"], ["y"])
 
 
 def _const_form(ctx, cells):
@@ -115,7 +115,7 @@ def test_flat_residues_are_cross_checked(monkeypatch):
 
 
 def test_normalize_residue_triple():
-    ctx = make_context(["x", "y", "z"], ["x", "y", "z"], "torus")
+    ctx = make_context(["x", "y", "z"], ["x", "y", "z"])
     sigma = _const_form(
         ctx,
         {
@@ -155,9 +155,10 @@ def test_normalize_rejections():
         normalize_residues(Connection1(LogForm(ctx, 1, {(0,): y})))
     with pytest.raises(PrequantError):
         normalize_residues(Connection1(_const_form(ctx, {0: T})))
-    ctxp = make_context(["x", "y"], [], "poly")
-    with pytest.raises(PrequantError):
-        normalize_residues(Connection1(LogForm.zero(ctxp, 1)))
+    # a chart without divisor coordinates has no residues to move
+    ctxp = make_context(["x", "y"], [])
+    zero = Connection1(LogForm.zero(ctxp, 1))
+    assert normalize_residues(zero) == (zero, [])
 
 
 # -- periods and integrality -------------------------------------------------
@@ -195,7 +196,7 @@ def test_periods_reject_bad_input():
     x = Poly.variable(ctx, "x")
     with pytest.raises(PrequantError):
         periods(LogForm.coframe(ctx, "x"))
-    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"], "torus")
+    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"])
     z4 = Poly.variable(ctx4, "z")
     bad = LogForm.coframe(ctx4, "x").wedge(LogForm.coframe(ctx4, "y")).scale(z4)
     with pytest.raises(PrequantError):
@@ -266,7 +267,7 @@ def test_homotopy_rejects_bad_input():
     x = Poly.variable(ctx, "x")
     with pytest.raises(PrequantError):
         class_and_primitive(LogForm.function(x))
-    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"], "torus")
+    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"])
     z4 = Poly.variable(ctx4, "z")
     with pytest.raises(PrequantError):
         class_and_primitive(
@@ -305,8 +306,7 @@ def test_prequantize_connection_needs_no_residue_shift():
     built = 0
     for _ in range(120):
         names = ["x", "y", "z", "w"][: rng.choice((2, 4))]
-        ctx = make_context(names, rng.sample(names, rng.randint(0, len(names))),
-                           rng.choice(("poly", "torus")))
+        ctx = make_context(names, rng.sample(names, rng.randint(0, len(names))))
         e = [LogForm.coframe(ctx, nm) for nm in names]
         w = e[0].wedge(e[1])
         if ctx.n == 4:
@@ -395,7 +395,7 @@ def test_prequantize_decides_closedness_once(monkeypatch):
         del degrees[:]
         rep = prequantize(m.forms[name])
         assert rep.closed and degrees == [2, 1]
-    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"], "torus")
+    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"])
     z4 = Poly.variable(ctx4, "z")
     del degrees[:]
     rep = prequantize(LogForm.coframe(ctx4, "x").wedge(LogForm.coframe(ctx4, "y")).scale(z4))
@@ -426,7 +426,7 @@ def test_connections_differentiate_each_form_once(monkeypatch):
 
 
 def test_prequantize_failure_modes():
-    ctxp = make_context(["x", "y"], [], "poly")
+    ctxp = make_context(["x", "y"], [])
     xp = Poly.variable(ctxp, "x")
     w = LogForm.coframe(ctxp, "x").wedge(LogForm.coframe(ctxp, "y"))
     rep = prequantize(w.scale(xp))
@@ -434,13 +434,13 @@ def test_prequantize_failure_modes():
     assert rep.prequantizable is False
     assert rep.obstruction == "form is degenerate on this chart"
 
-    ctx3 = make_context(["x", "y", "z"], [], "poly")
+    ctx3 = make_context(["x", "y", "z"], [])
     w3 = LogForm.coframe(ctx3, "x").wedge(LogForm.coframe(ctx3, "y"))
     rep = prequantize(w3)
     assert not rep.even_dim
     assert rep.prequantizable is False
 
-    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"], "torus")
+    ctx4 = make_context(["x", "y", "z", "w"], ["x", "y"])
     z4 = Poly.variable(ctx4, "z")
     rep = prequantize(
         LogForm.coframe(ctx4, "x").wedge(LogForm.coframe(ctx4, "y")).scale(z4)
@@ -458,7 +458,7 @@ def test_prequantize_chart_notes():
     w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y"))
     assert "normal crossing" in prequantize(w).lct_caveat
 
-    ctxp = make_context(["x", "y"], [], "poly")
+    ctxp = make_context(["x", "y"], [])
     wp = LogForm.coframe(ctxp, "x").wedge(LogForm.coframe(ctxp, "y"))
     assert "de Rham" in prequantize(wp).lct_caveat
     xp, yp = Poly.variable(ctxp, "x"), Poly.variable(ctxp, "y")

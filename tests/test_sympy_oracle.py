@@ -5,8 +5,8 @@ Scalar is a Laurent polynomial in T over QQ(i) and a Poly is a polynomial in
 x, y over those.  The ring QQ(i)[x, y, T, 1/T] is a localization of a unique
 factorization domain whose units are c*T^k, so a quotient is exact when its
 reduced denominator is such a monomial, and two gcds agree when their ratio
-is one.  In the torus arena the divisor coordinates are invertible too, so
-there the units are c*T^k times monomials in those coordinates.  Skipped
+is one.  A chart inverts its divisor coordinates too, so there the units
+are c*T^k times monomials in those coordinates.  Skipped
 where sympy is not installed; logsym itself stays stdlib-only.
 
 Random factors stay of degree at most 1: sympy's multivariate gcd over QQ_I
@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from logsym.calculus import LogForm, along_divisor, gram_determinant, log_frame
 from logsym.context import make_context
 from logsym.divisors import check_squarefree
 from logsym.linalg import det_poly
@@ -186,7 +187,7 @@ def test_torus_negative_exponents_against_sympy():
     """Laurent inputs on the divisor coordinates x, y of a 3-variable torus
     chart; gcds agree up to units of that ring, monomials in x, y included."""
     rng = random.Random(304)
-    ctx = make_context(["x", "y", "z"], ["x", "y"], "torus")
+    ctx = make_context(["x", "y", "z"], ["x", "y"])
     inv = (X, Y)
     for _ in range(6):
         l1, l2, l3 = (rand_linear(ctx, rng, unit_shift=True) for _ in range(3))
@@ -243,8 +244,8 @@ def test_check_squarefree_planted_squares_against_sympy():
 
 def test_divides_by_unit_monomials_against_sympy():
     rng = random.Random(307)
-    for arena, divisor in (("poly", []), ("torus", ["x"]), ("torus", ["x", "y"])):
-        ctx = make_context(["x", "y"], divisor, arena)
+    for divisor in ([], ["x"], ["x", "y"]):
+        ctx = make_context(["x", "y"], divisor)
         inv = tuple(VARS[ctx.index(n)] for n in divisor)
         for _ in range(15):
             f = rand_linear(ctx, rng, unit_shift=True) * rand_linear(ctx, rng)
@@ -281,7 +282,7 @@ def ring_poly(p, s):
 def test_det_poly_against_sympy():
     """det_poly, whose Bareiss steps are exact divisions, against sympy's
     determinant over QQ_I[T, x, y, z]: 3x3 and 4x4 matrices of small
-    polynomials in both arenas, with Laurent entries on a torus chart, a
+    polynomials with and without divisor coordinates, with Laurent entries on a torus chart, a
     zero first pivot and a singular matrix among them.  Each entry is scaled
     by T*x*y*z, so the determinants differ by (T*x*y*z)^n."""
     from sympy.polys.matrices import DomainMatrix
@@ -289,7 +290,7 @@ def test_det_poly_against_sympy():
     rng = random.Random(308)
     charts = ((make_context(["x", "y"]), ()),
               (make_context(["x", "y", "z"], ["x"]), ()),
-              (make_context(["x", "y"], ["x", "y"], "torus"), (0, 1)))
+              (make_context(["x", "y"], ["x", "y"]), (0, 1)))
     for ctx, laurent in charts:
         for k, n in enumerate((3, 3, 4, 4)):
             rows = [[rand_entry(ctx, rng, laurent) for _ in range(n)] for _ in range(n)]
@@ -303,3 +304,64 @@ def test_det_poly_against_sympy():
             got = det_poly(rows)
             assert ring_poly(got, n) == want
             assert got.is_zero() == (k == 3)
+
+
+def _along_d_by_sympy(w, syms):
+    """Whether the 2-form w is nondegenerate along D, decided by sympy alone:
+    the skew matrix of its log-coframe coefficients has entries whose
+    reduced denominators are free of the coordinates, and its determinant is
+    c*T^k for a nonzero c.  Also the coordinates that some entry or the
+    determinant has in its reduced denominator."""
+    n = w.ctx.n
+    m = sympy.zeros(n, n)
+    for (i, j), c in w.terms.items():
+        m[i, j] = sum((sym_scalar(s) * sympy.Mul(*(v ** k for v, k in zip(syms, e)))
+                       for e, s in c.terms.items()), sympy.Integer(0))
+        m[j, i] = -m[i, j]
+    dens = [sympy.fraction(sympy.together(a))[1] for a in list(m) + [m.det()]]
+    poles = {v for d in dens for v in syms if d.has(v)}
+    num, den = sympy.fraction(sympy.together(m.det()))
+    unit = num != 0 and all(sympy.Poly(p, T, *syms).is_monomial
+                            and not p.has(*syms) for p in (num, den))
+    return not poles and unit, poles
+
+
+def test_along_divisor_against_sympy():
+    """along_divisor on the log frame against sympy, on 60 seeded charts of
+    2 and 4 coordinates from the conftest generators: a constant symplectic
+    form (unit or 1 + T coefficients, a cross term now and then), plus a
+    seeded 2-form with Laurent coefficients on the divisor coordinates on
+    most charts.  Both verdicts occur, and a reported pole is one that sympy
+    finds in an entry or the determinant."""
+    from conftest import rand_ctx, rand_form
+
+    rng = random.Random(309)
+    syms = sympy.symbols("x y z w")
+    seen = {True: 0, False: 0}
+    charts = 0
+    while charts < 60:
+        ctx = rand_ctx(rng, nmax=4)
+        if ctx.n not in (2, 4):
+            continue
+        charts += 1
+        e = [LogForm.coframe(ctx, name) for name in ctx.names]
+        unit = Poly.constant(ctx, Scalar.two_pi_i(rng.randint(-1, 1)))
+        w = e[0].wedge(e[1]).scale(unit)
+        if ctx.n == 4:
+            w = w + e[2].wedge(e[3])
+            if rng.random() < 0.3:
+                w = w + e[0].wedge(e[2]).scale(Poly.from_int(ctx, rng.randint(1, 3)))
+        if rng.random() < 0.1:
+            w = w.scale_scalar(Scalar.one() + Scalar.two_pi_i())
+        if rng.random() < 0.7:
+            w = w + rand_form(ctx, rng, 2, deg=2, cells=2)
+        rows, det, _ = gram_determinant(w, log_frame(ctx), "log")
+        got = along_divisor(rows, det)
+        want, poles = _along_d_by_sympy(w, syms[:ctx.n])
+        assert got.holds == want
+        if got.pole is not None:
+            assert syms[got.pole] in poles
+        else:
+            assert not poles
+        seen[want] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
