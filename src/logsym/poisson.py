@@ -104,7 +104,7 @@ def _ideal_member(S: SymplecticData, u: Poly, h: Optional[Poly] = None) -> bool:
     """Membership of u in the divisor ideal, in the sense the singular bracket
     needs: with divisor coordinates, a unit monomial with nonnegative
     exponents, one positive; without, divisibility by the declared equation
-    h, where no h or a constant one has no members."""
+    h (no h, or a constant one, has no members)."""
     if S.ctx.divisor:
         return u.is_unit_monomial() and not u.is_constant() and min(u.leading()[0]) >= 0
     return not (u.is_zero() or h is None or h.is_constant()) and divides(h, u)[0]
