@@ -12,8 +12,10 @@ random arguments in text and json (a few of them of the wrong kind), plus
 a few usage errors per command and fixed regression calls
 (``REGRESSIONS``): calls that once let an exception escape, the
 evaluator's refusals of mixed kinds, forms past the top degree, unit
-divisors, and the verdicts on coordinate divisors that the ring deciding
-them changes (ROADMAP items 1 and 19).  The argv list itself,
+divisors, the verdicts on coordinate divisors that the ring deciding
+them changes (ROADMAP items 1 and 19), the one unit rule for Gram and
+Saito determinants, the name of a declared frame and weights of a Laurent
+h.  The argv list itself,
 and the stdin of a group that gives one per call, are kept in the file, so
 the corpus does not depend on this generator once it is written.
 
@@ -314,16 +316,17 @@ def _on_stdin(command, text, options):
     return _cases(command, [(text, o) for o in options])
 
 
-def _cases(command, cases):
+def _cases(command, cases, label="-"):
     """A group of calls of command, one text and one json call per
     (session, options) case; a session that is not a path to a .lsx file is
-    its text, read on stdin."""
+    its text, read on stdin.  label is the group's session in its key, so
+    two groups of one command keep apart."""
     calls, stdin = [], []
     for session, options in cases:
         path = session if session.endswith(".lsx") else "-"
         calls += _both_formats([[command, "--session", path] + options])
         stdin += ["" if path != "-" else session] * 2
-    return {"command": command, "session": "-", "format": "text+json",
+    return {"command": command, "session": label, "format": "text+json",
             "stdin": stdin, "calls": calls}
 
 
@@ -334,6 +337,11 @@ _POLE_U = "vars u v\ndivisor coords u v\nform w : -u^-1*dlog(u)^dlog(v)\n"
 _ALONG = [(_COORDS_Y, []), (_POLE_U, []), ("sessions/exact.lsx", ["--form", "w"]),
           ("sessions/torus.lsx", ["--form", "w"])]
 _PLANE_XY = "vars x y\ndivisor poly x*y\nform w : d(x)^d(y)\n"
+# 1 + T is a nonzero constant and no unit of Q(i)[T, T^-1]
+_ONE_T = "vars x y\nform w : (1+T)*d(x)^d(y)\n"
+# declared frames on a coordinate divisor and on a chart with none
+_FRAMES_UV = "vars u v\ndivisor coords u v\nform p : d(u)^d(v)\n"
+_FRAMES_XY = "vars x y\nform w : d(x)^d(y)\n"
 _IDENTITY_ARGS = ["--u", "x", "--v", "y", "--a", "x", "--b", "y"]
 
 
@@ -367,6 +375,18 @@ REGRESSIONS = [
     # an arena line, refused since the switch is removed
     _cases("identities", [("arena poly\n" + _TOP, _IDENTITY_ARGS),
                           ("arena torus\n" + _TOP, _IDENTITY_ARGS)]),
+    # one unit rule: (1+T)^2 on the log frame and on a declared frame, and
+    # (1+T) as Saito's q in det = q*h
+    _cases("check-logsymplectic", [(_ONE_T, []), (_ONE_T, ["--fields", "@x,@y"])],
+           label="-:unit"),
+    _cases("check-saito", [("vars x y\ndivisor poly x*y\n",
+                            ["--fields", "(1+T)*x*@x,y*@y"])], label="-:unit"),
+    # a declared frame is a Saito frame of the session's divisor, or of h = 1
+    # without one, or it is not
+    _cases("check-logsymplectic",
+           [(_FRAMES_UV, ["--fields", f]) for f in ("@u,@v", "u*@u,v*@v", "u*@u,@v")]
+           + [(_FRAMES_XY, ["--fields", f]) for f in ("@x,@y", "x*@x,@y", "@x,T*@y")],
+           label="-:frames"),
     _on_stdin("periods", _TOP, [["--form", "w + d(w)"]]),
     _on_stdin("class", _TOP, [["--form", "d(w)"]]),
     _on_stdin("curvature", _LINE, [["--conn", "c"]]),
@@ -375,6 +395,10 @@ REGRESSIONS = [
     {"command": "check-divisor", "session": "sessions/torus.lsx", "format": "text+json",
      "calls": _both_formats([["check-divisor", "--session", "sessions/torus.lsx",
                               "--poly", h] for h in ("3", "T", "x^2*y", "x^-1*y")])},
+    # weights of a Laurent h, which is no polynomial
+    {"command": "weights", "session": "sessions/torus.lsx", "format": "text+json",
+     "calls": _both_formats([["weights", "--session", "sessions/torus.lsx",
+                              "--poly", h] for h in ("x^-1*y^-1", "x*y")])},
 ]
 
 
