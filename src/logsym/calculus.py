@@ -418,9 +418,6 @@ def res_const(eta: LogForm):
 
 # -- symplectic assembly ----------------------------------------------------
 
-FRAME_LOG = "log"
-FRAME_SAITO = "saito"
-
 
 class DegenerateError(CalculusError):
     def __init__(self, det: Poly):
@@ -432,30 +429,22 @@ class SymplecticData:
     """A closed nondegenerate log 2-form with what its fields read.
 
     det_cert is the determinant of the Gram matrix A_{kl} = omega(frame_k,
-    frame_l) on the frame it was assembled on, a unit (or a nonzero constant
-    for a Saito frame).  When the data is built, hand-built data included,
-    it decides nondegenerate, whether det_cert passes the unit test of
-    frame_kind.
+    frame_l) on the frame it was assembled on, a unit.  When the data is
+    built, hand-built data included, it decides nondegenerate, whether
+    det_cert is a unit of the chart's ring (is_unit_monomial).
 
     field_map maps the coframe coefficients alpha_j of a log 1-form alpha to
     the field X with i_X omega = alpha, kept as the (index, entry) pairs of
-    the nonzero entries of each row.  Where the frame Poisson tensor pi
-    exists, row i gives X's coefficient of d/dx_i.  Where it does not (a
-    Saito frame whose constant det is not a unit), row k gives det times X's
-    component along frame_k, and frame_entries keeps the nonzero
-    coefficients of each frame field for the field to apply after dividing
-    by det; it is None otherwise.
+    the nonzero entries of each row: row i gives X's coefficient of d/dx_i.
     """
 
-    __slots__ = ("omega", "det_cert", "nondegenerate", "field_map", "frame_entries")
+    __slots__ = ("omega", "det_cert", "nondegenerate", "field_map")
 
-    def __init__(self, omega: LogForm, det_cert: Poly, frame_kind: str,
-                 field_map: tuple, frame_entries: Optional[tuple] = None):
+    def __init__(self, omega: LogForm, det_cert: Poly, field_map: tuple):
         self.omega = omega
         self.det_cert = det_cert
-        self.nondegenerate = _det_is_unit(det_cert, frame_kind)
+        self.nondegenerate = det_cert.is_unit_monomial()
         self.field_map = field_map
-        self.frame_entries = frame_entries
 
     @property
     def ctx(self) -> VarContext:
@@ -468,28 +457,19 @@ def _nonzero_entries(rows) -> tuple:
                  for row in rows)
 
 
-def _field_map(ctx: VarContext, frame: Sequence[LogVectorField], tensor: tuple,
-               logs: tuple, divide: bool) -> tuple:
-    """The nonzero entries per row of tensor * F, F = logs, when divide, else
-    of Phi^T * tensor * F, Phi the frame fields' plain coefficients."""
-    rows = [_row_product(ctx, row, logs) for row in _nonzero_entries(tensor)]
-    if not divide:
-        phi_t = _nonzero_entries(zip(*(fr.coeffs for fr in frame)))
-        rows = [_row_product(ctx, row, rows) for row in phi_t]
-    return _nonzero_entries(rows)
+def _field_map(ctx: VarContext, frame: Sequence[LogVectorField], pi: tuple,
+               logs: tuple) -> tuple:
+    """The nonzero entries per row of Phi^T * pi * F, F = logs and Phi the
+    frame fields' plain coefficients."""
+    rows = [_row_product(ctx, row, logs) for row in _nonzero_entries(pi)]
+    phi_t = _nonzero_entries(zip(*(fr.coeffs for fr in frame)))
+    return _nonzero_entries([_row_product(ctx, row, rows) for row in phi_t])
 
 
 def _row_product(ctx: VarContext, entries: tuple, rows) -> List[Poly]:
     """sum_k c * rows[k] over the (k, c) pairs of entries, for square rows,
     one poly.dot per column."""
     return [dot(((c, rows[k][j]) for k, c in entries), ctx) for j in range(len(rows))]
-
-
-def _det_is_unit(det: Poly, frame_kind: str) -> bool:
-    if frame_kind == FRAME_SAITO:
-        c = det.as_constant()
-        return c is not None and not c.is_zero()
-    return det.is_unit_monomial()
 
 
 def gram_matrix(omega: LogForm, frame: Sequence[LogVectorField]):
@@ -520,14 +500,14 @@ def _gram_rows(omega: LogForm, logs: tuple) -> List[List[Poly]]:
 
 
 def gram_determinant(
-    omega: LogForm, frame: Sequence[LogVectorField], frame_kind: str
+    omega: LogForm, frame: Optional[Sequence[LogVectorField]] = None
 ) -> Tuple[List[List[Poly]], Poly, bool]:
     """The Gram matrix of omega on frame, its determinant and whether omega
-    is nondegenerate there: on the log frame the determinant must be a unit
-    of the chart's ring (a unit monomial in the divisor coordinates), on a
-    Saito-type frame a nonzero constant.  A frame has one field per
-    coordinate."""
-    return _gram(omega, frame, frame_kind)[1:]
+    is nondegenerate there, that is whether the determinant is a unit
+    (is_unit_monomial): on the log frame (frame None) a unit of the chart's
+    ring, on a given frame, one field per coordinate, a unit of the chart's
+    polynomial ring, with no pole."""
+    return _gram(omega, frame)[2:]
 
 
 class AlongDivisor(NamedTuple):
@@ -548,32 +528,36 @@ def along_divisor(rows: List[List[Poly]], det: Poly) -> AlongDivisor:
     return AlongDivisor(det.in_polynomial_ring().is_unit_monomial(), det, None)
 
 
-def _gram(omega: LogForm, frame: Sequence[LogVectorField], frame_kind: str):
-    """gram_determinant's results after the frame's log components, which
-    the Gram matrix is computed from."""
-    if len(frame) != omega.ctx.n:
+def _gram(omega: LogForm, frame: Optional[Sequence[LogVectorField]]):
+    """The frame (the log frame for None), its log components, which the
+    Gram matrix is computed from, and gram_determinant's results."""
+    declared = frame is not None
+    if not declared:
+        frame = log_frame(omega.ctx)
+    elif len(frame) != omega.ctx.n:
         raise CalculusError("a frame needs %d fields, got %d" % (omega.ctx.n, len(frame)))
     logs = _frame_log(omega, frame)
     rows = _gram_rows(omega, logs)
     det = det_poly(rows)
-    return logs, rows, det, _det_is_unit(det, frame_kind)
+    if declared:
+        unit = det.pole() is None and det.in_polynomial_ring().is_unit_monomial()
+    else:
+        unit = det.is_unit_monomial()
+    return frame, logs, rows, det, unit
 
 
 def assemble_symplectic(
-    omega: LogForm,
-    frame: Optional[Sequence[LogVectorField]] = None,
-    frame_kind: str = FRAME_LOG,
+    omega: LogForm, frame: Optional[Sequence[LogVectorField]] = None
 ) -> SymplecticData:
     """Check a closed nondegenerate log 2-form and compose its field map.
 
     Nondegeneracy is decided by gram_determinant on the given frame (the log
-    frame by default).  Raises on odd dimension, non-closed or degenerate
-    input.  Once per structure, the adjugate adj(A^T) is checked against
-    A^T * adj == det * I and, where det is a unit monomial, the Poisson
-    tensor pi = adj * det^-1 against A^T * pi == I.  The field map is
+    frame by default), so det is a unit.  Raises on odd dimension,
+    non-closed or degenerate input.  Once per structure, the adjugate
+    adj(A^T) is checked against A^T * adj == det * I and the Poisson tensor
+    pi = adj * det^-1 against A^T * pi == I.  The field map is
     Phi^T * pi * F, Phi the frame fields' plain coefficients and F their log
-    components; without pi it is adj * F, applied to the frame after a
-    division by det.  Only the map is kept.
+    components.  Only the map is kept.
     """
     if omega.degree != 2:
         raise CalculusError("symplectic data needs a 2-form")
@@ -581,22 +565,13 @@ def assemble_symplectic(
         raise CalculusError("chart dimension %d is odd" % omega.ctx.n)
     if not omega.d().is_zero():
         raise CalculusError("form is not a 2-cocycle: d(omega) != 0")
-    if frame is None:
-        frame = log_frame(omega.ctx)
-        frame_kind = FRAME_LOG
-    logs, rows, det, nondeg = _gram(omega, frame, frame_kind)
+    frame, logs, rows, det, nondeg = _gram(omega, frame)
     if not nondeg:
         raise DegenerateError(det)
-    adj = _adjugate_transpose(rows, det)
-    pi = _poisson_tensor(adj, det)
-    if pi is None:
-        return SymplecticData(omega, det, frame_kind,
-                              _field_map(omega.ctx, frame, adj, logs, True),
-                              _nonzero_entries(fr.coeffs for fr in frame))
+    pi = _poisson_tensor(_adjugate_transpose(rows, det), det)
     if not _inverts(rows, pi, Poly.one(det.ctx)):
         raise CalculusError("Poisson tensor check A^T * pi == I failed")
-    return SymplecticData(omega, det, frame_kind,
-                          _field_map(omega.ctx, frame, pi, logs, False))
+    return SymplecticData(omega, det, _field_map(omega.ctx, frame, pi, logs))
 
 
 def _adjugate_transpose(rows: List[List[Poly]], det: Poly) -> tuple:
@@ -615,10 +590,8 @@ def _adjugate_transpose(rows: List[List[Poly]], det: Poly) -> tuple:
     return tuple(tuple(r) for r in adj)
 
 
-def _poisson_tensor(adj: tuple, det: Poly) -> Optional[tuple]:
-    """pi = adj * det^-1 when det is a unit monomial, else None."""
-    if not det.is_unit_monomial():
-        return None
+def _poisson_tensor(adj: tuple, det: Poly) -> tuple:
+    """pi = adj * det^-1 for a unit det."""
     inv = det.inverse_unit()
     return tuple(tuple(a * inv for a in row) for row in adj)
 

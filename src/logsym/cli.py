@@ -14,14 +14,11 @@ import sys
 from typing import Optional
 
 from .calculus import (
-    FRAME_LOG,
-    FRAME_SAITO,
     CalculusError,
     DegenerateError,
     along_divisor,
     assemble_symplectic,
     gram_determinant,
-    log_frame,
     res_const,
 )
 from .connections import (
@@ -219,14 +216,15 @@ def cmd_check_saito(m, args):
 def cmd_check_logsymplectic(m, args):
     w = _two_form(m, args.form)
     closed = w.d().is_zero()
+    frame = None
     if args.fields is not None:
         frame = [_get(m, nm, "vector field") for nm in args.fields.split(",") if nm]
-        kind = FRAME_SAITO
+    rows, det, nondeg = gram_determinant(w, frame)
+    if frame is not None:
+        kind, along = ("saito" if _saito_frame(m, frame) else "declared"), None
     else:
-        frame, kind = log_frame(m.ctx), FRAME_LOG
-    rows, det, nondeg = gram_determinant(w, frame, kind)
-    along, keys = _along_divisor(m.ctx, along_divisor(rows, det)
-                                 if kind == FRAME_LOG and m.ctx.divisor else None)
+        kind, along = "log", along_divisor(rows, det) if m.ctx.divisor else None
+    along, keys = _along_divisor(m.ctx, along)
     lines = [
         "closed: %s" % ("yes" if closed else "no"),
         "nondegenerate: %s (det = %s, %s frame)"
@@ -239,6 +237,16 @@ def cmd_check_logsymplectic(m, args):
         "det": print_canonical(det),
         "frame": kind,
     }, **keys), lines
+
+
+def _saito_frame(m: SessionManifest, frame) -> bool:
+    """Whether saito_check calls frame free along the session's divisor
+    equation, or along h = 1 when the session declares none."""
+    h = m.divisor_equation()
+    try:
+        return saito_check(frame, Poly.one(m.ctx) if h is None else h).free
+    except (DivisorError, PolyError):  # a field not logarithmic, or with a pole
+        return False
 
 
 def cmd_hamiltonian(m, args):

@@ -24,7 +24,6 @@ from math import floor
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .calculus import (
-    FRAME_LOG,
     AlongDivisor,
     CalculusError,
     LogForm,
@@ -338,7 +337,7 @@ def prequantize(omega: LogForm, divisor_h: Optional[Poly] = None) -> PrequantRep
     if omega.degree != 2:
         raise PrequantError("prequantization wants a 2-form")
     even = ctx.n % 2 == 0
-    rows, det, nondeg = gram_determinant(omega, log_frame(ctx), FRAME_LOG)
+    rows, det, nondeg = gram_determinant(omega)
     period_list: List[Tuple[Tuple[int, int], Scalar]] = []
     integral: Optional[bool] = None
     witness = None

@@ -62,7 +62,7 @@ class VarContext:
     def is_divisor_index(self, i: int) -> bool:
         return i in self.divisor
 
-    laurent_ok = is_divisor_index  # a divisor coordinate is inverted
+    laurent_ok = is_divisor_index  # read only by perfbench/workloads.py
 
     def polynomial(self) -> "VarContext":
         """The chart's polynomial ring: none inverted (self if none is)."""

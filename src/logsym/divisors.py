@@ -70,17 +70,18 @@ def _polynomial_field(delta: LogVectorField) -> LogVectorField:
 class SaitoResult(NamedTuple):
     free: bool
     det: Poly
-    certificate: Optional[Scalar]  # det = certificate * h when free
+    certificate: Optional[Scalar]  # det = certificate * h when free, a unit
 
 
 def saito_check(fields: Sequence[LogVectorField], h: Poly) -> SaitoResult:
     """Saito's criterion: n fields are a free basis of the logarithmic
     derivations iff the determinant of their coefficient matrix equals a
-    nonzero constant times h.
+    unit of the polynomial ring (is_unit_monomial: c*T^k, c a nonzero
+    constant) times h.
 
     Raises DivisorError when some field is not logarithmic (the criterion's
     hypothesis); otherwise returns the determinant, in the polynomial ring,
-    and, if it matches c*h, the constant certificate.
+    and, if it is q*h for such a unit q, q as the certificate.
     """
     ctx = h.ctx
     if len(fields) != ctx.n:
@@ -93,10 +94,8 @@ def saito_check(fields: Sequence[LogVectorField], h: Poly) -> SaitoResult:
             raise DivisorError("field %d is not logarithmic along h" % (k + 1))
     det = det_poly([list(delta.coeffs) for delta in fields])
     ok, q = divides(h, det)
-    if ok:
-        c = q.as_constant()
-        if c is not None and not c.is_zero():
-            return SaitoResult(True, det, c)
+    if ok and q.is_unit_monomial():
+        return SaitoResult(True, det, q.constant_coefficient())
     return SaitoResult(False, det, None)
 
 
@@ -213,10 +212,12 @@ def weighted_homogeneous(h: Poly):
     Solves the difference system over the rationals (exact nullspace), then
     searches the nullspace for a strictly positive vector by Fourier-Motzkin,
     and finally clears denominators to coprime positive integers.  Returns
-    (weights tuple, degree) or None.
+    (weights tuple, degree) or None.  h is read in the polynomial ring, as
+    check_squarefree reads it, so a pole is a PolyError.
     """
     if h.is_zero():
         raise DivisorError("zero polynomial")
+    h = h.in_polynomial_ring()
     n = h.ctx.n
     exps = list(h.monomials())
     base = exps[0]

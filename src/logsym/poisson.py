@@ -4,14 +4,11 @@ closed log 2-form, plus the machine-checkable identity suite.
 The Hamiltonian field of f is the X with i_X omega = d(f), and the tilde
 field of u the X with i_X omega = du/u.  Both come from the map
 alpha -> X, i_X omega = alpha, on log 1-forms, which depends only on the
-structure.  Assembly composed it once: where the Poisson tensor pi
-(checked against A^T * pi == I) exists, as H = Phi^T * pi * F, with F the
-frame fields' log components and Phi their plain coefficients, so X's
-coefficient of d/dx_i is sum_j H_ij alpha_j over the nonzero H_ij, one
-poly.dot (the multiply-accumulate kernel) per row.  For a
-Saito frame whose constant det is not a unit there is no pi: the stored
-map is adj * F, each of its rows k times alpha is divided by det exactly,
-and the quotients weight the frame fields.  No system is solved per call.
+structure.  Assembly composed it once from the Poisson tensor pi (checked
+against A^T * pi == I), as H = Phi^T * pi * F, with F the frame fields' log
+components and Phi their plain coefficients, so X's coefficient of d/dx_i
+is sum_j H_ij alpha_j over the nonzero H_ij, one poly.dot (the
+multiply-accumulate kernel) per row.  No system is solved per call.
 Every field is still re-verified through the certificate
 i_{delta_f} omega == d(f), on that same d(f), and every tilde field through
 i_tilde omega == du/u.  Forms, polynomials and scalars are stored in
@@ -63,40 +60,23 @@ class HamiltonianResult(NamedTuple):
 def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
     """The unique frame-spanned field with i_delta omega = d(f)."""
     if not S.nondegenerate:
-        raise PoissonError("degenerate form has no Hamiltonian fields")
+        raise PoissonError("degenerate form has no Hamiltonian fields: det = %s"
+                           % print_canonical(S.det_cert))
     S.ctx.check_same(f.ctx)
     df = d_of_function(f)
-    delta = _gram_field(S, df, "Hamiltonian")
+    delta = _gram_field(S, df)
     if S.omega.interior(delta) != df:
         raise PoissonError("Hamiltonian certificate failed (internal error)")
     return HamiltonianResult(f=f, delta=delta, df=df)
 
 
-def _gram_field(S: SymplecticData, alpha: LogForm, what: str) -> LogVectorField:
+def _gram_field(S: SymplecticData, alpha: LogForm) -> LogVectorField:
     """The field X with i_X omega = alpha, for a log 1-form alpha, as one
     sparse product of the field map stored at assembly with alpha's coframe
-    coefficients, a poly.dot per row; where the structure keeps
-    frame_entries (there was no Poisson tensor), each product row k is
-    divided by det exactly and weights frame_k.  what names the field in
-    the error raised when some quotient is not in the chart's ring."""
-    divide = S.frame_entries is not None
+    coefficients, a poly.dot per row."""
     terms = alpha.terms
-    zero = Poly.zero(S.ctx)
-    coeffs = [zero] * S.ctx.n
-    for k, row in enumerate(S.field_map):
-        v = dot(((h, terms[(j,)]) for j, h in row if (j,) in terms), S.ctx)
-        if not divide:
-            coeffs[k] = v
-            continue
-        ok, q = divides(S.det_cert, v)
-        if not ok:
-            raise PoissonError(
-                "%s component %d leaves the chart's ring: (%s) / (%s)"
-                % (what, k, print_canonical(v), print_canonical(S.det_cert))
-            )
-        if not q.is_zero():
-            for i, c in S.frame_entries[k]:
-                coeffs[i] = coeffs[i] + q * c
+    coeffs = [dot(((h, terms[(j,)]) for j, h in row if (j,) in terms), S.ctx)
+              for row in S.field_map]
     return _field(S.ctx, tuple(coeffs))
 
 
@@ -199,7 +179,7 @@ def _tilde(
 ) -> LogVectorField:
     """tilde_hamiltonian's field and checks from du/u = dlog_u, which the
     caller already holds."""
-    tilde = _gram_field(S, dlog_u, "tilde")
+    tilde = _gram_field(S, dlog_u)
     if S.omega.interior(tilde) != dlog_u:
         raise PoissonError("tilde certificate failed (internal error)")
     if delta_u is None:

@@ -155,7 +155,7 @@ class Poly:
                 if len(e) != ctx.n:
                     raise PolyError("exponent arity %d != %d" % (len(e), ctx.n))
                 for i, x in enumerate(e):
-                    if x < 0 and not ctx.laurent_ok(i):
+                    if x < 0 and not ctx.is_divisor_index(i):
                         raise PolyError(
                             "negative exponent on %s, which is not inverted"
                             % ctx.names[i]
@@ -247,7 +247,7 @@ class Poly:
         if len(self._t) != 1:
             return False
         (e,) = self._t
-        return all(x == 0 or self.ctx.laurent_ok(i) for i, x in enumerate(e[:-1]))
+        return all(x == 0 or self.ctx.is_divisor_index(i) for i, x in enumerate(e[:-1]))
 
     def inverse_unit(self) -> "Poly":
         if not self.is_unit_monomial():
@@ -358,7 +358,7 @@ class Poly:
         t = {}
         for e, v in self._t.items():
             x = e[i] + k
-            if x < 0 and not self.ctx.laurent_ok(i):
+            if x < 0 and not self.ctx.is_divisor_index(i):
                 raise PolyError(
                     "z_%s^%d pushes exponents negative, and %s is not inverted"
                     % (self.ctx.names[i], k, self.ctx.names[i])

@@ -59,7 +59,7 @@ def rand_ctx(rng, nmax=4):
 def rand_exponent(ctx, rng, deg=4):
     e = []
     for i in range(ctx.n):
-        if ctx.laurent_ok(i):
+        if ctx.is_divisor_index(i):
             e.append(rng.randint(-2, deg - 1))
         else:
             e.append(rng.randint(0, deg - 1))

@@ -127,20 +127,27 @@ def test_check_logsymplectic(capsys, monkeypatch):
     assert lines(out) == ["closed: yes", "nondegenerate: no (det = x^2, log frame)",
                           "along D: no (det = x^2, polynomial ring)"]
 
-    # --fields switches to the Saito rule: a nonzero constant det, unit or not
+    # --fields asks the same unit test in the polynomial ring: (1+T)^2 is a
+    # nonzero constant but no unit, on the log frame as on a given frame
     session = ("vars x y\nform w : (1+T)*d(x)^d(y)\n"
                "vfield a : @x\nvfield b : @y\nvfield c : x*@x\n")
     code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
-                             "--session", "-", "--fields", "a,b")
-    assert code == 0
+                             "--session", "-")
+    assert code == 1
     assert lines(out) == [
-        "closed: yes", "nondegenerate: yes (det = T^2 + 2*T + 1, saito frame)",
+        "closed: yes", "nondegenerate: no (det = T^2 + 2*T + 1, log frame)",
+    ]
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
+                             "--session", "-", "--fields", "a,b")
+    assert code == 1
+    assert lines(out) == [
+        "closed: yes", "nondegenerate: no (det = T^2 + 2*T + 1, saito frame)",
     ]
     code, out, _ = run_stdin(capsys, monkeypatch, session, "check-logsymplectic",
                              "--session", "-", "--fields", "c,b")
     assert code == 1
     assert lines(out) == [
-        "closed: yes", "nondegenerate: no (det = (T^2 + 2*T + 1)*x^2, saito frame)",
+        "closed: yes", "nondegenerate: no (det = (T^2 + 2*T + 1)*x^2, declared frame)",
     ]
 
     # a frame has one field per coordinate; any other count is an error
@@ -158,6 +165,30 @@ def test_check_logsymplectic(capsys, monkeypatch):
 
 COORDS_Y = "vars x y\ndivisor coords y\nform w : d(x)^d(y)\n"
 POLE_U = "vars u v\ndivisor coords u v\nform w : -u^-1*dlog(u)^dlog(v)\n"
+
+
+def test_a_declared_frame_is_named_by_saito_check(capsys, monkeypatch):
+    """A frame given with --fields is a saito frame when saito_check calls it
+    free along the session's divisor equation, or along h = 1 without one,
+    and a declared frame otherwise, in text and json: @u is not logarithmic
+    along u*v, x*@x, @y has det x, not a unit times 1, and a field with a
+    pole is no derivation of the polynomial ring."""
+    uv = "vars u v\ndivisor coords u v\nform p : d(u)^d(v)\n"
+    xy = "vars x y\nform w : d(x)^d(y)\n"
+    cases = [(uv, "@u,@v", 0, "yes (det = 1, declared frame)"),
+             (uv, "u*@u,v*@v", 1, "no (det = u^2*v^2, saito frame)"),
+             (uv, "u^-1*@u,v*@v", 1, "no (det = u^-2*v^2, declared frame)"),
+             (xy, "@x,T*@y", 0, "yes (det = T^2, saito frame)"),
+             (xy, "x*@x,@y", 1, "no (det = x^2, declared frame)")]
+    for session, fields, code, verdict in cases:
+        argv = ["check-logsymplectic", "--session", "-", "--fields", fields]
+        got, out, _ = run_stdin(capsys, monkeypatch, session, *argv)
+        assert (got, lines(out)) == (code, ["closed: yes", "nondegenerate: " + verdict])
+        got, out, _ = run_stdin(capsys, monkeypatch, session, *argv, "--format", "json")
+        assert (got, json.loads(out)["frame"]) == (code, verdict.split(", ")[1][:-7])
+    argv = ["check-saito", "--session", "-", "--fields", "@u,@v"]
+    assert run_stdin(capsys, monkeypatch, uv, *argv)[:2] == (
+        1, "not free: field 1 is not logarithmic along h\n")
 
 
 def test_along_divisor_next_to_the_verdict_on_U(capsys, monkeypatch):
@@ -236,6 +267,28 @@ def test_polynomial_questions_are_asked_in_the_polynomial_ring(capsys, monkeypat
     code, out, _ = run_stdin(capsys, monkeypatch, session, "check-saito", "--session", "-",
                              "--fields", "x*@x,y*@y")
     assert (code, lines(out)) == (0, ["free: det = x*y = 1*h"])
+    # weights read h in the polynomial ring, as check-divisor does
+    code, out, err = run(capsys, "weights", "--session", TORUS, "--poly", "x^-1*y^-1")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    code, out, _ = run(capsys, "weights", "--session", TORUS, "--poly", "x^-1*y^-1",
+                       "--format", "json")
+    assert (code, json.loads(out)["error"]) == (2, message)
+
+
+def test_saito_certificate_is_a_unit(capsys, monkeypatch):
+    """Saito's criterion asks for det = q*h with q a unit of the polynomial
+    ring: 1 + T is a nonzero constant and no unit, and 2*T is one."""
+    session = "vars x y\ndivisor poly x*y\n"
+    argv = ["check-saito", "--session", "-", "--fields", "(1+T)*x*@x,y*@y"]
+    code, out, _ = run_stdin(capsys, monkeypatch, session, *argv)
+    assert (code, lines(out)) == (1, ["not free: det = (T + 1)*x*y is not a unit multiple of h"])
+    code, out, _ = run_stdin(capsys, monkeypatch, session, *argv, "--format", "json")
+    assert (code, json.loads(out)) == (1, {
+        "schema": cli.SCHEMA, "command": "check-saito", "exit": 1, "free": False,
+        "det": "(T + 1)*x*y"})
+    code, out, _ = run_stdin(capsys, monkeypatch, session, "check-saito", "--session", "-",
+                             "--fields", "2*T*x*@x,y*@y")
+    assert (code, lines(out)) == (0, ["free: det = 2*T*x*y = 2*T*h"])
 
 
 def test_singbracket_on_a_divisor_poly_session(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from logsym.divisors import (
     saito_check,
     weighted_homogeneous,
 )
-from logsym.poly import Poly, divides
+from logsym.poly import Poly, PolyError, divides
 from logsym.scalars import Scalar
 from logsym.sessions import eval_in_session, parse_session, print_canonical
 from conftest import rand_scalar
@@ -128,14 +128,20 @@ def test_weighted_homogeneity_known():
 
 
 def test_weighted_homogeneity_properties():
-    # whenever weights come back they really grade the polynomial
+    # whenever weights come back they really grade the polynomial; a Laurent
+    # polynomial is refused, as check_squarefree refuses it
     rng = random.Random(311)
     from conftest import rand_ctx, rand_poly
 
-    found = 0
+    found = poles = 0
     for _ in range(200):
         ctx = rand_ctx(rng, nmax=3)
         p = rand_poly(ctx, rng, deg=3, terms=3, allow_zero=False)
+        if p.pole() is not None:
+            with pytest.raises(PolyError, match="not in the polynomial ring: pole in"):
+                weighted_homogeneous(p)
+            poles += 1
+            continue
         res = weighted_homogeneous(p)
         if res is None:
             continue
@@ -143,7 +149,7 @@ def test_weighted_homogeneity_properties():
         assert all(isinstance(wi, int) and wi >= 1 for wi in w)
         assert {sum(wi * k for wi, k in zip(w, e)) for e in p.terms} == {deg}
         found += 1
-    assert found >= 20
+    assert found >= 20 and poles >= 20
 
 
 def _same_up_to_unit(p, q):

@@ -156,6 +156,29 @@ def test_make_context_arena_is_benchmark_only():
     assert not passed, "make_context given a third argument: " + ", ".join(passed)
 
 
+def _laurent_ok_reads(path):
+    """The lines of path that read the attribute laurent_ok."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "laurent_ok"]
+
+
+def test_laurent_ok_is_benchmark_only():
+    """VarContext.laurent_ok, an alias of is_divisor_index, is kept only for
+    perfbench/workloads.py; nothing under src/, tests/ or demos/ reads it.
+    Once a change to the benchmark stops reading it, this fails and names
+    the alias to delete."""
+    root = SRC.parent.parent
+    assert _laurent_ok_reads(root / "perfbench" / "workloads.py"), (
+        "perfbench/workloads.py reads no laurent_ok: delete the alias "
+        "VarContext.laurent_ok in logsym/context.py")
+    read = ["%s:%d" % (path.relative_to(root), line)
+            for top in ("src", "tests", "demos")
+            for path in sorted((root / top).rglob("*.py"))
+            for line in _laurent_ok_reads(path)]
+    assert not read, "laurent_ok read outside the benchmark: " + ", ".join(read)
+
+
 def test_exports_are_bound():
     """Every name in logsym.__all__ is bound in the package, so a name left
     in the list after its import is gone fails here and not at a user's

@@ -107,7 +107,7 @@ _SCALARS = st.dictionaries(
 
 
 def _polys(ctx, min_size=0):
-    exps = st.tuples(*(st.integers(-1 if ctx.laurent_ok(i) else 0, 2) for i in range(ctx.n)))
+    exps = st.tuples(*(st.integers(-1 if ctx.is_divisor_index(i) else 0, 2) for i in range(ctx.n)))
     return st.dictionaries(exps, _SCALARS, min_size=min_size, max_size=3).map(
         lambda t: Poly(ctx, t))
 
@@ -182,7 +182,7 @@ def test_divides_unit_monomial_matches_reduction():
         c = Scalar.zero()
         while c.is_zero():
             c = rand_scalar(rng, terms=1)
-        e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
+        e = tuple(rng.randint(-3, 3) if ctx.is_divisor_index(i) else 0 for i in range(ctx.n))
         u = Poly.monomial(ctx, e, c)
         assert u.is_unit_monomial()
         q, r = _reference_divmod(f, u)
@@ -267,7 +267,7 @@ def _reference_strip(f):
     shifts = [0] * f.ctx.n
     for i in range(f.ctx.n):
         m = f.min_degree_in(i)
-        if m < 0 or (m > 0 and f.ctx.laurent_ok(i)):
+        if m < 0 or (m > 0 and f.ctx.is_divisor_index(i)):
             shifts[i] = m
     if all(s == 0 for s in shifts):
         return f
@@ -662,7 +662,7 @@ _MIXED = st.one_of(
 
 
 def _mixed_polys(ctx, min_size=0):
-    exps = st.tuples(*(st.integers(-1 if ctx.laurent_ok(i) else 0, 2) for i in range(ctx.n)))
+    exps = st.tuples(*(st.integers(-1 if ctx.is_divisor_index(i) else 0, 2) for i in range(ctx.n)))
     return st.dictionaries(exps, _MIXED, min_size=min_size, max_size=3).map(
         lambda t: Poly(ctx, t))
 
@@ -674,7 +674,7 @@ def _assert_canonical(p):
         assert len(key) == p.ctx.n + 1 and all(type(x) is int for x in key)
         re, im, den = v
         assert den > 0 and (re or im) and gcd(re, im, den) == 1
-        assert all(x >= 0 or p.ctx.laurent_ok(i) for i, x in enumerate(key[:-1]))
+        assert all(x >= 0 or p.ctx.is_divisor_index(i) for i, x in enumerate(key[:-1]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

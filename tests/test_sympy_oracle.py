@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsym.calculus import LogForm, along_divisor, gram_determinant, log_frame
+from logsym.calculus import LogForm, LogVectorField, along_divisor, gram_determinant
 from logsym.context import make_context
 from logsym.divisors import check_squarefree
 from logsym.linalg import det_poly
@@ -249,7 +249,7 @@ def test_divides_by_unit_monomials_against_sympy():
         inv = tuple(VARS[ctx.index(n)] for n in divisor)
         for _ in range(15):
             f = rand_linear(ctx, rng, unit_shift=True) * rand_linear(ctx, rng)
-            e = tuple(rng.randint(-3, 3) if ctx.laurent_ok(i) else 0 for i in range(ctx.n))
+            e = tuple(rng.randint(-3, 3) if ctx.is_divisor_index(i) else 0 for i in range(ctx.n))
             u = Poly.monomial(ctx, e, rand_scalar(rng, max_terms=1))
             assert u.is_unit_monomial() and is_unit(sym_poly(u), inv)
             ok, q = divides(u, f)
@@ -355,7 +355,7 @@ def test_along_divisor_against_sympy():
             w = w.scale_scalar(Scalar.one() + Scalar.two_pi_i())
         if rng.random() < 0.7:
             w = w + rand_form(ctx, rng, 2, deg=2, cells=2)
-        rows, det, _ = gram_determinant(w, log_frame(ctx), "log")
+        rows, det, _ = gram_determinant(w)
         got = along_divisor(rows, det)
         want, poles = _along_d_by_sympy(w, syms[:ctx.n])
         assert got.holds == want
@@ -365,3 +365,58 @@ def test_along_divisor_against_sympy():
             assert not poles
         seen[want] += 1
     assert seen[True] >= 10 and seen[False] >= 10
+
+
+def _declared_frame(ctx, rng):
+    """The plain coefficient rows of a random frame of a 2-variable chart:
+    triangular with unit constants on the diagonal, the divisor coordinates
+    times unit constants on the diagonal, or two random rows with Laurent
+    entries on the divisor coordinates."""
+    def unit():
+        return Poly.constant(ctx, rand_scalar(rng, max_terms=1))
+    zero = Poly.zero(ctx)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [[unit(), zero], [rand_entry(ctx, rng), unit()]]
+    if kind == 1:
+        diag = [Poly.variable(ctx, name) * unit() if ctx.is_divisor_index(i) else unit()
+                for i, name in enumerate(ctx.names)]
+        return [[diag[0], zero], [zero, diag[1]]]
+    return [[rand_entry(ctx, rng, ctx.divisor) for _ in range(2)] for _ in range(2)]
+
+
+def test_unit_rule_on_declared_frames_against_sympy():
+    """gram_determinant's verdict on a given frame against sympy, on 40
+    seeded 2-variable charts (no divisor coordinate, x, y, or both) with
+    omega = c e^x^e^y.  sympy reads omega as c/(product of the divisor
+    coordinates) dx^dy, builds the Gram matrix on the frame's plain
+    coefficients, takes its determinant and calls omega nondegenerate when
+    that is c*T^k, c nonzero: a unit of the polynomial ring, free of every
+    coordinate.  Both verdicts occur."""
+    rng = random.Random(310)
+    divisors = ((), ("x",), ("y",), ("x", "y"))
+    seen = {True: 0, False: 0}
+    for k in range(40):
+        ctx = make_context(["x", "y"], divisors[k % 4])
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        z_s = Poly.one(ctx)
+        for i in ctx.divisor:
+            z_s = z_s * Poly.variable(ctx, ctx.names[i])
+        u = Poly.constant(ctx, rand_scalar(rng, max_terms=1))
+        one_t = Poly.constant(ctx, Scalar.one() + Scalar.two_pi_i())
+        c = rng.choice([u, z_s * u, z_s * u, z_s * one_t, x * y * u,
+                        rand_entry(ctx, rng, ctx.divisor)])
+        w = LogForm.coframe(ctx, "x").wedge(LogForm.coframe(ctx, "y")).scale(c)
+        rows = _declared_frame(ctx, rng)
+        got = gram_determinant(w, [LogVectorField(ctx, r) for r in rows])[2]
+
+        a = sym_poly(c) / sym_poly(z_s)
+        m = [[sym_poly(p) for p in r] for r in rows]
+        pair = a * (m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        det = sympy.Matrix([[0, pair], [-pair, 0]]).det()
+        num, den = sympy.fraction(sympy.cancel(sympy.together(det)))
+        want = num != 0 and all(sympy.Poly(p, T, X, Y).is_monomial and not p.has(X, Y)
+                                for p in (num, den))
+        assert got == want, (ctx, c, rows)
+        seen[want] += 1
+    assert seen[True] >= 8 and seen[False] >= 8
