@@ -436,15 +436,21 @@ class SymplecticData:
     field_map maps the coframe coefficients alpha_j of a log 1-form alpha to
     the field X with i_X omega = alpha, kept as the (index, entry) pairs of
     the nonzero entries of each row: row i gives X's coefficient of d/dx_i.
+
+    held is poisson.hamiltonian's memo: the certified HamiltonianResults of
+    the last two functions asked for, newest first.  Two is the pair a
+    bracket asks for, so a bracket and its reverse make two fields, and the
+    memory a structure keeps stays flat however many functions it sees.
     """
 
-    __slots__ = ("omega", "det_cert", "nondegenerate", "field_map")
+    __slots__ = ("omega", "det_cert", "nondegenerate", "field_map", "held")
 
     def __init__(self, omega: LogForm, det_cert: Poly, field_map: tuple):
         self.omega = omega
         self.det_cert = det_cert
         self.nondegenerate = det_cert.is_unit_monomial()
         self.field_map = field_map
+        self.held = ()
 
     @property
     def ctx(self) -> VarContext:

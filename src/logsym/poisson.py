@@ -16,6 +16,14 @@ canonical form (no zero coefficient is kept, each scalar is reduced), so
 equality decides the same statement as the difference being zero without
 building that difference.
 
+A structure holds the HamiltonianResults of the last two functions asked
+for (SymplecticData.held), and hamiltonian hands a held result back for f
+or a Poly equal to it, after its degeneracy and context checks.  Two is
+the pair a bracket asks for: {f,g} then {g,f} makes two fields, not four,
+and the memory held stays flat however many functions a structure sees.
+Each field is certified once, when it is made; a field whose certificate
+fails raises and is never held.
+
 A HamiltonianResult carries the d(f) its certificate proved equal to
 i_{delta_f} omega.  So every bracket is cross-checked without contracting
 omega again: omega(delta_g, delta_f) = -omega(delta_f, delta_g) = {f,g} is
@@ -24,10 +32,10 @@ poly.dot, and it must equal the derivation delta_f(g), another.  omega
 enters that check through the certificate of delta_g, so it decides the
 same statement as comparing omega(delta_g, delta_f) with delta_f(g).
 
-The identity suite computes each bracket, Hamiltonian field and fraction
-once per call.  {a,b} is computed on both sides once: their difference is
-identity (iii), reported as a defect, and (iv) and the Jacobi defect take
-delta_a(b) as {a,b}.  Identity (i) contracts omega with
+The identity suite computes each bracket and fraction, and asks for each
+Hamiltonian field, once per call.  {a,b} is computed on both sides once:
+their difference is identity (iii), reported as a defect, and (iv) and the
+Jacobi defect take delta_a(b) as {a,b}.  Identity (i) contracts omega with
 delta_{u,v} - uv*delta_s, s = {u,v}/(uv), by linearity, as the certified
 d({u,v}) - uv*d(s).  The {u,a} of identity (ii) is handed to the Jacobi
 defect, and (ii) is one fraction over uv(u+v).
@@ -58,16 +66,28 @@ class HamiltonianResult(NamedTuple):
 
 
 def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
-    """The unique frame-spanned field with i_delta omega = d(f)."""
+    """The unique frame-spanned field with i_delta omega = d(f).
+
+    A result S holds for f, or for a Poly equal to f, is handed back as it
+    is and becomes S's newest; otherwise the field is made and certified,
+    and S keeps it in place of the result asked for less recently."""
     if not S.nondegenerate:
         raise PoissonError("degenerate form has no Hamiltonian fields: det = %s"
                            % print_canonical(S.det_cert))
     S.ctx.check_same(f.ctx)
+    held = S.held
+    for res in held:
+        if res.f is f or res.f == f:
+            if res is not held[0]:
+                S.held = (res, held[0])
+            return res
     df = d_of_function(f)
     delta = _gram_field(S, df)
     if S.omega.interior(delta) != df:
         raise PoissonError("Hamiltonian certificate failed (internal error)")
-    return HamiltonianResult(f=f, delta=delta, df=df)
+    res = HamiltonianResult(f=f, delta=delta, df=df)
+    S.held = (res,) + held[:1]
+    return res
 
 
 def _gram_field(S: SymplecticData, alpha: LogForm) -> LogVectorField:
@@ -264,8 +284,9 @@ def verify_identities(
     PoissonError at identity (i) otherwise), and u + v != 0 (a
     PoissonError at identity (ii) otherwise); a, b arbitrary.
     Identity (i) takes s = {u,v}/(uv), which lies in the ring for such u
-    and v.  Ten Hamiltonian fields are made and certified, and eight
-    brackets cross-checked, each once; {a,b}'s two sides are compared by
+    and v.  Ten Hamiltonian fields are asked for, each once, and at most
+    ten are made and certified (equal arguments share one); eight brackets
+    are cross-checked, each once; {a,b}'s two sides are compared by
     (iii), and delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves
     (ii) and the Jacobi defect; du/u and dv/v are built once, for (i) and
     the tilde fields of (v).
@@ -295,9 +316,9 @@ def verify_identities(
     bua = bracket_of_fields(S, hu, ha)
     bva = bracket_of_fields(S, hv, ha)
     w = u + v
-    bwa = bracket_of_fields(S, hamiltonian(S, w), ha)
     if w.is_zero():
         raise PoissonError("u + v = 0: identity (ii) divides by u + v")
+    bwa = bracket_of_fields(S, hamiltonian(S, w), ha)
     defect_ii = RationalFunction((bua * v + bva * u) * w - bwa * uv, uv * w)
 
     # (iii)  {a,b} = delta_a(b); the two sides serve (iv) and Jacobi too

@@ -69,6 +69,12 @@ def _chart_c():
     return ctx, assemble_symplectic(e[0].wedge(e[1]) + e[2].wedge(e[3]))
 
 
+def _unheld(S):
+    """S as assembly leaves it: the same form and field map, holding no
+    Hamiltonian result, so a counted call makes every field it asks for."""
+    return calculus.SymplecticData(S.omega, S.det_cert, S.field_map)
+
+
 def _plain_frame(ctx):
     return [LogVectorField.coordinate(ctx, nm) for nm in ctx.names]
 
@@ -593,11 +599,12 @@ def test_one_derivative_per_hamiltonian_field(monkeypatch):
         for _ in range(6):
             f = rand_poly(ctx, rng, deg=3, terms=3)
             want = _reference_hamiltonian(S, frame, f)
+            fresh = _unheld(S)
             with monkeypatch.context() as mp:
                 mp.setattr(poisson, "d_of_function", counting_d)
                 mp.setattr(LogVectorField, "apply", counting_apply)
                 counts.update(d=0, apply=0)
-                got = hamiltonian(S, f).delta
+                got = hamiltonian(fresh, f).delta
                 assert counts == {"d": 1, "apply": 0}
             assert got == want
 
@@ -807,14 +814,16 @@ def _caller():
 
 def test_every_passed_field_was_certified(monkeypatch):
     """Corrupting any one Hamiltonian field the identity suite or the Jacobi
-    defect makes is caught by that field's certificate."""
+    defect makes is caught by that field's certificate.  On chart C,
+    {x, z} = 0, so s = {u,v}/(uv) = 0 is handed the field of {u,v} and the
+    identity suite makes 9 of its 10 fields."""
     ctx, S = _chart_c()
     u, v = _ideal_pair(_chart_c, ctx)
     rng = random.Random(508)
     a, b, k = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3))
     real = poisson._gram_field
-    for run, count in ((lambda: verify_identities(S, u, v, a, b), 10),
-                       (lambda: jacobi_defect(S, a, b, k), 6)):
+    for run, count in ((lambda: verify_identities(_unheld(S), u, v, a, b), 9),
+                       (lambda: jacobi_defect(_unheld(S), a, b, k), 6)):
         for bad in range(count):
             made = []
 
@@ -882,7 +891,8 @@ def test_certificates_are_decided_by_equality(monkeypatch):
 def test_a_field_converts_to_log_components_once(monkeypatch):
     """A Hamiltonian field is converted to log components by its certificate
     and never again: repeated brackets of held fields convert nothing, and a
-    Jacobi defect converts only the three fields it makes, once each."""
+    Jacobi defect converts only the fields it makes, once each: one per
+    distinct inner bracket, since equal brackets share one field."""
     conversions = []
     real = Poly.mul_var_power
 
@@ -901,8 +911,11 @@ def test_a_field_converts_to_log_components_once(monkeypatch):
             bracket_of_fields(S, hf, hg)
             bracket_of_fields(S, hg, hk)
         assert conversions == []
-        _jacobi(S, hf, hg, hk)
-        assert len(conversions) == 3 * len(ctx.divisor)
+        inner = [bracket(S, *p) for p in ((g, k), (k, f), (f, g))]
+        made = len([p for i, p in enumerate(inner) if p not in inner[:i]])
+        del conversions[:]
+        _jacobi(_unheld(S), hf, hg, hk)
+        assert len(conversions) == made * len(ctx.divisor)
         monkeypatch.undo()
 
 
@@ -910,7 +923,8 @@ def test_a_bracket_vs_pairing_defect_is_reported(monkeypatch):
     """Identity (iii) is decided, not raised: with only the omega side of
     {a,b} (the pairing of the certified d(b) with delta_a) spoiled, the
     report carries the difference as (iii)'s defect and every other defect
-    is unchanged."""
+    is unchanged.  b = x + y equals u + v, so b is handed the result made for
+    u + v, and the spoiled bracket is matched by equality."""
     ctx, S = _chart_a()
     x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
     a, b = x * y + x, x + y
@@ -919,20 +933,21 @@ def test_a_bracket_vs_pairing_defect_is_reported(monkeypatch):
 
     def spoiled(S, hf, hg):
         via_pairing, via_apply = real(S, hf, hg)
-        return (via_pairing + Poly.one(S.ctx) if hg.f is b else via_pairing), via_apply
+        return (via_pairing + Poly.one(S.ctx) if hg.f == b else via_pairing), via_apply
 
     monkeypatch.setattr(poisson, "_bracket_sides", spoiled)
-    rep = verify_identities(S, x, y, a, b)
+    rep = verify_identities(_unheld(S), x, y, a, b)
     assert rep.defect_iii == Poly.one(ctx)
     assert not rep.core_identities_hold
     assert rep._replace(defect_iii=want.defect_iii) == want
 
 
 def test_a_bracket_contracts_omega_only_in_its_certificates(monkeypatch):
-    """{f,g} contracts omega twice, once in each Hamiltonian certificate: the
-    cross-check reads omega(delta_g, delta_f) off the certified d(g), on
-    charts A, B and C and on both cross frames, and gives the bracket
-    -omega(delta_f, delta_g) contracted from omega itself."""
+    """{f,g} contracts omega twice, once in each Hamiltonian certificate (once
+    when f = g, which share one field): the cross-check reads
+    omega(delta_g, delta_f) off the certified d(g), on charts A, B and C and
+    on both cross frames, and gives the bracket -omega(delta_f, delta_g)
+    contracted from omega itself."""
     contractions = []
     real = LogForm.contract
 
@@ -945,11 +960,12 @@ def test_a_bracket_contracts_omega_only_in_its_certificates(monkeypatch):
         for _ in range(4):
             f, g = (rand_poly(ctx, rng, deg=2, terms=2) for _ in range(2))
             want = -S.omega.evaluate([hamiltonian(S, f).delta, hamiltonian(S, g).delta])
+            fresh = _unheld(S)
             monkeypatch.setattr(LogForm, "contract", counting)
             del contractions[:]
-            got = bracket(S, f, g)
+            got = bracket(fresh, f, g)
             monkeypatch.undo()
-            assert sum(w is S.omega for w in contractions) == 2
+            assert sum(w is S.omega for w in contractions) == (1 if f == g else 2)
             assert got == want
 
 
@@ -1106,8 +1122,9 @@ def test_shared_brackets_match_the_reference(maker, eu, ev, tie, seed):
 
 
 def test_u_plus_v_zero_is_named_where_ii_is_built(monkeypatch):
-    """u + v = 0 raises a PoissonError at identity (ii), after its three
-    brackets, and no earlier: an input that fails in (i) keeps (i)'s error."""
+    """u + v = 0 raises a PoissonError at identity (ii), after {u,a} and
+    {v,a} and before u + v's field is made, and no earlier: an input that
+    fails in (i) keeps (i)'s error."""
     for maker in (_chart_a, _chart_b, _chart_c):
         ctx, S = maker()
         u, _ = _ideal_pair(maker, ctx)
@@ -1118,8 +1135,8 @@ def test_u_plus_v_zero_is_named_where_ii_is_built(monkeypatch):
         with pytest.raises(PoissonError) as exc:
             verify_identities(S, u, -u, a, b)
         assert str(exc.value) == _SUM_ZERO
-        # u, v, {u,v}, {u,v}/(uv), a and u + v: b is never reached
-        assert calls[-2:] == [a, Poly.zero(ctx)]
+        # u, v, {u,v}, {u,v}/(uv) and a: neither u + v nor b is asked for
+        assert calls[-1] is a and len(calls) == 5
         monkeypatch.undo()
     # on the half chart x is off the divisor, so du/u fails in (i) first
     ctx, S = _chart_b()
@@ -1127,3 +1144,154 @@ def test_u_plus_v_zero_is_named_where_ii_is_built(monkeypatch):
     for run in (_reference_verify_identities, verify_identities):
         with pytest.raises(PoissonError, match="du/u leaves the chart's ring for u = x"):
             run(S, x, -x, x, x)
+
+
+# -- the last two Hamiltonian results a structure holds -----------------------
+
+
+def _counting_work(monkeypatch):
+    """Counts of d_of_function calls and of contractions of any form, the
+    forms contracted kept in order."""
+    counts = {"d": 0, "contract": []}
+    real_d, real_contract = poisson.d_of_function, LogForm.contract
+
+    def counting_d(f):
+        counts["d"] += 1
+        return real_d(f)
+
+    def counting_contract(self, v):
+        counts["contract"].append(self)
+        return real_contract(self, v)
+
+    monkeypatch.setattr(poisson, "d_of_function", counting_d)
+    monkeypatch.setattr(LogForm, "contract", counting_contract)
+    return counts
+
+
+def _copy(f):
+    """A Poly equal to f that is not f."""
+    return Poly(f.ctx, f.terms)
+
+
+def test_a_bracket_and_its_reverse_make_two_fields(monkeypatch):
+    """{f,g} then {g,f} on one structure takes d(f) and d(g) once each and
+    contracts omega twice in all, on charts A, B and C and a cross frame;
+    the second bracket is minus the first."""
+    rng = random.Random(523)
+    charts = _frames((_chart_a, _chart_b, _chart_c)) + _cross_charts()[:1]
+    for ctx, S, _ in charts:
+        for _ in range(3):
+            f, g = (rand_poly(ctx, rng, deg=2, terms=2, allow_zero=False)
+                    for _ in range(2))
+            assert f != g
+            S = _unheld(S)
+            counts = _counting_work(monkeypatch)
+            fg = bracket(S, f, g)
+            gf = bracket(S, g, f)
+            monkeypatch.undo()
+            assert counts["d"] == 2
+            assert sum(w is S.omega for w in counts["contract"]) == 2
+            assert gf == -fg
+
+
+def test_an_equal_poly_is_handed_the_held_result(monkeypatch):
+    """A Poly equal to a held f, but not f itself, is handed f's result, and
+    no derivative is taken for it."""
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        f = x * y + x
+        held = hamiltonian(S, f)
+        counts = _counting_work(monkeypatch)
+        again = _copy(f)
+        assert again is not f and again == f
+        assert hamiltonian(S, again) is held
+        assert hamiltonian(S, f) is held
+        monkeypatch.undo()
+        assert counts["d"] == 0 and counts["contract"] == []
+        assert hamiltonian(S, y).f is y
+
+
+def test_a_structure_holds_two_results(monkeypatch):
+    """Asking for f, g, k and then f again makes f's field twice: a structure
+    keeps the results of the last two functions asked for, so a third drops
+    the one asked for less recently, and a held result asked for again is
+    kept the longer."""
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+        f, g, k = x, y, x * y
+        counts = _counting_work(monkeypatch)
+        first = hamiltonian(S, f)
+        hamiltonian(S, g)
+        hamiltonian(S, k)
+        assert counts["d"] == 3 and len(S.held) == 2
+        again = hamiltonian(S, f)
+        assert counts["d"] == 4 and again is not first and again == first
+        # f was asked for after k: g drops k, not f
+        hamiltonian(S, k)
+        hamiltonian(S, f)
+        hamiltonian(S, g)
+        assert hamiltonian(S, f) is again
+        monkeypatch.undo()
+        assert counts["d"] == 5 and len(S.held) == 2
+
+
+def test_a_failed_certificate_is_never_held(monkeypatch):
+    """With the field map's product spoiled, every request for the same f
+    raises: a result whose certificate fails is not kept."""
+    real = poisson._gram_field
+
+    def spoiled(S, alpha):
+        return real(S, alpha) + LogVectorField.coordinate(S.ctx, "x")
+
+    for maker in (_chart_a, _chart_b, _chart_c):
+        ctx, S = maker()
+        f = Poly.variable(ctx, "y")
+        monkeypatch.setattr(poisson, "_gram_field", spoiled)
+        for _ in range(2):
+            with pytest.raises(PoissonError, match="Hamiltonian certificate failed"):
+                hamiltonian(S, f)
+        monkeypatch.undo()
+        assert S.held == ()
+        assert hamiltonian(S, f).f is f
+
+
+def test_checks_come_before_the_held_results():
+    """Degenerate data and a function from another context are refused even
+    when the structure holds a result for an equal function."""
+    ctx, S = _chart_a()
+    x = Poly.variable(ctx, "x")
+    hamiltonian(S, x)
+    one = Poly.one(ctx)
+    flat = calculus.SymplecticData(S.omega.scale(x + one), S.det_cert * (x + one),
+                                   S.field_map)
+    flat.held = S.held
+    assert not flat.nondegenerate
+    with pytest.raises(PoissonError, match="degenerate form has no Hamiltonian fields"):
+        hamiltonian(flat, x)
+    alien = Poly.variable(make_context(["x", "y"], ["x"]), "x")
+    S.held = (S.held[0]._replace(f=alien),)
+    with pytest.raises(ValueError, match="mixed contexts"):
+        hamiltonian(S, alien)
+
+
+_POOL_REQUESTS = st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                          min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((_chart_a, _chart_b, _chart_c)), _POOL_REQUESTS,
+       st.integers(0, 2**32 - 1))
+def test_held_results_equal_fresh_ones(maker, requests, seed):
+    """Requests drawn from a pool of three functions, so that repeats occur,
+    some as equal copies: each result on one structure equals the result a
+    freshly assembled structure gives for that request, and the structure
+    never holds more than two."""
+    ctx, S = maker()
+    rng = random.Random(seed)
+    pool = [rand_poly(ctx, rng, deg=2, terms=2) for _ in range(3)]
+    for i, copy in requests:
+        f = _copy(pool[i]) if copy else pool[i]
+        assert hamiltonian(S, f) == hamiltonian(maker()[1], f)
+        assert len(S.held) <= 2
