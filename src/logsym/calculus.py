@@ -437,10 +437,13 @@ class SymplecticData:
     the field X with i_X omega = alpha, kept as the (index, entry) pairs of
     the nonzero entries of each row: row i gives X's coefficient of d/dx_i.
 
-    held is poisson.hamiltonian's memo: the certified HamiltonianResults of
-    the last two functions asked for, newest first.  Two is the pair a
-    bracket asks for, so a bracket and its reverse make two fields, and the
-    memory a structure keeps stays flat however many functions it sees.
+    held is the one way a Hamiltonian field is reused: poisson.hamiltonian
+    keeps the certified HamiltonianResults of the last ten functions asked
+    for, keyed by id(f) in the order they were last asked for.  Ten is the
+    working set of the identity suite, so every composite, written as its
+    formula over hamiltonian and bracket, makes each of its fields once,
+    and the memory a structure keeps stays flat however many functions it
+    sees.
     """
 
     __slots__ = ("omega", "det_cert", "nondegenerate", "field_map", "held")
@@ -450,7 +453,7 @@ class SymplecticData:
         self.det_cert = det_cert
         self.nondegenerate = det_cert.is_unit_monomial()
         self.field_map = field_map
-        self.held = ()
+        self.held = {}
 
     @property
     def ctx(self) -> VarContext:

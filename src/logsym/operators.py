@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .calculus import LogForm, LogVectorField, SymplecticData
-from .poisson import bracket_of_fields, hamiltonian
+from .poisson import bracket, hamiltonian
 from .poly import Poly
 from .scalars import Scalar
 
@@ -102,12 +102,7 @@ def prequantum_op(
     """Q(f) = nabla_{delta_f} + alpha*f, alpha defaulting to the formal 2*pi*i."""
     if alpha is None:
         alpha = Scalar.two_pi_i()
-    return _prequantum(f, hamiltonian(S, f).delta, sigma, alpha)
-
-
-def _prequantum(f: Poly, df: LogVectorField, sigma: LogForm, alpha: Scalar) -> LogDiffOp1:
-    """Q(f) from the Hamiltonian field df of f."""
-    op = from_connection(sigma, df)
+    op = from_connection(sigma, hamiltonian(S, f).delta)
     return LogDiffOp1(op.delta, op.mult + f.scale(alpha))
 
 
@@ -135,14 +130,11 @@ def dirac_check(
     """
     if alpha is None:
         alpha = Scalar.two_pi_i()
-    hf = hamiltonian(S, f)
-    qf = _prequantum(f, hf.delta, sigma, alpha)
-    hg = hamiltonian(S, g)
-    qg = _prequantum(g, hg.delta, sigma, alpha)
-    fg = bracket_of_fields(S, hf, hg)
+    qf, qg = prequantum_op(f, S, sigma, alpha), prequantum_op(g, S, sigma, alpha)
+    fg = bracket(S, f, g)
     defect = qf.commutator(qg) - prequantum_op(fg, S, sigma, alpha)
-    curv = sigma.d()
-    predicted = curv.evaluate([hf.delta, hg.delta]) + fg.scale(alpha)
+    fields = [hamiltonian(S, f).delta, hamiltonian(S, g).delta]
+    predicted = sigma.d().evaluate(fields) + fg.scale(alpha)
     if not defect.delta.is_zero():
         raise OperatorError("Dirac defect has a field part (internal error)")
     if defect.mult != predicted:
@@ -212,14 +204,11 @@ class CochainSpec(NamedTuple):
     theta: LogForm  # degree 1
     c: Scalar
 
-    def eval(self, f: Poly, S: SymplecticData,
-             delta: Optional[LogVectorField] = None) -> Poly:
-        """m(f); delta, when given, is the Hamiltonian field of f."""
+    def eval(self, f: Poly, S: SymplecticData) -> Poly:
+        """m(f)."""
         val = f.scale(self.c)
         if not self.theta.is_zero():
-            if delta is None:
-                delta = hamiltonian(S, f).delta
-            val = val + pair_form_field(self.theta, delta)
+            val = val + pair_form_field(self.theta, hamiltonian(S, f).delta)
         return val
 
 
@@ -240,15 +229,8 @@ def verify_E_condition(
     """
     if alpha.is_zero():
         raise OperatorError("alpha must be nonzero")
-    hf = hamiltonian(S, f)
-    hg = hamiltonian(S, g)
-    mf = mspec.eval(f, S, hf.delta)
-    mg = mspec.eval(g, S, hg.delta)
-    fg = bracket_of_fields(S, hf, hg)
-    curv_val = sigma.d().evaluate([hf.delta, hg.delta])
-    return (
-        hg.delta.apply(mf)
-        - hf.delta.apply(mg)
-        + mspec.eval(fg, S)
-        - curv_val.scale(alpha.inverse())
-    )
+    df, dg = hamiltonian(S, f).delta, hamiltonian(S, g).delta
+    mf, mg = mspec.eval(f, S), mspec.eval(g, S)
+    fg = bracket(S, f, g)
+    curv_val = sigma.d().evaluate([df, dg])
+    return dg.apply(mf) - df.apply(mg) + mspec.eval(fg, S) - curv_val.scale(alpha.inverse())

@@ -4,41 +4,28 @@ closed log 2-form, plus the machine-checkable identity suite.
 The Hamiltonian field of f is the X with i_X omega = d(f), and the tilde
 field of u the X with i_X omega = du/u.  Both come from the map
 alpha -> X, i_X omega = alpha, on log 1-forms, which depends only on the
-structure.  Assembly composed it once from the Poisson tensor pi (checked
-against A^T * pi == I), as H = Phi^T * pi * F, with F the frame fields' log
-components and Phi their plain coefficients, so X's coefficient of d/dx_i
-is sum_j H_ij alpha_j over the nonzero H_ij, one poly.dot (the
-multiply-accumulate kernel) per row.  No system is solved per call.
-Every field is still re-verified through the certificate
-i_{delta_f} omega == d(f), on that same d(f), and every tilde field through
-i_tilde omega == du/u.  Forms, polynomials and scalars are stored in
-canonical form (no zero coefficient is kept, each scalar is reduced), so
-equality decides the same statement as the difference being zero without
-building that difference.
+structure: assembly composed it once from the Poisson tensor as the field
+map, so X's coefficient of d/dx_i is one poly.dot (the multiply-accumulate
+kernel) over row i, and no system is solved per call.  Every field is
+certified when it is made, through i_{delta_f} omega == d(f) on that same
+d(f), and every tilde field through i_tilde omega == du/u.  Forms,
+polynomials and scalars are stored in canonical form, so equality decides
+the same statement as the difference being zero without building it.
 
-A structure holds the HamiltonianResults of the last two functions asked
-for (SymplecticData.held), and hamiltonian hands a held result back for f
-or a Poly equal to it, after its degeneracy and context checks.  Two is
-the pair a bracket asks for: {f,g} then {g,f} makes two fields, not four,
-and the memory held stays flat however many functions a structure sees.
-Each field is certified once, when it is made; a field whose certificate
-fails raises and is never held.
+One rule reuses a field: a structure holds the HamiltonianResults of the
+last ten functions asked for (SymplecticData.held), keyed by the identity
+of f, and hamiltonian hands a held result back after its degeneracy and
+context checks.  Ten is the working set of the identity suite: u, v,
+{u,v}, s, a, u+v, b, {a,b}, {b,u} and {u,a}.  So every composite is
+written as its formula over hamiltonian and bracket, and still makes each
+field once.  A Poly equal to a held f but built apart gets its own,
+freshly certified field; a field whose certificate fails is never held.
 
 A HamiltonianResult carries the d(f) its certificate proved equal to
 i_{delta_f} omega.  So every bracket is cross-checked without contracting
 omega again: omega(delta_g, delta_f) = -omega(delta_f, delta_g) = {f,g} is
 the log pairing <d(g), delta_f>, read off the certified d(g) as one
-poly.dot, and it must equal the derivation delta_f(g), another.  omega
-enters that check through the certificate of delta_g, so it decides the
-same statement as comparing omega(delta_g, delta_f) with delta_f(g).
-
-The identity suite computes each bracket and fraction, and asks for each
-Hamiltonian field, once per call.  {a,b} is computed on both sides once:
-their difference is identity (iii), reported as a defect, and (iv) and the
-Jacobi defect take delta_a(b) as {a,b}.  Identity (i) contracts omega with
-delta_{u,v} - uv*delta_s, s = {u,v}/(uv), by linearity, as the certified
-d({u,v}) - uv*d(s).  The {u,a} of identity (ii) is handed to the Jacobi
-defect, and (ii) is one fraction over uv(u+v).
+poly.dot, and it must equal the derivation delta_f(g), another.
 """
 
 from __future__ import annotations
@@ -49,6 +36,11 @@ from .calculus import LogForm, LogVectorField, SymplecticData, _field, d_of_func
 from .linalg import RationalFunction
 from .poly import Poly, divides, dot
 from .sessions import print_canonical
+
+
+# the working set of the identity suite; a held result keeps its f alive, so
+# no other function can take its id while it is held
+_HELD = 10
 
 
 class PoissonError(ValueError):
@@ -68,25 +60,24 @@ class HamiltonianResult(NamedTuple):
 def hamiltonian(S: SymplecticData, f: Poly) -> HamiltonianResult:
     """The unique frame-spanned field with i_delta omega = d(f).
 
-    A result S holds for f, or for a Poly equal to f, is handed back as it
-    is and becomes S's newest; otherwise the field is made and certified,
-    and S keeps it in place of the result asked for less recently."""
+    A result S holds for f itself is handed back and becomes S's newest;
+    otherwise the field is made and certified, and S keeps it in place of
+    the result asked for least recently once it holds _HELD."""
     if not S.nondegenerate:
         raise PoissonError("degenerate form has no Hamiltonian fields: det = %s"
                            % print_canonical(S.det_cert))
     S.ctx.check_same(f.ctx)
     held = S.held
-    for res in held:
-        if res.f is f or res.f == f:
-            if res is not held[0]:
-                S.held = (res, held[0])
-            return res
-    df = d_of_function(f)
-    delta = _gram_field(S, df)
-    if S.omega.interior(delta) != df:
-        raise PoissonError("Hamiltonian certificate failed (internal error)")
-    res = HamiltonianResult(f=f, delta=delta, df=df)
-    S.held = (res,) + held[:1]
+    res = held.pop(id(f), None)
+    if res is None:
+        df = d_of_function(f)
+        delta = _gram_field(S, df)
+        if S.omega.interior(delta) != df:
+            raise PoissonError("Hamiltonian certificate failed (internal error)")
+        res = HamiltonianResult(f=f, delta=delta, df=df)
+        if len(held) == _HELD:
+            del held[next(iter(held))]
+    held[id(f)] = res
     return res
 
 
@@ -123,16 +114,7 @@ def _exact_ratio(num: Poly, den: Poly, what: str) -> Poly:
 def bracket(S: SymplecticData, f: Poly, g: Poly) -> Poly:
     """{f,g} = -omega(delta_f, delta_g); returned as delta_f(g) after checking
     the two computations agree."""
-    return bracket_of_fields(S, hamiltonian(S, f), hamiltonian(S, g))
-
-
-def bracket_of_fields(
-    S: SymplecticData, hf: HamiltonianResult, hg: HamiltonianResult
-) -> Poly:
-    """{f,g} from the Hamiltonian results of f and g the caller already
-    holds, as hamiltonian returned them, after checking its two
-    computations agree."""
-    via_pairing, via_apply = _bracket_sides(S, hf, hg)
+    via_pairing, via_apply = _bracket_sides(S, hamiltonian(S, f), hamiltonian(S, g))
     if via_pairing != via_apply:
         raise PoissonError("bracket consistency failed (internal error)")
     return via_apply
@@ -148,13 +130,6 @@ def _bracket_sides(
     log = hf.delta.log_components()
     pairing = dot(((c, log[j]) for (j,), c in hg.df.terms.items()), S.ctx)
     return pairing, hf.delta.apply(hg.f)
-
-
-def _bracket_and_field(
-    S: SymplecticData, hf: HamiltonianResult, hg: HamiltonianResult
-) -> HamiltonianResult:
-    """The Hamiltonian result of {f,g}."""
-    return hamiltonian(S, bracket_of_fields(S, hf, hg))
 
 
 def sing_bracket(S: SymplecticData, a: Poly, b: Poly, h: Optional[Poly] = None) -> Poly:
@@ -179,67 +154,33 @@ def _sing_quotient(a: Poly, b: Poly, in_a: bool, in_b: bool, ab: Poly) -> Poly:
     return ab
 
 
-def tilde_hamiltonian(
-    S: SymplecticData, u: Poly, delta_u: Optional[LogVectorField] = None
-) -> LogVectorField:
+def tilde_hamiltonian(S: SymplecticData, u: Poly) -> LogVectorField:
     """The field with i_delta omega = du/u, for u a monomial (any nonzero
     coefficient) supported on the divisor coordinates: the u whose du/u is
     a log form, as _dlog_unit decides.  du/u needs no inverse of u, so
     (1 + T)*x on the divisor has a tilde field although it is not a unit.
 
-    Also asserts the relation delta_u = u * tilde(delta_u); delta_u is the
-    Hamiltonian field of u when the caller already holds it."""
+    Also asserts the relation delta_u = u * tilde(delta_u)."""
     if u.is_zero():
         raise PoissonError("zero has no tilde field")
-    return _tilde(S, u, _dlog_unit(S, u), delta_u)
+    return _tilde(S, u, _dlog_unit(S, u))
 
 
-def _tilde(
-    S: SymplecticData, u: Poly, dlog_u: LogForm, delta_u: Optional[LogVectorField]
-) -> LogVectorField:
+def _tilde(S: SymplecticData, u: Poly, dlog_u: LogForm) -> LogVectorField:
     """tilde_hamiltonian's field and checks from du/u = dlog_u, which the
     caller already holds."""
     tilde = _gram_field(S, dlog_u)
     if S.omega.interior(tilde) != dlog_u:
         raise PoissonError("tilde certificate failed (internal error)")
-    if delta_u is None:
-        delta_u = hamiltonian(S, u).delta
-    if delta_u != tilde.scale(u):
+    if hamiltonian(S, u).delta != tilde.scale(u):
         raise PoissonError("delta_u != u * tilde_u (internal error)")
     return tilde
 
 
 def jacobi_defect(S: SymplecticData, f: Poly, g: Poly, k: Poly) -> Poly:
     """{f,{g,k}} + {g,{k,f}} + {k,{f,g}}."""
-    hg = hamiltonian(S, g)
-    hk = hamiltonian(S, k)
-    hf = hamiltonian(S, f)
-    return _jacobi(S, hf, hg, hk)
-
-
-def _jacobi(
-    S: SymplecticData,
-    hf: HamiltonianResult,
-    hg: HamiltonianResult,
-    hk: HamiltonianResult,
-    inner: Optional[HamiltonianResult] = None,
-    fg: Optional[Poly] = None,
-) -> Poly:
-    """The Jacobi defect from the Hamiltonian results hf, hg, hk of f, g, k;
-    inner is the result of {g,k} when the caller already holds it, and fg
-    is {f,g} when the caller has already cross-checked it (its field is
-    still made here, in the same order).  Each inner bracket's field is made
-    once, and every bracket is cross-checked once."""
-    hgk = inner or _bracket_and_field(S, hg, hk)
-    hkf = _bracket_and_field(S, hk, hf)
-    if fg is None:
-        fg = bracket_of_fields(S, hf, hg)
-    hfg = hamiltonian(S, fg)
-    return (
-        bracket_of_fields(S, hf, hgk)
-        + bracket_of_fields(S, hg, hkf)
-        + bracket_of_fields(S, hk, hfg)
-    )
+    return (bracket(S, f, bracket(S, g, k)) + bracket(S, g, bracket(S, k, f))
+            + bracket(S, k, bracket(S, f, g)))
 
 
 class IdentityReport(NamedTuple):
@@ -284,17 +225,14 @@ def verify_identities(
     PoissonError at identity (i) otherwise), and u + v != 0 (a
     PoissonError at identity (ii) otherwise); a, b arbitrary.
     Identity (i) takes s = {u,v}/(uv), which lies in the ring for such u
-    and v.  Ten Hamiltonian fields are asked for, each once, and at most
-    ten are made and certified (equal arguments share one); eight brackets
-    are cross-checked, each once; {a,b}'s two sides are compared by
-    (iii), and delta_a(b) serves (iv) and the Jacobi defect; {u,a} serves
-    (ii) and the Jacobi defect; du/u and dv/v are built once, for (i) and
-    the tilde fields of (v).
+    and v.  Each bracket and fraction is computed once and named again by
+    its object, so a structure makes at most ten Hamiltonian fields here:
+    {u,v} serves (i) and (v); {u,a} serves (ii) and the Jacobi defect;
+    {a,b}'s two sides are compared by (iii), and delta_a(b) serves (iv) and
+    the Jacobi defect; du/u and dv/v are built once, for (i) and the tilde
+    fields of (v).
     """
-    hu = hamiltonian(S, u)
-    hv = hamiltonian(S, v)
-    huv = _bracket_and_field(S, hu, hv)
-    buv, uv = huv.f, u * v
+    buv, uv = bracket(S, u, v), u * v
 
     # (i)  i_X omega = {u,v}(du/u + dv/v) for X = delta_{u,v} - uv*delta_s,
     # s = {u,v}/(uv); by linearity i_X omega is the certified
@@ -307,42 +245,36 @@ def verify_identities(
     dlog_u, dlog_v = _dlog_unit(S, u), _dlog_unit(S, v)
     if not (in_u and in_v):
         s = _exact_ratio(buv, uv, "{u,v}/(uv)")
-    hs = hamiltonian(S, s)
-    defect_i = huv.df - hs.df.scale(uv) - (dlog_u + dlog_v).scale(buv)
+    huv = hamiltonian(S, buv)
+    defect_i = huv.df - hamiltonian(S, s).df.scale(uv) - (dlog_u + dlog_v).scale(buv)
 
     # (ii)  {u,a}/u + {v,a}/v - {u+v,a}/(u+v), as one fraction over
     # uv(u+v); u and v are nonzero monomials once (i) has passed
-    ha = hamiltonian(S, a)
-    bua = bracket_of_fields(S, hu, ha)
-    bva = bracket_of_fields(S, hv, ha)
+    bua, bva = bracket(S, u, a), bracket(S, v, a)
     w = u + v
     if w.is_zero():
         raise PoissonError("u + v = 0: identity (ii) divides by u + v")
-    bwa = bracket_of_fields(S, hamiltonian(S, w), ha)
-    defect_ii = RationalFunction((bua * v + bva * u) * w - bwa * uv, uv * w)
+    defect_ii = RationalFunction((bua * v + bva * u) * w - bracket(S, w, a) * uv, uv * w)
 
-    # (iii)  {a,b} = delta_a(b); the two sides serve (iv) and Jacobi too
-    hb = hamiltonian(S, b)
+    # (iii)  {a,b} = delta_a(b), decided rather than cross-checked
+    ha, hb = hamiltonian(S, a), hamiltonian(S, b)
     ab_pairing, bab = _bracket_sides(S, ha, hb)
-    defect_iii = ab_pairing - bab
 
     # (iv)  [delta_a, delta_b] = delta_{a,b}, {a,b} taken as delta_a(b)
-    hab = hamiltonian(S, bab)
-    defect_iv = ha.delta.bracket(hb.delta) - hab.delta
+    defect_iv = ha.delta.bracket(hb.delta) - hamiltonian(S, bab).delta
 
     # (v)  delta_{u,v} = uv[tilde_u, tilde_v] + {u,v}(tilde_v + tilde_u)
-    tu = _tilde(S, u, dlog_u, hu.delta)
-    tv = _tilde(S, v, dlog_v, hv.delta)
-    rhs_v = tu.bracket(tv).scale(uv) + (tv + tu).scale(buv)
-    defect_v = huv.delta - rhs_v
+    tu, tv = _tilde(S, u, dlog_u), _tilde(S, v, dlog_v)
+    defect_v = huv.delta - (tu.bracket(tv).scale(uv) + (tv + tu).scale(buv))
 
     return IdentityReport(
         defect_i=defect_i,
         defect_ii=defect_ii,
-        defect_iii=defect_iii,
+        defect_iii=ab_pairing - bab,
         defect_iv=defect_iv,
         defect_v=defect_v,
-        jacobi=_jacobi(S, hu, ha, hb, hab, bua),
+        jacobi=(bracket(S, u, bab) + bracket(S, a, bracket(S, b, u))
+                + bracket(S, b, bua)),
     )
 
 

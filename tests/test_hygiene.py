@@ -319,3 +319,41 @@ def test_every_slot_is_read():
     unread = ["%s.%s" % (cls, name) for tree in trees
               for cls, name in _slots(tree) if name not in read]
     assert not unread, "slots never read: " + ", ".join(unread)
+
+
+def _result_parameters(tree):
+    """"function parameter" for every parameter, of a function or method at
+    any depth, whose annotation names HamiltonianResult."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            out += ["%s %s" % (node.name, p.arg) for p in params
+                    if p.annotation is not None
+                    and "HamiltonianResult" in ast.unparse(p.annotation)]
+    return out
+
+
+def test_only_the_bracket_sides_take_a_hamiltonian_result():
+    """No function in src/logsym takes a HamiltonianResult parameter but
+    poisson._bracket_sides, which reads both sides of {f,g} off the two
+    results.  A field is reused only through the results a structure holds
+    (SymplecticData.held), so fields handed down by hand cannot grow back
+    beside them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s.%s" % (path.name[:-3], p) for p in _result_parameters(tree)]
+    assert found == ["poisson._bracket_sides hf", "poisson._bracket_sides hg"], (
+        "HamiltonianResult parameters: " + ", ".join(found))
+    # the walk sees every kind of parameter, a quoted or wrapped annotation
+    # and a method, and nothing else
+    sample = ("def f(a: HamiltonianResult, /, b: 'HamiltonianResult', *c: int,\n"
+              "      d: Optional[HamiltonianResult] = None, **e: HamiltonianResult):\n"
+              "    pass\n"
+              "class K:\n"
+              "    def m(self, r: Tuple[HamiltonianResult, int], s=None) -> HamiltonianResult:\n"
+              "        pass\n")
+    assert _result_parameters(ast.parse(sample)) == ["f a", "f b", "f d", "f e", "m r"]
